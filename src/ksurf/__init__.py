@@ -3,10 +3,10 @@ Backlund transformations, and convergence experiments.
 
 The package is organized bottom-up:
 
-    linalg2    stacked 2x2 complex / su(2) helpers
+    linalg2    stacked 2x2 complex / su(2) helpers (test reference, rotations)
     goursat    lattice Goursat problems for two edge fields
     sinegordon naive and Hirota schemes, Backlund extension, compatibility
-    frames     Lax transition matrices, frames, Sym formula
+    frames     Lax matrices as SU(2) pairs; one kernel for frames, dressing, Sym
     surfaces   K-surface meshes, validation, Backlund towers, OBJ export
     ndsys      general d-dimensional compatible lattice systems
     harness    convergence sweeps on nested lattices
@@ -52,7 +52,6 @@ from .sinegordon import (
 )
 from .frames import (
     FrameField,
-    FrameSample,
     ZeroCurvatureError,
     backlund_W,
     lax_U_cont,
@@ -61,7 +60,7 @@ from .frames import (
     lax_V_disc,
     lax_dlambda,
     propagate_frame,
-    sym_point,
+    sym_matrices,
     transform_frame,
     zero_curvature_residual,
 )
@@ -75,6 +74,7 @@ from .surfaces import (
     ell,
     export_obj,
     load_obj_points,
+    mesh_from_fields,
     validate_k_surface,
 )
 from .ndsys import (

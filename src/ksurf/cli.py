@@ -10,10 +10,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 invalid arguments or inputs, 2 numerical failure
 (blow-up, incompatibility, residual above threshold); failures print the
-offending site or residual to stderr.  Every subcommand is deterministic
-given identical flags: all numerical paths are single-threaded and
---threads only caps worker counts for any future parallel code, so results
-are bit-identical for any accepted value.
+offending site or residual to stderr.  Every subcommand is deterministic:
+all numerical paths are single-threaded, so identical flags give
+bit-identical results.
 
 Numbers in output files carry 17 significant digits, enough to round-trip
 float64 exactly.  Tabulated data files (--data APATH,BPATH) hold one
@@ -50,10 +49,11 @@ from .sinegordon import (
     system_for,
 )
 from .surfaces import (
+    _require_hirota,
     backlund_step_norms,
     backlund_surface,
-    build_surface,
     export_obj,
+    mesh_from_fields,
     validate_k_surface,
 )
 
@@ -71,23 +71,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
-def _add_common(p: argparse.ArgumentParser, with_scheme: bool = True):
+def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--r", type=float, default=1.0, help="domain size (default 1.0)")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--k", type=int, default=None, help="lattice level: eps = r/2^k (default 6)")
     g.add_argument("--eps", type=float, default=None, help="lattice step (r/eps must be integer)")
-    if with_scheme:
-        p.add_argument(
-            "--scheme", choices=["naive", "hirota"], default="hirota",
-            help="discretization scheme (default hirota)",
-        )
+    p.add_argument(
+        "--scheme", choices=["naive", "hirota"], default="hirota",
+        help="discretization scheme (default hirota)",
+    )
     p.add_argument(
         "--data", default="demo",
         help="'demo', 'zero', or 'APATH,BPATH' tabulated files (default demo)",
-    )
-    p.add_argument(
-        "--threads", type=int, default=1,
-        help="worker cap; results are bit-identical for any value (default 1)",
     )
 
 
@@ -132,7 +127,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--theta0", type=float, action="append", default=None)
     p.add_argument("--bt-file", default=None)
     p.add_argument("--data", default="demo")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None,
                    help="report path (default converge_<quantity>.csv)")
 
@@ -145,7 +139,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps", type=float, action="append", default=None,
                    help="lattice steps to test (default 1/8 and 1/64)")
     p.add_argument("--seed", type=int, default=0, help="sample seed (default 0)")
-    p.add_argument("--threads", type=int, default=1)
     return top
 
 
@@ -216,11 +209,6 @@ def _chain(args, default=None) -> list:
     return [BacklundParam(a, t) for a, t in zip(args.alpha, args.theta0)]
 
 
-def _check_threads(args):
-    if getattr(args, "threads", 1) < 1:
-        raise ValueError("--threads must be >= 1")
-
-
 def _cmd_solve(args) -> int:
     dom = _domain(args)
     data = _resolve_data(args.data, dom)
@@ -242,8 +230,9 @@ def _cmd_surface(args) -> int:
     dom = _domain(args)
     data = _resolve_data(args.data, dom)
     scheme = _scheme(args.scheme)
-    mesh = build_surface(data, dom, args.lam, scheme)
+    _require_hirota(scheme)
     fields = solve_goursat_2d(system_for(scheme), data, dom)
+    mesh = mesh_from_fields(fields, args.lam)
     phi00 = float(np.asarray(data.sample(dom)[1]).ravel()[0])
     phi = reconstruct_phi(fields, phi00, scheme)
     report = validate_k_surface(mesh, phi)
@@ -364,7 +353,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        _check_threads(args)
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,6 @@
 """Lax representation, frames, and the Sym formula.
 
-Transition matrices (lambda real and positive):
+Transition matrices (lambda real and nonzero):
 
     U(a; lam)       = (i/2) [[a, -lam], [-lam, -a]]
     V(b; lam)       = (i/2) lam^-1 [[0, e^{ib}], [e^{-ib}, 0]]
@@ -9,13 +9,16 @@ Transition matrices (lambda real and positive):
     Vd(b; lam, eps) = (1 + eps^2 lam^-2 / 4)^{-1/2}
                       [[1, (i eps/(2 lam)) e^{ib}], [(i eps/(2 lam)) e^{-ib}, 1]]
 
-The discrete zero-curvature condition Ud(x, y+eps) Vd(x, y) =
-Vd(x+eps, y) Ud(x, y) holds to roundoff exactly on Hirota solutions; frame
-propagation refuses to run when it fails.  Frames carry the lambda-derivative
-dPsi alongside Psi (joint product-rule recursion), so the Sym formula needs
-no numerical differentiation.  propagate_frame output is unitary; frames
-dressed by backlund_W are scalar multiples of unitary matrices, which is why
-sym_point inverts by adjugate rather than conjugate transpose.
+Every matrix of the frame layer (these, their lambda-derivatives, the
+dressing matrix W, the frame Psi and its derivative dPsi) has the form
+[[p, q], [-conj(q), conj(p)]], so it is stored as two complex planes (p, q),
+plus (dp, dq) for the lambda-derivative; the stacked (..., 2, 2) builders are
+views of the same plane builders.  One kernel, _sweep, propagates the frame
+from Psi(0,0) = I, dPsi(0,0) = 0, dresses it by W(theta), applies the Sym
+formula F = lam (2 Im Q, 2 Re Q, 2 Im P) with (P, Q) = Psi^-1 dPsi (adjugate
+over the real determinant |p|^2 + |q|^2), and measures the zero-curvature
+residual |Ud(x, y+eps) Vd(x, y) - Vd(x+eps, y) Ud(x, y)| of every cell.  It
+holds to roundoff on Hirota solutions; other fields are refused.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .goursat import EdgeField2, LatticeDomain2
-from .linalg2 import IDENTITY2, frobenius, inv2, mat_mul, su2_project
+
+# Largest zero-curvature cell residual (Frobenius) a frame is built on.
+ZCC_TOL = 1e-10
 
 
 class ZeroCurvatureError(RuntimeError):
@@ -43,17 +48,8 @@ class ZeroCurvatureError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# transition matrices (all builders accept scalar or array a/b and return
-# matrices stacked over the input shape)
-
-
-def _mat22(m00, m01, m10, m11, shape) -> np.ndarray:
-    out = np.empty(shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = m00
-    out[..., 0, 1] = m01
-    out[..., 1, 0] = m10
-    out[..., 1, 1] = m11
-    return out
+# pair planes: each builder returns (p, q, dp, dq) of a matrix and its
+# lambda-derivative; scalar planes broadcast against array ones
 
 
 def _require_lam(lam: float) -> None:
@@ -61,36 +57,123 @@ def _require_lam(lam: float) -> None:
         raise ValueError("spectral parameter lambda must be nonzero and finite")
 
 
+def _normalisers(lam: float, eps: float) -> tuple:
+    """Ud and Vd prefactors and their lambda-derivatives, checked usable."""
+    lam = np.float64(lam)
+    with np.errstate(all="ignore"):
+        su = 1.0 + 0.25 * eps * eps * lam * lam
+        sv = 1.0 + 0.25 * eps * eps / (lam * lam)
+        norms = (su**-0.5, -(0.25 * eps * eps * lam) * su**-1.5,
+                 sv**-0.5, (0.25 * eps * eps / lam**3) * sv**-1.5)
+    if not all(np.isfinite(x) and x != 0 for x in norms):
+        raise ValueError(
+            f"lambda = {float(lam)!r} is out of range at eps = {eps!r}: the "
+            f"transition-matrix normalisers are not finite and nonzero"
+        )
+    return tuple(float(x) for x in norms)
+
+
+def _u_planes(a, lam: float, eps: float) -> tuple:
+    nu, dnu, _, _ = _normalisers(lam, eps)
+    e = np.exp(0.5j * eps * np.asarray(a, dtype=float))
+    off = -0.5j * eps * lam
+    return nu * e, nu * off, dnu * e, (-0.5j * eps) * nu**3
+
+
+def _v_planes(b, lam: float, eps: float) -> tuple:
+    _, _, nv, dnv = _normalisers(lam, eps)
+    e = np.exp(1j * np.asarray(b, dtype=float))
+    c = 0.5j * eps / lam
+    dc = -0.5j * eps / (lam * lam)
+    return nv, nv * (c * e), dnv, nv**3 * (dc * e)
+
+
+def _u_cont_planes(a, lam: float, eps=None) -> tuple:
+    return 0.5j * np.asarray(a, dtype=float), -0.5j * lam, 0.0, -0.5j
+
+
+def _v_cont_planes(b, lam: float, eps=None) -> tuple:
+    e = np.exp(1j * np.asarray(b, dtype=float))
+    return 0.0, (0.5j / lam) * e, 0.0, (-0.5j / (lam * lam)) * e
+
+
+def _w_planes(theta, alpha: float, lam: float) -> tuple:
+    if alpha <= 0:
+        raise ValueError("alpha must be > 0")
+    return alpha * np.exp(1j * np.asarray(theta, dtype=float)), -1j * lam, 0.0, -1j
+
+
+def _pair(p1, q1, p2, q2) -> tuple:
+    """(p, q) of the product of two pair matrices."""
+    return p1 * p2 - q1 * q2.conjugate(), p1 * q2 + q1 * p2.conjugate()
+
+
+def _mul(m, f) -> tuple:
+    """m f with the product rule for the lambda-derivative."""
+    p, q = _pair(m[0], m[1], f[0], f[1])
+    dp1, dq1 = _pair(m[2], m[3], f[0], f[1])
+    dp2, dq2 = _pair(m[0], m[1], f[2], f[3])
+    return p, q, dp1 + dp2, dq1 + dq2
+
+
+def _abs2(z):
+    return z.real * z.real + z.imag * z.imag
+
+
+def _sym(f, lam: float, out: np.ndarray) -> np.ndarray:
+    """Sym points of frames f = (p, q, dp, dq), written into out (..., 3)."""
+    p, q, dp, dq = f
+    pc = p.conjugate()
+    big_p = pc * dp + q * dq.conjugate()
+    big_q = pc * dq - q * dp.conjugate()
+    scale = 2.0 * lam / (_abs2(p) + _abs2(q))
+    out[..., 0] = scale * big_q.imag
+    out[..., 1] = scale * big_q.real
+    out[..., 2] = scale * big_p.imag
+    if not np.isfinite(out).all():
+        raise ValueError(f"Sym points are not finite at lambda = {lam!r}")
+    return out
+
+
+def _stack(p, q, shape=(), out=None) -> np.ndarray:
+    """The (..., 2, 2) matrices [[p, q], [-conj(q), conj(p)]], written into out if given."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(p), np.shape(q), shape) + (2, 2), complex)
+    out[..., 0, 0] = p
+    out[..., 0, 1] = q
+    out[..., 1, 0] = -np.conj(q)
+    out[..., 1, 1] = np.conj(p)
+    return out
+
+
+def _planes(psi: np.ndarray, dpsi: np.ndarray) -> tuple:
+    return psi[..., 0, 0], psi[..., 0, 1], dpsi[..., 0, 0], dpsi[..., 0, 1]
+
+
+# ---------------------------------------------------------------------------
+# stacked transition matrices (scalar or array a/b in, (..., 2, 2) out)
+
+
 def lax_U_cont(a, lam: float) -> np.ndarray:
     _require_lam(lam)
-    a = np.asarray(a, dtype=float)
-    return _mat22(0.5j * a, -0.5j * lam, -0.5j * lam, -0.5j * a, a.shape)
+    return _stack(*_u_cont_planes(a, lam)[:2])
 
 
 def lax_V_cont(b, lam: float) -> np.ndarray:
     _require_lam(lam)
-    b = np.asarray(b, dtype=float)
-    e = np.exp(1j * b)
-    c = 0.5j / lam
-    return _mat22(np.zeros_like(b), c * e, c * np.conj(e), np.zeros_like(b), b.shape)
+    return _stack(*_v_cont_planes(b, lam)[:2])
 
 
 def lax_U_disc(a, lam: float, eps: float) -> np.ndarray:
-    _require_lam(lam)
-    a = np.asarray(a, dtype=float)
-    p = (1.0 + 0.25 * eps * eps * lam * lam) ** -0.5
-    e = np.exp(0.5j * eps * a)
-    off = -0.5j * eps * lam
-    return p * _mat22(e, off, off, np.conj(e), a.shape)
+    return _stack(*_u_planes(a, lam, eps)[:2])
 
 
 def lax_V_disc(b, lam: float, eps: float) -> np.ndarray:
-    _require_lam(lam)
-    b = np.asarray(b, dtype=float)
-    q = (1.0 + 0.25 * eps * eps / (lam * lam)) ** -0.5
-    c = 0.5j * eps / lam
-    e = np.exp(1j * b)
-    return q * _mat22(np.ones_like(b), c * e, c * np.conj(e), np.ones_like(b), b.shape)
+    return _stack(*_v_planes(b, lam, eps)[:2])
+
+
+_KINDS = {"Ucont": _u_cont_planes, "Vcont": _v_cont_planes,
+          "Udisc": _u_planes, "Vdisc": _v_planes}
 
 
 def lax_dlambda(kind: str, value, lam: float, eps: float | None = None) -> np.ndarray:
@@ -101,80 +184,107 @@ def lax_dlambda(kind: str, value, lam: float, eps: float | None = None) -> np.nd
     normalizing prefactor and the matrix entries.
     """
     _require_lam(lam)
-    v = np.asarray(value, dtype=float)
-    if kind == "Ucont":
-        out = np.zeros(v.shape + (2, 2), dtype=complex)
-        out[..., 0, 1] = -0.5j
-        out[..., 1, 0] = -0.5j
-        return out
-    if kind == "Vcont":
-        e = np.exp(1j * v)
-        c = -0.5j / (lam * lam)
-        return _mat22(np.zeros_like(v), c * e, c * np.conj(e), np.zeros_like(v), v.shape)
-    if eps is None:
+    if kind not in _KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind.endswith("disc") and eps is None:
         raise ValueError("discrete kinds need eps")
-    if kind == "Udisc":
-        s = 1.0 + 0.25 * eps * eps * lam * lam
-        p = s**-0.5
-        dp = -(0.25 * eps * eps * lam) * s**-1.5
-        e = np.exp(0.5j * eps * v)
-        off = -0.5j * eps * lam
-        m = _mat22(e, off, off, np.conj(e), v.shape)
-        dm = np.zeros(v.shape + (2, 2), dtype=complex)
-        dm[..., 0, 1] = -0.5j * eps
-        dm[..., 1, 0] = -0.5j * eps
-        return dp * m + p * dm
-    if kind == "Vdisc":
-        s = 1.0 + 0.25 * eps * eps / (lam * lam)
-        q = s**-0.5
-        dq = (0.25 * eps * eps / lam**3) * s**-1.5
-        c = 0.5j * eps / lam
-        dc = -0.5j * eps / (lam * lam)
-        e = np.exp(1j * v)
-        m = _mat22(np.ones_like(v), c * e, c * np.conj(e), np.ones_like(v), v.shape)
-        dm = _mat22(np.zeros_like(v), dc * e, dc * np.conj(e), np.zeros_like(v), v.shape)
-        return dq * m + q * dm
-    raise ValueError(f"unknown kind {kind!r}")
+    return _stack(*_KINDS[kind](value, lam, eps)[2:], np.shape(value))
 
 
-# ---------------------------------------------------------------------------
-# zero curvature
+def backlund_W(theta, alpha: float, lam: float) -> np.ndarray:
+    """Dressing matrix W = [[alpha e^{i theta}, -i lam], [-i lam, alpha e^{-i theta}]].
 
-
-def zero_curvature_residual(fields: EdgeField2, lam: float):
-    """Max Frobenius residual of Ud(x,y+eps) Vd(x,y) - Vd(x+eps,y) Ud(x,y).
-
-    Returns (residual, cell) with cell the lattice coordinates (x, y) of the
-    worst elementary square.
+    det W = alpha^2 + lam^2 and W^dagger W = (alpha^2 + lam^2) I, so W is a
+    positive scalar multiple of a unitary matrix.
     """
-    n, eps = fields.domain.n, fields.domain.eps
-    a, b = fields.a, fields.b
-    worst = 0.0
-    worst_cell = (0.0, 0.0)
-    u_low = lax_U_disc(a[:, 0], lam, eps)
-    for j in range(n):
-        u_high = lax_U_disc(a[:, j + 1], lam, eps)
-        v_left = lax_V_disc(b[:n, j], lam, eps)
-        v_right = lax_V_disc(b[1 : n + 1, j], lam, eps)
-        res = frobenius(mat_mul(u_high, v_left) - mat_mul(v_right, u_low))
-        i = int(res.argmax())
-        if res[i] > worst:
-            worst = float(res[i])
-            worst_cell = (i * eps, j * eps)
-        u_low = u_high
-    return worst, worst_cell
+    return _stack(*_w_planes(theta, alpha, lam)[:2])
+
+
+def backlund_W_dlambda(theta) -> np.ndarray:
+    return _stack(*_w_planes(theta, 1.0, 1.0)[2:], np.shape(theta))
 
 
 # ---------------------------------------------------------------------------
-# frames
+# the frame kernel
 
 
 @dataclass
-class FrameSample:
-    """Frame value and its lambda-derivative at one lattice site."""
+class _Sweep:
+    residual: float
+    cell: tuple
+    psi: np.ndarray | None
+    dpsi: np.ndarray | None
+    points: list
+    origin: np.ndarray
 
-    psi: np.ndarray
-    dpsi: np.ndarray
+
+def _sweep(fields: EdgeField2, lam: float, order: str = "xy", layers=(),
+           frame: bool = False, sym: bool = False, tol: float = ZCC_TOL) -> _Sweep:
+    """Propagate, dress and Sym-project the frame of fields in one sweep.
+
+    order 'xy' walks the bottom row by Ud steps, then fills columns by Vd
+    steps; 'yx' walks the left column by Vd steps, then fills rows by Ud
+    steps.  Each line is dressed in turn by the (theta_field, alpha) layers.
+    frame=True stores the undressed frame as (n+1, n+1, 2, 2) arrays;
+    sym=True fills points[z], the Sym image after z dressings.  origin is the
+    dressed frame at the origin, the product of the W matrices there.
+    Raises ZeroCurvatureError when the worst cell residual exceeds tol.
+    """
+    n, eps = fields.domain.n, fields.domain.eps
+    # axis[i, k]: edge from site i to i+1 on line k; lines[i, k]: edge from
+    # line k to k+1 at site i.  'yx' is 'xy' on the transposed lattice.
+    if order == "xy":
+        axis, lines, first, step = fields.a, fields.b, _u_planes, _v_planes
+        view = lambda x: x  # noqa: E731
+    elif order == "yx":
+        axis, lines, first, step = fields.b.T, fields.a.T, _v_planes, _u_planes
+        view = lambda x: np.swapaxes(x, 0, 1)  # noqa: E731
+    else:
+        raise ValueError(f"order must be 'xy' or 'yx', got {order!r}")
+    psi, dpsi = np.empty((2, n + 1, n + 1, 2, 2), dtype=complex) if frame else (None, None)
+    points = [np.empty((n + 1, n + 1, 3)) for _ in range(len(layers) + 1)] if sym else []
+
+    f_lo = first(axis[:, 0], lam, eps)
+    cur = np.zeros((4, n + 1), dtype=complex)  # rows p, q, dp, dq along line 0
+    cur[0, 0] = 1.0
+    for i, m in enumerate(zip(*np.broadcast_arrays(*f_lo))):
+        cur[:, i + 1] = _mul(m, cur[:, i])
+
+    worst, worst_at = 0.0, (0, 0)
+    for k in range(n + 1):
+        if frame:
+            _stack(cur[0], cur[1], out=view(psi)[:, k])
+            _stack(cur[2], cur[3], out=view(dpsi)[:, k])
+        g = cur
+        if sym:
+            _sym(g, lam, view(points[0])[:, k])
+        for z, (th, alpha) in enumerate(layers):
+            g = _mul(_w_planes(view(th)[:, k], alpha, lam), g)
+            if sym:
+                _sym(g, lam, view(points[z + 1])[:, k])
+        if k == 0:
+            origin = _stack(g[0][0], g[1][0])
+        if k == n:
+            break
+        m = np.broadcast_arrays(*step(lines[:, k], lam, eps))
+        f_hi = first(axis[:, k + 1], lam, eps)
+        # cell residual F(k+1) L(i) - L(i+1) F(k), with F the axis matrices
+        hp, hq = _pair(f_hi[0], f_hi[1], m[0][:n], m[1][:n])
+        lp, lq = _pair(m[0][1:], m[1][1:], f_lo[0], f_lo[1])
+        res = np.sqrt(2.0 * (_abs2(hp - lp) + _abs2(hq - lq)))
+        i = int(res.argmax())
+        if res[i] > worst:
+            worst, worst_at = float(res[i]), (i, k)
+        cur = _mul(m, cur)
+        f_lo = f_hi
+    cell = tuple(c * eps for c in (worst_at if order == "xy" else worst_at[::-1]))
+    if worst > tol:
+        raise ZeroCurvatureError(worst, cell, lam)
+    return _Sweep(worst, cell, psi, dpsi, points, origin)
+
+
+# ---------------------------------------------------------------------------
+# views of the kernel
 
 
 @dataclass
@@ -190,135 +300,37 @@ class FrameField:
     lam: float
     domain: LatticeDomain2
 
-    def sample(self, i: int, j: int) -> FrameSample:
-        return FrameSample(self.psi[i, j], self.dpsi[i, j])
+
+def zero_curvature_residual(fields: EdgeField2, lam: float):
+    """Max Frobenius residual of Ud(x,y+eps) Vd(x,y) - Vd(x+eps,y) Ud(x,y).
+
+    Returns (residual, cell) with cell the lattice coordinates (x, y) of the
+    worst elementary square.
+    """
+    sweep = _sweep(fields, lam, tol=np.inf)
+    return sweep.residual, sweep.cell
 
 
-def propagate_frame(
-    fields: EdgeField2,
-    lam: float,
-    order: str = "xy",
-    check: bool = True,
-    zcc_tol: float = 1e-10,
-) -> FrameField:
+def propagate_frame(fields: EdgeField2, lam: float, order: str = "xy") -> FrameField:
     """Integrate the frame equations from Psi(0,0) = I, dPsi(0,0) = 0.
 
-    order 'xy' scans the bottom row by Ud steps and then fills rows upward by
-    Vd steps; 'yx' scans the left column first.  Zero curvature makes the two
-    agree to roundoff, and is verified up front (set check=False only for
-    fields already validated).
+    order 'xy' scans the bottom row by Ud steps and then fills columns
+    rightward by Vd steps; 'yx' scans the left column first.  Zero curvature
+    makes the two agree to roundoff; it is measured on every cell during the
+    sweep, and fields failing it raise ZeroCurvatureError.
     """
-    if lam == 0 or not np.isfinite(lam):
-        raise ValueError(f"lambda must be real, nonzero, and finite, got {lam}")
-    if check:
-        res, cell = zero_curvature_residual(fields, lam)
-        if res > zcc_tol:
-            raise ZeroCurvatureError(res, cell, lam)
-    n, eps = fields.domain.n, fields.domain.eps
-    a, b = fields.a, fields.b
-    psi = np.empty((n + 1, n + 1, 2, 2), dtype=complex)
-    dpsi = np.empty_like(psi)
-    psi[0, 0] = IDENTITY2
-    dpsi[0, 0] = 0.0
-    if order == "xy":
-        u_row = lax_U_disc(a[:, 0], lam, eps)
-        du_row = lax_dlambda("Udisc", a[:, 0], lam, eps)
-        for i in range(n):
-            psi[i + 1, 0] = u_row[i] @ psi[i, 0]
-            dpsi[i + 1, 0] = du_row[i] @ psi[i, 0] + u_row[i] @ dpsi[i, 0]
-        for j in range(n):
-            v_col = lax_V_disc(b[:, j], lam, eps)
-            dv_col = lax_dlambda("Vdisc", b[:, j], lam, eps)
-            psi[:, j + 1] = mat_mul(v_col, psi[:, j])
-            dpsi[:, j + 1] = mat_mul(dv_col, psi[:, j]) + mat_mul(v_col, dpsi[:, j])
-    elif order == "yx":
-        v_col = lax_V_disc(b[0, :], lam, eps)
-        dv_col = lax_dlambda("Vdisc", b[0, :], lam, eps)
-        for j in range(n):
-            psi[0, j + 1] = v_col[j] @ psi[0, j]
-            dpsi[0, j + 1] = dv_col[j] @ psi[0, j] + v_col[j] @ dpsi[0, j]
-        for i in range(n):
-            u_row = lax_U_disc(a[i, :], lam, eps)
-            du_row = lax_dlambda("Udisc", a[i, :], lam, eps)
-            psi[i + 1, :] = mat_mul(u_row, psi[i, :])
-            dpsi[i + 1, :] = mat_mul(du_row, psi[i, :]) + mat_mul(u_row, dpsi[i, :])
-    else:
-        raise ValueError(f"order must be 'xy' or 'yx', got {order!r}")
-    return FrameField(psi, dpsi, lam, fields.domain)
-
-
-def frame_rows(fields: EdgeField2, lam: float):
-    """Yield (psi_row, dpsi_row) for rows j = 0..n without storing the field.
-
-    Streaming equivalent of propagate_frame(order='xy'): each yielded pair
-    has shape (n+1, 2, 2) and is bitwise identical to the corresponding row
-    of the full propagation.  No zero-curvature check is performed here.
-    """
-    n, eps = fields.domain.n, fields.domain.eps
-    a, b = fields.a, fields.b
-    psi = np.empty((n + 1, 2, 2), dtype=complex)
-    dpsi = np.empty_like(psi)
-    psi[0] = IDENTITY2
-    dpsi[0] = 0.0
-    u_row = lax_U_disc(a[:, 0], lam, eps)
-    du_row = lax_dlambda("Udisc", a[:, 0], lam, eps)
-    for i in range(n):
-        psi[i + 1] = u_row[i] @ psi[i]
-        dpsi[i + 1] = du_row[i] @ psi[i] + u_row[i] @ dpsi[i]
-    yield psi, dpsi
-    for j in range(n):
-        v_col = lax_V_disc(b[:, j], lam, eps)
-        dv_col = lax_dlambda("Vdisc", b[:, j], lam, eps)
-        dpsi = mat_mul(dv_col, psi) + mat_mul(v_col, dpsi)
-        psi = mat_mul(v_col, psi)
-        yield psi, dpsi
-
-
-# ---------------------------------------------------------------------------
-# Sym formula
+    sweep = _sweep(fields, lam, order, frame=True)
+    return FrameField(sweep.psi, sweep.dpsi, lam, fields.domain)
 
 
 def sym_matrices(psi: np.ndarray, dpsi: np.ndarray, lam: float) -> np.ndarray:
     """Immersion points for stacked frame samples, shape (..., 3).
 
-    The Sym matrix S = 2 lam Psi^-1 dPsi is anti-Hermitian traceless up to
-    roundoff (for dressed frames, up to a removable trace part); the surface
-    point is S/2 expressed in the (i/2) sigma basis, equivalently the
-    coordinates of S under the identification x -> i (x . sigma).  With this
-    normalization lattice edges have length eps/(1 + eps^2/4).
+    The point is lam Psi^-1 dPsi in the (i/2) sigma basis of su(2); with this
+    normalization lattice edges have length eps/(1 + eps^2/4).  Only the
+    first row of each matrix is read, since frames have the pair form.
     """
-    return su2_project(lam * mat_mul(inv2(psi), dpsi))
-
-
-def sym_point(sample: FrameSample, lam: float) -> np.ndarray:
-    """Immersion point of one frame sample via the Sym formula."""
-    return sym_matrices(sample.psi, sample.dpsi, lam)
-
-
-# ---------------------------------------------------------------------------
-# Backlund dressing
-
-
-def backlund_W(theta, alpha: float, lam: float) -> np.ndarray:
-    """Dressing matrix W = [[alpha e^{i theta}, -i lam], [-i lam, alpha e^{-i theta}]].
-
-    det W = alpha^2 + lam^2 and W^dagger W = (alpha^2 + lam^2) I, so W is a
-    positive scalar multiple of a unitary matrix.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    th = np.asarray(theta, dtype=float)
-    e = alpha * np.exp(1j * th)
-    off = np.broadcast_to(-1j * lam, th.shape)
-    return _mat22(e, off, off, np.conj(e), th.shape)
-
-
-def backlund_W_dlambda(theta) -> np.ndarray:
-    th = np.asarray(theta, dtype=float)
-    out = np.zeros(th.shape + (2, 2), dtype=complex)
-    out[..., 0, 1] = -1j
-    out[..., 1, 0] = -1j
-    return out
+    return _sym(_planes(psi, dpsi), lam, np.empty(psi.shape[:-2] + (3,)))
 
 
 def transform_frame(frame: FrameField, theta_field: np.ndarray, alpha: float) -> FrameField:
@@ -329,11 +341,6 @@ def transform_frame(frame: FrameField, theta_field: np.ndarray, alpha: float) ->
     """
     th = np.asarray(theta_field, dtype=float)
     if th.shape != frame.psi.shape[:2]:
-        raise ValueError(
-            f"theta shape {th.shape} does not match frame sites {frame.psi.shape[:2]}"
-        )
-    w = backlund_W(th, alpha, frame.lam)
-    dw = backlund_W_dlambda(th)
-    psi = mat_mul(w, frame.psi)
-    dpsi = mat_mul(dw, frame.psi) + mat_mul(w, frame.dpsi)
-    return FrameField(psi, dpsi, frame.lam, frame.domain)
+        raise ValueError(f"theta shape {th.shape} does not match frame sites {frame.psi.shape[:2]}")
+    p, q, dp, dq = _mul(_w_planes(th, alpha, frame.lam), _planes(frame.psi, frame.dpsi))
+    return FrameField(_stack(p, q), _stack(dp, dq), frame.lam, frame.domain)

@@ -24,11 +24,6 @@ IDENTITY2 = np.eye(2, dtype=complex)
 SU2_BASIS = np.stack([0.5j * SIGMA1, 0.5j * SIGMA2, 0.5j * SIGMA3])
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product, stacked over leading axes."""
-    return a @ b
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose on the trailing two axes."""
     return np.conj(np.swapaxes(a, -1, -2))

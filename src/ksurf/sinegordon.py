@@ -421,7 +421,6 @@ def solve_goursat_3d(
     data: GoursatData2,
     theta0: Sequence[float],
     dom: LatticeDomain2,
-    layers: int | None = None,
 ) -> LayeredField3:
     """Solve the Backlund-extended system on layers z = 0..R, R = len(theta0).
 
@@ -434,8 +433,6 @@ def solve_goursat_3d(
     above 1e-9).
     """
     R = len(theta0)
-    if layers is not None and layers != R:
-        raise ValueError(f"layers = {layers} does not match len(theta0) = {R}")
     n, eps = dom.n, dom.eps
     rhs2 = Rhs2(f=rhs6.f, g=rhs6.g, eps0=rhs6.eps0, name=rhs6.name)
     layer0 = solve_goursat_2d(rhs2, data, dom)

@@ -28,15 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .goursat import EdgeField2, GoursatData2, LatticeDomain2, solve_goursat_2d
-from .frames import (
-    ZeroCurvatureError,
-    backlund_W,
-    backlund_W_dlambda,
-    frame_rows,
-    sym_matrices,
-    zero_curvature_residual,
-)
-from .linalg2 import conjugation_rotation, inv2, mat_mul, su2_project
+from .frames import _sweep
+from .linalg2 import conjugation_rotation
 from .sinegordon import (
     BacklundParam,
     PhiField,
@@ -77,6 +70,7 @@ class SurfaceMesh:
     lam: float
     scheme: str = "hirota"
     bt_chain: tuple = ()
+    zcc_residual: float = 0.0
 
     @property
     def n(self) -> int:
@@ -91,36 +85,33 @@ def _require_hirota(scheme: SchemeKind):
         )
 
 
-def _stream_points(fields: EdgeField2, lam: float, w_layers=()) -> list[np.ndarray]:
-    """Sym points for the base frame and after each Backlund dressing prefix.
+def _tower(fields: EdgeField2, lam: float, chain=(), th_layers=()) -> list[SurfaceMesh]:
+    """The surface stream: the base mesh, then one mesh per dressing prefix.
 
-    w_layers is a sequence of (theta_field, alpha); output k holds the
-    surface after dressing by the first k entries.  Rows of the frame are
-    streamed, never stored, so memory stays at O(n) matrices per dressing
-    level.
+    One kernel sweep dresses each frame line by (th_layers[z], chain[z].alpha)
+    and applies Sym, holding O(n) frame planes per level; every mesh records
+    the zero-curvature residual of the base fields from the same sweep.
     """
-    n = fields.domain.n
-    outs = [np.empty((n + 1, n + 1, 3)) for _ in range(len(w_layers) + 1)]
-    for j, (psi, dpsi) in enumerate(frame_rows(fields, lam)):
-        outs[0][:, j, :] = sym_matrices(psi, dpsi, lam)
-        cur_psi, cur_dpsi = psi, dpsi
-        for z, (th, alpha) in enumerate(w_layers):
-            w = backlund_W(th[:, j], alpha, lam)
-            dw = backlund_W_dlambda(th[:, j])
-            cur_dpsi = mat_mul(dw, cur_psi) + mat_mul(w, cur_dpsi)
-            cur_psi = mat_mul(w, cur_psi)
-            outs[z + 1][:, j, :] = sym_matrices(cur_psi, cur_dpsi, lam)
-    return outs
-
-
-def surface_from_fields(fields: EdgeField2, lam: float, zcc_tol: float = 1e-10) -> np.ndarray:
-    """Surface points from solved fields (zero curvature verified first)."""
     if lam <= 0 or not np.isfinite(lam):
         raise ValueError(f"lambda must be positive and finite, got {lam}")
-    res, cell = zero_curvature_residual(fields, lam)
-    if res > zcc_tol:
-        raise ZeroCurvatureError(res, cell, lam)
-    return _stream_points(fields, lam)[0]
+    sweep = _sweep(fields, lam, layers=[(th, p.alpha) for th, p in zip(th_layers, chain)],
+                   sym=True)
+    dom = fields.domain
+    return [
+        SurfaceMesh(pts, dom.eps, dom.r, lam, scheme="hirota", bt_chain=tuple(chain[:z]),
+                    zcc_residual=sweep.residual)
+        for z, pts in enumerate(sweep.points)
+    ]
+
+
+def mesh_from_fields(fields: EdgeField2, lam: float) -> SurfaceMesh:
+    """Surface mesh of solved Hirota fields (zero curvature checked in the sweep)."""
+    return _tower(fields, lam)[0]
+
+
+def surface_from_fields(fields: EdgeField2, lam: float) -> np.ndarray:
+    """Surface points of solved Hirota fields (zero curvature checked in the sweep)."""
+    return mesh_from_fields(fields, lam).points
 
 
 def build_surface(
@@ -136,9 +127,7 @@ def build_surface(
     recursion, and the Sym projection are all deterministic.
     """
     _require_hirota(scheme)
-    fields = solve_goursat_2d(hirota_system(), data, dom)
-    pts = surface_from_fields(fields, lam)
-    return SurfaceMesh(pts, dom.eps, dom.r, lam, scheme="hirota", bt_chain=())
+    return mesh_from_fields(solve_goursat_2d(hirota_system(), data, dom), lam)
 
 
 def associated_family(data: GoursatData2, dom: LatticeDomain2, lambdas) -> list[SurfaceMesh]:
@@ -147,16 +136,8 @@ def associated_family(data: GoursatData2, dom: LatticeDomain2, lambdas) -> list[
     The fields do not depend on lambda, so the Goursat problem is solved
     once; each lambda gets its own frame propagation and Sym projection.
     """
-    lams = [float(l) for l in lambdas]
-    for l in lams:
-        if l <= 0 or not np.isfinite(l):
-            raise ValueError(f"lambda must be positive and finite, got {l}")
     fields = solve_goursat_2d(hirota_system(), data, dom)
-    meshes = []
-    for l in lams:
-        pts = surface_from_fields(fields, l)
-        meshes.append(SurfaceMesh(pts, dom.eps, dom.r, l, scheme="hirota", bt_chain=()))
-    return meshes
+    return [mesh_from_fields(fields, float(l)) for l in lambdas]
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +198,7 @@ def backlund_surface(
     _require_hirota(scheme)
     chain = [p if isinstance(p, BacklundParam) else BacklundParam(*p) for p in bt_chain]
     a_layers, b_layers, th_layers, _ = solve_backlund_chain(data, dom, chain, scheme)
-    fields0 = EdgeField2(a_layers[0], b_layers[0], dom)
-    res, cell = zero_curvature_residual(fields0, lam)
-    if res > 1e-10:
-        raise ZeroCurvatureError(res, cell, lam)
-    w_layers = [(th_layers[z], chain[z].alpha) for z in range(len(chain))]
-    all_pts = _stream_points(fields0, lam, w_layers)
-    return [
-        SurfaceMesh(pts, dom.eps, dom.r, lam, scheme="hirota", bt_chain=tuple(chain[:z]))
-        for z, pts in enumerate(all_pts)
-    ]
+    return _tower(EdgeField2(a_layers[0], b_layers[0], dom), lam, chain, th_layers)
 
 
 def backlund_step_norms(mesh_lo: SurfaceMesh, mesh_hi: SurfaceMesh) -> np.ndarray:
@@ -249,7 +221,7 @@ def backlund_two_route_residual(
     differ by the exact rigid motion
 
         F_A = R F_B + t,  R = conjugation rotation of G,
-        t = su(2)-projection of lam * G^-1 dG/dlam.
+        t = F_A(0, 0), since F_B(0, 0) = 0.
 
     Returns the sup over sites of |F_A - (R F_B + t)|.
     """
@@ -257,24 +229,12 @@ def backlund_two_route_residual(
     if not chain:
         raise ValueError("two-route comparison needs a nonempty chain")
     a_layers, b_layers, th_layers, _ = solve_backlund_chain(data, dom, chain)
-    fields0 = EdgeField2(a_layers[0], b_layers[0], dom)
-    w_layers = [(th_layers[z], chain[z].alpha) for z in range(len(chain))]
-    pts_a = _stream_points(fields0, lam, w_layers)[-1]
-
-    fields_top = EdgeField2(a_layers[-1], b_layers[-1], dom)
-    pts_b = surface_from_fields(fields_top, lam)
-
-    g = np.eye(2, dtype=complex)
-    dg = np.zeros((2, 2), dtype=complex)
-    for z, p in enumerate(chain):
-        th00 = th_layers[z][0, 0]
-        w = backlund_W(th00, p.alpha, lam)
-        dw = backlund_W_dlambda(th00)
-        dg = dw @ g + w @ dg
-        g = w @ g
-    rot = conjugation_rotation(g)
-    t = su2_project(lam * (inv2(g) @ dg))
-    mapped = pts_b @ rot.T + t
+    route_a = _sweep(EdgeField2(a_layers[0], b_layers[0], dom), lam,
+                     layers=[(th, p.alpha) for th, p in zip(th_layers, chain)], sym=True)
+    pts_a = route_a.points[-1]
+    pts_b = surface_from_fields(EdgeField2(a_layers[-1], b_layers[-1], dom), lam)
+    rot = conjugation_rotation(route_a.origin)  # route A's frame at the origin is G
+    mapped = pts_b @ rot.T + pts_a[0, 0]
     return float(np.max(np.sqrt(np.sum((pts_a - mapped) ** 2, axis=-1))))
 
 
@@ -374,7 +334,8 @@ def export_obj(mesh: SurfaceMesh, path) -> None:
     i*(n+1) + j + 1); each elementary square becomes one quad face.  Floats
     use 17 significant digits, so points survive a write/read round trip
     bitwise.  The sidecar (same name, .meta extension) records eps, lambda,
-    r, scheme, and the Backlund chain as comma-separated alpha:theta0 pairs.
+    r, scheme, the Backlund chain as comma-separated alpha:theta0 pairs, and
+    the zero-curvature residual of the fields the mesh was built from.
     """
     path = str(path)
     n = mesh.n
@@ -396,6 +357,7 @@ def export_obj(mesh: SurfaceMesh, path) -> None:
         fh.write(f"r={mesh.r:.17g}\n")
         fh.write(f"scheme={mesh.scheme}\n")
         fh.write(f"bt_chain={chain}\n")
+        fh.write(f"zcc_residual={mesh.zcc_residual:.17g}\n")
 
 
 def load_obj_points(path) -> np.ndarray:

@@ -46,7 +46,8 @@ def test_solve_argument_errors(capsys):
     assert "error" in capsys.readouterr().err
     assert main(["solve", "--data", "garbage"]) == 1
     assert main(["solve", "--eps", "0.3"]) == 1  # r/eps not integer
-    assert main(["solve", "--threads", "0"]) == 1
+    assert main(["solve", "--threads", "1"]) == 1
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
     assert main(["bogus"]) == 1
     assert main([]) == 1
 
@@ -120,6 +121,43 @@ def test_surface_lambda(tmp_path):
     pts = load_obj_points(tmp_path / "fam.obj")
     ref = build_surface(demo_data(), LatticeDomain2.from_k(1.0, 4), 0.5)
     assert np.array_equal(pts, ref.points.reshape(-1, 3))
+
+
+def test_surface_solves_once(monkeypatch):
+    import ksurf.cli
+    import ksurf.goursat
+    import ksurf.surfaces
+
+    calls = []
+    solve = ksurf.goursat.solve_goursat_2d
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].n)
+        return solve(*args, **kwargs)
+
+    for mod in (ksurf.cli, ksurf.goursat, ksurf.surfaces):
+        monkeypatch.setattr(mod, "solve_goursat_2d", counting)
+    assert main(["surface", "--k", "3"]) == 0
+    assert calls == [8]
+
+
+@pytest.mark.parametrize("lam", ["1e-200", "1e-104", "1e104", "1e200"])
+def test_surface_extreme_lambda_exits_one(tmp_path, capsys, lam):
+    assert main(["surface", "--k", "3", "--lambda", lam, "--out", "x"]) == 1
+    assert "lambda" in capsys.readouterr().err
+    chain = ["--alpha", "1.0", "--theta0", "0.5"]
+    assert main(["backlund", "--k", "3", "--lambda", lam, *chain, "--out", "y"]) == 1
+    assert "lambda" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # no OBJ or .meta written
+
+
+@pytest.mark.parametrize("lam", ["1e-3", "1e3"])
+def test_surface_wide_lambda_is_finite(tmp_path, lam):
+    assert main(["surface", "--k", "3", "--lambda", lam, "--out", "x"]) == 0
+    assert np.isfinite(load_obj_points(tmp_path / "x.obj")).all()
+    chain = ["--alpha", "1.0", "--theta0", "0.5"]
+    assert main(["backlund", "--k", "3", "--lambda", lam, *chain, "--out", "y"]) == 0
+    assert np.isfinite(load_obj_points(tmp_path / "y_layer1.obj")).all()
 
 
 def test_surface_rejects_naive(capsys):

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from ksurf.frames import (
-    FrameField,
     ZeroCurvatureError,
     backlund_W,
     backlund_W_dlambda,
-    frame_rows,
     lax_U_cont,
     lax_U_disc,
     lax_V_cont,
@@ -16,20 +14,33 @@ from ksurf.frames import (
     lax_dlambda,
     propagate_frame,
     sym_matrices,
-    sym_point,
     transform_frame,
     zero_curvature_residual,
 )
-from ksurf.goursat import LatticeDomain2, solve_goursat_2d
+from ksurf.goursat import EdgeField2, LatticeDomain2, solve_goursat_2d
 from ksurf.harness import demo_data
-from ksurf.linalg2 import SIGMA3, check_unitary, det2, frobenius, mat_mul
+from ksurf.linalg2 import (
+    IDENTITY2,
+    SIGMA3,
+    check_unitary,
+    det2,
+    frobenius,
+    inv2,
+    su2_project,
+)
 from ksurf.sinegordon import (
+    BacklundParam,
     hirota_backlund_system,
     hirota_system,
     naive_system,
     solve_goursat_3d,
 )
-from ksurf.surfaces import ell_xy
+from ksurf.surfaces import (
+    backlund_surface,
+    ell_xy,
+    solve_backlund_chain,
+    surface_from_fields,
+)
 
 RNG = np.random.default_rng(20240819)
 AV = RNG.uniform(-3.0, 3.0, 500)
@@ -156,7 +167,7 @@ def test_propagate_frame_unitary(hirota_fields):
 def test_propagate_frame_path_independence(hirota_fields):
     for lam in (0.5, 1.0, 2.0):
         fr_xy = propagate_frame(hirota_fields, lam, order="xy")
-        fr_yx = propagate_frame(hirota_fields, lam, order="yx", check=False)
+        fr_yx = propagate_frame(hirota_fields, lam, order="yx")
         assert frobenius(fr_xy.psi - fr_yx.psi).max() <= 1e-11  # measured 5e-15
         assert frobenius(fr_xy.dpsi - fr_yx.dpsi).max() <= 1e-11
 
@@ -171,17 +182,17 @@ def test_propagate_frame_validation(hirota_fields):
 def test_twisted_frame_symmetry(hirota_fields):
     # Psi(-lam) = sigma3 Psi(lam) sigma3 propagates through the whole grid
     fr_p = propagate_frame(hirota_fields, 1.0)
-    fr_m = propagate_frame(hirota_fields, -1.0, check=False)
+    fr_m = propagate_frame(hirota_fields, -1.0)
     assert frobenius(fr_m.psi - SIGMA3 @ fr_p.psi @ SIGMA3).max() <= 1e-10
     assert frobenius(fr_m.dpsi + SIGMA3 @ fr_p.dpsi @ SIGMA3).max() <= 1e-10
 
 
-def test_frame_rows_streams_propagate_frame(hirota_fields):
-    fr = propagate_frame(hirota_fields, 1.0)
-    for j, (psi_row, dpsi_row) in enumerate(frame_rows(hirota_fields, 1.0)):
-        assert np.array_equal(psi_row, fr.psi[:, j])
-        assert np.array_equal(dpsi_row, fr.dpsi[:, j])
-    assert j == hirota_fields.domain.n
+def test_surface_stream_matches_propagate_frame(hirota_fields):
+    # the streamed surface is Sym of the stored frame, bitwise
+    for lam in (0.5, 1.0):
+        fr = propagate_frame(hirota_fields, lam)
+        pts = surface_from_fields(hirota_fields, lam)
+        assert np.array_equal(pts, sym_matrices(fr.psi, fr.dpsi, lam))
 
 
 def test_frame_self_convergence():
@@ -224,8 +235,9 @@ def test_sym_point_matches_matrices(hirota_fields):
     fr = propagate_frame(hirota_fields, 1.0)
     pts = sym_matrices(fr.psi, fr.dpsi, fr.lam)
     assert pts.shape == fr.psi.shape[:2] + (3,)
-    s = fr.sample(3, 5)
-    assert np.array_equal(sym_point(s, fr.lam), pts[3, 5])
+    one = sym_matrices(fr.psi[3, 5], fr.dpsi[3, 5], fr.lam)
+    assert one.shape == (3,)
+    assert np.array_equal(one, pts[3, 5])
     assert np.abs(pts[0, 0]).max() == 0.0  # base point at the origin
 
 
@@ -236,7 +248,7 @@ def test_backlund_W_values():
     for alpha, lam in ((0.5, 1.0), (2.0, 0.5)):
         ws = backlund_W(th, alpha, lam)
         assert np.allclose(det2(ws), alpha**2 + lam**2)
-        gram = mat_mul(np.conj(np.swapaxes(ws, -1, -2)), ws)
+        gram = np.conj(np.swapaxes(ws, -1, -2)) @ ws
         assert np.allclose(gram, (alpha**2 + lam**2) * np.eye(2), atol=1e-12)
     dw = backlund_W_dlambda(th)
     assert np.allclose(dw[..., 0, 1], -1j) and np.allclose(dw[..., 0, 0], 0.0)
@@ -259,15 +271,15 @@ def test_transform_frame_recursion(hirota_fields):
     dressed = transform_frame(fr, th, alpha)
     u1 = lax_U_disc(a1, lam, eps)
     v1 = lax_V_disc(b1, lam, eps)
-    rec_x = mat_mul(u1, dressed.psi[:n, :]) - dressed.psi[1:, :]
-    rec_y = mat_mul(v1, dressed.psi[:, :n]) - dressed.psi[:, 1:]
+    rec_x = u1 @ dressed.psi[:n, :] - dressed.psi[1:, :]
+    rec_y = v1 @ dressed.psi[:, :n] - dressed.psi[:, 1:]
     assert max(frobenius(rec_x).max(), frobenius(rec_y).max()) <= 1e-10
 
     w = backlund_W(th, alpha, lam)
     u0 = lax_U_disc(a0, lam, eps)
     v0 = lax_V_disc(b0, lam, eps)
-    int_x = mat_mul(w[1:, :], u0) - mat_mul(u1, w[:n, :])
-    int_y = mat_mul(w[:, 1:], v0) - mat_mul(v1, w[:, :n])
+    int_x = w[1:, :] @ u0 - u1 @ w[:n, :]
+    int_y = w[:, 1:] @ v0 - v1 @ w[:, :n]
     assert max(frobenius(int_x).max(), frobenius(int_y).max()) <= 1e-10
 
     with pytest.raises(ValueError, match="theta shape"):
@@ -280,3 +292,70 @@ def test_zero_curvature_error_attributes():
     assert err.cell == (0.25, 0.5)
     assert err.lam == 2.0
     assert "1.500e-04" in str(err)
+
+
+def oracle_stream(fields, lam, w_layers=()):
+    """Stacked 2x2 reference of the surface stream, independent of the kernel.
+
+    Ud steps along the bottom row, then Vd steps up every column; each
+    column is dressed by the W layers in turn and projected by the Sym
+    formula with an adjugate inverse.
+    """
+    n, eps = fields.domain.n, fields.domain.eps
+    a, b = fields.a, fields.b
+    psi = np.empty((n + 1, 2, 2), dtype=complex)
+    dpsi = np.empty_like(psi)
+    psi[0], dpsi[0] = IDENTITY2, 0.0
+    u, du = lax_U_disc(a[:, 0], lam, eps), lax_dlambda("Udisc", a[:, 0], lam, eps)
+    for i in range(n):
+        psi[i + 1] = u[i] @ psi[i]
+        dpsi[i + 1] = du[i] @ psi[i] + u[i] @ dpsi[i]
+    outs = [np.empty((n + 1, n + 1, 3)) for _ in range(len(w_layers) + 1)]
+    for j in range(n + 1):
+        if j:
+            v, dv = lax_V_disc(b[:, j - 1], lam, eps), lax_dlambda("Vdisc", b[:, j - 1], lam, eps)
+            psi, dpsi = v @ psi, dv @ psi + v @ dpsi
+        g, dg = psi, dpsi
+        outs[0][:, j] = su2_project(lam * inv2(g) @ dg)
+        for z, (th, alpha) in enumerate(w_layers):
+            w = backlund_W(th[:, j], alpha, lam)
+            g, dg = w @ g, backlund_W_dlambda(th[:, j]) @ g + w @ dg
+            outs[z + 1][:, j] = su2_project(lam * inv2(g) @ dg)
+    return outs
+
+
+def test_backlund_surface_matches_oracle():
+    dom = LatticeDomain2.from_k(1.0, 6)
+    chain = [BacklundParam(1.0, 0.5), BacklundParam(0.5, -0.25)]
+    a_layers, b_layers, th_layers, _ = solve_backlund_chain(demo_data(), dom, chain)
+    fields0 = EdgeField2(a_layers[0], b_layers[0], dom)
+    w_layers = [(th, p.alpha) for th, p in zip(th_layers, chain)]
+    for lam in (0.5, 1.0):
+        tower = backlund_surface(demo_data(), dom, chain, lam)
+        ref = oracle_stream(fields0, lam, w_layers)
+        assert len(tower) == len(ref) == 3
+        for mesh, pts in zip(tower, ref):
+            assert np.abs(mesh.points - pts).max() <= 1e-13  # measured ~1e-15
+
+
+@pytest.mark.parametrize("lam", [1e-200, 1e-104, 1e104, 1e200])
+def test_extreme_lambda_is_refused(lam):
+    # at eps = 1/8 these lambdas overflow or underflow the Ud/Vd normalisers
+    dom = LatticeDomain2.from_k(1.0, 3)
+    fields = solve_goursat_2d(hirota_system(), demo_data(), dom)
+    for call in (
+        lambda: surface_from_fields(fields, lam),
+        lambda: propagate_frame(fields, lam),
+        lambda: backlund_surface(demo_data(), dom, [(1.0, 0.5)], lam),
+    ):
+        with pytest.raises(ValueError, match="lambda"):
+            call()
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e3])
+def test_wide_lambda_gives_finite_surfaces(lam):
+    dom = LatticeDomain2.from_k(1.0, 3)
+    fields = solve_goursat_2d(hirota_system(), demo_data(), dom)
+    assert np.isfinite(surface_from_fields(fields, lam)).all()
+    tower = backlund_surface(demo_data(), dom, [(1.0, 0.5)], lam)
+    assert all(np.isfinite(m.points).all() for m in tower)

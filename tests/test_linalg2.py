@@ -17,7 +17,6 @@ from ksurf.linalg2 import (
     det2,
     frobenius,
     inv2,
-    mat_mul,
     su2_embed,
     su2_project,
 )
@@ -68,7 +67,7 @@ def test_su2_norm_convention():
 def test_inv2_matches_numpy():
     a = RNG.normal(size=(5, 2, 2)) + 1j * RNG.normal(size=(5, 2, 2))
     assert np.allclose(inv2(a), np.linalg.inv(a), atol=1e-12)
-    assert np.allclose(mat_mul(inv2(a), a), IDENTITY2, atol=1e-13)
+    assert np.allclose(inv2(a) @ a, IDENTITY2, atol=1e-13)
 
 
 def test_det2_and_frobenius():

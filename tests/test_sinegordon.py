@@ -254,9 +254,12 @@ def test_solve_3d_two_layers():
 
 
 def test_solve_3d_layers_argument():
+    # the layer count is len(theta0); there is no separate layers= argument
     data = demo_data()
     dom = LatticeDomain2.from_k(1.0, 4)
-    with pytest.raises(ValueError, match="layers"):
+    sol = solve_goursat_3d(hirota_backlund_system(1.0), data, [0.5, -0.25], dom)
+    assert sol.layers == 2
+    with pytest.raises(TypeError, match="layers"):
         solve_goursat_3d(hirota_backlund_system(1.0), data, [0.5], dom, layers=2)
 
 

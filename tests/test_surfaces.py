@@ -146,6 +146,14 @@ def test_associated_family(dom):
     assert np.array_equal(single.points, build_surface(demo_data(), dom).points)
 
 
+@pytest.mark.parametrize("lam", [1e-20, 1e-8, 1e-3, 1e3, 1e20])
+def test_far_lambda_surfaces_stay_valid(dom, phi, lam):
+    # the lambda-derivatives of Ud and Vd must be evaluated without
+    # cancelling terms for the Sym points to keep precision far from lambda = 1
+    rep = validate_k_surface(build_surface(demo_data(), dom, lam), phi)
+    assert max(rep.edge, rep.planarity, rep.angle, rep.angle_sum) <= 1e-9  # measured 1.5e-10
+
+
 def test_associated_family_validation(dom):
     with pytest.raises(ValueError, match="lambda"):
         associated_family(demo_data(), dom, [1.0, 0.0])
@@ -248,3 +256,7 @@ def test_export_obj_meta_chain(tmp_path, dom):
     export_obj(tower[-1], path)
     meta = (tmp_path / "top.meta").read_text()
     assert "bt_chain=1:0.5,2:-0.25" in meta
+    fields = dict(line.split("=", 1) for line in meta.splitlines())
+    zcc = float(fields["zcc_residual"])
+    assert zcc == tower[-1].zcc_residual  # 17 digits round-trip
+    assert 0.0 < zcc <= 1e-12  # the base fields' residual, measured ~5e-16
