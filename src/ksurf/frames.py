@@ -273,12 +273,14 @@ def _sweep(fields: EdgeField2, lam: float, order: str = "xy", layers=(),
         lp, lq = _pair(m[0][1:], m[1][1:], f_lo[0], f_lo[1])
         res = np.sqrt(2.0 * (_abs2(hp - lp) + _abs2(hq - lq)))
         i = int(res.argmax())
-        if res[i] > worst:
+        if not (res[i] <= worst):  # a NaN residual is worst and ends the sweep
             worst, worst_at = float(res[i]), (i, k)
+            if worst != worst:
+                break
         cur = _mul(m, cur)
         f_lo = f_hi
     cell = tuple(c * eps for c in (worst_at if order == "xy" else worst_at[::-1]))
-    if worst > tol:
+    if not (worst <= tol):
         raise ZeroCurvatureError(worst, cell, lam)
     return _Sweep(worst, cell, psi, dpsi, points, origin)
 

@@ -88,15 +88,15 @@ class LatticeDomain2:
 
 @dataclass(frozen=True)
 class Rhs2:
-    """Right-hand sides of the two-field system.
+    """Right-hand sides of the two-field system as one joint step.
 
-    f and g take (a, b, eps) and must be numpy-vectorized (they are called on
-    whole anti-diagonals).  eps0 is the supremum of admissible steps: the
-    functions are defined and finite for 0 < eps < eps0 on real inputs.
+    step(a, b, eps) returns the pair (f, g) and must be numpy-vectorized (it
+    is called once per anti-diagonal), so subexpressions shared by f and g
+    are evaluated once.  eps0 is the supremum of admissible steps: the step
+    is defined and finite for 0 < eps < eps0 on real inputs.
     """
 
-    f: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-    g: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+    step: Callable[[np.ndarray, np.ndarray, float], tuple[np.ndarray, np.ndarray]]
     eps0: float
     name: str
 
@@ -164,18 +164,26 @@ def delta_y(p: np.ndarray, eps: float) -> np.ndarray:
     return (p[:, 1:] - p[:, :-1]) / eps
 
 
+def _require_step(rhs, eps: float) -> None:
+    if eps >= rhs.eps0:
+        raise ValueError(
+            f"step eps = {eps} is not admissible for rhs {rhs.name!r} "
+            f"(requires eps < {rhs.eps0})"
+        )
+
+
 def solve_goursat_2d(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2) -> EdgeField2:
     """Solve the discrete Goursat problem by the anti-diagonal sweep.
+
+    Each anti-diagonal is read and written as a strided view of the C-ordered
+    buffers: a[i, d-i] is a.flat[d + i*n] and b[i, d-i] is b.flat[d + i*(n-1)],
+    so their successors a[i, d-i+1] and b[i+1, d-i] sit 1 and n entries later.
 
     Aborts with BlowUpError naming the first offending site if a non-finite
     value appears (the systems here are nonlinear and can blow up for large
     data on large domains).
     """
-    if dom.eps >= rhs.eps0:
-        raise ValueError(
-            f"step eps = {dom.eps} is not admissible for rhs {rhs.name!r} "
-            f"(requires eps < {rhs.eps0})"
-        )
+    _require_step(rhs, dom.eps)
     n = dom.n
     eps = dom.eps
     a = np.empty((n, n + 1), dtype=float)
@@ -186,21 +194,22 @@ def solve_goursat_2d(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2) -> Edge
     if not (np.isfinite(a_row).all() and np.isfinite(b_col).all()):
         raise BlowUpError("data", (0.0, 0.0))
 
+    af, bf = a.reshape(-1), b.reshape(-1)
+    sb = max(n - 1, 1)  # b's stride; at n = 1 every diagonal has one site
     for d in range(2 * n - 1):
-        ii = np.arange(max(0, d - n + 1), min(d, n - 1) + 1)
-        jj = d - ii
-        av = a[ii, jj]
-        bv = b[ii, jj]
-        a_new = av + eps * rhs.f(av, bv, eps)
-        b_new = bv + eps * rhs.g(av, bv, eps)
-        if not np.isfinite(a_new).all():
-            k = int(np.flatnonzero(~np.isfinite(a_new))[0])
-            raise BlowUpError("a", (ii[k] * eps, (jj[k] + 1) * eps))
-        if not np.isfinite(b_new).all():
-            k = int(np.flatnonzero(~np.isfinite(b_new))[0])
-            raise BlowUpError("b", ((ii[k] + 1) * eps, jj[k] * eps))
-        a[ii, jj + 1] = a_new
-        b[ii + 1, jj] = b_new
+        lo, hi = max(0, d - n + 1), min(d, n - 1)
+        ra = slice(d + lo * n, d + hi * n + 1, n)
+        rb = slice(d + lo * (n - 1), d + hi * (n - 1) + 1, sb)
+        av, bv = af[ra], bf[rb]
+        f, g = rhs.step(av, bv, eps)
+        a_new = av + eps * f
+        b_new = bv + eps * g
+        for name, new, shift in (("a", a_new, (0, 1)), ("b", b_new, (1, 0))):
+            if not np.isfinite(new).all():
+                i = lo + int(np.flatnonzero(~np.isfinite(new))[0])
+                raise BlowUpError(name, ((i + shift[0]) * eps, (d - i + shift[1]) * eps))
+        af[ra.start + 1 : ra.stop + 1 : n] = a_new
+        bf[rb.start + n : rb.stop + n : sb] = b_new
 
     return EdgeField2(a, b, dom)
 

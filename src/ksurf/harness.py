@@ -153,7 +153,19 @@ def run_sweep(cfg: SweepConfig, data: GoursatData2) -> ConvergenceReport:
     def record(name: str, value: float):
         families.setdefault(name, []).append(value)
 
-    if cfg.quantity in ("fields_ab", "phi", "quotients"):
+    if cfg.quantity == "quotients":
+        # one reference quotient at a time, measured against every level
+        ref = solve_goursat_2d(rhs, data, dom_ref)
+        sols = [solve_goursat_2d(rhs, data, dom) for dom in doms]
+        for kx in range(cfg.quotient_order + 1):
+            for ky in range(1 if kx == 0 else 0, cfg.quotient_order + 1 - kx):
+                for name in ("a", "b"):
+                    q_ref = _quotient(getattr(ref, name), kx, ky, dom_ref.eps)
+                    for dom, sol in zip(doms, sols):
+                        q = _quotient(getattr(sol, name), kx, ky, dom.eps)
+                        record(f"{name}_dx{kx}dy{ky}", sup_error(q, dom.eps, q_ref, dom_ref.eps))
+                    del q_ref, q  # hold no quotient while the next is formed
+    elif cfg.quantity in ("fields_ab", "phi"):
         ref = solve_goursat_2d(rhs, data, dom_ref)
         if cfg.quantity == "phi":
             phi00 = float(np.asarray(data.sample(dom_ref)[1]).ravel()[0])
@@ -163,25 +175,10 @@ def run_sweep(cfg: SweepConfig, data: GoursatData2) -> ConvergenceReport:
             if cfg.quantity == "fields_ab":
                 record("a", sup_error(sol.a, dom.eps, ref.a, dom_ref.eps))
                 record("b", sup_error(sol.b, dom.eps, ref.b, dom_ref.eps))
-            elif cfg.quantity == "phi":
+            else:
                 p00 = float(np.asarray(data.sample(dom)[1]).ravel()[0])
                 phi = reconstruct_phi(sol, p00, cfg.scheme).phi
                 record("phi", sup_error(phi, dom.eps, ref_phi, dom_ref.eps))
-            else:
-                for kx in range(cfg.quotient_order + 1):
-                    for ky in range(cfg.quotient_order + 1 - kx):
-                        if kx + ky == 0:
-                            continue
-                        for name, pc, pr in (("a", sol.a, ref.a), ("b", sol.b, ref.b)):
-                            record(
-                                f"{name}_dx{kx}dy{ky}",
-                                sup_error(
-                                    _quotient(pc, kx, ky, dom.eps),
-                                    dom.eps,
-                                    _quotient(pr, kx, ky, dom_ref.eps),
-                                    dom_ref.eps,
-                                ),
-                            )
     elif cfg.quantity == "surface":
         if cfg.scheme is not SchemeKind.HIROTA:
             raise ValueError("surface sweeps require the Hirota scheme")

@@ -14,7 +14,8 @@ Two discretizations are provided as right-hand sides for the Goursat solver:
       delta_y a = f(a, b, eps),   delta_x b = a + (eps/2) f(a, b, eps),
 
   where f is a complex-logarithm expression that is real for real inputs
-  (the two log arguments are complex conjugates; see hirota_rhs).
+  (the two log arguments are complex conjugates; hirota_rhs evaluates it in
+  a real atan2 form).
 
 The Backlund transformation adds a third lattice direction (step 1): an
 auxiliary angle theta propagates in x and y, and the transformed fields on the
@@ -43,6 +44,7 @@ from .goursat import (
     GoursatData2,
     LatticeDomain2,
     Rhs2,
+    _require_step,
     solve_goursat_2d,
 )
 
@@ -74,14 +76,21 @@ def hirota_rhs(a, b, eps):
 
     and g = a + (eps/2) f.  The two log arguments are complex conjugates with
     positive real part (|w| = eps^2/4 < 1), so the ratio has modulus one and
-    f is real: f = -(4/eps^2) Im log(1 - w) with w = (eps^2/4) e^{i(b+eps a/2)}.
-    That real form is what is evaluated here; hirota_f_complex keeps the
-    literal complex expression for cross-checking.
+    f is real: f = -(4/eps^2) Im log(1 - w) with w = p e^{it}, p = eps^2/4,
+    t = b + eps a/2.  Since Im log(1 - w) = atan2(-p sin t, 1 - p cos t), f is
+    evaluated in that real form, with no complex exp or log; the atan2 agrees
+    with the complex-log imaginary part to within one ulp.  hirota_f_complex
+    keeps the literal complex expression for cross-checking.
     """
     _require_hirota_eps(eps)
-    w = (0.25 * eps * eps) * np.exp(1j * (np.asarray(b) + 0.5 * eps * np.asarray(a)))
-    f = (-4.0 / (eps * eps)) * np.log(1.0 - w).imag
+    f = (-4.0 / (eps * eps)) * _im_log1m(0.25 * eps * eps,
+                                         np.asarray(b) + 0.5 * eps * np.asarray(a))
     return f, a + (0.5 * eps) * f
+
+
+def _im_log1m(p, t):
+    """Im log(1 - p e^{it}) for real p and t, as atan2(-p sin t, 1 - p cos t)."""
+    return np.arctan2(-p * np.sin(t), 1.0 - p * np.cos(t))
 
 
 def hirota_f_complex(a, b, eps):
@@ -109,22 +118,11 @@ def _require_hirota_eps(eps):
 
 
 def naive_system() -> Rhs2:
-    return Rhs2(
-        f=lambda a, b, eps: np.sin(b),
-        g=lambda a, b, eps: np.asarray(a) + 0.0,
-        eps0=np.inf,
-        name="naive",
-    )
+    return Rhs2(naive_rhs, np.inf, "naive")
 
 
 def hirota_system() -> Rhs2:
-    def f(a, b, eps):
-        return hirota_rhs(a, b, eps)[0]
-
-    def g(a, b, eps):
-        return hirota_rhs(a, b, eps)[1]
-
-    return Rhs2(f=f, g=g, eps0=2.0, name="hirota")
+    return Rhs2(hirota_rhs, 2.0, "hirota")
 
 
 def system_for(scheme: SchemeKind) -> Rhs2:
@@ -238,12 +236,13 @@ def backlund_u(a, theta, alpha, eps):
 
     u = -a + (1/(i eps)) log[(1 - (eps alpha/2) e^{-i theta + i eps a/2})
                              / (1 - (eps alpha/2) e^{+i theta - i eps a/2})]
-      = -a - (2/eps) Im log(1 - w),  w = (eps alpha/2) e^{i(theta - eps a/2)}.
+      = -a - (2/eps) Im log(1 - w),  w = (eps alpha/2) e^{i(theta - eps a/2)},
+
+    with Im log(1 - w) evaluated in the real atan2 form (see hirota_rhs).
     """
-    w = (0.5 * eps * alpha) * np.exp(
-        1j * (np.asarray(theta) - 0.5 * eps * np.asarray(a))
-    )
-    return -np.asarray(a) - (2.0 / eps) * np.log(1.0 - w).imag
+    a = np.asarray(a)
+    return -a - (2.0 / eps) * _im_log1m(0.5 * eps * alpha,
+                                        np.asarray(theta) - 0.5 * eps * a)
 
 
 def backlund_v(b, theta, alpha, eps):
@@ -251,10 +250,11 @@ def backlund_v(b, theta, alpha, eps):
 
     v = (1/(i eps)) log[(1 - (eps/(2 alpha)) e^{-i(b + theta)})
                         / (1 - (eps/(2 alpha)) e^{+i(b + theta)})]
-      = -(2/eps) Im log(1 - w),  w = (eps/(2 alpha)) e^{i(b + theta)}.
+      = -(2/eps) Im log(1 - w),  w = (eps/(2 alpha)) e^{i(b + theta)},
+
+    with Im log(1 - w) evaluated in the real atan2 form (see hirota_rhs).
     """
-    w = (0.5 * eps / alpha) * np.exp(1j * (np.asarray(b) + np.asarray(theta)))
-    return -(2.0 / eps) * np.log(1.0 - w).imag
+    return -(2.0 / eps) * _im_log1m(0.5 * eps / alpha, np.asarray(b) + np.asarray(theta))
 
 
 def backlund_rhs_discrete(a, b, theta, alpha, eps):
@@ -316,13 +316,13 @@ def backlund_compat_residual_continuous(samples: np.ndarray, alpha: float) -> fl
 class Rhs3:
     """Six right-hand sides of the Backlund-extended system.
 
-    f, g drive (a, b) within a layer; u, v propagate theta in x and y; xi,
-    eta advance (a, b) to the next layer (z-step 1).  All must be
-    numpy-vectorized.  eps0 bounds the admissible lattice step.
+    step(a, b, eps) -> (f, g) drives (a, b) within a layer (the joint step of
+    Rhs2); u, v propagate theta in x and y; xi, eta advance (a, b) to the next
+    layer (z-step 1).  All must be numpy-vectorized.  eps0 bounds the
+    admissible lattice step.
     """
 
-    f: Callable
-    g: Callable
+    step: Callable
     u: Callable
     v: Callable
     xi: Callable
@@ -335,10 +335,8 @@ class Rhs3:
 def hirota_backlund_system(alpha: float) -> Rhs3:
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    base = hirota_system()
     return Rhs3(
-        f=base.f,
-        g=base.g,
+        step=hirota_rhs,
         u=lambda a, th, eps: backlund_u(a, th, alpha, eps),
         v=lambda b, th, eps: backlund_v(b, th, alpha, eps),
         xi=lambda a, th, eps: 2.0 * backlund_u(a, th, alpha, eps),
@@ -358,10 +356,8 @@ def naive_backlund_system(alpha: float) -> Rhs3:
     """
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    base = naive_system()
     return Rhs3(
-        f=base.f,
-        g=base.g,
+        step=naive_rhs,
         u=lambda a, th, eps: backlund_u(a, th, alpha, eps),
         v=lambda b, th, eps: backlund_v(b, th, alpha, eps),
         xi=lambda a, th, eps: 2.0 * backlund_u(a, th, alpha, eps),
@@ -416,6 +412,35 @@ def _propagate_theta(rhs6: Rhs3, a: np.ndarray, b: np.ndarray, theta00: float,
     return th, alt
 
 
+def _backlund_layer(rhs6: Rhs3, layer: EdgeField2, theta00: float, z: int):
+    """One Backlund step from the solved layer z to layer z+1.
+
+    Propagates theta over layer z on both paths and checks their cross
+    residual (abort above 1e-9), advances the Goursat data to layer z+1
+    through (xi, eta) on the data axes, and solves that layer's interior by
+    the in-layer sweep.  Returns (theta, next layer, cross residual).
+    """
+    dom = layer.domain
+    n, eps = dom.n, dom.eps
+    _require_step(rhs6, eps)
+    a, b = layer.a, layer.b
+    th, alt = _propagate_theta(rhs6, a, b, theta00, eps, n)
+    mism = np.abs(th - alt)
+    if mism.max() > 1e-9:
+        i, j = np.unravel_index(int(mism.argmax()), mism.shape)
+        raise CompatibilityError(
+            float(mism.max()), (i * eps, j * eps),
+            detail=f"theta cross-propagation, layer {z}",
+        )
+    if not np.isfinite(th).all():
+        i, j = np.unravel_index(int(np.flatnonzero(~np.isfinite(th))[0]), th.shape)
+        raise BlowUpError("theta", (i * eps, j * eps))
+    a0_next = a[:, 0] + rhs6.xi(a[:, 0], th[:n, 0], eps)
+    b0_next = b[0, :] + rhs6.eta(b[0, :], th[0, :n], eps)
+    rhs2 = Rhs2(rhs6.step, rhs6.eps0, rhs6.name)
+    return th, solve_goursat_2d(rhs2, GoursatData2(a0_next, b0_next), dom), float(mism.max())
+
+
 def solve_goursat_3d(
     rhs6: Rhs3,
     data: GoursatData2,
@@ -425,41 +450,26 @@ def solve_goursat_3d(
     """Solve the Backlund-extended system on layers z = 0..R, R = len(theta0).
 
     Layer 0 solves the plain 2D Goursat problem.  On each layer, theta
-    propagates from theta0[z] at the origin; the next layer's Goursat data is
-    advanced through (xi, eta) on the data axes, and the layer interior is
-    filled by the in-layer sweep.  Every value has a single defining
-    assignment; the redundant equations hold to roundoff by compatibility,
-    which is monitored through the theta cross-propagation residual (abort
-    above 1e-9).
+    propagates from theta0[z] at the origin and yields the next layer by
+    _backlund_layer.  Every value has a single defining assignment; the
+    redundant equations hold to roundoff by compatibility, which is monitored
+    through the theta cross-propagation residual.
     """
-    R = len(theta0)
-    n, eps = dom.n, dom.eps
-    rhs2 = Rhs2(f=rhs6.f, g=rhs6.g, eps0=rhs6.eps0, name=rhs6.name)
-    layer0 = solve_goursat_2d(rhs2, data, dom)
-    a_layers = [layer0.a]
-    b_layers = [layer0.b]
-    th_layers: list[np.ndarray] = []
-    worst = 0.0
-    for z in range(R):
-        a, b = a_layers[z], b_layers[z]
-        th, alt = _propagate_theta(rhs6, a, b, float(theta0[z]), eps, n)
-        mism = np.abs(th - alt)
-        worst = max(worst, float(mism.max()))
-        if worst > 1e-9:
-            i, j = np.unravel_index(int(mism.argmax()), mism.shape)
-            raise CompatibilityError(
-                float(mism.max()), (i * eps, j * eps),
-                detail=f"theta cross-propagation, layer {z}",
-            )
-        if not np.isfinite(th).all():
-            i, j = np.unravel_index(int(np.flatnonzero(~np.isfinite(th))[0]), th.shape)
-            raise BlowUpError("theta", (i * eps, j * eps))
+    rhs2 = Rhs2(rhs6.step, rhs6.eps0, rhs6.name)
+    return _solve_layers(rhs2, [(rhs6, float(t)) for t in theta0], data, dom)
+
+
+def _solve_layers(rhs2: Rhs2, steps, data: GoursatData2, dom: LatticeDomain2) -> LayeredField3:
+    """Solve layer 0 from data by rhs2, then one _backlund_layer per
+    (rhs6, theta00) step; each layer is solved exactly once."""
+    layer = solve_goursat_2d(rhs2, data, dom)
+    a_layers, b_layers, th_layers, worst = [layer.a], [layer.b], [], 0.0
+    for z, (rhs6, theta00) in enumerate(steps):
+        th, layer, cross = _backlund_layer(rhs6, layer, theta00, z)
+        worst = max(worst, cross)
         th_layers.append(th)
-        a0_next = a[:, 0] + rhs6.xi(a[:, 0], th[:n, 0], eps)
-        b0_next = b[0, :] + rhs6.eta(b[0, :], th[0, :n], eps)
-        nxt = solve_goursat_2d(rhs2, GoursatData2(a0_next, b0_next), dom)
-        a_layers.append(nxt.a)
-        b_layers.append(nxt.b)
+        a_layers.append(layer.a)
+        b_layers.append(layer.b)
     return LayeredField3(a_layers, b_layers, th_layers, dom, worst)
 
 
@@ -473,21 +483,17 @@ def check_compatibility_3d(rhs6: Rhs3, samples: np.ndarray, eps: float) -> float
     """
     s = np.asarray(samples, dtype=float)
     a, b, th = s[..., 0], s[..., 1], s[..., 2]
-    f = rhs6.f(a, b, eps)
-    g = rhs6.g(a, b, eps)
+    f, g = rhs6.step(a, b, eps)
     u = rhs6.u(a, th, eps)
     v = rhs6.v(b, th, eps)
     xi = rhs6.xi(a, th, eps)
     eta = rhs6.eta(b, th, eps)
+    f_up, g_up = rhs6.step(a + xi, b + eta, eps)
     id1 = (rhs6.u(a + eps * f, th + eps * v, eps) - u) - (
         rhs6.v(b + eps * g, th + eps * u, eps) - v
     )
-    id2 = (rhs6.xi(a + eps * f, th + eps * v, eps) - xi) - eps * (
-        rhs6.f(a + xi, b + eta, eps) - f
-    )
-    id3 = (rhs6.eta(b + eps * g, th + eps * u, eps) - eta) - eps * (
-        rhs6.g(a + xi, b + eta, eps) - g
-    )
+    id2 = (rhs6.xi(a + eps * f, th + eps * v, eps) - xi) - eps * (f_up - f)
+    id3 = (rhs6.eta(b + eps * g, th + eps * u, eps) - eta) - eps * (g_up - g)
     return float(
         max(np.max(np.abs(id1)), np.max(np.abs(id2)), np.max(np.abs(id3)))
     )

@@ -34,10 +34,10 @@ from .sinegordon import (
     BacklundParam,
     PhiField,
     SchemeKind,
+    _solve_layers,
     hirota_backlund_system,
     hirota_system,
     naive_backlund_system,
-    solve_goursat_3d,
     system_for,
 )
 
@@ -154,30 +154,15 @@ def solve_backlund_chain(
 
     Returns (a_layers, b_layers, theta_layers, cross_residual) with fields on
     layers 0..R and theta on 0..R-1.  Each step may carry its own alpha, so
-    the chain is advanced one transformation at a time; for a constant-alpha
-    chain this agrees bitwise with a single multi-layer solve.
+    the chain is advanced one transformation at a time, solving each of the
+    R + 1 layers once; for a constant-alpha chain this agrees bitwise with a
+    single multi-layer solve.
     """
     chain = [p if isinstance(p, BacklundParam) else BacklundParam(*p) for p in bt_chain]
     make = hirota_backlund_system if scheme is SchemeKind.HIROTA else naive_backlund_system
-    if not chain:
-        fields = solve_goursat_2d(system_for(scheme), data, dom)
-        return [fields.a], [fields.b], [], 0.0
-    a_layers: list[np.ndarray] = []
-    b_layers: list[np.ndarray] = []
-    th_layers: list[np.ndarray] = []
-    cross = 0.0
-    cur_data = data
-    for z, p in enumerate(chain):
-        sol = solve_goursat_3d(make(p.alpha), cur_data, [p.theta0], dom)
-        if z == 0:
-            a_layers.append(sol.a[0])
-            b_layers.append(sol.b[0])
-        a_layers.append(sol.a[1])
-        b_layers.append(sol.b[1])
-        th_layers.append(sol.theta[0])
-        cross = max(cross, sol.cross_residual)
-        cur_data = GoursatData2(sol.a[1][:, 0], sol.b[1][0, :])
-    return a_layers, b_layers, th_layers, cross
+    steps = [(make(p.alpha), p.theta0) for p in chain]
+    sol = _solve_layers(system_for(scheme), steps, data, dom)
+    return sol.a, sol.b, sol.theta, sol.cross_residual
 
 
 def backlund_surface(

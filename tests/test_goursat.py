@@ -21,7 +21,7 @@ from ksurf.goursat import (
     sup_error,
 )
 from ksurf.harness import demo_data
-from ksurf.sinegordon import hirota_system
+from ksurf.sinegordon import hirota_system, naive_system
 
 
 def test_domain_from_k():
@@ -133,10 +133,54 @@ def test_sweep_matches_scalar_reference():
     for i in range(n):
         for j in range(n):
             av, bv = a[i, j], b[i, j]
-            a[i, j + 1] = av + eps * rhs.f(av, bv, eps)
-            b[i + 1, j] = bv + eps * rhs.g(av, bv, eps)
+            f, g = rhs.step(av, bv, eps)
+            a[i, j + 1] = av + eps * f
+            b[i + 1, j] = bv + eps * g
     assert np.array_equal(a, sol.a)
     assert np.array_equal(b, sol.b)
+
+
+def _scalar_oracle(rhs, data, dom):
+    """The lexicographic double loop, one scalar step per site."""
+    n, eps = dom.n, dom.eps
+    a = np.empty((n, n + 1))
+    b = np.empty((n + 1, n))
+    a[:, 0], b[0, :] = data.sample(dom)
+    for i in range(n):
+        for j in range(n):
+            f, g = rhs.step(a[i, j], b[i, j], eps)
+            a[i, j + 1] = a[i, j] + eps * f
+            b[i + 1, j] = b[i, j] + eps * g
+    return a, b
+
+
+@pytest.mark.parametrize("system", [hirota_system, naive_system])
+@pytest.mark.parametrize("n", [1, 2, 3, 16])
+def test_strided_sweep_matches_scalar_oracle(system, n):
+    # the strided anti-diagonal views must visit every site of the double
+    # loop, including n = 1 where b's diagonal stride n - 1 is 0
+    rhs, data = system(), demo_data()
+    dom = LatticeDomain2(1.0, 1.0 / n)
+    sol = solve_goursat_2d(rhs, data, dom)
+    a, b = _scalar_oracle(rhs, data, dom)
+    assert np.array_equal(a.view(np.int64), sol.a.view(np.int64))
+    assert np.array_equal(b.view(np.int64), sol.b.view(np.int64))
+
+
+def test_one_step_call_per_anti_diagonal():
+    calls = []
+    base = hirota_system()
+
+    def step(a, b, eps):
+        calls.append(np.size(a))
+        return base.step(a, b, eps)
+
+    for n in (1, 2, 5, 16):
+        calls.clear()
+        solve_goursat_2d(Rhs2(step, base.eps0, "counting"), demo_data(),
+                         LatticeDomain2(1.0, 1.0 / n))
+        assert len(calls) == 2 * n - 1
+        assert sum(calls) == n * n  # every cell exactly once
 
 
 def test_solution_restricts_to_subdomain():
@@ -171,7 +215,8 @@ def test_blowup_detection():
     def bad_f(a, b, eps):
         return np.where(a > 0.9, np.inf, np.zeros_like(a))
 
-    rhs = Rhs2(f=bad_f, g=lambda a, b, eps: np.zeros_like(b), eps0=np.inf, name="bad")
+    rhs = Rhs2(step=lambda a, b, eps: (bad_f(a, b, eps), np.zeros_like(b)),
+               eps0=np.inf, name="bad")
     dom = LatticeDomain2(1.0, 0.25)
     data = GoursatData2(a0=lambda x: 0.95, b0=lambda y: 0.0)
     with pytest.raises(BlowUpError) as exc:
@@ -179,6 +224,23 @@ def test_blowup_detection():
     assert exc.value.field_name == "a"
     assert exc.value.site == (0.0, 0.25)
     assert "non-finite" in str(exc.value)
+
+
+def test_blowup_detection_field_b():
+    # g is NaN only at the cell (i, j) = (2, 1), where a0[2] meets b0[1]; it
+    # is the third site of anti-diagonal 3, read through b's stride n - 1, and
+    # the first bad value is b[3, 1] at the site (3, 1) * eps
+    def step(a, b, eps):
+        hot = (a == 0.3) & (b == 0.7)
+        return np.zeros_like(a), np.where(hot, np.nan, 0.0)
+
+    dom = LatticeDomain2(1.0, 0.25)
+    data = GoursatData2(a0=np.array([0.0, 0.0, 0.3, 0.0]),
+                        b0=np.array([0.0, 0.7, 0.0, 0.0]))
+    with pytest.raises(BlowUpError) as exc:
+        solve_goursat_2d(Rhs2(step, np.inf, "bad-b"), data, dom)
+    assert exc.value.field_name == "b"
+    assert exc.value.site == (0.75, 0.25)
 
 
 def test_non_finite_data_rejected():

@@ -13,6 +13,7 @@ from ksurf.harness import demo_data
 from ksurf.sinegordon import (
     BacklundParam,
     SchemeKind,
+    _im_log1m,
     backlund_compat_residual_continuous,
     backlund_rhs_continuous,
     backlund_rhs_discrete,
@@ -59,6 +60,46 @@ def test_hirota_f_matches_complex_form():
         assert np.abs(fc.real - f).max() <= 1e-13
         assert np.abs(fc.imag).max() <= imag_tol
         assert np.array_equal(g, A + 0.5 * eps * f)
+
+
+def _im_log1m_complex(p, t):
+    # the complex-log evaluation that the real atan2 form replaced
+    return np.log(1.0 - p * np.exp(1j * t)).imag
+
+
+# (eps, alpha) near the admissibility limits eps -> 2, eps*alpha -> 2 and
+# eps/alpha -> 2, plus two ordinary steps
+LIMITS = [(2.0**-6, 1.0), (2.0**-3, 0.5), (1.5, 1.0), (2.0 - 1e-9, 1.0),
+          (0.5, 3.999999), (0.5, 4.0 - 1e-9), (0.5, 0.2500001), (0.5, 0.25 + 1e-10)]
+
+
+@pytest.mark.parametrize("eps, alpha", LIMITS)
+def test_real_im_log_within_one_ulp(eps, alpha):
+    for p, t in ((0.25 * eps * eps, B + 0.5 * eps * A),
+                 (0.5 * eps * alpha, TH - 0.5 * eps * A),
+                 (0.5 * eps / alpha, B + TH)):
+        x, xc = _im_log1m(p, t), _im_log1m_complex(p, t)
+        assert np.all(np.abs(x - xc) <= np.spacing(np.abs(xc)))
+
+
+@pytest.mark.parametrize("eps, alpha", LIMITS)
+def test_rhs_match_complex_log_oracle(eps, alpha):
+    # each rhs is c * Im log(1 - w), u shifted by -a; it may differ from the
+    # old complex-log form by one ulp of the log term carried through c, plus
+    # one rounding for each later operation
+    def check(new, old, c, x_old):
+        tol = abs(c) * np.spacing(np.abs(x_old)) + np.spacing(np.abs(c * x_old))
+        assert np.all(np.abs(new - old) <= tol + np.spacing(np.abs(old)))
+
+    if eps < 2.0 and alpha == 1.0:
+        c, t = -4.0 / (eps * eps), B + 0.5 * eps * A
+        xc = _im_log1m_complex(0.25 * eps * eps, t)
+        check(hirota_rhs(A, B, eps)[0], c * xc, c, xc)
+    c = -2.0 / eps
+    xc = _im_log1m_complex(0.5 * eps * alpha, TH - 0.5 * eps * A)
+    check(backlund_u(A, TH, alpha, eps), -A + c * xc, c, xc)
+    xc = _im_log1m_complex(0.5 * eps / alpha, B + TH)
+    check(backlund_v(B, TH, alpha, eps), c * xc, c, xc)
 
 
 def test_hirota_limit_to_continuous():

@@ -9,9 +9,11 @@ from ksurf.harness import demo_data, zero_data
 from ksurf.sinegordon import (
     BacklundParam,
     SchemeKind,
+    hirota_backlund_system,
     hirota_system,
     naive_system,
     reconstruct_phi,
+    solve_goursat_3d,
 )
 from ksurf.surfaces import (
     SurfaceMesh,
@@ -81,6 +83,18 @@ def test_surface_from_fields_checks(dom):
     hirota_sol = solve_goursat_2d(hirota_system(), demo_data(), dom)
     with pytest.raises(ValueError, match="lambda"):
         surface_from_fields(hirota_sol, -1.0)
+
+
+def test_surface_from_fields_rejects_nan_cell():
+    # a NaN inside the lattice never reaches the bottom-row stream; its cell
+    # residual is NaN, which must count as failing, not be skipped
+    dom = LatticeDomain2.from_k(1.0, 4)
+    sol = solve_goursat_2d(hirota_system(), demo_data(), dom)
+    sol.a[3, 5] = np.nan
+    with pytest.raises(ZeroCurvatureError) as exc:
+        surface_from_fields(sol, 1.0)
+    assert np.isnan(exc.value.residual)
+    assert exc.value.cell == (3 * dom.eps, 4 * dom.eps)  # the first cell using a[3, 5]
 
 
 def test_k_surface_properties(mesh, phi, dom):
@@ -206,6 +220,48 @@ def test_backlund_chain_tuples_accepted(dom):
     assert cross <= 1e-12
     empty = solve_backlund_chain(demo_data(), dom, [])
     assert len(empty[0]) == 1 and empty[3] == 0.0
+
+
+def _count_solves(monkeypatch):
+    import ksurf.sinegordon
+    import ksurf.surfaces
+
+    calls = []
+    solve = ksurf.sinegordon.solve_goursat_2d
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].n)
+        return solve(*args, **kwargs)
+
+    for mod in (ksurf.sinegordon, ksurf.surfaces):
+        monkeypatch.setattr(mod, "solve_goursat_2d", counting)
+    return calls
+
+
+@pytest.mark.parametrize("steps", [0, 1, 3])
+def test_backlund_chain_solves_each_layer_once(monkeypatch, dom, steps):
+    calls = _count_solves(monkeypatch)
+    chain = [(1.0, 0.5), (0.5, -0.25), (2.0, 0.1)][:steps]
+    a_layers, _, _, _ = solve_backlund_chain(demo_data(), dom, chain)
+    assert len(a_layers) == steps + 1
+    assert len(calls) == steps + 1
+
+
+def test_backlund_chain_constant_alpha_matches_3d_solve(dom):
+    theta0 = [0.5, -0.3, 0.1]
+    sol = solve_goursat_3d(hirota_backlund_system(0.8), demo_data(), theta0, dom)
+    a_layers, b_layers, th_layers, cross = solve_backlund_chain(
+        demo_data(), dom, [(0.8, t) for t in theta0])
+    for got, ref in ((a_layers, sol.a), (b_layers, sol.b), (th_layers, sol.theta)):
+        assert len(got) == len(ref)
+        assert all(np.array_equal(x, y) for x, y in zip(got, ref))
+    assert cross == sol.cross_residual
+
+
+def test_backlund_chain_checks_every_alpha(dom):
+    # eps = 1/32 needs eps*alpha < 2: the third step's alpha = 64 is refused
+    with pytest.raises(ValueError, match="admissible"):
+        solve_backlund_chain(demo_data(), dom, [(1.0, 0.5), (2.0, 0.1), (64.0, 0.0)])
 
 
 def test_backlund_two_route(dom):
