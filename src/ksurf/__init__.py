@@ -37,6 +37,7 @@ from .sinegordon import (
     SchemeKind,
     backlund_rhs_continuous,
     backlund_rhs_discrete,
+    backlund_system,
     check_compatibility_3d,
     continuous_rhs,
     hirota_backlund_system,

@@ -41,10 +41,9 @@ from .harness import SweepConfig, demo_data, emit_report, run_sweep, zero_data
 from .sinegordon import (
     BacklundParam,
     SchemeKind,
+    backlund_system,
     check_compatibility_3d,
-    hirota_backlund_system,
     load_backlund_chain,
-    naive_backlund_system,
     reconstruct_phi,
     system_for,
 )
@@ -310,14 +309,9 @@ def _cmd_check(args) -> int:
         raise ValueError("--samples must be >= 1")
     rng = np.random.default_rng(args.seed)
     samples = rng.uniform(-3.0, 3.0, size=(args.samples, 3))
-    make = (
-        hirota_backlund_system
-        if _scheme(args.scheme) is SchemeKind.HIROTA
-        else naive_backlund_system
-    )
     worst = 0.0
     for alpha in alphas:
-        rhs6 = make(alpha)
+        rhs6 = backlund_system(alpha, _scheme(args.scheme))
         for eps in eps_list:
             res = check_compatibility_3d(rhs6, samples, eps)
             worst = max(worst, res)

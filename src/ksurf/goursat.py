@@ -21,6 +21,7 @@ naive lexicographic double loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -60,6 +61,18 @@ class CompatibilityError(RuntimeError):
         super().__init__(msg)
 
 
+def _step_count(r: float, eps: float, label: str = "r/eps") -> int:
+    """The number of steps n = r/eps; ValueError unless both are finite and
+    the ratio is a positive integer (to 1e-9 relative)."""
+    ratio = r / eps if math.isfinite(r) and math.isfinite(eps) else math.nan
+    if not math.isfinite(ratio):
+        raise ValueError(f"{label} must be finite, got r = {r!r}, eps = {eps!r}")
+    n = round(ratio)
+    if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, ratio):
+        raise ValueError(f"{label} = {ratio!r} is not a positive integer")
+    return n
+
+
 @dataclass(frozen=True)
 class LatticeDomain2:
     """Square lattice domain: sites (i*eps, j*eps), 0 <= i, j <= n = r/eps."""
@@ -71,11 +84,7 @@ class LatticeDomain2:
     def __post_init__(self):
         if self.r <= 0 or self.eps <= 0:
             raise ValueError("domain requires r > 0 and eps > 0")
-        ratio = self.r / self.eps
-        n = round(ratio)
-        if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, ratio):
-            raise ValueError(f"r/eps = {ratio!r} is not a positive integer")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", _step_count(self.r, self.eps))
 
     @classmethod
     def from_k(cls, r: float, k: int) -> "LatticeDomain2":

@@ -27,11 +27,13 @@ Two structural conditions make the overdetermined propagation consistent:
   NaN in the components that do not (the dependency condition guarantees
   those are never read).
 
-The solver assigns each value once, stepping from the smallest admissible
-direction index, and verifies the alternative assignments agree to 1e-9
-(sampled on large boxes).  Because every value has a unique defining
-assignment, any site enumeration compatible with the dependency order gives
-bitwise-identical results.
+Every stepped value depends only on values whose index sum is one lower, so
+the solver sweeps the box by index-sum hyperplanes, calling each right-hand
+side once per hyperplane on all of its sites.  It assigns each value once,
+stepping from the smallest admissible direction index, and verifies at every
+site that the alternative assignments agree to 1e-9.  Because every value has
+a unique defining assignment, the result is bitwise the same as that of any
+site-by-site enumeration compatible with the dependency order.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .goursat import BlowUpError, CompatibilityError
+from .goursat import BlowUpError, CompatibilityError, _step_count
+from .sinegordon import SchemeKind, backlund_system, system_for
 
 
 @dataclass(frozen=True)
@@ -146,21 +149,22 @@ def solve_goursat_nd(
     spec: SystemSpecND,
     data: Sequence[Callable],
     r,
-    site_order: str = "lex",
     check_tol: float = 1e-9,
 ) -> StateND:
     """Propagate Goursat data through the box prod([0, r_i]).
 
     data[k] is called with the d site coordinates and must return the value
-    of field k there (used on the set where all E_k coordinates vanish).
-    site_order 'lex' enumerates sites lexicographically; 'level' by total
-    index sum first.  Both respect the dependency order and produce
-    bitwise-identical fields.
+    of field k there; it is read only on the data face of field k, where all
+    E_k coordinates vanish.  Every other value is stepped from the
+    index-sum level below, so the box is swept level by level: on level s,
+    each right-hand side (k, i) is called once, vectorized over the level-s
+    sites of field k with index i > 0, on the states of their predecessors in
+    direction i.  The smallest such direction defines the value; the others
+    are alternative assignments, compared with it at every site.
 
-    Alternative assignments (stepping from a different admissible direction)
-    are compared at every site when the box has at most 10^4 sites, else at
-    every 100th site; disagreement beyond check_tol raises
-    CompatibilityError.
+    A disagreement beyond check_tol raises CompatibilityError and a
+    non-finite value BlowUpError; both name a site on the first failing
+    level.
     """
     if not check_dependency(spec):
         raise ValueError("system violates the dependency condition")
@@ -169,76 +173,66 @@ def solve_goursat_nd(
     r = tuple(float(v) for v in r)
     if len(r) != spec.dim:
         raise ValueError(f"r must have {spec.dim} entries")
-    n = []
-    for i, (ri, ei) in enumerate(zip(r, spec.eps)):
-        ratio = ri / ei
-        ni = round(ratio)
-        if ni < 1 or abs(ratio - ni) > 1e-9 * max(1.0, ratio):
-            raise ValueError(f"r[{i}]/eps[{i}] = {ratio!r} is not a positive integer")
-        n.append(ni)
-    n = tuple(n)
-    shapes = []
-    for k in range(spec.num_fields):
-        shapes.append(
-            tuple(n[i] + 1 if i in spec.evol[k] else n[i] for i in range(spec.dim))
-        )
-    fields = [np.full(sh, np.nan) for sh in shapes]
+    dim, num, eps = spec.dim, spec.num_fields, spec.eps
+    n = tuple(_step_count(ri, ei, f"r[{i}]/eps[{i}]") for i, (ri, ei) in enumerate(zip(r, eps)))
+    shapes = [tuple(n[i] + 1 if i in spec.evol[k] else n[i] for i in range(dim))
+              for k in range(num)]
 
+    def site(idx):
+        return tuple(int(c) * e for c, e in zip(idx, eps))
+
+    # every field is stored in the whole box, NaN outside its own extent, so
+    # a predecessor state is one gather per field at flat index site - stride
     box = tuple(ni + 1 for ni in n)
-    total = int(np.prod(box))
-    stride = 1 if total <= 10_000 else 100
-    if site_order == "lex":
-        sites = np.ndindex(*box)
-    elif site_order == "level":
-        sites = iter(sorted(np.ndindex(*box), key=lambda t: (sum(t), t)))
-    else:
-        raise ValueError(f"site_order must be 'lex' or 'level', got {site_order!r}")
+    stride = [int(np.prod(box[i + 1 :])) for i in range(dim)]
+    full = [np.full(box, np.nan) for _ in range(num)]
+    flat = [f.reshape(-1) for f in full]
+    for k in range(num):
+        face = tuple(1 if i in spec.evol[k] else shapes[k][i] for i in range(dim))
+        for idx in np.ndindex(*face):
+            val = float(data[k](*site(idx)))
+            if not np.isfinite(val):
+                raise BlowUpError(f"a_{k}", site(idx))
+            full[k][idx] = val
+
+    # the box's flat indices by level (index sum), lexicographic within one
+    level = sum(np.ogrid[tuple(slice(m) for m in box)]).reshape(-1)
+    order = np.argsort(level, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(level))))
+    del level
 
     worst = 0.0
-    eps = spec.eps
-    num = spec.num_fields
-    for count, idx in enumerate(sites):
-        for k in range(num):
-            sh = shapes[k]
-            if any(idx[i] >= sh[i] for i in range(spec.dim)):
-                continue
-            active = [i for i in spec.evol[k] if idx[i] > 0]
-            if not active:
-                coords = tuple(idx[i] * eps[i] for i in range(spec.dim))
-                val = float(data[k](*coords))
-            else:
-                i0 = min(active)
-                base = tuple(idx[i] - (1 if i == i0 else 0) for i in range(spec.dim))
-                state = [
-                    fields[l][base]
-                    if all(base[i] < shapes[l][i] for i in range(spec.dim))
-                    else np.nan
-                    for l in range(num)
-                ]
-                val = fields[k][base] + eps[i0] * spec.rhs[(k, i0)](state)
-                if count % stride == 0:
-                    for i1 in active[1:]:
-                        alt_base = tuple(
-                            idx[i] - (1 if i == i1 else 0) for i in range(spec.dim)
-                        )
-                        alt_state = [
-                            fields[l][alt_base]
-                            if all(alt_base[i] < shapes[l][i] for i in range(spec.dim))
-                            else np.nan
-                            for l in range(num)
-                        ]
-                        alt = fields[k][alt_base] + eps[i1] * spec.rhs[(k, i1)](alt_state)
-                        diff = abs(alt - val)
-                        worst = max(worst, float(diff))
-                        if worst > check_tol:
-                            site = tuple(idx[i] * eps[i] for i in range(spec.dim))
-                            raise CompatibilityError(
-                                worst, site, detail=f"field {k}, directions {i0}/{i1}"
-                            )
-            if not np.isfinite(val):
-                site = tuple(idx[i] * eps[i] for i in range(spec.dim))
-                raise BlowUpError(f"a_{k}", site)
-            fields[k][idx] = val
+    for s in range(1, sum(n) + 1):
+        on_level = order[bounds[s] : bounds[s + 1]]
+        coords = np.array([on_level // stride[i] % box[i] for i in range(dim)])
+        for k, shape in enumerate(shapes):
+            dirs = sorted(spec.evol[k])
+            keep = (coords < np.array(shape)[:, None]).all(axis=0) & (coords[dirs] > 0).any(axis=0)
+            idx, sites = coords[:, keep], on_level[keep]
+            out = np.empty(sites.size)
+            first = np.full(sites.size, -1)
+            for i in dirs:
+                pos = np.flatnonzero(idx[i] > 0)
+                if not pos.size:
+                    continue
+                base = sites[pos] - stride[i]
+                val = flat[k][base] + eps[i] * spec.rhs[(k, i)]([f[base] for f in flat])
+                new = first[pos] < 0
+                out[pos[new]], first[pos[new]] = val[new], i
+                if not np.isfinite(val[new]).all():
+                    j = pos[new][np.argmin(np.isfinite(val[new]))]
+                    raise BlowUpError(f"a_{k}", site(idx[:, j]))
+                alt = pos[~new]
+                mism = np.abs(val[~new] - out[alt])
+                if not (mism <= check_tol).all():
+                    j = int(np.argmin(mism <= check_tol))
+                    raise CompatibilityError(
+                        float(mism[j]), site(idx[:, alt[j]]),
+                        detail=f"field {k}, directions {first[alt[j]]}/{i}",
+                    )
+                worst = max(worst, float(mism.max(initial=0.0)))
+            flat[k][sites] = out
+    fields = [np.ascontiguousarray(f[tuple(slice(m) for m in sh)]) for f, sh in zip(full, shapes)]
     return StateND(fields, spec, r, n, worst)
 
 
@@ -274,8 +268,19 @@ def load_state_csv(path) -> tuple:
             line = line.strip()
             if line:
                 rows.append(line.split(","))
+                if len(rows[-1]) != d + 1:
+                    raise ValueError(f"{path}: row {line!r} does not have {d + 1} columns")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     idxs = np.array([[int(v) for v in row[:d]] for row in rows], dtype=int)
     vals = np.array([float(row[d]) for row in rows])
+    if (idxs < 0).any():
+        bad = idxs[(idxs < 0).any(axis=1)][0]
+        raise ValueError(f"{path}: negative index {tuple(int(v) for v in bad)}")
+    uniq, counts = np.unique(idxs, axis=0, return_counts=True)
+    if (counts > 1).any():
+        dup = uniq[counts.argmax()]
+        raise ValueError(f"{path}: duplicate rows for index {tuple(int(v) for v in dup)}")
     shape = tuple(idxs.max(axis=0) + 1)
     arr = np.full(shape, np.nan)
     arr[tuple(idxs.T)] = vals
@@ -290,9 +295,7 @@ def load_state_csv(path) -> tuple:
 
 def sine_gordon_2d_spec(scheme, eps: float) -> SystemSpecND:
     """The two-field planar system as a SystemSpecND (directions x=0, y=1)."""
-    from .sinegordon import SchemeKind, hirota_rhs, naive_rhs
-
-    step = hirota_rhs if scheme is SchemeKind.HIROTA else naive_rhs
+    step = system_for(scheme).step
     return SystemSpecND(
         num_fields=2,
         dim=2,
@@ -303,41 +306,31 @@ def sine_gordon_2d_spec(scheme, eps: float) -> SystemSpecND:
         },
         deps={(0, 1): frozenset({0, 1}), (1, 0): frozenset({0, 1})},
         eps=(eps, eps),
-        name=f"sine-gordon-2d-{'hirota' if scheme is SchemeKind.HIROTA else 'naive'}",
+        name=f"sine-gordon-2d-{scheme.value}",
     )
 
 
-def sine_gordon_3d_spec(alpha: float, eps: float, scheme=None) -> SystemSpecND:
+def sine_gordon_3d_spec(alpha: float, eps: float, scheme=SchemeKind.HIROTA) -> SystemSpecND:
     """The Backlund-extended system (x=0, y=1, layer direction z=2, step 1).
 
     Fields: a_0 = a with E = {y, z}, a_1 = b with E = {x, z}, a_2 = theta
-    with E = {x, y}.  The z-direction right-hand sides are the layer
-    increments xi and eta; theta never steps in z (a fresh theta0 seeds each
-    layer), so its extent in z counts layers.
+    with E = {x, y}, stepped by the sides of backlund_system(alpha, scheme).
+    The z-direction right-hand sides are the layer increments xi and eta;
+    theta never steps in z (a fresh theta0 seeds each layer), so its extent
+    in z counts layers.
     """
-    from .sinegordon import (
-        SchemeKind,
-        backlund_u,
-        backlund_v,
-        hirota_rhs,
-        naive_rhs,
-    )
-
-    if scheme is None:
-        scheme = SchemeKind.HIROTA
-    step = hirota_rhs if scheme is SchemeKind.HIROTA else naive_rhs
+    rhs6 = backlund_system(alpha, scheme)
     return SystemSpecND(
         num_fields=3,
         dim=3,
         evol=(frozenset({1, 2}), frozenset({0, 2}), frozenset({0, 1})),
         rhs={
-            (0, 1): lambda s: step(s[0], s[1], eps)[0],
-            (0, 2): lambda s: 2.0 * backlund_u(s[0], s[2], alpha, eps),
-            (1, 0): lambda s: step(s[0], s[1], eps)[1],
-            (1, 2): lambda s: 2.0 * np.asarray(s[2])
-            + eps * backlund_v(s[1], s[2], alpha, eps),
-            (2, 0): lambda s: backlund_u(s[0], s[2], alpha, eps),
-            (2, 1): lambda s: backlund_v(s[1], s[2], alpha, eps),
+            (0, 1): lambda s: rhs6.step(s[0], s[1], eps)[0],
+            (0, 2): lambda s: rhs6.xi(s[0], s[2], eps),
+            (1, 0): lambda s: rhs6.step(s[0], s[1], eps)[1],
+            (1, 2): lambda s: rhs6.eta(s[1], s[2], eps),
+            (2, 0): lambda s: rhs6.u(s[0], s[2], eps),
+            (2, 1): lambda s: rhs6.v(s[1], s[2], eps),
         },
         deps={
             (0, 1): frozenset({0, 1}),

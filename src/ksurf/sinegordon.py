@@ -265,11 +265,9 @@ def backlund_rhs_discrete(a, b, theta, alpha, eps):
     half-plane.
     """
     _require_backlund_eps(alpha, eps)
-    u = backlund_u(a, theta, alpha, eps)
-    v = backlund_v(b, theta, alpha, eps)
-    xi = 2.0 * u
-    eta = 2.0 * np.asarray(theta) + eps * v
-    return u, v, xi, eta
+    rhs6 = backlund_system(alpha)
+    return (rhs6.u(a, theta, eps), rhs6.v(b, theta, eps),
+            rhs6.xi(a, theta, eps), rhs6.eta(b, theta, eps))
 
 
 def _require_backlund_eps(alpha, eps):
@@ -332,41 +330,36 @@ class Rhs3:
     alpha: float
 
 
-def hirota_backlund_system(alpha: float) -> Rhs3:
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    return Rhs3(
-        step=hirota_rhs,
-        u=lambda a, th, eps: backlund_u(a, th, alpha, eps),
-        v=lambda b, th, eps: backlund_v(b, th, alpha, eps),
-        xi=lambda a, th, eps: 2.0 * backlund_u(a, th, alpha, eps),
-        eta=lambda b, th, eps: 2.0 * np.asarray(th)
-        + eps * backlund_v(b, th, alpha, eps),
-        eps0=min(2.0, 2.0 / alpha, 2.0 * alpha),
-        name="hirota+backlund",
-        alpha=alpha,
-    )
+def backlund_system(alpha: float, scheme: SchemeKind = SchemeKind.HIROTA) -> Rhs3:
+    """The in-layer scheme's joint step with the discrete Backlund sides.
 
-
-def naive_backlund_system(alpha: float) -> Rhs3:
-    """Naive in-layer scheme with the discrete Backlund sides attached.
-
-    This combination is NOT compatible; it exists so the failure is
-    measurable (check_compatibility_3d returns a residual far above roundoff).
+    u, v propagate theta; xi = 2u and eta = 2 theta + eps v advance (a, b) to
+    the next layer.  Only the Hirota combination is compatible; the naive one
+    exists so the failure is measurable (check_compatibility_3d returns a
+    residual far above roundoff).
     """
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
+    base = system_for(scheme)
     return Rhs3(
-        step=naive_rhs,
+        step=base.step,
         u=lambda a, th, eps: backlund_u(a, th, alpha, eps),
         v=lambda b, th, eps: backlund_v(b, th, alpha, eps),
         xi=lambda a, th, eps: 2.0 * backlund_u(a, th, alpha, eps),
         eta=lambda b, th, eps: 2.0 * np.asarray(th)
         + eps * backlund_v(b, th, alpha, eps),
-        eps0=min(2.0 / alpha, 2.0 * alpha),
-        name="naive+backlund",
+        eps0=min(base.eps0, 2.0 / alpha, 2.0 * alpha),
+        name=f"{base.name}+backlund",
         alpha=alpha,
     )
+
+
+def hirota_backlund_system(alpha: float) -> Rhs3:
+    return backlund_system(alpha, SchemeKind.HIROTA)
+
+
+def naive_backlund_system(alpha: float) -> Rhs3:
+    return backlund_system(alpha, SchemeKind.NAIVE)
 
 
 @dataclass

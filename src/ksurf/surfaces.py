@@ -35,9 +35,8 @@ from .sinegordon import (
     PhiField,
     SchemeKind,
     _solve_layers,
-    hirota_backlund_system,
+    backlund_system,
     hirota_system,
-    naive_backlund_system,
     system_for,
 )
 
@@ -159,8 +158,7 @@ def solve_backlund_chain(
     single multi-layer solve.
     """
     chain = [p if isinstance(p, BacklundParam) else BacklundParam(*p) for p in bt_chain]
-    make = hirota_backlund_system if scheme is SchemeKind.HIROTA else naive_backlund_system
-    steps = [(make(p.alpha), p.theta0) for p in chain]
+    steps = [(backlund_system(p.alpha, scheme), p.theta0) for p in chain]
     sol = _solve_layers(system_for(scheme), steps, data, dom)
     return sol.a, sol.b, sol.theta, sol.cross_residual
 

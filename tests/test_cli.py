@@ -52,6 +52,13 @@ def test_solve_argument_errors(capsys):
     assert main([]) == 1
 
 
+@pytest.mark.parametrize("flags", [["--r", "inf"], ["--r", "nan"], ["--eps", "inf"]])
+def test_solve_non_finite_size_exits_one(capsys, flags):
+    assert main(["solve", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "solve" in capsys.readouterr().out

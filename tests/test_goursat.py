@@ -41,6 +41,9 @@ def test_domain_validation():
     with pytest.raises(ValueError):
         LatticeDomain2(0.25, 0.5)  # ratio below 1
     assert LatticeDomain2(1.0, 0.5).n == 2
+    for r, eps in ((np.inf, 0.5), (1.0, np.inf), (np.nan, 0.5), (1.0, np.nan), (1e308, 1e-10)):
+        with pytest.raises(ValueError, match="finite"):
+            LatticeDomain2(r, eps)
 
 
 def test_difference_quotient_value():

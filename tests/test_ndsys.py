@@ -157,16 +157,122 @@ def test_solve_3d_matches_dedicated_solver():
     assert st.alt_residual <= 1e-13  # measured 1.8e-15
 
 
-def test_site_order_is_immaterial():
+def scalar_oracle(spec, data, r):
+    """Site-by-site reference: a lexicographic loop over the box that calls
+    every right-hand side on scalars, defines each value from its smallest
+    active direction and compares every alternative assignment."""
+    n = tuple(round(ri / e) for ri, e in zip(r, spec.eps))
+    fields = [
+        np.full(tuple(m + (i in spec.evol[k]) for i, m in enumerate(n)), np.nan)
+        for k in range(spec.num_fields)
+    ]
+    worst = 0.0
+    for idx in np.ndindex(*(m + 1 for m in n)):
+        for k, f in enumerate(fields):
+            if any(c >= m for c, m in zip(idx, f.shape)):
+                continue
+            active = [i for i in sorted(spec.evol[k]) if idx[i] > 0]
+            if not active:
+                f[idx] = float(data[k](*(c * e for c, e in zip(idx, spec.eps))))
+                continue
+            vals = []
+            for i in active:
+                base = tuple(c - (j == i) for j, c in enumerate(idx))
+                state = [
+                    g[base] if all(b < m for b, m in zip(base, g.shape)) else np.nan
+                    for g in fields
+                ]
+                vals.append(f[base] + spec.eps[i] * spec.rhs[(k, i)](state))
+            f[idx] = vals[0]
+            worst = max([worst] + [float(abs(v - vals[0])) for v in vals[1:]])
+    return fields, worst
+
+
+def toy_4d_spec():
+    # demo 05: one field evolving in four directions at linear rates
+    rates = (0.25, -0.5, 1.0, 0.125)
+    return SystemSpecND(
+        num_fields=1,
+        dim=4,
+        evol=(frozenset(range(4)),),
+        rhs={(0, i): (lambda s, c=c: c * s[0]) for i, c in enumerate(rates)},
+        deps={(0, i): frozenset({0}) for i in range(4)},
+        eps=(0.5, 0.5, 0.25, 0.25),
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["1d-growth", "2d-hirota", "2d-naive", "3d-two-layers", "4d-toy"],
+)
+def test_level_sweep_matches_scalar_oracle(case):
     eps = 2.0**-3
-    spec = sine_gordon_3d_spec(1.0, eps)
-    args = (spec, [A0, B0, theta0_layers([0.5])], (1.0, 1.0, 1.0))
-    lex = solve_goursat_nd(*args, site_order="lex")
-    lev = solve_goursat_nd(*args, site_order="level")
-    for fl, fv in zip(lex.fields, lev.fields):
-        assert np.array_equal(fl, fv)
-    with pytest.raises(ValueError, match="site_order"):
-        solve_goursat_nd(*args, site_order="spiral")
+    if case == "1d-growth":
+        spec = SystemSpecND(
+            num_fields=1,
+            dim=1,
+            evol=(frozenset({0}),),
+            rhs={(0, 0): lambda s: 2.0 * s[0]},
+            deps={(0, 0): frozenset({0})},
+            eps=(eps,),
+        )
+        args = (spec, [lambda x: 1.0], (1.0,))
+    elif case.startswith("2d"):
+        scheme = SchemeKind.HIROTA if case == "2d-hirota" else SchemeKind.NAIVE
+        args = (sine_gordon_2d_spec(scheme, eps), [A0, lambda x, y: B0(x, y)], (1.0, 1.0))
+    elif case == "3d-two-layers":
+        args = (sine_gordon_3d_spec(1.0, eps), [A0, B0, theta0_layers([0.5, -0.3])],
+                (1.0, 1.0, 2.0))
+    else:
+        args = (toy_4d_spec(), [lambda *xs: 1.0], (1.0, 1.0, 1.0, 0.5))
+    st = solve_goursat_nd(*args)
+    ref, worst = scalar_oracle(*args)
+    for got, want in zip(st.fields, ref):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert st.alt_residual == worst
+
+
+def test_rhs_calls_scale_with_levels_not_sites():
+    for eps in (2.0**-3, 2.0**-5):
+        spec = sine_gordon_3d_spec(1.0, eps)
+        calls = dict.fromkeys(spec.rhs, 0)
+
+        def counted(key, fn):
+            def wrapped(s):
+                calls[key] += 1
+                return fn(s)
+            return wrapped
+
+        spec = replace(spec, rhs={key: counted(key, fn) for key, fn in spec.rhs.items()})
+        st = solve_goursat_nd(spec, [A0, B0, theta0_layers([0.5, -0.3])], (1.0, 1.0, 2.0))
+        levels = sum(st.n)
+        for (k, i), count in calls.items():
+            assert 0 < count <= levels * len(spec.evol[k])
+
+
+def test_incompatibility_caught_at_every_site():
+    # one field u = i + 1000 j on a 111 x 111 box (more than 10^4 sites);
+    # the y-step into the single site (37, 50) is off by 1e-3.  It is only
+    # an alternative assignment there (x is the smaller active direction),
+    # and its lexicographic site count 37 * 111 + 50 is not a multiple of 100
+    target = 37.0 + 1000.0 * 49.0
+    spec = SystemSpecND(
+        num_fields=1,
+        dim=2,
+        evol=(frozenset({0, 1}),),
+        rhs={
+            (0, 0): lambda s: np.ones_like(s[0]),
+            (0, 1): lambda s: 1000.0 + np.where(s[0] == target, 1e-3, 0.0),
+        },
+        deps={(0, 0): frozenset({0}), (0, 1): frozenset({0})},
+        eps=(1.0, 1.0),
+    )
+    with pytest.raises(CompatibilityError) as exc:
+        solve_goursat_nd(spec, [lambda x, y: 0.0], (110.0, 110.0))
+    assert exc.value.site == (37.0, 50.0)
+    assert exc.value.mismatch == pytest.approx(1e-3)
+    assert "directions 0/1" in str(exc.value)
 
 
 def test_solve_rejects_incompatible_system():
@@ -192,6 +298,9 @@ def test_solve_domain_validation():
         solve_goursat_nd(spec, data, (1.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="integer"):
         solve_goursat_nd(spec, data, (1.0, 0.3))
+    for r in (np.inf, np.nan, (1.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            solve_goursat_nd(spec, data, r)
 
 
 def test_single_field_full_evolution():
@@ -248,4 +357,21 @@ def test_state_csv_errors(tmp_path):
         load_state_csv(path)
     path.write_text("# field=0 eps=0.5,0.5 r=1,1\ni1,i2,value\n0,0,1.0\n1,1,2.0\n")
     with pytest.raises(ValueError, match="box"):
+        load_state_csv(path)
+
+
+@pytest.mark.parametrize(
+    "rows, match",
+    [
+        ("0,0,1.0\n0,1,2.0\n-1,0,3.0\n", "negative index \\(-1, 0\\)"),
+        ("0,0,1.0\n0,1,2.0\n0,1,2.0\n", "duplicate rows for index \\(0, 1\\)"),
+        ("", "no data rows"),
+        ("0,0,1.0\n0,1\n", "does not have 3 columns"),
+    ],
+    ids=["negative-index", "duplicate-row", "header-only", "short-row"],
+)
+def test_state_csv_rejects_malformed_rows(tmp_path, rows, match):
+    path = tmp_path / "bad.csv"
+    path.write_text("# field=0 eps=0.5,0.5 r=0.5,1\ni1,i2,value\n" + rows)
+    with pytest.raises(ValueError, match=match):
         load_state_csv(path)

@@ -17,6 +17,7 @@ from ksurf.sinegordon import (
     backlund_compat_residual_continuous,
     backlund_rhs_continuous,
     backlund_rhs_discrete,
+    backlund_system,
     backlund_u,
     backlund_v,
     check_compatibility_3d,
@@ -235,6 +236,15 @@ def test_backlund_system_eps0():
         hirota_backlund_system(0.0)
     with pytest.raises(ValueError):
         naive_backlund_system(-2.0)
+
+
+def test_backlund_system_takes_the_scheme_step():
+    for scheme, make in ((SchemeKind.HIROTA, hirota_backlund_system),
+                         (SchemeKind.NAIVE, naive_backlund_system)):
+        rhs6 = backlund_system(0.8, scheme)
+        assert rhs6.step is system_for(scheme).step
+        assert rhs6.name == make(0.8).name == f"{scheme.value}+backlund"
+        assert rhs6.eps0 == make(0.8).eps0
 
 
 def test_compatibility_hirota_backlund():
