@@ -73,7 +73,8 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--r", type=float, default=1.0, help="domain size (default 1.0)")
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--k", type=int, default=None, help="lattice level: eps = r/2^k (default 6)")
+    g.add_argument("--k", type=int, default=None,
+                   help="lattice level: eps = 2^-k, n = r*2^k (default 6)")
     g.add_argument("--eps", type=float, default=None, help="lattice step (r/eps must be integer)")
     p.add_argument(
         "--scheme", choices=["naive", "hirota"], default="hirota",

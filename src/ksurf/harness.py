@@ -1,11 +1,11 @@
 """Convergence experiments on nested lattices.
 
-A sweep solves the same Goursat problem for eps = r/2^k, k = k_min..k_max,
-measures each solution against a much finer reference (k_ref >= k_max + 2,
-so the reference error is negligible next to the coarse one), and fits a
-line to (log eps, log error).  First-order convergence shows up as a slope
-near 1.  The reference is compared on common sites only: every coarse
-lattice site is a fine lattice site because the lattices are nested.
+A sweep solves the same Goursat problem for eps = 2^-k, k = k_min..k_max
+(n = r*2^k steps), measures each solution against a much finer reference
+(k_ref >= k_max + 2, so the reference error is negligible next to the
+coarse one), and fits a line to (log eps, log error).  First-order
+convergence shows up as a slope near 1.  The reference is compared on
+common sites only, which exist because the lattices are nested.
 
 Measurable quantities: the fields themselves, the reconstructed angle, the
 immersed surface, the surface after a Backlund chain, and difference

@@ -43,7 +43,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .goursat import BlowUpError, CompatibilityError, _step_count
+from .goursat import BlowUpError, CompatibilityError, _read_rows, _step_count, _write_rows
 from .sinegordon import SchemeKind, backlund_system, system_for
 
 
@@ -239,15 +239,12 @@ def solve_goursat_nd(
 def save_state_csv(state: StateND, path, field_index: int) -> None:
     """Write one field as CSV: metadata line, header i1..id, then values."""
     k = field_index
-    arr = state.fields[k]
     eps_s = ",".join(f"{e:.17g}" for e in state.spec.eps)
     r_s = ",".join(f"{v:.17g}" for v in state.r)
     cols = ",".join(f"i{i + 1}" for i in range(state.spec.dim))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# field={k} eps={eps_s} r={r_s}\n")
-        fh.write(f"{cols},value\n")
-        for idx in np.ndindex(*arr.shape):
-            fh.write(",".join(str(i) for i in idx) + f",{arr[idx]:.17g}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"# field={k} eps={eps_s} r={r_s}\n{cols},value\n".encode("ascii"))
+        _write_rows(fh, state.fields[k])
 
 
 def load_state_csv(path) -> tuple:
@@ -263,30 +260,7 @@ def load_state_csv(path) -> tuple:
         d = len(header) - 1
         if d != len(eps):
             raise ValueError(f"{path}: header dimension does not match metadata")
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(line.split(","))
-                if len(rows[-1]) != d + 1:
-                    raise ValueError(f"{path}: row {line!r} does not have {d + 1} columns")
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    idxs = np.array([[int(v) for v in row[:d]] for row in rows], dtype=int)
-    vals = np.array([float(row[d]) for row in rows])
-    if (idxs < 0).any():
-        bad = idxs[(idxs < 0).any(axis=1)][0]
-        raise ValueError(f"{path}: negative index {tuple(int(v) for v in bad)}")
-    uniq, counts = np.unique(idxs, axis=0, return_counts=True)
-    if (counts > 1).any():
-        dup = uniq[counts.argmax()]
-        raise ValueError(f"{path}: duplicate rows for index {tuple(int(v) for v in dup)}")
-    shape = tuple(idxs.max(axis=0) + 1)
-    arr = np.full(shape, np.nan)
-    arr[tuple(idxs.T)] = vals
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{path}: index set does not fill a full box")
-    return arr, eps, r
+        return _read_rows(fh, path, d), eps, r
 
 
 # ---------------------------------------------------------------------------

@@ -322,16 +322,15 @@ def export_obj(mesh: SurfaceMesh, path) -> None:
     """
     path = str(path)
     n = mesh.n
-    with open(path, "w", encoding="ascii") as fh:
-        for pt in mesh.points.reshape(-1, 3):
-            fh.write(f"v {pt[0]:.17g} {pt[1]:.17g} {pt[2]:.17g}\n")
+    v_row = b"v %.17g %.17g %.17g\n" * (n + 1)
+    f_row = b"f %d %d %d %d\n" * n
+    # face (0, j) is (v1, v1 + n + 1, v1 + n + 2, v1 + 1) with v1 = j + 1
+    quads = np.arange(1, n + 1)[:, None] + np.array([0, n + 1, n + 2, 1])
+    with open(path, "wb") as fh:
+        for row in mesh.points:
+            fh.write(v_row % tuple(row.ravel().tolist()))
         for i in range(n):
-            for j in range(n):
-                v1 = i * (n + 1) + j + 1
-                v2 = (i + 1) * (n + 1) + j + 1
-                v3 = (i + 1) * (n + 1) + j + 2
-                v4 = i * (n + 1) + j + 2
-                fh.write(f"f {v1} {v2} {v3} {v4}\n")
+            fh.write(f_row % tuple((quads + i * (n + 1)).ravel().tolist()))
     meta = path[: path.rfind(".")] + ".meta" if "." in path.rsplit("/", 1)[-1] else path + ".meta"
     chain = ",".join(f"{p.alpha:.17g}:{p.theta0:.17g}" for p in mesh.bt_chain)
     with open(meta, "w", encoding="ascii") as fh:

@@ -35,6 +35,15 @@ def test_solve_with_phi(tmp_path):
     assert np.isfinite(phi).all()
 
 
+def test_k_sets_eps_to_two_to_minus_k(tmp_path, capsys):
+    """--k gives eps = 2^-k whatever r is, so n = r * 2^k."""
+    assert main(["solve", "--r", "2", "--k", "3"]) == 0
+    assert "solved hirota on n = 16" in capsys.readouterr().out
+    a, eps, r = load_field_csv(tmp_path / "solve_a.csv")
+    assert a.shape == (16, 17) and (eps, r) == (0.125, 2.0)
+    assert (tmp_path / "solve_a.csv").read_text().startswith("# eps=0.125 r=2\n")
+
+
 def test_solve_zero_data(tmp_path):
     assert main(["solve", "--k", "3", "--data", "zero", "--scheme", "naive"]) == 0
     a, _, _ = load_field_csv(tmp_path / "solve_a.csv")

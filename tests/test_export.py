@@ -1,0 +1,124 @@
+"""Text export: field CSV, state CSV and OBJ, byte for byte against per-value writers.
+
+The oracle writers below format one value at a time with f-strings; the
+writers under test format a whole row with one bytes % template.  Both must
+give the same file, because b"%.17g" and f"{x:.17g}" give the same text.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from ksurf.goursat import LatticeDomain2, save_field_csv, solve_goursat_2d
+from ksurf.harness import demo_data
+from ksurf.ndsys import SystemSpecND, save_state_csv, sine_gordon_3d_spec, solve_goursat_nd
+from ksurf.sinegordon import hirota_system
+from ksurf.surfaces import SurfaceMesh, export_obj, mesh_from_fields
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1]
+
+
+def oracle_field_csv(p, dom):
+    out = [f"# eps={dom.eps:.17g} r={dom.r:.17g}\n", "i,j,value\n"]
+    for i in range(p.shape[0]):
+        out += [f"{i},{j},{p[i][j]:.17g}\n" for j in range(p.shape[1])]
+    return "".join(out)
+
+
+def oracle_state_csv(state, k):
+    eps_s = ",".join(f"{e:.17g}" for e in state.spec.eps)
+    r_s = ",".join(f"{v:.17g}" for v in state.r)
+    cols = ",".join(f"i{i + 1}" for i in range(state.spec.dim))
+    out = [f"# field={k} eps={eps_s} r={r_s}\n", f"{cols},value\n"]
+    arr = state.fields[k]
+    for idx in np.ndindex(*arr.shape):
+        out.append(",".join(str(i) for i in idx) + f",{arr[idx]:.17g}\n")
+    return "".join(out)
+
+
+def oracle_obj(points):
+    n = points.shape[0] - 1
+    out = [f"v {pt[0]:.17g} {pt[1]:.17g} {pt[2]:.17g}\n" for pt in points.reshape(-1, 3)]
+    for i in range(n):
+        for j in range(n):
+            v1, v2 = i * (n + 1) + j + 1, (i + 1) * (n + 1) + j + 1
+            out.append(f"f {v1} {v2} {v2 + 1} {v1 + 1}\n")
+    return "".join(out)
+
+
+def wide_normal(rng, shape):
+    """Normal samples scaled over most of the float64 exponent range."""
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+
+
+def state_3d():
+    theta0 = [0.5, -0.3]
+    data = [
+        lambda x, y=None, z=None: np.cos(2.0 * x),
+        lambda x, y=None, z=None: 1.0 + np.sin(y),
+        lambda x, y, z: theta0[int(round(z))],
+    ]
+    return solve_goursat_nd(sine_gordon_3d_spec(1.0, 2.0**-3), data, (1.0, 1.0, 2.0))
+
+
+def state_1d():
+    spec = SystemSpecND(1, 1, ({0},), {(0, 0): lambda s: 0.1 * s[0]}, {(0, 0): (0,)}, (0.25,))
+    return solve_goursat_nd(spec, [lambda x: 1.0], 2.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17])
+def test_field_csv_bytes_match_oracle(tmp_path, n):
+    rng = np.random.default_rng(n)
+    dom = LatticeDomain2(n / 8, 0.125)
+    for p in (wide_normal(rng, (n, n + 1)), wide_normal(rng, (n + 1, n))):
+        save_field_csv(tmp_path / "f.csv", p, dom)
+        assert (tmp_path / "f.csv").read_bytes() == oracle_field_csv(p, dom).encode()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_obj_bytes_match_oracle(tmp_path, n):
+    points = wide_normal(np.random.default_rng(n), (n + 1, n + 1, 3))
+    export_obj(SurfaceMesh(points, 1.0, 1.0, 1.0), tmp_path / "m.obj")
+    assert (tmp_path / "m.obj").read_bytes() == oracle_obj(points).encode()
+
+
+@pytest.mark.parametrize("make_state", [state_3d, state_1d], ids=["3d", "1d"])
+def test_state_csv_bytes_match_oracle(tmp_path, make_state):
+    st = make_state()
+    for k in range(len(st.fields)):
+        save_state_csv(st, tmp_path / "s.csv", k)
+        assert (tmp_path / "s.csv").read_bytes() == oracle_state_csv(st, k).encode()
+
+
+def test_special_values_bytes_match_oracle(tmp_path):
+    p = np.resize(SPECIAL, (4, 5)) * np.resize([1.0, -1.0], (4, 5))  # each value with both signs
+    dom = LatticeDomain2(1.0, 0.25)
+    save_field_csv(tmp_path / "f.csv", p, dom)
+    assert (tmp_path / "f.csv").read_bytes() == oracle_field_csv(p, dom).encode()
+
+    points = np.resize(SPECIAL, (3, 3, 3)) * np.resize([-1.0, 1.0], (3, 3, 3))
+    export_obj(SurfaceMesh(points, 1.0, 1.0, 1.0), tmp_path / "m.obj")
+    assert (tmp_path / "m.obj").read_bytes() == oracle_obj(points).encode()
+
+    st = state_3d()
+    st.fields[2] = np.resize(SPECIAL, st.fields[2].shape)
+    save_state_csv(st, tmp_path / "s.csv", 2)
+    assert (tmp_path / "s.csv").read_bytes() == oracle_state_csv(st, 2).encode()
+
+
+def test_writers_hold_one_row_at_a_time(tmp_path):
+    """At k = 8 one row takes under 0.1 MB to format; converting the whole
+    array with .tolist() would take several MB (10.7 MB for the OBJ)."""
+    dom = LatticeDomain2.from_k(1.0, 8)
+    fields = solve_goursat_2d(hirota_system(), demo_data(), dom)
+    mesh = mesh_from_fields(fields, 1.0)
+    for write in (lambda: export_obj(mesh, tmp_path / "m.obj"),
+                  lambda: save_field_csv(tmp_path / "a.csv", fields.a, dom)):
+        tracemalloc.start()
+        try:
+            write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6

@@ -287,10 +287,11 @@ def test_field_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
     dom = LatticeDomain2(1.0, 0.25)
     p = rng.normal(size=(dom.n, dom.n + 1)) * np.pi
+    p[0, :3] = [np.nan, np.inf, -0.0]  # stored values, not missing entries
     path = tmp_path / "field.csv"
     save_field_csv(path, p, dom)
     q, eps, r = load_field_csv(path)
-    assert np.array_equal(p, q)  # 17 significant digits round-trip float64
+    assert np.array_equal(p, q, equal_nan=True)  # 17 significant digits round-trip float64
     assert eps == dom.eps and r == dom.r
 
 
@@ -308,6 +309,16 @@ def test_field_csv_error_reporting(tmp_path):
     path.write_text("# eps=0.25 r=1\ni,j,value\n0,0,1.0\n1,1,2.0\n")
     with pytest.raises(ValueError, match="missing"):
         load_field_csv(path)
+    for rows, match in [
+        ("0,0,1\n0,1,2\n-1,0,3\n", "negative index \\(-1, 0\\)"),
+        ("0,0,1\n0,1,2\n0,0,3\n", "duplicate rows for index \\(0, 0\\)"),
+        ("0,0,1\n0,1\n", "does not have 3 columns"),
+        ("0,0,1\n0,1,2,3\n", "does not have 3 columns"),
+        ("0,0,1\n99999999999999999999,0,2\n", "index too large"),
+    ]:
+        path.write_text("# eps=0.25 r=1\ni,j,value\n" + rows)
+        with pytest.raises(ValueError, match=match):
+            load_field_csv(path)
 
 
 def test_nested_levels():
