@@ -3,7 +3,6 @@ Backlund transformations, and convergence experiments.
 
 The package is organized bottom-up:
 
-    linalg2    stacked 2x2 complex / su(2) helpers (test reference, rotations)
     goursat    lattice Goursat problems for two edge fields
     sinegordon naive and Hirota schemes, Backlund extension, compatibility
     frames     Lax matrices as SU(2) pairs; one kernel for frames, dressing, Sym
@@ -11,6 +10,9 @@ The package is organized bottom-up:
     ndsys      general d-dimensional compatible lattice systems
     harness    convergence sweeps on nested lattices
     cli        the `ksurf` command
+
+The tests compare the kernel against literal 2x2 matrices built in
+tests/oracles.py from the formulas in the frames docstring.
 """
 
 from .goursat import (
@@ -36,10 +38,8 @@ from .sinegordon import (
     Rhs3,
     SchemeKind,
     backlund_rhs_continuous,
-    backlund_rhs_discrete,
     backlund_system,
     check_compatibility_3d,
-    continuous_rhs,
     hirota_backlund_system,
     hirota_rhs,
     hirota_system,
@@ -54,15 +54,8 @@ from .sinegordon import (
 from .frames import (
     FrameField,
     ZeroCurvatureError,
-    backlund_W,
-    lax_U_cont,
-    lax_U_disc,
-    lax_V_cont,
-    lax_V_disc,
-    lax_dlambda,
     propagate_frame,
     sym_matrices,
-    transform_frame,
     zero_curvature_residual,
 )
 from .surfaces import (
@@ -72,7 +65,6 @@ from .surfaces import (
     backlund_surface,
     backlund_two_route_residual,
     build_surface,
-    ell,
     export_obj,
     load_obj_points,
     mesh_from_fields,

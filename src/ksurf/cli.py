@@ -37,7 +37,7 @@ from .goursat import (
     solve_goursat_2d,
 )
 from .frames import ZeroCurvatureError
-from .harness import SweepConfig, demo_data, emit_report, run_sweep, zero_data
+from .harness import SweepConfig, _phi00, demo_data, emit_report, run_sweep, zero_data
 from .sinegordon import (
     BacklundParam,
     SchemeKind,
@@ -219,8 +219,7 @@ def _cmd_solve(args) -> int:
     print(f"solved {args.scheme} on n = {dom.n} (eps = {dom.eps:.6g}, r = {dom.r:.6g})")
     print(f"wrote {args.out}_a.csv and {args.out}_b.csv")
     if args.phi:
-        phi00 = float(np.asarray(data.sample(dom)[1]).ravel()[0])
-        field = reconstruct_phi(fields, phi00, scheme)
+        field = reconstruct_phi(fields, _phi00(data, dom), scheme)
         save_field_csv(f"{args.out}_phi.csv", field.phi, dom)
         print(f"wrote {args.out}_phi.csv")
     return 0
@@ -233,8 +232,7 @@ def _cmd_surface(args) -> int:
     _require_hirota(scheme)
     fields = solve_goursat_2d(system_for(scheme), data, dom)
     mesh = mesh_from_fields(fields, args.lam)
-    phi00 = float(np.asarray(data.sample(dom)[1]).ravel()[0])
-    phi = reconstruct_phi(fields, phi00, scheme)
+    phi = reconstruct_phi(fields, _phi00(data, dom), scheme)
     report = validate_k_surface(mesh, phi)
     export_obj(mesh, f"{args.out}.obj")
     print(f"surface on n = {dom.n} (eps = {dom.eps:.6g}), lambda = {args.lam:.6g}")

@@ -1,6 +1,7 @@
 """Lax representation, frames, and the Sym formula.
 
-Transition matrices (lambda real and nonzero):
+Transition matrices (lambda real and nonzero) and the Backlund dressing
+matrix (alpha > 0):
 
     U(a; lam)       = (i/2) [[a, -lam], [-lam, -a]]
     V(b; lam)       = (i/2) lam^-1 [[0, e^{ib}], [e^{-ib}, 0]]
@@ -8,17 +9,19 @@ Transition matrices (lambda real and nonzero):
                       [[e^{i eps a/2}, -i eps lam/2], [-i eps lam/2, e^{-i eps a/2}]]
     Vd(b; lam, eps) = (1 + eps^2 lam^-2 / 4)^{-1/2}
                       [[1, (i eps/(2 lam)) e^{ib}], [(i eps/(2 lam)) e^{-ib}, 1]]
+    W(theta; alpha, lam) = [[alpha e^{i theta}, -i lam], [-i lam, alpha e^{-i theta}]]
 
-Every matrix of the frame layer (these, their lambda-derivatives, the
-dressing matrix W, the frame Psi and its derivative dPsi) has the form
-[[p, q], [-conj(q), conj(p)]], so it is stored as two complex planes (p, q),
-plus (dp, dq) for the lambda-derivative; the stacked (..., 2, 2) builders are
-views of the same plane builders.  One kernel, _sweep, propagates the frame
-from Psi(0,0) = I, dPsi(0,0) = 0, dresses it by W(theta), applies the Sym
-formula F = lam (2 Im Q, 2 Re Q, 2 Im P) with (P, Q) = Psi^-1 dPsi (adjugate
-over the real determinant |p|^2 + |q|^2), and measures the zero-curvature
-residual |Ud(x, y+eps) Vd(x, y) - Vd(x+eps, y) Ud(x, y)| of every cell.  It
-holds to roundoff on Hirota solutions; other fields are refused.
+Ud = I + eps U + O(eps^2) and Vd = I + eps V + O(eps^2); det W = alpha^2 +
+lam^2 and W^dagger W = (alpha^2 + lam^2) I.  Every matrix of the frame layer
+(Ud, Vd, W, their lambda-derivatives, the frame Psi and its derivative dPsi)
+has the form [[p, q], [-conj(q), conj(p)]], so it is stored as two complex
+planes (p, q), plus (dp, dq) for the lambda-derivative.  One kernel, _sweep,
+propagates the frame from Psi(0,0) = I, dPsi(0,0) = 0, dresses it by
+W(theta), applies the Sym formula F = lam (2 Im Q, 2 Re Q, 2 Im P) with
+(P, Q) = Psi^-1 dPsi (adjugate over the real determinant |p|^2 + |q|^2), and
+measures the zero-curvature residual |Ud(x, y+eps) Vd(x, y) - Vd(x+eps, y)
+Ud(x, y)| of every cell.  It holds to roundoff on Hirota solutions; other
+fields are refused.
 """
 
 from __future__ import annotations
@@ -52,11 +55,6 @@ class ZeroCurvatureError(RuntimeError):
 # lambda-derivative; scalar planes broadcast against array ones
 
 
-def _require_lam(lam: float) -> None:
-    if lam == 0 or not np.isfinite(lam):
-        raise ValueError("spectral parameter lambda must be nonzero and finite")
-
-
 def _normalisers(lam: float, eps: float) -> tuple:
     """Ud and Vd prefactors and their lambda-derivatives, checked usable."""
     lam = np.float64(lam)
@@ -86,15 +84,6 @@ def _v_planes(b, lam: float, eps: float) -> tuple:
     c = 0.5j * eps / lam
     dc = -0.5j * eps / (lam * lam)
     return nv, nv * (c * e), dnv, nv**3 * (dc * e)
-
-
-def _u_cont_planes(a, lam: float, eps=None) -> tuple:
-    return 0.5j * np.asarray(a, dtype=float), -0.5j * lam, 0.0, -0.5j
-
-
-def _v_cont_planes(b, lam: float, eps=None) -> tuple:
-    e = np.exp(1j * np.asarray(b, dtype=float))
-    return 0.0, (0.5j / lam) * e, 0.0, (-0.5j / (lam * lam)) * e
 
 
 def _w_planes(theta, alpha: float, lam: float) -> tuple:
@@ -135,10 +124,8 @@ def _sym(f, lam: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stack(p, q, shape=(), out=None) -> np.ndarray:
-    """The (..., 2, 2) matrices [[p, q], [-conj(q), conj(p)]], written into out if given."""
-    if out is None:
-        out = np.empty(np.broadcast_shapes(np.shape(p), np.shape(q), shape) + (2, 2), complex)
+def _stack(p, q, out) -> np.ndarray:
+    """Write the matrices [[p, q], [-conj(q), conj(p)]] into out (..., 2, 2)."""
     out[..., 0, 0] = p
     out[..., 0, 1] = q
     out[..., 1, 0] = -np.conj(q)
@@ -148,60 +135,6 @@ def _stack(p, q, shape=(), out=None) -> np.ndarray:
 
 def _planes(psi: np.ndarray, dpsi: np.ndarray) -> tuple:
     return psi[..., 0, 0], psi[..., 0, 1], dpsi[..., 0, 0], dpsi[..., 0, 1]
-
-
-# ---------------------------------------------------------------------------
-# stacked transition matrices (scalar or array a/b in, (..., 2, 2) out)
-
-
-def lax_U_cont(a, lam: float) -> np.ndarray:
-    _require_lam(lam)
-    return _stack(*_u_cont_planes(a, lam)[:2])
-
-
-def lax_V_cont(b, lam: float) -> np.ndarray:
-    _require_lam(lam)
-    return _stack(*_v_cont_planes(b, lam)[:2])
-
-
-def lax_U_disc(a, lam: float, eps: float) -> np.ndarray:
-    return _stack(*_u_planes(a, lam, eps)[:2])
-
-
-def lax_V_disc(b, lam: float, eps: float) -> np.ndarray:
-    return _stack(*_v_planes(b, lam, eps)[:2])
-
-
-_KINDS = {"Ucont": _u_cont_planes, "Vcont": _v_cont_planes,
-          "Udisc": _u_planes, "Vdisc": _v_planes}
-
-
-def lax_dlambda(kind: str, value, lam: float, eps: float | None = None) -> np.ndarray:
-    """Closed-form lambda-derivative of a transition matrix.
-
-    kind is one of 'Ucont', 'Vcont', 'Udisc', 'Vdisc'; value is the attached
-    field value (a or b).  The discrete derivatives differentiate both the
-    normalizing prefactor and the matrix entries.
-    """
-    _require_lam(lam)
-    if kind not in _KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    if kind.endswith("disc") and eps is None:
-        raise ValueError("discrete kinds need eps")
-    return _stack(*_KINDS[kind](value, lam, eps)[2:], np.shape(value))
-
-
-def backlund_W(theta, alpha: float, lam: float) -> np.ndarray:
-    """Dressing matrix W = [[alpha e^{i theta}, -i lam], [-i lam, alpha e^{-i theta}]].
-
-    det W = alpha^2 + lam^2 and W^dagger W = (alpha^2 + lam^2) I, so W is a
-    positive scalar multiple of a unitary matrix.
-    """
-    return _stack(*_w_planes(theta, alpha, lam)[:2])
-
-
-def backlund_W_dlambda(theta) -> np.ndarray:
-    return _stack(*_w_planes(theta, 1.0, 1.0)[2:], np.shape(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +148,7 @@ class _Sweep:
     psi: np.ndarray | None
     dpsi: np.ndarray | None
     points: list
-    origin: np.ndarray
+    origin: tuple
 
 
 def _sweep(fields: EdgeField2, lam: float, order: str = "xy", layers=(),
@@ -227,7 +160,8 @@ def _sweep(fields: EdgeField2, lam: float, order: str = "xy", layers=(),
     steps.  Each line is dressed in turn by the (theta_field, alpha) layers.
     frame=True stores the undressed frame as (n+1, n+1, 2, 2) arrays;
     sym=True fills points[z], the Sym image after z dressings.  origin is the
-    dressed frame at the origin, the product of the W matrices there.
+    pair (p, q) of the dressed frame at the origin, the product of the W
+    matrices there.
     Raises ZeroCurvatureError when the worst cell residual exceeds tol.
     """
     n, eps = fields.domain.n, fields.domain.eps
@@ -253,8 +187,8 @@ def _sweep(fields: EdgeField2, lam: float, order: str = "xy", layers=(),
     worst, worst_at = 0.0, (0, 0)
     for k in range(n + 1):
         if frame:
-            _stack(cur[0], cur[1], out=view(psi)[:, k])
-            _stack(cur[2], cur[3], out=view(dpsi)[:, k])
+            _stack(cur[0], cur[1], view(psi)[:, k])
+            _stack(cur[2], cur[3], view(dpsi)[:, k])
         g = cur
         if sym:
             _sym(g, lam, view(points[0])[:, k])
@@ -263,7 +197,7 @@ def _sweep(fields: EdgeField2, lam: float, order: str = "xy", layers=(),
             if sym:
                 _sym(g, lam, view(points[z + 1])[:, k])
         if k == 0:
-            origin = _stack(g[0][0], g[1][0])
+            origin = (g[0][0], g[1][0])
         if k == n:
             break
         m = np.broadcast_arrays(*step(lines[:, k], lam, eps))
@@ -293,8 +227,7 @@ def _sweep(fields: EdgeField2, lam: float, order: str = "xy", layers=(),
 class FrameField:
     """Frame and lambda-derivative on all sites, shape (n+1, n+1, 2, 2).
 
-    Frames from propagate_frame are unitary with unit determinant;
-    Backlund-dressed frames are scalar multiples of unitary matrices.
+    Frames from propagate_frame are unitary with unit determinant.
     """
 
     psi: np.ndarray
@@ -334,15 +267,3 @@ def sym_matrices(psi: np.ndarray, dpsi: np.ndarray, lam: float) -> np.ndarray:
     """
     return _sym(_planes(psi, dpsi), lam, np.empty(psi.shape[:-2] + (3,)))
 
-
-def transform_frame(frame: FrameField, theta_field: np.ndarray, alpha: float) -> FrameField:
-    """Dress a frame by W(theta): Psi~ = W Psi, dPsi~ = W' Psi + W dPsi.
-
-    theta_field holds the auxiliary angle on all (n+1)^2 sites of the layer.
-    The result satisfies the frame recursion of the transformed fields.
-    """
-    th = np.asarray(theta_field, dtype=float)
-    if th.shape != frame.psi.shape[:2]:
-        raise ValueError(f"theta shape {th.shape} does not match frame sites {frame.psi.shape[:2]}")
-    p, q, dp, dq = _mul(_w_planes(th, alpha, frame.lam), _planes(frame.psi, frame.dpsi))
-    return FrameField(_stack(p, q), _stack(dp, dq), frame.lam, frame.domain)

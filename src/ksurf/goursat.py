@@ -21,6 +21,7 @@ naive lexicographic double loop.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -258,7 +259,8 @@ def sup_error(p: np.ndarray, eps_p: float, q: np.ndarray, eps_q: float) -> float
 
     p lives on the coarser grid (step eps_p), q on the finer one; eps_p must
     be an integer multiple of eps_q.  Compared at coincident sites, on the
-    index range where both arrays are defined.
+    index range where both arrays are defined.  Axes after the first two hold
+    coordinates (surface points, say): there the distance is Euclidean.
     """
     ratio = eps_p / eps_q
     s = round(ratio)
@@ -269,6 +271,8 @@ def sup_error(p: np.ndarray, eps_p: float, q: np.ndarray, eps_q: float) -> float
     if n0 == 0 or n1 == 0:
         raise ValueError("grids share no sites")
     diff = p[:n0, :n1] - q[: n0 * s : s, : n1 * s : s]
+    if diff.ndim > 2:
+        diff = np.sqrt(np.sum(diff * diff, axis=tuple(range(2, diff.ndim))))
     return float(np.max(np.abs(diff)))
 
 
@@ -287,35 +291,71 @@ def _write_rows(fh, arr: np.ndarray) -> None:
         fh.write(template % tuple(args))
 
 
+_ROW_BLOCK = 1 << 15  # lines parsed per np.loadtxt call
+
+
+def _read_meta(fh, path, keys) -> dict:
+    """The key=value tokens of the "# ..." metadata line of fh; ValueError
+    naming path when the line or one of keys is missing."""
+    line = fh.readline().strip()
+    if not line.startswith("# "):
+        raise ValueError(f"{path}: missing metadata line")
+    meta = dict(tok.split("=", 1) for tok in line[2:].split() if "=" in tok)
+    missing = [f"{key}=" for key in keys if key not in meta]
+    if missing:
+        raise ValueError(f"{path}: metadata line lacks {', '.join(missing)}")
+    return meta
+
+
+def _row_error(lines, path, d: int, exc: ValueError) -> ValueError:
+    """The error naming the first of lines that np.loadtxt could not parse."""
+    for line in map(str.strip, lines):
+        cols = line.split(",")
+        if len(cols) != d + 1:
+            return ValueError(f"{path}: row {line!r} does not have {d + 1} columns")
+        try:
+            np.array([int(c) for c in cols[:d]], dtype=np.int64), float(cols[d])
+        except OverflowError:
+            return ValueError(f"{path}: index too large in row {line!r}")
+        except ValueError:
+            return ValueError(f"{path}: row {line!r} is not {d} integer indices and a value")
+    return ValueError(f"{path}: {exc}")
+
+
 def _read_rows(fh, path, d: int) -> np.ndarray:
     """The remaining lines "i1,...,id,value" of fh as a d-dim array; ValueError
     naming path for a row without d + 1 columns, no data rows, a negative or
-    too large index, duplicate rows, or an index set that does not fill a box."""
-    rows = []
-    for line in fh:
-        line = line.strip()
-        if line:
-            rows.append(line.split(","))
-            if len(rows[-1]) != d + 1:
-                raise ValueError(f"{path}: row {line!r} does not have {d + 1} columns")
-    if not rows:
+    too large index, duplicate rows, or an index set that does not fill a box.
+
+    np.loadtxt parses _ROW_BLOCK lines at a time, so at most one block is held
+    as text; one scatter then fills the array."""
+    row = np.dtype([("i", np.int64, (d,)), ("v", float)])
+    blocks, text = [], itertools.filterfalse(str.isspace, fh)  # blank lines hold no rows
+    while lines := list(itertools.islice(text, _ROW_BLOCK)):
+        try:
+            blocks.append(np.loadtxt(lines, delimiter=",", dtype=row, ndmin=1, comments=None))
+        except ValueError as exc:
+            raise _row_error(lines, path, d, exc) from None
+    if not blocks:
         raise ValueError(f"{path}: no data rows")
-    try:
-        idxs = np.array([[int(v) for v in row[:d]] for row in rows], dtype=int)
-    except OverflowError:
-        raise ValueError(f"{path}: index too large") from None
-    if (idxs < 0).any():
-        bad = idxs[(idxs < 0).any(axis=1)][0]
+    rows = np.concatenate(blocks)
+    del blocks
+    idx = rows["i"]
+    if (idx < 0).any():
+        bad = idx[(idx < 0).any(axis=1)][0]
         raise ValueError(f"{path}: negative index {tuple(int(v) for v in bad)}")
-    uniq, counts = np.unique(idxs, axis=0, return_counts=True)
-    if (counts > 1).any():
-        dup = uniq[counts.argmax()]
-        raise ValueError(f"{path}: duplicate rows for index {tuple(int(v) for v in dup)}")
-    shape = tuple(int(m) + 1 for m in idxs.max(axis=0))
-    if len(rows) != math.prod(shape):
+    shape = tuple(int(m) + 1 for m in idx.max(axis=0))
+    size = math.prod(shape)
+    if size <= rows.size:  # otherwise the box has a hole
+        flat = np.ravel_multi_index(tuple(idx.T), shape)
+        counts = np.bincount(flat, minlength=size)
+        if counts.max() > 1:
+            dup = np.unravel_index(int(counts.argmax()), shape)
+            raise ValueError(f"{path}: duplicate rows for index {tuple(int(v) for v in dup)}")
+    if size != rows.size:
         raise ValueError(f"{path}: grid has missing entries (index set does not fill a full box)")
     arr = np.empty(shape)
-    arr[tuple(idxs.T)] = [float(row[d]) for row in rows]
+    arr.reshape(-1)[flat] = rows["v"]
     return arr
 
 
@@ -329,16 +369,11 @@ def save_field_csv(path, p: np.ndarray, dom: LatticeDomain2) -> None:
 def load_field_csv(path) -> tuple[np.ndarray, float, float]:
     """Read a field written by save_field_csv; returns (array, eps, r)."""
     with open(path, "r", encoding="ascii") as fh:
-        meta = fh.readline().strip()
-        if not meta.startswith("# eps="):
-            raise ValueError(f"{path}: missing metadata line")
-        parts = dict(tok.split("=", 1) for tok in meta[2:].split())
-        eps = float(parts["eps"])
-        r = float(parts["r"])
+        meta = _read_meta(fh, path, ("eps", "r"))
         header = fh.readline().strip()
         if header != "i,j,value":
             raise ValueError(f"{path}: unexpected header {header!r}")
-        return _read_rows(fh, path, 2), eps, r
+        return _read_rows(fh, path, 2), float(meta["eps"]), float(meta["r"])
 
 
 def nested_levels(k_lo: int, k_hi: int) -> list[float]:

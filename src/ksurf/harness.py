@@ -131,15 +131,9 @@ def _quotient(p: np.ndarray, kx: int, ky: int, eps: float) -> np.ndarray:
     return p
 
 
-def _sup_point_error(p: np.ndarray, eps_p: float, q: np.ndarray, eps_q: float) -> float:
-    """Sup of Euclidean point distances on the common (nested) sites."""
-    s = round(eps_p / eps_q)
-    if s < 1 or abs(eps_p / eps_q - s) > 1e-9:
-        raise ValueError(f"lattices are not nested: {eps_p} vs {eps_q}")
-    n0 = min(p.shape[0], (q.shape[0] - 1) // s + 1)
-    n1 = min(p.shape[1], (q.shape[1] - 1) // s + 1)
-    d = p[:n0, :n1] - q[::s, ::s][:n0, :n1]
-    return float(np.max(np.sqrt(np.sum(d * d, axis=-1))))
+def _phi00(data: GoursatData2, dom: LatticeDomain2) -> float:
+    """The phi(0, 0) seed of reconstruct_phi: the first b0 sample."""
+    return float(data.sample(dom)[1][0])
 
 
 def run_sweep(cfg: SweepConfig, data: GoursatData2) -> ConvergenceReport:
@@ -168,16 +162,14 @@ def run_sweep(cfg: SweepConfig, data: GoursatData2) -> ConvergenceReport:
     elif cfg.quantity in ("fields_ab", "phi"):
         ref = solve_goursat_2d(rhs, data, dom_ref)
         if cfg.quantity == "phi":
-            phi00 = float(np.asarray(data.sample(dom_ref)[1]).ravel()[0])
-            ref_phi = reconstruct_phi(ref, phi00, cfg.scheme).phi
+            ref_phi = reconstruct_phi(ref, _phi00(data, dom_ref), cfg.scheme).phi
         for dom in doms:
             sol = solve_goursat_2d(rhs, data, dom)
             if cfg.quantity == "fields_ab":
                 record("a", sup_error(sol.a, dom.eps, ref.a, dom_ref.eps))
                 record("b", sup_error(sol.b, dom.eps, ref.b, dom_ref.eps))
             else:
-                p00 = float(np.asarray(data.sample(dom)[1]).ravel()[0])
-                phi = reconstruct_phi(sol, p00, cfg.scheme).phi
+                phi = reconstruct_phi(sol, _phi00(data, dom), cfg.scheme).phi
                 record("phi", sup_error(phi, dom.eps, ref_phi, dom_ref.eps))
     elif cfg.quantity == "surface":
         if cfg.scheme is not SchemeKind.HIROTA:
@@ -185,14 +177,14 @@ def run_sweep(cfg: SweepConfig, data: GoursatData2) -> ConvergenceReport:
         ref_pts = build_surface(data, dom_ref, cfg.lam).points
         for dom in doms:
             pts = build_surface(data, dom, cfg.lam).points
-            record("surface", _sup_point_error(pts, dom.eps, ref_pts, dom_ref.eps))
+            record("surface", sup_error(pts, dom.eps, ref_pts, dom_ref.eps))
     else:
         if cfg.scheme is not SchemeKind.HIROTA:
             raise ValueError("surface sweeps require the Hirota scheme")
         ref_pts = backlund_surface(data, dom_ref, cfg.bt_chain, cfg.lam)[-1].points
         for dom in doms:
             pts = backlund_surface(data, dom, cfg.bt_chain, cfg.lam)[-1].points
-            record("surface_bt", _sup_point_error(pts, dom.eps, ref_pts, dom_ref.eps))
+            record("surface_bt", sup_error(pts, dom.eps, ref_pts, dom_ref.eps))
 
     per_row = list(zip(*families.values()))
     rows = [(doms[idx].eps, float(max(vals))) for idx, vals in enumerate(per_row)]

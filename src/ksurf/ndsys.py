@@ -43,7 +43,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .goursat import BlowUpError, CompatibilityError, _read_rows, _step_count, _write_rows
+from .goursat import (
+    BlowUpError,
+    CompatibilityError,
+    _read_meta,
+    _read_rows,
+    _step_count,
+    _write_rows,
+)
 from .sinegordon import SchemeKind, backlund_system, system_for
 
 
@@ -250,12 +257,9 @@ def save_state_csv(state: StateND, path, field_index: int) -> None:
 def load_state_csv(path) -> tuple:
     """Read back a field CSV; returns (array, eps tuple, r tuple)."""
     with open(path, "r", encoding="ascii") as fh:
-        meta = fh.readline().strip()
-        if not meta.startswith("# "):
-            raise ValueError(f"{path}: missing metadata line")
-        parts = dict(p.split("=", 1) for p in meta[2:].split() if "=" in p)
-        eps = tuple(float(v) for v in parts["eps"].split(","))
-        r = tuple(float(v) for v in parts["r"].split(","))
+        meta = _read_meta(fh, path, ("eps", "r"))
+        eps = tuple(float(v) for v in meta["eps"].split(","))
+        r = tuple(float(v) for v in meta["r"].split(","))
         header = fh.readline().strip().split(",")
         d = len(header) - 1
         if d != len(eps):

@@ -58,11 +58,6 @@ class SchemeKind(enum.Enum):
 # right-hand sides
 
 
-def continuous_rhs(a, b):
-    """Continuous system right-hand sides: (a_y, b_x) = (sin b, a)."""
-    return np.sin(b), np.asarray(a) + 0.0
-
-
 def naive_rhs(a, b, eps):
     """Naive scheme: the continuous right-hand sides, independent of eps."""
     return np.sin(b), np.asarray(a) + 0.0
@@ -79,10 +74,13 @@ def hirota_rhs(a, b, eps):
     f is real: f = -(4/eps^2) Im log(1 - w) with w = p e^{it}, p = eps^2/4,
     t = b + eps a/2.  Since Im log(1 - w) = atan2(-p sin t, 1 - p cos t), f is
     evaluated in that real form, with no complex exp or log; the atan2 agrees
-    with the complex-log imaginary part to within one ulp.  hirota_f_complex
-    keeps the literal complex expression for cross-checking.
+    with the complex-log imaginary part to within one ulp.
     """
-    _require_hirota_eps(eps)
+    if not 0.0 < eps < 2.0:
+        raise ValueError(
+            f"Hirota scheme needs 0 < eps < 2 (log arguments must stay in the "
+            f"right half-plane); got eps = {eps}"
+        )
     f = (-4.0 / (eps * eps)) * _im_log1m(0.25 * eps * eps,
                                          np.asarray(b) + 0.5 * eps * np.asarray(a))
     return f, a + (0.5 * eps) * f
@@ -91,30 +89,6 @@ def hirota_rhs(a, b, eps):
 def _im_log1m(p, t):
     """Im log(1 - p e^{it}) for real p and t, as atan2(-p sin t, 1 - p cos t)."""
     return np.arctan2(-p * np.sin(t), 1.0 - p * np.cos(t))
-
-
-def hirota_f_complex(a, b, eps):
-    """Literal complex-ratio form of the Hirota f (test oracle).
-
-    Returns the complex value of (2/(i eps^2)) log(num/den); its imaginary
-    part measures how exactly the conjugate-pair structure survives floating
-    point.
-    """
-    _require_hirota_eps(eps)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    q = 0.25 * eps * eps
-    num = 1.0 - q * np.exp(-1j * b - 0.5j * eps * a)
-    den = 1.0 - q * np.exp(1j * b + 0.5j * eps * a)
-    return (2.0 / (1j * eps * eps)) * np.log(num / den)
-
-
-def _require_hirota_eps(eps):
-    if not 0.0 < eps < 2.0:
-        raise ValueError(
-            f"Hirota scheme needs 0 < eps < 2 (log arguments must stay in the "
-            f"right half-plane); got eps = {eps}"
-        )
 
 
 def naive_system() -> Rhs2:
@@ -255,55 +229,6 @@ def backlund_v(b, theta, alpha, eps):
     with Im log(1 - w) evaluated in the real atan2 form (see hirota_rhs).
     """
     return -(2.0 / eps) * _im_log1m(0.5 * eps / alpha, np.asarray(b) + np.asarray(theta))
-
-
-def backlund_rhs_discrete(a, b, theta, alpha, eps):
-    """Discrete Backlund right-hand sides (u, v, xi, eta).
-
-    xi = a~ - a = 2u and eta = b~ - b = 2 theta + eps v.  Requires
-    eps*alpha/2 < 1 and eps/(2 alpha) < 1 so both logs stay in the right
-    half-plane.
-    """
-    _require_backlund_eps(alpha, eps)
-    rhs6 = backlund_system(alpha)
-    return (rhs6.u(a, theta, eps), rhs6.v(b, theta, eps),
-            rhs6.xi(a, theta, eps), rhs6.eta(b, theta, eps))
-
-
-def _require_backlund_eps(alpha, eps):
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    if not (eps * alpha < 2.0 and eps < 2.0 * alpha):
-        raise ValueError(
-            f"Backlund parameters out of range: need eps*alpha/2 < 1 and "
-            f"eps/(2*alpha) < 1, got eps = {eps}, alpha = {alpha}"
-        )
-
-
-def backlund_compat_residual_continuous(samples: np.ndarray, alpha: float) -> float:
-    """Closure residual of the continuous Backlund extension of (sin b, a).
-
-    Evaluates the three compatibility identities for the coupled system
-    (a_y, b_x, theta_x, theta_y, a~ - a, b~ - b) using closed-form partial
-    derivatives of the sine-Gordon instance; returns the max absolute defect.
-    """
-    s = np.asarray(samples, dtype=float)
-    a, b, th = s[..., 0], s[..., 1], s[..., 2]
-    u, v, xi, eta = backlund_rhs_continuous(a, b, th, alpha)
-    f = np.sin(b)
-    g = a
-    cos_bt = np.cos(b + th)
-    # d/dx theta_y = d/dy theta_x
-    id1 = (-1.0) * f + (alpha * np.cos(th)) * v - (cos_bt / alpha) * g - (
-        cos_bt / alpha
-    ) * u
-    # d/dy (a~ - a) closes against f evaluated on the transformed fields
-    id2 = (-2.0) * f + (2.0 * alpha * np.cos(th)) * v - (np.sin(b + eta) - f)
-    # d/dx (b~ - b) closes against g on the transformed fields
-    id3 = 2.0 * u - ((a + xi) - a)
-    return float(
-        max(np.max(np.abs(id1)), np.max(np.abs(id2)), np.max(np.abs(id3)))
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .goursat import EdgeField2, GoursatData2, LatticeDomain2, solve_goursat_2d
-from .frames import _sweep
-from .linalg2 import conjugation_rotation
+from .frames import _pair, _sweep
 from .sinegordon import (
     BacklundParam,
     PhiField,
@@ -41,18 +40,13 @@ from .sinegordon import (
 )
 
 
-def ell(eps: float) -> float:
-    """Edge-length factor: lattice edges have length eps * ell(eps) at lambda = 1."""
-    return 1.0 / (1.0 + 0.25 * eps * eps)
-
-
 def ell_xy(eps: float, lam: float) -> tuple:
     """Per-direction edge factors of the associated family.
 
     x-edges have length eps * lam / (1 + eps^2 lam^2 / 4) and y-edges
-    eps * lam^-1 / (1 + eps^2 lam^-2 / 4); both reduce to ell(eps) at
-    lam = 1 (one frame step from the identity makes the lengths explicit).
-    Angles and planarity are lambda-independent.
+    eps * lam^-1 / (1 + eps^2 lam^-2 / 4); both factors reduce to
+    ell = 1/(1 + eps^2/4) at lam = 1 (one frame step from the identity makes
+    the lengths explicit).  Angles and planarity are lambda-independent.
     """
     lx = lam / (1.0 + 0.25 * eps * eps * lam * lam)
     ly = (1.0 / lam) / (1.0 + 0.25 * eps * eps / (lam * lam))
@@ -143,6 +137,11 @@ def associated_family(data: GoursatData2, dom: LatticeDomain2, lambdas) -> list[
 # Backlund towers
 
 
+def _params(bt_chain) -> list[BacklundParam]:
+    """The chain as BacklundParams; (alpha, theta0) pairs are converted."""
+    return [p if isinstance(p, BacklundParam) else BacklundParam(*p) for p in bt_chain]
+
+
 def solve_backlund_chain(
     data: GoursatData2,
     dom: LatticeDomain2,
@@ -157,7 +156,7 @@ def solve_backlund_chain(
     R + 1 layers once; for a constant-alpha chain this agrees bitwise with a
     single multi-layer solve.
     """
-    chain = [p if isinstance(p, BacklundParam) else BacklundParam(*p) for p in bt_chain]
+    chain = _params(bt_chain)
     steps = [(backlund_system(p.alpha, scheme), p.theta0) for p in chain]
     sol = _solve_layers(system_for(scheme), steps, data, dom)
     return sol.a, sol.b, sol.theta, sol.cross_residual
@@ -179,7 +178,7 @@ def backlund_surface(
     point-wise step of constant length 2*lam*alpha/(alpha^2 + lam^2).
     """
     _require_hirota(scheme)
-    chain = [p if isinstance(p, BacklundParam) else BacklundParam(*p) for p in bt_chain]
+    chain = _params(bt_chain)
     a_layers, b_layers, th_layers, _ = solve_backlund_chain(data, dom, chain, scheme)
     return _tower(EdgeField2(a_layers[0], b_layers[0], dom), lam, chain, th_layers)
 
@@ -187,6 +186,21 @@ def backlund_surface(
 def backlund_step_norms(mesh_lo: SurfaceMesh, mesh_hi: SurfaceMesh) -> np.ndarray:
     """Per-site Euclidean distance between consecutive tower layers."""
     return np.sqrt(np.sum((mesh_hi.points - mesh_lo.points) ** 2, axis=-1))
+
+
+def _rotation(p, q) -> np.ndarray:
+    """SO(3) matrix of X -> G^-1 X G on su(2) = R^3, G = [[p, q], [-conj(q), conj(p)]].
+
+    Column k is the image of e_k: G^-1 (i sigma_k) G has the pair planes
+    (i x3, x2 + i x1), read off like the Sym formula.  G^-1 is the adjugate
+    over the real determinant, so any nonzero scalar in G cancels.
+    """
+    det = abs(p) ** 2 + abs(q) ** 2
+    cols = []
+    for bp, bq in ((0, 1j), (0, 1), (1j, 0)):  # i sigma_1, i sigma_2, i sigma_3
+        cp, cq = _pair(*_pair(np.conj(p) / det, -q / det, bp, bq), p, q)
+        cols.append((cq.imag, cq.real, cp.imag))
+    return np.array(cols).T
 
 
 def backlund_two_route_residual(
@@ -208,7 +222,7 @@ def backlund_two_route_residual(
 
     Returns the sup over sites of |F_A - (R F_B + t)|.
     """
-    chain = [p if isinstance(p, BacklundParam) else BacklundParam(*p) for p in bt_chain]
+    chain = _params(bt_chain)
     if not chain:
         raise ValueError("two-route comparison needs a nonempty chain")
     a_layers, b_layers, th_layers, _ = solve_backlund_chain(data, dom, chain)
@@ -216,7 +230,7 @@ def backlund_two_route_residual(
                      layers=[(th, p.alpha) for th, p in zip(th_layers, chain)], sym=True)
     pts_a = route_a.points[-1]
     pts_b = surface_from_fields(EdgeField2(a_layers[-1], b_layers[-1], dom), lam)
-    rot = conjugation_rotation(route_a.origin)  # route A's frame at the origin is G
+    rot = _rotation(*route_a.origin)  # route A's frame at the origin is G
     mapped = pts_b @ rot.T + pts_a[0, 0]
     return float(np.max(np.sqrt(np.sum((pts_a - mapped) ** 2, axis=-1))))
 

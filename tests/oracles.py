@@ -1,0 +1,200 @@
+"""Reference arithmetic for the tests, sharing no code with the ksurf kernel.
+
+Stacked 2x2 complex matrices of shape (..., 2, 2), the su(2) <-> R^3
+identification, and the frame layer's matrices written out entry by entry
+from the closed forms in the ksurf.frames module docstring.  The kernel
+stores the same matrices as SU(2) pair planes (p, q); the tests compare it
+against the literal matrices here.
+
+The identification is
+
+    X = (i/2) * (x1*s1 + x2*s2 + x3*s3)
+
+with the Pauli matrices s1 = [[0,1],[1,0]], s2 = [[0,-i],[i,0]],
+s3 = [[1,0],[0,-1]].  Under it the Euclidean norm of (x1,x2,x3) equals
+sqrt(2) times the Frobenius norm of X.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ksurf.sinegordon import backlund_rhs_continuous
+
+SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+IDENTITY2 = np.eye(2, dtype=complex)
+
+# (i/2)*sigma_j, the orthogonal su(2) basis vectors mapped to e1, e2, e3
+SU2_BASIS = np.stack([0.5j * SIGMA1, 0.5j * SIGMA2, 0.5j * SIGMA3])
+
+
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose on the trailing two axes."""
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def inv2(a: np.ndarray) -> np.ndarray:
+    """Inverse of stacked 2x2 matrices via the adjugate formula."""
+    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    out = np.empty_like(a)
+    out[..., 0, 0] = a[..., 1, 1]
+    out[..., 1, 1] = a[..., 0, 0]
+    out[..., 0, 1] = -a[..., 0, 1]
+    out[..., 1, 0] = -a[..., 1, 0]
+    return out / det[..., None, None]
+
+
+def det2(a: np.ndarray) -> np.ndarray:
+    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+
+
+def frobenius(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm on the trailing two axes."""
+    return np.sqrt(np.sum(np.abs(a) ** 2, axis=(-1, -2)))
+
+
+def su2_project(a: np.ndarray) -> np.ndarray:
+    """Project onto su(2) and return real coordinates (x1, x2, x3).
+
+    The input is first projected onto its trace-free anti-Hermitian part P;
+    the coordinates satisfy P = (i/2)*(x1*s1 + x2*s2 + x3*s3).  Hermitian and
+    trace components are discarded, so e.g. adding a real multiple of the
+    identity does not change the result.  Returns an array of shape (..., 3).
+    """
+    p = 0.5 * (a - dagger(a))
+    tr_half = 0.5 * (p[..., 0, 0] + p[..., 1, 1])
+    p00 = p[..., 0, 0] - tr_half
+    # p is now trace-free anti-Hermitian: p = [[i*x3/2, (x2+i*x1)/2],
+    #                                          [(-x2+i*x1)/2, -i*x3/2]]
+    x1 = np.imag(p[..., 0, 1] + p[..., 1, 0])
+    x2 = np.real(p[..., 0, 1] - p[..., 1, 0])
+    x3 = 2.0 * np.imag(p00)
+    return np.stack([x1, x2, x3], axis=-1)
+
+
+def su2_embed(x: np.ndarray) -> np.ndarray:
+    """Inverse of su2_project on su(2): coordinates (..., 3) to matrices."""
+    x = np.asarray(x, dtype=float)
+    return np.einsum("...k,kij->...ij", x, SU2_BASIS)
+
+
+def check_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
+    """True iff every stacked matrix is special unitary within tol.
+
+    Checks ||A^H A - I||_F <= tol and |det A - 1| <= tol.
+    """
+    gram = dagger(a) @ a
+    dev = frobenius(gram - IDENTITY2)
+    det_dev = np.abs(det2(a) - 1.0)
+    return bool(np.all(dev <= tol) and np.all(det_dev <= tol))
+
+
+def conjugation_rotation(g: np.ndarray) -> np.ndarray:
+    """SO(3) matrix of v -> su2_project(g^-1 X g) for X = su2_embed(v).
+
+    g may be any invertible multiple of a unitary matrix (the scalar cancels).
+    Columns are the images of the basis vectors.
+    """
+    ginv = inv2(g)
+    cols = [su2_project(ginv @ SU2_BASIS[k] @ g) for k in range(3)]
+    return np.stack(cols, axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# the frame layer's matrices: each builder returns (M, dM/dlambda), stacked
+# over the shape of the field value
+
+
+def _mat(m00, m01, m10, m11) -> np.ndarray:
+    """[[m00, m01], [m10, m11]] with the entries broadcast together."""
+    entries = np.broadcast_arrays(*(np.asarray(m, complex) for m in (m00, m01, m10, m11)))
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
+
+
+def lax_U(a, lam):
+    """U = (i/2) [[a, -lam], [-lam, -a]]."""
+    a = np.asarray(a, dtype=float)
+    return 0.5j * _mat(a, -lam, -lam, -a), 0.5j * _mat(0 * a, -1, -1, 0 * a)
+
+
+def lax_V(b, lam):
+    """V = (i/2) lam^-1 [[0, e^{ib}], [e^{-ib}, 0]]."""
+    e = np.exp(1j * np.asarray(b, dtype=float))
+    m = _mat(0 * e, e, np.conj(e), 0 * e)
+    return (0.5j / lam) * m, (-0.5j / lam**2) * m
+
+
+def lax_Ud(a, lam, eps):
+    """Ud = (1 + eps^2 lam^2 / 4)^{-1/2}
+    [[e^{i eps a/2}, -i eps lam/2], [-i eps lam/2, e^{-i eps a/2}]]."""
+    s = 1.0 + eps * eps * lam * lam / 4.0
+    e = np.exp(0.5j * eps * np.asarray(a, dtype=float))
+    m = _mat(e, -0.5j * eps * lam, -0.5j * eps * lam, np.conj(e))
+    dm = _mat(0 * e, -0.5j * eps, -0.5j * eps, 0 * e)
+    return s**-0.5 * m, s**-0.5 * dm - (eps * eps * lam / 4.0) * s**-1.5 * m
+
+
+def lax_Vd(b, lam, eps):
+    """Vd = (1 + eps^2 lam^-2 / 4)^{-1/2}
+    [[1, (i eps/(2 lam)) e^{ib}], [(i eps/(2 lam)) e^{-ib}, 1]]."""
+    s = 1.0 + eps * eps / (4.0 * lam * lam)
+    e = np.exp(1j * np.asarray(b, dtype=float))
+    c = 0.5j * eps / lam
+    m = _mat(1 + 0 * e, c * e, c * np.conj(e), 1 + 0 * e)
+    dm = (-1.0 / lam) * _mat(0 * e, c * e, c * np.conj(e), 0 * e)
+    return s**-0.5 * m, s**-0.5 * dm + (eps * eps / (4.0 * lam**3)) * s**-1.5 * m
+
+
+def backlund_W(theta, alpha, lam):
+    """W = [[alpha e^{i theta}, -i lam], [-i lam, alpha e^{-i theta}]]."""
+    e = np.exp(1j * np.asarray(theta, dtype=float))
+    w = _mat(alpha * e, -1j * lam, -1j * lam, alpha * np.conj(e))
+    return w, _mat(0 * e, -1j, -1j, 0 * e)
+
+
+# ---------------------------------------------------------------------------
+# sine-Gordon references
+
+
+def hirota_f_complex(a, b, eps):
+    """Literal complex-ratio form of the Hirota f.
+
+    Returns the complex value of (2/(i eps^2)) log(num/den); its imaginary
+    part measures how exactly the conjugate-pair structure survives floating
+    point.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    q = 0.25 * eps * eps
+    num = 1.0 - q * np.exp(-1j * b - 0.5j * eps * a)
+    den = 1.0 - q * np.exp(1j * b + 0.5j * eps * a)
+    return (2.0 / (1j * eps * eps)) * np.log(num / den)
+
+
+def backlund_compat_residual_continuous(samples: np.ndarray, alpha: float) -> float:
+    """Closure residual of the continuous Backlund extension of (sin b, a).
+
+    Evaluates the three compatibility identities for the coupled system
+    (a_y, b_x, theta_x, theta_y, a~ - a, b~ - b) using closed-form partial
+    derivatives of the sine-Gordon instance; returns the max absolute defect.
+    """
+    s = np.asarray(samples, dtype=float)
+    a, b, th = s[..., 0], s[..., 1], s[..., 2]
+    u, v, xi, eta = backlund_rhs_continuous(a, b, th, alpha)
+    f = np.sin(b)
+    g = a
+    cos_bt = np.cos(b + th)
+    # d/dx theta_y = d/dy theta_x
+    id1 = (-1.0) * f + (alpha * np.cos(th)) * v - (cos_bt / alpha) * g - (
+        cos_bt / alpha
+    ) * u
+    # d/dy (a~ - a) closes against f evaluated on the transformed fields
+    id2 = (-2.0) * f + (2.0 * alpha * np.cos(th)) * v - (np.sin(b + eta) - f)
+    # d/dx (b~ - b) closes against g on the transformed fields
+    id3 = 2.0 * u - ((a + xi) - a)
+    return float(
+        max(np.max(np.abs(id1)), np.max(np.abs(id2)), np.max(np.abs(id3)))
+    )

@@ -1,6 +1,7 @@
 """Tests for the 2D Goursat solver, norms, and grid utilities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,10 @@ def test_sup_error_nested_grids():
     assert sup_error(p, 0.25, q2, 0.125) == pytest.approx(0.501, abs=1e-12)
     with pytest.raises(ValueError, match="nested"):
         sup_error(p, 0.25, q, 0.1)
+    # trailing axes are coordinates: the distance there is Euclidean
+    pts_q = np.zeros((9, 9, 3))
+    pts_q[2, 4] = (3.0, 0.0, 4.0)
+    assert sup_error(np.zeros((5, 5, 3)), 0.25, pts_q, 0.125) == 5.0
 
 
 def test_sup_error_partial_overlap():
@@ -309,16 +314,38 @@ def test_field_csv_error_reporting(tmp_path):
     path.write_text("# eps=0.25 r=1\ni,j,value\n0,0,1.0\n1,1,2.0\n")
     with pytest.raises(ValueError, match="missing"):
         load_field_csv(path)
+    for meta, key in (("# eps=0.25", "r="), ("# r=1", "eps=")):
+        path.write_text(meta + "\ni,j,value\n0,0,1.0\n")
+        with pytest.raises(ValueError, match=f"bad.csv: metadata line lacks {key}"):
+            load_field_csv(path)
     for rows, match in [
         ("0,0,1\n0,1,2\n-1,0,3\n", "negative index \\(-1, 0\\)"),
         ("0,0,1\n0,1,2\n0,0,3\n", "duplicate rows for index \\(0, 0\\)"),
         ("0,0,1\n0,1\n", "does not have 3 columns"),
         ("0,0,1\n0,1,2,3\n", "does not have 3 columns"),
         ("0,0,1\n99999999999999999999,0,2\n", "index too large"),
+        ("0,0,1\n0.5,1,2\n", "is not 2 integer indices and a value"),
+        ("0,0,1\n0,1,x\n", "is not 2 integer indices and a value"),
     ]:
         path.write_text("# eps=0.25 r=1\ni,j,value\n" + rows)
         with pytest.raises(ValueError, match=match):
             load_field_csv(path)
+
+
+def test_field_csv_loader_memory(tmp_path):
+    """A k = 9 field (262,656 rows, 2.1 MB as an array) loads within 24 MB
+    traced; holding every row as a list of strings took 126 MB."""
+    dom = LatticeDomain2.from_k(1.0, 9)
+    p = np.random.default_rng(9).normal(size=(dom.n, dom.n + 1))
+    save_field_csv(tmp_path / "f.csv", p, dom)
+    tracemalloc.start()
+    try:
+        q, _, _ = load_field_csv(tmp_path / "f.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(p, q)
+    assert peak < 24e6
 
 
 def test_nested_levels():

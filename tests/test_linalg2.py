@@ -1,11 +1,11 @@
-"""Tests for the 2x2 / su(2) helpers."""
+"""Tests for the reference 2x2 / su(2) helpers of the test oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksurf.linalg2 import (
+from oracles import (
     IDENTITY2,
     SIGMA1,
     SIGMA2,

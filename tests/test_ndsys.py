@@ -358,6 +358,10 @@ def test_state_csv_errors(tmp_path):
     path.write_text("# field=0 eps=0.5,0.5 r=1,1\ni1,i2,value\n0,0,1.0\n1,1,2.0\n")
     with pytest.raises(ValueError, match="box"):
         load_state_csv(path)
+    for meta, key in (("# field=0 eps=0.5,0.5", "r="), ("# field=0 r=1,1", "eps=")):
+        path.write_text(meta + "\ni1,i2,value\n0,0,1.0\n")
+        with pytest.raises(ValueError, match=f"bad.csv: metadata line lacks {key}"):
+            load_state_csv(path)
 
 
 @pytest.mark.parametrize(

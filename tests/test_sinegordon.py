@@ -14,16 +14,12 @@ from ksurf.sinegordon import (
     BacklundParam,
     SchemeKind,
     _im_log1m,
-    backlund_compat_residual_continuous,
     backlund_rhs_continuous,
-    backlund_rhs_discrete,
     backlund_system,
     backlund_u,
     backlund_v,
     check_compatibility_3d,
-    continuous_rhs,
     hirota_backlund_system,
-    hirota_f_complex,
     hirota_rhs,
     hirota_system,
     load_backlund_chain,
@@ -36,6 +32,7 @@ from ksurf.sinegordon import (
     solve_goursat_3d,
     system_for,
 )
+from oracles import backlund_compat_residual_continuous, hirota_f_complex
 
 RNG = np.random.default_rng(20240818)
 A = RNG.uniform(-3.0, 3.0, 4000)
@@ -44,11 +41,10 @@ TH = RNG.uniform(-3.0, 3.0, 4000)
 
 
 def test_continuous_and_naive_rhs():
-    f, g = continuous_rhs(A, B)
+    # the naive scheme is the continuous system (a_y, b_x) = (sin b, a)
+    f, g = naive_rhs(A, B, 0.125)
     assert np.array_equal(f, np.sin(B))
     assert np.array_equal(g, A)
-    fn, gn = naive_rhs(A, B, 0.125)
-    assert np.array_equal(fn, f) and np.array_equal(gn, g)
 
 
 def test_hirota_f_matches_complex_form():
@@ -136,8 +132,6 @@ def test_hirota_eps_validation():
     for bad in (0.0, -0.5, 2.0, 2.5):
         with pytest.raises(ValueError):
             hirota_rhs(A[:4], B[:4], bad)
-        with pytest.raises(ValueError):
-            hirota_f_complex(A[:4], B[:4], bad)
 
 
 def test_system_for():
@@ -216,15 +210,16 @@ def test_backlund_discrete_limit():
 
 def test_backlund_discrete_increments():
     alpha, eps = 0.8, 2.0**-3
-    u, v, xi, eta = backlund_rhs_discrete(A, B, TH, alpha, eps)
-    assert np.array_equal(xi, 2.0 * u)
-    assert np.array_equal(eta, 2.0 * TH + eps * v)
-    with pytest.raises(ValueError, match="out of range"):
-        backlund_rhs_discrete(A, B, TH, 8.0, 0.25)  # eps*alpha = 2
-    with pytest.raises(ValueError, match="out of range"):
-        backlund_rhs_discrete(A, B, TH, 0.1, 0.25)  # eps = 2.5*alpha
+    rhs6 = backlund_system(alpha)
+    u, v = rhs6.u(A, TH, eps), rhs6.v(B, TH, eps)
+    assert np.array_equal(rhs6.xi(A, TH, eps), 2.0 * u)
+    assert np.array_equal(rhs6.eta(B, TH, eps), 2.0 * TH + eps * v)
+    dom = LatticeDomain2(1.0, 0.25)
+    for bad_alpha in (8.0, 0.1):  # eps*alpha = 2, eps = 2.5*alpha
+        with pytest.raises(ValueError, match="not admissible"):
+            solve_goursat_3d(backlund_system(bad_alpha), demo_data(), [0.5], dom)
     with pytest.raises(ValueError):
-        backlund_rhs_discrete(A, B, TH, -1.0, 0.25)
+        backlund_system(-1.0)
 
 
 def test_backlund_system_eps0():

@@ -17,12 +17,12 @@ from ksurf.sinegordon import (
 )
 from ksurf.surfaces import (
     SurfaceMesh,
+    _rotation,
     associated_family,
     backlund_step_norms,
     backlund_surface,
     backlund_two_route_residual,
     build_surface,
-    ell,
     ell_xy,
     export_obj,
     load_obj_points,
@@ -30,6 +30,7 @@ from ksurf.surfaces import (
     surface_from_fields,
     validate_k_surface,
 )
+from oracles import conjugation_rotation
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +51,8 @@ def phi(dom):
 
 
 def test_ell_factors():
-    assert ell(0.25) == pytest.approx(1.0 / 1.015625, abs=1e-16)
     lx, ly = ell_xy(0.25, 1.0)
-    assert lx == ell(0.25) and ly == ell(0.25)
+    assert lx == ly == pytest.approx(1.0 / 1.015625, abs=1e-16)
     lx, ly = ell_xy(0.125, 2.0)
     assert lx == pytest.approx(2.0 / (1.0 + 0.125**2), abs=1e-16)
     assert ly == pytest.approx(0.5 / (1.0 + 0.125**2 / 16.0), abs=1e-16)
@@ -270,6 +270,16 @@ def test_backlund_two_route(dom):
         assert backlund_two_route_residual(demo_data(), dom, chain, lam) <= 1e-8
     with pytest.raises(ValueError, match="nonempty"):
         backlund_two_route_residual(demo_data(), dom, [])
+
+
+def test_dressing_rotation_matches_oracle():
+    # the rotation read off the pair (p, q) of G equals the stacked
+    # conjugation X -> G^-1 X G, for G any nonzero multiple of an SU(2) matrix
+    rng = np.random.default_rng(5)
+    for scale in 10.0 ** rng.uniform(-3.0, 3.0, 50):
+        p, q = scale * (rng.normal(size=2) + 1j * rng.normal(size=2))
+        g = np.array([[p, q], [-np.conj(q), np.conj(p)]])
+        assert np.abs(_rotation(p, q) - conjugation_rotation(g)).max() <= 1e-14
 
 
 def test_export_obj_quads(tmp_path, mesh, dom):
