@@ -41,11 +41,14 @@ class BlowUpError(RuntimeError):
         )
 
 
+COMPAT_TOL = 1e-9  # largest admissible mismatch of two assignments of one value
+
+
 class CompatibilityError(RuntimeError):
     """Redundant propagation paths disagreed beyond tolerance.
 
     Raised when the defining assignment of a lattice value and an alternative
-    admissible one differ by more than the solver's bound, i.e. the supplied
+    admissible one differ by more than COMPAT_TOL, i.e. the supplied
     right-hand sides are not mutually compatible.
     """
 
@@ -175,10 +178,10 @@ def delta_y(p: np.ndarray, eps: float) -> np.ndarray:
 
 
 def _require_step(rhs, eps: float) -> None:
-    if eps >= rhs.eps0:
+    if not 0.0 < eps < rhs.eps0:
         raise ValueError(
             f"step eps = {eps} is not admissible for rhs {rhs.name!r} "
-            f"(requires eps < {rhs.eps0})"
+            f"(requires 0 < eps < {rhs.eps0})"
         )
 
 
@@ -359,6 +362,31 @@ def _read_rows(fh, path, d: int) -> np.ndarray:
     return arr
 
 
+def _meta_numbers(path, meta: dict, key: str) -> tuple:
+    """The comma-separated numbers of metadata key; ValueError naming path."""
+    try:
+        return tuple(float(v) for v in meta[key].split(","))
+    except ValueError:
+        raise ValueError(f"{path}: metadata {key}={meta[key]} is not numeric") from None
+
+
+def _check_grid(path, arr: np.ndarray, eps: tuple, r: tuple) -> None:
+    """ValueError naming path unless eps and r hold one entry per axis of arr
+    and axis i has n_i or n_i + 1 entries, n_i = r_i/eps_i (a field extends
+    to n_i in the directions it is stepped in, n_i - 1 in the others)."""
+    if not len(eps) == len(r) == arr.ndim:
+        raise ValueError(f"{path}: grid dimension {arr.ndim} does not match metadata "
+                         f"({len(eps)} eps and {len(r)} r entries)")
+    for i, (m, e, ri) in enumerate(zip(arr.shape, eps, r)):
+        try:
+            n = _step_count(ri, e, f"r/eps on axis {i}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if m not in (n, n + 1):
+            raise ValueError(f"{path}: axis {i} has {m} entries, but r/eps = {n} "
+                             f"allows {n} or {n + 1}")
+
+
 def save_field_csv(path, p: np.ndarray, dom: LatticeDomain2) -> None:
     """Write one grid field as CSV: metadata line, header, then i,j,value."""
     with open(path, "wb") as fh:
@@ -367,13 +395,21 @@ def save_field_csv(path, p: np.ndarray, dom: LatticeDomain2) -> None:
 
 
 def load_field_csv(path) -> tuple[np.ndarray, float, float]:
-    """Read a field written by save_field_csv; returns (array, eps, r)."""
+    """Read a field written by save_field_csv; returns (array, eps, r).
+
+    ValueError naming path unless the rows fill a grid with n or n + 1
+    entries per axis, n = r/eps."""
     with open(path, "r", encoding="ascii") as fh:
         meta = _read_meta(fh, path, ("eps", "r"))
         header = fh.readline().strip()
         if header != "i,j,value":
             raise ValueError(f"{path}: unexpected header {header!r}")
-        return _read_rows(fh, path, 2), float(meta["eps"]), float(meta["r"])
+        arr = _read_rows(fh, path, 2)
+    eps, r = _meta_numbers(path, meta, "eps"), _meta_numbers(path, meta, "r")
+    if len(eps) != 1 or len(r) != 1:
+        raise ValueError(f"{path}: a field CSV has one eps and one r")
+    _check_grid(path, arr, eps * 2, r * 2)
+    return arr, eps[0], r[0]
 
 
 def nested_levels(k_lo: int, k_hi: int) -> list[float]:

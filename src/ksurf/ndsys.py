@@ -31,9 +31,9 @@ Every stepped value depends only on values whose index sum is one lower, so
 the solver sweeps the box by index-sum hyperplanes, calling each right-hand
 side once per hyperplane on all of its sites.  It assigns each value once,
 stepping from the smallest admissible direction index, and verifies at every
-site that the alternative assignments agree to 1e-9.  Because every value has
-a unique defining assignment, the result is bitwise the same as that of any
-site-by-site enumeration compatible with the dependency order.
+site that the alternative assignments agree to goursat.COMPAT_TOL.  Because
+every value has a unique defining assignment, the result is bitwise the same
+as that of any site-by-site enumeration compatible with the dependency order.
 """
 
 from __future__ import annotations
@@ -44,8 +44,11 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .goursat import (
+    COMPAT_TOL,
     BlowUpError,
     CompatibilityError,
+    _check_grid,
+    _meta_numbers,
     _read_meta,
     _read_rows,
     _step_count,
@@ -156,7 +159,6 @@ def solve_goursat_nd(
     spec: SystemSpecND,
     data: Sequence[Callable],
     r,
-    check_tol: float = 1e-9,
 ) -> StateND:
     """Propagate Goursat data through the box prod([0, r_i]).
 
@@ -169,7 +171,7 @@ def solve_goursat_nd(
     direction i.  The smallest such direction defines the value; the others
     are alternative assignments, compared with it at every site.
 
-    A disagreement beyond check_tol raises CompatibilityError and a
+    A disagreement beyond COMPAT_TOL raises CompatibilityError and a
     non-finite value BlowUpError; both name a site on the first failing
     level.
     """
@@ -231,8 +233,8 @@ def solve_goursat_nd(
                     raise BlowUpError(f"a_{k}", site(idx[:, j]))
                 alt = pos[~new]
                 mism = np.abs(val[~new] - out[alt])
-                if not (mism <= check_tol).all():
-                    j = int(np.argmin(mism <= check_tol))
+                if not (mism <= COMPAT_TOL).all():
+                    j = int(np.argmin(mism <= COMPAT_TOL))
                     raise CompatibilityError(
                         float(mism[j]), site(idx[:, alt[j]]),
                         detail=f"field {k}, directions {first[alt[j]]}/{i}",
@@ -255,16 +257,21 @@ def save_state_csv(state: StateND, path, field_index: int) -> None:
 
 
 def load_state_csv(path) -> tuple:
-    """Read back a field CSV; returns (array, eps tuple, r tuple)."""
+    """Read back a field CSV; returns (array, eps tuple, r tuple).
+
+    ValueError naming path unless the header is i1..id,value, eps and r
+    have d entries each, and the rows fill a box with n_i or n_i + 1
+    entries on axis i, n_i = r_i/eps_i."""
     with open(path, "r", encoding="ascii") as fh:
         meta = _read_meta(fh, path, ("eps", "r"))
-        eps = tuple(float(v) for v in meta["eps"].split(","))
-        r = tuple(float(v) for v in meta["r"].split(","))
-        header = fh.readline().strip().split(",")
-        d = len(header) - 1
-        if d != len(eps):
-            raise ValueError(f"{path}: header dimension does not match metadata")
-        return _read_rows(fh, path, d), eps, r
+        header = fh.readline().strip()
+        d = header.count(",")
+        if header != "".join(f"i{i + 1}," for i in range(d)) + "value":
+            raise ValueError(f"{path}: unexpected header {header!r}")
+        arr = _read_rows(fh, path, d)
+    eps, r = _meta_numbers(path, meta, "eps"), _meta_numbers(path, meta, "r")
+    _check_grid(path, arr, eps, r)
+    return arr, eps, r
 
 
 # ---------------------------------------------------------------------------

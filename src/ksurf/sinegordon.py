@@ -22,7 +22,10 @@ auxiliary angle theta propagates in x and y, and the transformed fields on the
 next layer are read off from theta.  The six right-hand sides form a
 compatible three-dimensional system exactly when the Hirota scheme is used;
 check_compatibility_3d measures the defect of the three closure identities,
-which is what fails for the naive scheme.
+which is what fails for the naive scheme.  The layered solver computes each
+theta once, along one defining path, and checks it at every site against the
+alternative assignment by the rule of solve_goursat_nd, with the same bound
+goursat.COMPAT_TOL.
 
 Angles are stored as unwrapped real numbers; circle semantics enter only
 through trigonometric evaluation, so difference quotients of angle fields are
@@ -32,12 +35,14 @@ meaningful.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .goursat import (
+    COMPAT_TOL,
     BlowUpError,
     CompatibilityError,
     EdgeField2,
@@ -261,10 +266,10 @@ def backlund_system(alpha: float, scheme: SchemeKind = SchemeKind.HIROTA) -> Rhs
     u, v propagate theta; xi = 2u and eta = 2 theta + eps v advance (a, b) to
     the next layer.  Only the Hirota combination is compatible; the naive one
     exists so the failure is measurable (check_compatibility_3d returns a
-    residual far above roundoff).
+    residual far above roundoff).  alpha must be finite and positive.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     base = system_for(scheme)
     return Rhs3(
         step=base.step,
@@ -291,72 +296,26 @@ def naive_backlund_system(alpha: float) -> Rhs3:
 class LayeredField3:
     """Solution of the layered system: (a, b) on layers 0..R, theta on 0..R-1.
 
-    cross_residual is the maximum observed disagreement between the two
-    admissible propagation paths for theta (compatibility in action).
+    cross[z] is the theta check of step z: at every site off the y-axis,
+    theta is defined by a u-step from the site before it in x, and cross[z]
+    is its largest mismatch with the alternative v-step from the site below
+    in y (compatibility in action).  cross_residual is the worst over all
+    steps.
     """
 
     a: list
     b: list
     theta: list
     domain: LatticeDomain2
-    cross_residual: float
+    cross: list
 
     @property
     def layers(self) -> int:
         return len(self.a) - 1
 
-
-def _propagate_theta(rhs6: Rhs3, a: np.ndarray, b: np.ndarray, theta00: float,
-                     eps: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate theta over one layer along both admissible paths.
-
-    Canonical path (returned first): up the y-axis by v, then across rows
-    by u; this matches the smallest-direction rule of the general solver.
-    Alternative: across the x-axis by u, then up columns by v.
-    """
-    th = np.empty((n + 1, n + 1), dtype=float)
-    th[0, 0] = theta00
-    for j in range(n):
-        th[0, j + 1] = th[0, j] + eps * rhs6.v(b[0, j], th[0, j], eps)
-    for i in range(n):
-        th[i + 1, :] = th[i, :] + eps * rhs6.u(a[i, :], th[i, :], eps)
-
-    alt = np.empty_like(th)
-    alt[0, 0] = theta00
-    for i in range(n):
-        alt[i + 1, 0] = alt[i, 0] + eps * rhs6.u(a[i, 0], alt[i, 0], eps)
-    for j in range(n):
-        alt[:, j + 1] = alt[:, j] + eps * rhs6.v(b[:, j], alt[:, j], eps)
-    return th, alt
-
-
-def _backlund_layer(rhs6: Rhs3, layer: EdgeField2, theta00: float, z: int):
-    """One Backlund step from the solved layer z to layer z+1.
-
-    Propagates theta over layer z on both paths and checks their cross
-    residual (abort above 1e-9), advances the Goursat data to layer z+1
-    through (xi, eta) on the data axes, and solves that layer's interior by
-    the in-layer sweep.  Returns (theta, next layer, cross residual).
-    """
-    dom = layer.domain
-    n, eps = dom.n, dom.eps
-    _require_step(rhs6, eps)
-    a, b = layer.a, layer.b
-    th, alt = _propagate_theta(rhs6, a, b, theta00, eps, n)
-    mism = np.abs(th - alt)
-    if mism.max() > 1e-9:
-        i, j = np.unravel_index(int(mism.argmax()), mism.shape)
-        raise CompatibilityError(
-            float(mism.max()), (i * eps, j * eps),
-            detail=f"theta cross-propagation, layer {z}",
-        )
-    if not np.isfinite(th).all():
-        i, j = np.unravel_index(int(np.flatnonzero(~np.isfinite(th))[0]), th.shape)
-        raise BlowUpError("theta", (i * eps, j * eps))
-    a0_next = a[:, 0] + rhs6.xi(a[:, 0], th[:n, 0], eps)
-    b0_next = b[0, :] + rhs6.eta(b[0, :], th[0, :n], eps)
-    rhs2 = Rhs2(rhs6.step, rhs6.eps0, rhs6.name)
-    return th, solve_goursat_2d(rhs2, GoursatData2(a0_next, b0_next), dom), float(mism.max())
+    @property
+    def cross_residual(self) -> float:
+        return max(self.cross, default=0.0)
 
 
 def solve_goursat_3d(
@@ -367,28 +326,57 @@ def solve_goursat_3d(
 ) -> LayeredField3:
     """Solve the Backlund-extended system on layers z = 0..R, R = len(theta0).
 
-    Layer 0 solves the plain 2D Goursat problem.  On each layer, theta
-    propagates from theta0[z] at the origin and yields the next layer by
-    _backlund_layer.  Every value has a single defining assignment; the
-    redundant equations hold to roundoff by compatibility, which is monitored
-    through the theta cross-propagation residual.
+    Layer 0 solves the plain 2D Goursat problem; on each layer, theta
+    propagates from theta0[z] at the origin and yields the next layer (see
+    _solve_layers).  Every value has a single defining assignment; the
+    redundant equations hold to roundoff by compatibility, which is checked
+    at every site of every theta layer.
     """
     rhs2 = Rhs2(rhs6.step, rhs6.eps0, rhs6.name)
     return _solve_layers(rhs2, [(rhs6, float(t)) for t in theta0], data, dom)
 
 
 def _solve_layers(rhs2: Rhs2, steps, data: GoursatData2, dom: LatticeDomain2) -> LayeredField3:
-    """Solve layer 0 from data by rhs2, then one _backlund_layer per
-    (rhs6, theta00) step; each layer is solved exactly once."""
+    """Solve layer 0 from data by rhs2, then one Backlund step per (rhs6, theta00).
+
+    Step z propagates theta over layer z from theta00 along its defining
+    path, up the y-axis by v and then row by row by u, the smallest-direction
+    rule of solve_goursat_nd.  At every site off the y-axis the alternative
+    v-step from the site below must agree to COMPAT_TOL (CompatibilityError
+    naming the worst site otherwise; a non-finite theta is a BlowUpError
+    first).  The (xi, eta) increments on the data axes are the Goursat data
+    of layer z + 1, which rhs2 solves, so each layer is solved exactly once.
+    """
+    n, eps = dom.n, dom.eps
+    for rhs6, _ in steps:
+        _require_step(rhs6, eps)
     layer = solve_goursat_2d(rhs2, data, dom)
-    a_layers, b_layers, th_layers, worst = [layer.a], [layer.b], [], 0.0
+    sol = LayeredField3([layer.a], [layer.b], [], dom, [])
     for z, (rhs6, theta00) in enumerate(steps):
-        th, layer, cross = _backlund_layer(rhs6, layer, theta00, z)
-        worst = max(worst, cross)
-        th_layers.append(th)
-        a_layers.append(layer.a)
-        b_layers.append(layer.b)
-    return LayeredField3(a_layers, b_layers, th_layers, dom, worst)
+        a, b = sol.a[-1], sol.b[-1]
+        th = np.empty((n + 1, n + 1))
+        th[0, 0] = theta00
+        for j in range(n):
+            th[0, j + 1] = th[0, j] + eps * rhs6.v(b[0, j], th[0, j], eps)
+        for i in range(n):
+            th[i + 1, :] = th[i, :] + eps * rhs6.u(a[i, :], th[i, :], eps)
+        if not np.isfinite(th).all():
+            i, j = np.unravel_index(int(np.argmin(np.isfinite(th))), th.shape)
+            raise BlowUpError("theta", (i * eps, j * eps))
+        below = th[1:, :-1]
+        mism = np.abs(below + eps * rhs6.v(b[1:, :], below, eps) - th[1:, 1:])
+        i, j = np.unravel_index(int(np.argmax(mism)), mism.shape)  # nan counts as largest
+        if not mism[i, j] <= COMPAT_TOL:
+            raise CompatibilityError(float(mism[i, j]), ((i + 1) * eps, (j + 1) * eps),
+                                     detail=f"theta, directions x/y, layer {z}")
+        layer = solve_goursat_2d(rhs2, GoursatData2(
+            a[:, 0] + rhs6.xi(a[:, 0], th[:n, 0], eps),
+            b[0, :] + rhs6.eta(b[0, :], th[0, :n], eps)), dom)
+        sol.theta.append(th)
+        sol.cross.append(float(mism[i, j]))
+        sol.a.append(layer.a)
+        sol.b.append(layer.b)
+    return sol
 
 
 def check_compatibility_3d(rhs6: Rhs3, samples: np.ndarray, eps: float) -> float:
@@ -398,7 +386,9 @@ def check_compatibility_3d(rhs6: Rhs3, samples: np.ndarray, eps: float) -> float
     compare the two orders of advancing each field around an elementary
     lattice square in the three direction pairs; they hold to roundoff
     exactly when the six right-hand sides are mutually compatible.
+    ValueError unless 0 < eps < rhs6.eps0.
     """
+    _require_step(rhs6, eps)
     s = np.asarray(samples, dtype=float)
     a, b, th = s[..., 0], s[..., 1], s[..., 2]
     f, g = rhs6.step(a, b, eps)

@@ -31,6 +31,7 @@ from .goursat import EdgeField2, GoursatData2, LatticeDomain2, solve_goursat_2d
 from .frames import _pair, _sweep
 from .sinegordon import (
     BacklundParam,
+    LayeredField3,
     PhiField,
     SchemeKind,
     _solve_layers,
@@ -64,6 +65,7 @@ class SurfaceMesh:
     scheme: str = "hirota"
     bt_chain: tuple = ()
     zcc_residual: float = 0.0
+    theta_cross_residual: float = 0.0
 
     @property
     def n(self) -> int:
@@ -78,12 +80,13 @@ def _require_hirota(scheme: SchemeKind):
         )
 
 
-def _tower(fields: EdgeField2, lam: float, chain=(), th_layers=()) -> list[SurfaceMesh]:
+def _tower(fields: EdgeField2, lam: float, chain=(), th_layers=(), cross=()) -> list[SurfaceMesh]:
     """The surface stream: the base mesh, then one mesh per dressing prefix.
 
     One kernel sweep dresses each frame line by (th_layers[z], chain[z].alpha)
     and applies Sym, holding O(n) frame planes per level; every mesh records
-    the zero-curvature residual of the base fields from the same sweep.
+    the zero-curvature residual of the base fields from the same sweep, and
+    mesh z the worst theta cross residual cross[:z] of the steps behind it.
     """
     if lam <= 0 or not np.isfinite(lam):
         raise ValueError(f"lambda must be positive and finite, got {lam}")
@@ -92,7 +95,8 @@ def _tower(fields: EdgeField2, lam: float, chain=(), th_layers=()) -> list[Surfa
     dom = fields.domain
     return [
         SurfaceMesh(pts, dom.eps, dom.r, lam, scheme="hirota", bt_chain=tuple(chain[:z]),
-                    zcc_residual=sweep.residual)
+                    zcc_residual=sweep.residual,
+                    theta_cross_residual=max(cross[:z], default=0.0))
         for z, pts in enumerate(sweep.points)
     ]
 
@@ -142,6 +146,12 @@ def _params(bt_chain) -> list[BacklundParam]:
     return [p if isinstance(p, BacklundParam) else BacklundParam(*p) for p in bt_chain]
 
 
+def _chain_layers(data, dom, chain, scheme) -> LayeredField3:
+    """The layered solve of a chain of BacklundParams, each with its own alpha."""
+    steps = [(backlund_system(p.alpha, scheme), p.theta0) for p in chain]
+    return _solve_layers(system_for(scheme), steps, data, dom)
+
+
 def solve_backlund_chain(
     data: GoursatData2,
     dom: LatticeDomain2,
@@ -156,9 +166,7 @@ def solve_backlund_chain(
     R + 1 layers once; for a constant-alpha chain this agrees bitwise with a
     single multi-layer solve.
     """
-    chain = _params(bt_chain)
-    steps = [(backlund_system(p.alpha, scheme), p.theta0) for p in chain]
-    sol = _solve_layers(system_for(scheme), steps, data, dom)
+    sol = _chain_layers(data, dom, _params(bt_chain), scheme)
     return sol.a, sol.b, sol.theta, sol.cross_residual
 
 
@@ -176,11 +184,12 @@ def backlund_surface(
     equal to build_surface).  All layers are Sym images of one base frame
     dressed by accumulated W matrices, so consecutive layers differ by a
     point-wise step of constant length 2*lam*alpha/(alpha^2 + lam^2).
+    Mesh z records the worst theta cross residual of the z steps behind it.
     """
     _require_hirota(scheme)
     chain = _params(bt_chain)
-    a_layers, b_layers, th_layers, _ = solve_backlund_chain(data, dom, chain, scheme)
-    return _tower(EdgeField2(a_layers[0], b_layers[0], dom), lam, chain, th_layers)
+    sol = _chain_layers(data, dom, chain, scheme)
+    return _tower(EdgeField2(sol.a[0], sol.b[0], dom), lam, chain, sol.theta, sol.cross)
 
 
 def backlund_step_norms(mesh_lo: SurfaceMesh, mesh_hi: SurfaceMesh) -> np.ndarray:
@@ -331,8 +340,9 @@ def export_obj(mesh: SurfaceMesh, path) -> None:
     i*(n+1) + j + 1); each elementary square becomes one quad face.  Floats
     use 17 significant digits, so points survive a write/read round trip
     bitwise.  The sidecar (same name, .meta extension) records eps, lambda,
-    r, scheme, the Backlund chain as comma-separated alpha:theta0 pairs, and
-    the zero-curvature residual of the fields the mesh was built from.
+    r, scheme, the Backlund chain as comma-separated alpha:theta0 pairs, the
+    zero-curvature residual of the fields the mesh was built from, and the
+    worst theta cross residual of the Backlund steps behind it.
     """
     path = str(path)
     n = mesh.n
@@ -354,6 +364,7 @@ def export_obj(mesh: SurfaceMesh, path) -> None:
         fh.write(f"scheme={mesh.scheme}\n")
         fh.write(f"bt_chain={chain}\n")
         fh.write(f"zcc_residual={mesh.zcc_residual:.17g}\n")
+        fh.write(f"theta_cross_residual={mesh.theta_cross_residual:.17g}\n")
 
 
 def load_obj_points(path) -> np.ndarray:

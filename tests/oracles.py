@@ -1,10 +1,14 @@
-"""Reference arithmetic for the tests, sharing no code with the ksurf kernel.
+"""Reference arithmetic for the tests, sharing no frame code with the ksurf kernel.
 
 Stacked 2x2 complex matrices of shape (..., 2, 2), the su(2) <-> R^3
 identification, and the frame layer's matrices written out entry by entry
 from the closed forms in the ksurf.frames module docstring.  The kernel
 stores the same matrices as SU(2) pair planes (p, q); the tests compare it
-against the literal matrices here.
+against the literal matrices here.  two_path_layers keeps the Backlund
+layer solve that propagates theta along both paths, as the bitwise
+reference for the kernel's single defining path; it reuses the kernel's
+in-layer sweep and right-hand sides and checks only how theta and the
+layers are put together.
 
 The identification is
 
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ksurf.goursat import GoursatData2, Rhs2, solve_goursat_2d
 from ksurf.sinegordon import backlund_rhs_continuous
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -198,3 +203,46 @@ def backlund_compat_residual_continuous(samples: np.ndarray, alpha: float) -> fl
     return float(
         max(np.max(np.abs(id1)), np.max(np.abs(id2)), np.max(np.abs(id3)))
     )
+
+
+# ---------------------------------------------------------------------------
+# Backlund layers
+
+
+def two_path_layers(rhs2, steps, data, dom):
+    """Reference for the layered Backlund solve: theta propagated on two paths.
+
+    Layer 0 is solved from data by rhs2.  Each (rhs6, theta00) step then
+    propagates theta over the current layer twice, from theta00 at the
+    origin: along the defining path (up the y-axis by v, then across rows by
+    u) and along the alternative one (across the x-axis by u, then up
+    columns by v).  The next layer's Goursat data are the (xi, eta)
+    increments on the data axes, and that layer is solved by the step's own
+    in-layer system.  Returns (a_layers, b_layers, theta_layers, the largest
+    difference between the two paths).
+    """
+    n, eps = dom.n, dom.eps
+    layer = solve_goursat_2d(rhs2, data, dom)
+    a_layers, b_layers, th_layers, worst = [layer.a], [layer.b], [], 0.0
+    for rhs6, theta00 in steps:
+        a, b = layer.a, layer.b
+        th = np.empty((n + 1, n + 1))
+        th[0, 0] = theta00
+        for j in range(n):
+            th[0, j + 1] = th[0, j] + eps * rhs6.v(b[0, j], th[0, j], eps)
+        for i in range(n):
+            th[i + 1, :] = th[i, :] + eps * rhs6.u(a[i, :], th[i, :], eps)
+        alt = np.empty_like(th)
+        alt[0, 0] = theta00
+        for i in range(n):
+            alt[i + 1, 0] = alt[i, 0] + eps * rhs6.u(a[i, 0], alt[i, 0], eps)
+        for j in range(n):
+            alt[:, j + 1] = alt[:, j] + eps * rhs6.v(b[:, j], alt[:, j], eps)
+        worst = max(worst, float(np.abs(th - alt).max()))
+        data_next = GoursatData2(a[:, 0] + rhs6.xi(a[:, 0], th[:n, 0], eps),
+                                 b[0, :] + rhs6.eta(b[0, :], th[0, :n], eps))
+        layer = solve_goursat_2d(Rhs2(rhs6.step, rhs6.eps0, rhs6.name), data_next, dom)
+        th_layers.append(th)
+        a_layers.append(layer.a)
+        b_layers.append(layer.b)
+    return a_layers, b_layers, th_layers, worst

@@ -209,12 +209,21 @@ def test_backlund_command(tmp_path, capsys):
         assert (tmp_path / f"tower_layer{z}.obj").exists()
     meta = (tmp_path / "tower_layer2.meta").read_text()
     assert "bt_chain=1:0.5,2:-0.25" in meta
+    assert "theta_cross_residual=" in meta
+    assert "theta_cross_residual=0\n" in (tmp_path / "tower_layer0.meta").read_text()
 
 
 def test_backlund_chain_file(tmp_path):
     (tmp_path / "chain.txt").write_text("1.0 0.5\n")
     assert main(["backlund", "--k", "4", "--bt-file", "chain.txt"]) == 0
     assert (tmp_path / "backlund_layer1.obj").exists()
+
+
+def test_backlund_nan_theta0_is_a_blowup(capsys):
+    assert main(["backlund", "--k", "3", "--alpha", "1", "--theta0", "nan"]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "field 'theta'" in err
+    assert "incompatible" not in err
 
 
 def test_backlund_chain_errors(tmp_path, capsys):
@@ -350,3 +359,18 @@ def test_check_deterministic(capsys):
 def test_check_validation(capsys):
     assert main(["check", "--samples", "0"]) == 1
     assert "--samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, code, match", [
+    (["--alpha", "nan"], 1, "error: alpha must be finite"),
+    (["--alpha", "inf"], 1, "error: alpha must be finite"),
+    (["--alpha", "64", "--eps", "0.125"], 1, "error: step eps = 0.125 is not admissible"),
+    (["--eps", "nan"], 1, "error: step eps = nan is not admissible"),
+    (["--eps", "0"], 1, "error: step eps = 0.0 is not admissible"),
+    # 4/eps^2 overflows: the nan residual fails instead of vanishing from the max
+    (["--alpha", "1", "--eps", "1e-160"], 2, "FAIL: residual nan"),
+])
+def test_check_rejects_bad_parameters(capsys, flags, code, match):
+    # a nan or inadmissible (alpha, eps) is an input error, never a residual
+    assert main(["check", "--samples", "50", *flags]) == code
+    assert match in capsys.readouterr().err

@@ -326,10 +326,23 @@ def test_field_csv_error_reporting(tmp_path):
         ("0,0,1\n99999999999999999999,0,2\n", "index too large"),
         ("0,0,1\n0.5,1,2\n", "is not 2 integer indices and a value"),
         ("0,0,1\n0,1,x\n", "is not 2 integer indices and a value"),
+        ("0,0,1\n0,1,2\n0,2,3\n", "bad.csv: axis 0 has 1 entries, but r/eps = 4 allows 4 or 5"),
     ]:
         path.write_text("# eps=0.25 r=1\ni,j,value\n" + rows)
         with pytest.raises(ValueError, match=match):
             load_field_csv(path)
+    box = "0,0,1\n0,1,2\n1,0,3\n1,1,4\n"  # 2 x 2 entries, so n = 1 or 2
+    for meta, match in [
+        ("# eps=abc r=1", "bad.csv: metadata eps=abc is not numeric"),
+        ("# eps=0.5 r=nan", "bad.csv: r/eps on axis 0 must be finite"),
+        ("# eps=0.5 r=0.75", "bad.csv: r/eps on axis 0 = 1.5 is not a positive integer"),
+        ("# eps=0.5,0.5 r=1", "bad.csv: a field CSV has one eps and one r"),
+    ]:
+        path.write_text(meta + "\ni,j,value\n" + box)
+        with pytest.raises(ValueError, match=match):
+            load_field_csv(path)
+    path.write_text("# eps=0.5 r=0.5\ni,j,value\n" + box)
+    assert load_field_csv(path)[0].shape == (2, 2)
 
 
 def test_field_csv_loader_memory(tmp_path):

@@ -303,6 +303,14 @@ def test_solve_domain_validation():
             solve_goursat_nd(spec, data, r)
 
 
+def test_solve_has_no_tolerance_argument():
+    # the alternative assignments are held to goursat.COMPAT_TOL, not to a
+    # per-call bound
+    spec = sine_gordon_2d_spec(SchemeKind.HIROTA, 0.25)
+    with pytest.raises(TypeError, match="check_tol"):
+        solve_goursat_nd(spec, [A0, lambda x, y: B0(x, y)], 1.0, check_tol=1e-3)
+
+
 def test_single_field_full_evolution():
     # one field evolving in all three directions with zero right-hand sides
     # stays constant on the whole box
@@ -362,6 +370,24 @@ def test_state_csv_errors(tmp_path):
         path.write_text(meta + "\ni1,i2,value\n0,0,1.0\n")
         with pytest.raises(ValueError, match=f"bad.csv: metadata line lacks {key}"):
             load_state_csv(path)
+    # the rows must match the metadata: one eps and r per axis, i1..id
+    # columns, and n_i or n_i + 1 entries per axis (n_i = r_i/eps_i)
+    box = "0,0,1.0\n0,1,2.0\n1,0,3.0\n1,1,4.0\n"  # 2 x 2 entries
+    for text, match in [
+        ("# field=0 eps=0.5,0.5 r=1\ni1,i2,value\n", "bad.csv: grid dimension 2 does not match"),
+        ("# field=0 eps=0.5 r=1,1\ni1,i2,value\n", "bad.csv: grid dimension 2 does not match"),
+        ("# field=0 eps=0.5,0.5 r=1,1\nfoo,bar,baz\n", "bad.csv: unexpected header 'foo,bar,baz'"),
+        ("# field=0 eps=0.5,0.5 r=1,1\ni2,i1,value\n", "unexpected header"),
+        ("# field=0 eps=abc,0.5 r=1,1\ni1,i2,value\n", "bad.csv: metadata eps=abc,0.5 is not numeric"),
+        ("# field=0 eps=0.5,0.5 r=1,x\ni1,i2,value\n", "bad.csv: metadata r=1,x is not numeric"),
+        ("# field=0 eps=0.25,0.5 r=1,1\ni1,i2,value\n", "bad.csv: axis 0 has 2 entries"),
+        ("# field=0 eps=0.5,0.3 r=1,1\ni1,i2,value\n", "bad.csv: r/eps on axis 1 .* not a positive"),
+    ]:
+        path.write_text(text + box)
+        with pytest.raises(ValueError, match=match):
+            load_state_csv(path)
+    path.write_text("# field=0 eps=0.5,0.5 r=1,0.5\ni1,i2,value\n" + box)
+    assert load_state_csv(path)[0].shape == (2, 2)  # n = (2, 1)
 
 
 @pytest.mark.parametrize(

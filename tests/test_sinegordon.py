@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from ksurf.goursat import (
+    COMPAT_TOL,
     CompatibilityError,
     GoursatData2,
     LatticeDomain2,
+    Rhs2,
     solve_goursat_2d,
 )
 from ksurf.harness import demo_data
@@ -32,7 +34,7 @@ from ksurf.sinegordon import (
     solve_goursat_3d,
     system_for,
 )
-from oracles import backlund_compat_residual_continuous, hirota_f_complex
+from oracles import backlund_compat_residual_continuous, hirota_f_complex, two_path_layers
 
 RNG = np.random.default_rng(20240818)
 A = RNG.uniform(-3.0, 3.0, 4000)
@@ -231,6 +233,9 @@ def test_backlund_system_eps0():
         hirota_backlund_system(0.0)
     with pytest.raises(ValueError):
         naive_backlund_system(-2.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            backlund_system(bad)
 
 
 def test_backlund_system_takes_the_scheme_step():
@@ -262,6 +267,14 @@ def test_compatibility_naive_backlund_fails():
     assert worst > 1e-3  # measured ~8e-2
 
 
+def test_compatibility_rejects_inadmissible_step():
+    # the identities are only defined for 0 < eps < eps0 (eps*alpha < 2)
+    samples = np.zeros((5, 3))
+    for alpha, eps in ((64.0, 0.125), (1.0, 0.0), (1.0, -0.125), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="not admissible"):
+            check_compatibility_3d(hirota_backlund_system(alpha), samples, eps)
+
+
 def test_compatibility_zero_state():
     # all identities vanish identically at the zero state
     samples = np.zeros((5, 3))
@@ -286,7 +299,8 @@ def test_solve_3d_two_layers():
     sol3 = solve_goursat_3d(rhs6, data, [0.5, -0.3], dom)
     assert sol3.layers == 2
     assert len(sol3.theta) == 2 and len(sol3.a) == 3
-    assert sol3.cross_residual <= 1e-12  # measured 1.3e-15
+    assert sol3.cross_residual <= 1e-12  # measured 1.6e-15
+    assert sol3.cross_residual == max(sol3.cross) and len(sol3.cross) == 2
     assert sol3.theta[0][0, 0] == 0.5 and sol3.theta[1][0, 0] == -0.3
     # the interior of each next layer is the pointwise Backlund transform of
     # the previous one, although it was solved from transformed data only
@@ -309,12 +323,27 @@ def test_solve_3d_layers_argument():
         solve_goursat_3d(hirota_backlund_system(1.0), data, [0.5], dom, layers=2)
 
 
+@pytest.mark.parametrize("k", [4, 6])
+def test_solve_3d_matches_two_path_oracle(k):
+    # one defining path per theta layer gives bitwise the fields and theta of
+    # the propagation along both paths; only the cross residual changes form
+    data, dom = demo_data(), LatticeDomain2.from_k(1.0, k)
+    rhs6 = hirota_backlund_system(1.0)
+    sol = solve_goursat_3d(rhs6, data, [0.5, -0.3], dom)
+    ref = two_path_layers(Rhs2(rhs6.step, rhs6.eps0, rhs6.name),
+                          [(rhs6, 0.5), (rhs6, -0.3)], data, dom)
+    for got, want in zip((sol.a, sol.b, sol.theta), ref[:3]):
+        assert len(got) == len(want)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+    assert sol.cross_residual <= 1e-12 and ref[3] <= 1e-12  # both measured <= 1.6e-15
+
+
 def test_solve_3d_naive_aborts():
     data = demo_data()
     dom = LatticeDomain2.from_k(1.0, 6)
     with pytest.raises(CompatibilityError) as exc:
         solve_goursat_3d(naive_backlund_system(1.0), data, [0.5], dom)
-    assert exc.value.mismatch > 1e-9  # measured ~8e-3
+    assert exc.value.mismatch > COMPAT_TOL  # measured 2.75e-4, the worst site
     assert "layer 0" in str(exc.value)
 
 

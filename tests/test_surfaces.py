@@ -9,6 +9,7 @@ from ksurf.harness import demo_data, zero_data
 from ksurf.sinegordon import (
     BacklundParam,
     SchemeKind,
+    backlund_system,
     hirota_backlund_system,
     hirota_system,
     naive_system,
@@ -30,7 +31,9 @@ from ksurf.surfaces import (
     surface_from_fields,
     validate_k_surface,
 )
-from oracles import conjugation_rotation
+from oracles import conjugation_rotation, two_path_layers
+
+MIXED_CHAIN = [(1.0, 0.5), (0.5, -0.25), (2.0, 0.1)]
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +261,31 @@ def test_backlund_chain_constant_alpha_matches_3d_solve(dom):
     assert cross == sol.cross_residual
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_backlund_chain_matches_two_path_oracle(k):
+    # theta from its one defining path, checked per site, is bitwise the theta
+    # of the two-path propagation, and so are the fields of every layer
+    dom = LatticeDomain2.from_k(1.0, k)
+    got = solve_backlund_chain(demo_data(), dom, MIXED_CHAIN)
+    ref = two_path_layers(hirota_system(), [(backlund_system(a), t) for a, t in MIXED_CHAIN],
+                          demo_data(), dom)
+    for layers, want in zip(got[:3], ref[:3]):
+        assert len(layers) == len(want)
+        assert all(np.array_equal(x, y) for x, y in zip(layers, want))
+    assert got[3] <= 1e-12 and ref[3] <= 1e-12  # measured <= 5e-15 at k <= 8
+
+
+def test_backlund_chain_single_cell():
+    # n = 1: theta has one site off the y-axis, and the tower still closes
+    dom = LatticeDomain2(0.5, 0.5)  # eps*alpha and eps/alpha stay below 2
+    a_layers, b_layers, th_layers, cross = solve_backlund_chain(demo_data(), dom, MIXED_CHAIN)
+    assert [x.shape for x in a_layers] == [(1, 2)] * 4
+    assert [t.shape for t in th_layers] == [(2, 2)] * 3
+    assert cross <= 1e-12
+    tower = backlund_surface(demo_data(), dom, MIXED_CHAIN)
+    assert len(tower) == 4 and all(m.n == 1 for m in tower)
+
+
 def test_backlund_chain_checks_every_alpha(dom):
     # eps = 1/32 needs eps*alpha < 2: the third step's alpha = 64 is refused
     with pytest.raises(ValueError, match="admissible"):
@@ -326,3 +354,16 @@ def test_export_obj_meta_chain(tmp_path, dom):
     zcc = float(fields["zcc_residual"])
     assert zcc == tower[-1].zcc_residual  # 17 digits round-trip
     assert 0.0 < zcc <= 1e-12  # the base fields' residual, measured ~5e-16
+    cross = float(fields["theta_cross_residual"])
+    assert cross == tower[-1].theta_cross_residual
+    assert 0.0 < cross <= 1e-12  # worst theta check of both steps, measured ~1e-15
+
+
+def test_tower_records_theta_cross_residual(dom):
+    # mesh z holds the worst theta check of the z steps that built it
+    tower = backlund_surface(demo_data(), dom, MIXED_CHAIN)
+    cross = solve_backlund_chain(demo_data(), dom, MIXED_CHAIN)[3]
+    assert tower[0].theta_cross_residual == 0.0
+    got = [m.theta_cross_residual for m in tower]
+    assert got == sorted(got) and got[-1] == cross
+    assert build_surface(demo_data(), dom).theta_cross_residual == 0.0
