@@ -21,7 +21,9 @@ W(theta), applies the Sym formula F = lam (2 Im Q, 2 Re Q, 2 Im P) with
 (P, Q) = Psi^-1 dPsi (adjugate over the real determinant |p|^2 + |q|^2), and
 measures the zero-curvature residual |Ud(x, y+eps) Vd(x, y) - Vd(x+eps, y)
 Ud(x, y)| of every cell.  It holds to roundoff on Hirota solutions; other
-fields are refused.
+fields are refused.  The kernel takes the lattice lines in blocks: the frame
+product from one line to the next is its only sequential work, and the
+transition matrices, residuals, dressing and Sym run once per block.
 """
 
 from __future__ import annotations
@@ -71,15 +73,15 @@ def _normalisers(lam: float, eps: float) -> tuple:
     return tuple(float(x) for x in norms)
 
 
-def _u_planes(a, lam: float, eps: float) -> tuple:
-    nu, dnu, _, _ = _normalisers(lam, eps)
+def _u_planes(a, lam: float, eps: float, norms: tuple) -> tuple:
+    nu, dnu, _, _ = norms
     e = np.exp(0.5j * eps * np.asarray(a, dtype=float))
     off = -0.5j * eps * lam
     return nu * e, nu * off, dnu * e, (-0.5j * eps) * nu**3
 
 
-def _v_planes(b, lam: float, eps: float) -> tuple:
-    _, _, nv, dnv = _normalisers(lam, eps)
+def _v_planes(b, lam: float, eps: float, norms: tuple) -> tuple:
+    _, _, nv, dnv = norms
     e = np.exp(1j * np.asarray(b, dtype=float))
     c = 0.5j * eps / lam
     dc = -0.5j * eps / (lam * lam)
@@ -92,17 +94,27 @@ def _w_planes(theta, alpha: float, lam: float) -> tuple:
     return alpha * np.exp(1j * np.asarray(theta, dtype=float)), -1j * lam, 0.0, -1j
 
 
-def _pair(p1, q1, p2, q2) -> tuple:
-    """(p, q) of the product of two pair matrices."""
-    return p1 * p2 - q1 * q2.conjugate(), p1 * q2 + q1 * p2.conjugate()
+def _pair(p1, q1, p2, q2, out=None) -> tuple:
+    """(p, q) of the product of two pair matrices, written into the rows of
+    out when given."""
+    if out is None:
+        return p1 * p2 - q1 * q2.conjugate(), p1 * q2 + q1 * p2.conjugate()
+    np.subtract(p1 * p2, q1 * q2.conjugate(), out=out[0])
+    np.add(p1 * q2, q1 * p2.conjugate(), out=out[1])
+    return out
 
 
-def _mul(m, f) -> tuple:
-    """m f with the product rule for the lambda-derivative."""
-    p, q = _pair(m[0], m[1], f[0], f[1])
+def _mul(m, f, out=None) -> tuple:
+    """m f with the product rule for the lambda-derivative: the planes
+    (p, q, dp, dq), written into the rows of out when given."""
     dp1, dq1 = _pair(m[2], m[3], f[0], f[1])
     dp2, dq2 = _pair(m[0], m[1], f[2], f[3])
-    return p, q, dp1 + dp2, dq1 + dq2
+    if out is None:
+        return (*_pair(m[0], m[1], f[0], f[1]), dp1 + dp2, dq1 + dq2)
+    _pair(m[0], m[1], f[0], f[1], out)
+    np.add(dp1, dp2, out=out[2])
+    np.add(dq1, dq2, out=out[3])
+    return out
 
 
 def _abs2(z):
@@ -116,9 +128,10 @@ def _sym(f, lam: float, out: np.ndarray) -> np.ndarray:
     big_p = pc * dp + q * dq.conjugate()
     big_q = pc * dq - q * dp.conjugate()
     scale = 2.0 * lam / (_abs2(p) + _abs2(q))
-    out[..., 0] = scale * big_q.imag
-    out[..., 1] = scale * big_q.real
-    out[..., 2] = scale * big_p.imag
+    shape = out.shape[:-1]  # the planes may be flat
+    out[..., 0] = (scale * big_q.imag).reshape(shape)
+    out[..., 1] = (scale * big_q.real).reshape(shape)
+    out[..., 2] = (scale * big_p.imag).reshape(shape)
     if not np.isfinite(out).all():
         raise ValueError(f"Sym points are not finite at lambda = {lam!r}")
     return out
@@ -140,6 +153,12 @@ def _planes(psi: np.ndarray, dpsi: np.ndarray) -> tuple:
 # ---------------------------------------------------------------------------
 # the frame kernel
 
+# Sites per block of lines (at least one line): the work that does not
+# depend on the previous line runs once per block.  Larger blocks save
+# interpreter calls but hold more temporaries; at this size the k = 8 tower
+# of three dressings peaks 0.82 MB above its points (0.15 MB line by line).
+_BLOCK_SITES = 1 << 11
+
 
 @dataclass
 class _Sweep:
@@ -151,68 +170,112 @@ class _Sweep:
     origin: tuple
 
 
+def _frame_buffer(lines: int, n: int) -> np.ndarray:
+    """An empty (4, lines, n+1) buffer: [:, j] holds the planes p, q, dp, dq of
+    line j.  The planes start 1 KiB apart modulo 4 KiB: on planes a multiple
+    of 4 KiB apart, Sym ran at half speed (cache aliasing)."""
+    e = lines * (n + 1)
+    return np.empty((4, e + (64 - e) % 256), dtype=complex)[:, :e].reshape(4, lines, n + 1)
+
+
+def _take(planes, index) -> list:
+    """planes[index] of the array planes; constant (scalar) planes as they are."""
+    return [x[index] if isinstance(x, np.ndarray) else x for x in planes]
+
+
+def _cell_residuals(f_hi, f_lo, m) -> np.ndarray:
+    """|F(k+1) L(i) - L(i+1) F(k)| (Frobenius) of the cells (i, k) between the
+    lines of a block and the next ones, with L the step planes m and F the
+    axis planes f_lo of the lines and f_hi of the next ones."""
+    hp, hq = _pair(f_hi[0], f_hi[1], *_take(m[:2], np.s_[:, :-1]))
+    lp, lq = _pair(*_take(m[:2], np.s_[:, 1:]), f_lo[0], f_lo[1])
+    return np.sqrt(2.0 * (_abs2(hp - lp) + _abs2(hq - lq)))
+
+
 def _sweep(fields: EdgeField2, lam: float, order: str = "xy", layers=(),
            frame: bool = False, sym: bool = False, tol: float = ZCC_TOL) -> _Sweep:
     """Propagate, dress and Sym-project the frame of fields in one sweep.
 
     order 'xy' walks the bottom row by Ud steps, then fills columns by Vd
     steps; 'yx' walks the left column by Vd steps, then fills rows by Ud
-    steps.  Each line is dressed in turn by the (theta_field, alpha) layers.
+    steps.  The lines are taken in blocks of _BLOCK_SITES sites (at least one
+    line).  The only sequential work is the frame product from one line to
+    the next, written into the block's buffer; the step planes, the
+    zero-curvature residual of every cell, the dressing by the
+    (theta_field, alpha) layers, Sym and the stored frames are computed once
+    per block.
     frame=True stores the undressed frame as (n+1, n+1, 2, 2) arrays;
     sym=True fills points[z], the Sym image after z dressings.  origin is the
     pair (p, q) of the dressed frame at the origin, the product of the W
     matrices there.
-    Raises ZeroCurvatureError when the worst cell residual exceeds tol.
+    Raises ZeroCurvatureError when the worst cell residual exceeds tol.  A NaN
+    residual is worst and ends the sweep after its line, so errors come in
+    the order of a line-by-line sweep.
     """
     n, eps = fields.domain.n, fields.domain.eps
-    # axis[i, k]: edge from site i to i+1 on line k; lines[i, k]: edge from
-    # line k to k+1 at site i.  'yx' is 'xy' on the transposed lattice.
+    # axis[k, i]: edge from site i to i+1 on line k; lines[k, i]: edge from
+    # line k to k+1 at site i; rows(x)[k] is line k of a site array x.  'yx'
+    # is 'xy' on the transposed lattice.
     if order == "xy":
-        axis, lines, first, step = fields.a, fields.b, _u_planes, _v_planes
-        view = lambda x: x  # noqa: E731
+        axis, lines, first, step = fields.a.T, fields.b.T, _u_planes, _v_planes
+        rows = lambda x: np.swapaxes(x, 0, 1)  # noqa: E731
     elif order == "yx":
-        axis, lines, first, step = fields.b.T, fields.a.T, _v_planes, _u_planes
-        view = lambda x: np.swapaxes(x, 0, 1)  # noqa: E731
+        axis, lines, first, step = fields.b, fields.a, _v_planes, _u_planes
+        rows = lambda x: x  # noqa: E731
     else:
         raise ValueError(f"order must be 'xy' or 'yx', got {order!r}")
+    norms = _normalisers(lam, eps)
     psi, dpsi = np.empty((2, n + 1, n + 1, 2, 2), dtype=complex) if frame else (None, None)
     points = [np.empty((n + 1, n + 1, 3)) for _ in range(len(layers) + 1)] if sym else []
+    out_rows = [rows(x) for x in points]
+    dressing = [(rows(th), alpha) for th, alpha in layers]
 
-    f_lo = first(axis[:, 0], lam, eps)
-    cur = np.zeros((4, n + 1), dtype=complex)  # rows p, q, dp, dq along line 0
-    cur[0, 0] = 1.0
-    for i, m in enumerate(zip(*np.broadcast_arrays(*f_lo))):
+    size = min(max(1, _BLOCK_SITES // (n + 1)), n + 1)  # lines per block
+    buf = _frame_buffer(size, n)
+    f0 = first(axis[:1], lam, eps, norms)
+    cur = buf[:, 0]
+    cur[:, 0] = (1.0, 0.0, 0.0, 0.0)
+    for i, m in enumerate(zip(*(x[0] for x in np.broadcast_arrays(*f0)))):
         cur[:, i + 1] = _mul(m, cur[:, i])
+    lo = f0[:2]  # (p, q) axis planes of the block's first line
 
     worst, worst_at = 0.0, (0, 0)
-    for k in range(n + 1):
+    for k0 in range(0, n + 1, size):
+        k1 = min(k0 + size, n + 1)  # lines k0..k1-1, cell rows k0..kk-1
+        kk, last, stop = min(k1, n), k1 - 1, False
+        if kk > k0:
+            m = step(lines[k0:kk], lam, eps, norms)
+            hi = first(axis[k0 + 1:kk + 1], lam, eps, norms)[:2]
+            # (p, q) axis planes of lines k0..kk-1: the carried line k0, then hi's
+            f_lo = [np.concatenate((l, h[:-1])) if isinstance(h, np.ndarray) and len(h) > 1
+                    else l for l, h in zip(lo, hi)]
+            lo = _take(hi, np.s_[-1:])
+            res = _cell_residuals(hi, f_lo, m)
+            j, i = divmod(int(res.argmax()), n)  # the first NaN, else the first maximum
+            if not (res[j, i] <= worst):
+                worst, worst_at = float(res[j, i]), (i, k0 + j)
+                if worst != worst:  # a NaN residual is worst and ends the sweep after its line
+                    stop, last = True, k0 + j
+        for j in range(last - k0):
+            _mul(_take(m, j), buf[:, j], out=buf[:, j + 1])
+        block, f = slice(k0, last + 1), buf[:, : last + 1 - k0]
         if frame:
-            _stack(cur[0], cur[1], view(psi)[:, k])
-            _stack(cur[2], cur[3], view(dpsi)[:, k])
-        g = cur
+            _stack(f[0], f[1], rows(psi)[block])
+            _stack(f[2], f[3], rows(dpsi)[block])
+        g = f.reshape(4, -1)  # flat planes take numpy's fast loops
         if sym:
-            _sym(g, lam, view(points[0])[:, k])
-        for z, (th, alpha) in enumerate(layers):
-            g = _mul(_w_planes(view(th)[:, k], alpha, lam), g)
+            _sym(g, lam, out_rows[0][block])
+        for z, (th, alpha) in enumerate(dressing):
+            g = _mul(_w_planes(th[block].reshape(-1), alpha, lam), g)
             if sym:
-                _sym(g, lam, view(points[z + 1])[:, k])
-        if k == 0:
+                _sym(g, lam, out_rows[z + 1][block])
+        if k0 == 0:
             origin = (g[0][0], g[1][0])
-        if k == n:
+        if stop or k1 > n:
             break
-        m = np.broadcast_arrays(*step(lines[:, k], lam, eps))
-        f_hi = first(axis[:, k + 1], lam, eps)
-        # cell residual F(k+1) L(i) - L(i+1) F(k), with F the axis matrices
-        hp, hq = _pair(f_hi[0], f_hi[1], m[0][:n], m[1][:n])
-        lp, lq = _pair(m[0][1:], m[1][1:], f_lo[0], f_lo[1])
-        res = np.sqrt(2.0 * (_abs2(hp - lp) + _abs2(hq - lq)))
-        i = int(res.argmax())
-        if not (res[i] <= worst):  # a NaN residual is worst and ends the sweep
-            worst, worst_at = float(res[i]), (i, k)
-            if worst != worst:
-                break
-        cur = _mul(m, cur)
-        f_lo = f_hi
+        nxt = _frame_buffer(size, n)
+        _mul(_take(m, -1), buf[:, -1], out=nxt[:, 0])
+        buf = nxt
     cell = tuple(c * eps for c in (worst_at if order == "xy" else worst_at[::-1]))
     if not (worst <= tol):
         raise ZeroCurvatureError(worst, cell, lam)

@@ -192,9 +192,13 @@ def solve_goursat_2d(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2) -> Edge
     buffers: a[i, d-i] is a.flat[d + i*n] and b[i, d-i] is b.flat[d + i*(n-1)],
     so their successors a[i, d-i+1] and b[i+1, d-i] sit 1 and n entries later.
 
-    Aborts with BlowUpError naming the first offending site if a non-finite
-    value appears (the systems here are nonlinear and can blow up for large
-    data on large domains).
+    Aborts with BlowUpError if a non-finite value appears (the systems here
+    are nonlinear and can blow up for large data on large domains).  The
+    sweep itself does no test: one finiteness test of the two sums follows
+    it, and only when that fails is the first offending site searched for,
+    in sweep order.  Every value is written once, so that site is the one at
+    which the sweep went non-finite, even when later steps map non-finite
+    inputs back to finite values.
     """
     _require_step(rhs, dom.eps)
     n = dom.n
@@ -209,22 +213,37 @@ def solve_goursat_2d(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2) -> Edge
 
     af, bf = a.reshape(-1), b.reshape(-1)
     sb = max(n - 1, 1)  # b's stride; at n = 1 every diagonal has one site
-    for d in range(2 * n - 1):
-        lo, hi = max(0, d - n + 1), min(d, n - 1)
-        ra = slice(d + lo * n, d + hi * n + 1, n)
-        rb = slice(d + lo * (n - 1), d + hi * (n - 1) + 1, sb)
-        av, bv = af[ra], bf[rb]
-        f, g = rhs.step(av, bv, eps)
-        a_new = av + eps * f
-        b_new = bv + eps * g
-        for name, new, shift in (("a", a_new, (0, 1)), ("b", b_new, (1, 0))):
-            if not np.isfinite(new).all():
-                i = lo + int(np.flatnonzero(~np.isfinite(new))[0])
-                raise BlowUpError(name, ((i + shift[0]) * eps, (d - i + shift[1]) * eps))
-        af[ra.start + 1 : ra.stop + 1 : n] = a_new
-        bf[rb.start + n : rb.stop + n : sb] = b_new
-
+    with np.errstate(all="ignore"):  # a blow-up is reported below, not warned of
+        for d in range(2 * n - 1):
+            lo, hi = max(0, d - n + 1), min(d, n - 1)
+            ra = slice(d + lo * n, d + hi * n + 1, n)
+            rb = slice(d + lo * (n - 1), d + hi * (n - 1) + 1, sb)
+            av, bv = af[ra], bf[rb]
+            f, g = rhs.step(av, bv, eps)
+            af[ra.start + 1 : ra.stop + 1 : n] = av + eps * f
+            bf[rb.start + n : rb.stop + n : sb] = bv + eps * g
+        total = a.sum() + b.sum()  # finite unless some value is not (or the sum overflows)
+    if not np.isfinite(total):
+        _raise_first_blowup(a, b, eps)
     return EdgeField2(a, b, dom)
+
+
+def _raise_first_blowup(a: np.ndarray, b: np.ndarray, eps: float) -> None:
+    """Raise BlowUpError at the first non-finite value the sweep wrote, if any.
+
+    Step d writes a[i, d-i+1] and b[i+1, d-i]: the sweep order is by d, then a
+    before b, then by i."""
+    found = []
+    for key, (name, grid, (di, dj)) in enumerate((("a", a[:, 1:], (0, 1)),
+                                                  ("b", b[1:, :], (1, 0)))):
+        i, j = np.nonzero(~np.isfinite(grid))
+        if i.size:
+            at = int(np.argmin((i + j) * len(grid) + i))  # lowest d, then lowest i
+            i0, j0 = int(i[at]), int(j[at])
+            found.append(((i0 + j0, key, i0), name, ((i0 + di) * eps, (j0 + dj) * eps)))
+    if found:
+        _, name, site = min(found)
+        raise BlowUpError(name, site)
 
 
 def discrete_ck_norm(p: np.ndarray, order: int, dom: LatticeDomain2) -> float:

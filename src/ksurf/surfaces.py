@@ -83,10 +83,12 @@ def _require_hirota(scheme: SchemeKind):
 def _tower(fields: EdgeField2, lam: float, chain=(), th_layers=(), cross=()) -> list[SurfaceMesh]:
     """The surface stream: the base mesh, then one mesh per dressing prefix.
 
-    One kernel sweep dresses each frame line by (th_layers[z], chain[z].alpha)
-    and applies Sym, holding O(n) frame planes per level; every mesh records
-    the zero-curvature residual of the base fields from the same sweep, and
-    mesh z the worst theta cross residual cross[:z] of the steps behind it.
+    One kernel sweep takes the frame lines in blocks, dresses each block by
+    (th_layers[z], chain[z].alpha) and applies Sym, holding O(n) frame planes
+    per level (one block: a fixed number of sites, at least one line); every
+    mesh records the zero-curvature residual of the base fields from the same
+    sweep, and mesh z the worst theta cross residual cross[:z] of the steps
+    behind it.
     """
     if lam <= 0 or not np.isfinite(lam):
         raise ValueError(f"lambda must be positive and finite, got {lam}")

@@ -68,6 +68,12 @@ def test_solve_non_finite_size_exits_one(capsys, flags):
     assert err.startswith("error:") and "finite" in err
 
 
+def test_solve_underflowing_step_exits_one(capsys, tmp_path):
+    out = str(tmp_path / "s")
+    assert main(["solve", "--r", "1e-170", "--eps", "1e-170", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: Hirota scheme step eps = 1e-170")
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "solve" in capsys.readouterr().out
@@ -369,6 +375,8 @@ def test_check_validation(capsys):
     (["--eps", "0"], 1, "error: step eps = 0.0 is not admissible"),
     # 4/eps^2 overflows: the nan residual fails instead of vanishing from the max
     (["--alpha", "1", "--eps", "1e-160"], 2, "FAIL: residual nan"),
+    # eps^2 underflows to 0: a named input error, not a ZeroDivisionError
+    (["--eps", "1e-170"], 1, "error: Hirota scheme step eps = 1e-170 is too small"),
 ])
 def test_check_rejects_bad_parameters(capsys, flags, code, match):
     # a nan or inadmissible (alpha, eps) is an input error, never a residual

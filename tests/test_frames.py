@@ -1,8 +1,11 @@
 """Tests for transition matrices, frames, the Sym formula, and dressing."""
 
+import math
+
 import numpy as np
 import pytest
 
+from ksurf import frames
 from ksurf.frames import (
     ZeroCurvatureError,
     propagate_frame,
@@ -305,3 +308,79 @@ def test_wide_lambda_gives_finite_surfaces(lam):
     assert np.isfinite(surface_from_fields(fields, lam)).all()
     tower = backlund_surface(demo_data(), dom, [(1.0, 0.5)], lam)
     assert all(np.isfinite(m.points).all() for m in tower)
+
+
+# ---------------------------------------------------------------------------
+# blocks of lines: the sweep's output does not depend on the block size
+
+
+def _block_case(n):
+    """Hirota fields on n x n cells with two Backlund layers of theta."""
+    dom = LatticeDomain2(n / 16, 1 / 16)
+    chain = [BacklundParam(1.0, 0.5), BacklundParam(0.5, -0.25)]
+    a, b, th, _ = solve_backlund_chain(demo_data(), dom, chain)
+    return EdgeField2(a[0], b[0], dom), [(t, p.alpha) for t, p in zip(th, chain)]
+
+
+def _sweep_output(fields, order, layers, monkeypatch, lines):
+    if lines is not None:
+        monkeypatch.setattr(frames, "_BLOCK_SITES", lines * (fields.domain.n + 1))
+    s = frames._sweep(fields, 0.7, order, layers, frame=True, sym=True)
+    return s.residual, s.cell, s.psi, s.dpsi, s.points, s.origin
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 17])
+@pytest.mark.parametrize("order", ["xy", "yx"])
+def test_block_size_keeps_bits(monkeypatch, n, order):
+    # one line, three lines and the default budget per block give the same
+    # points, frames, residual, cell and origin, bitwise
+    fields, layers = _block_case(n)
+    ref = _sweep_output(fields, order, layers, monkeypatch, 1)
+    for lines in (3, None):
+        monkeypatch.undo()
+        res, cell, psi, dpsi, points, origin = _sweep_output(fields, order, layers,
+                                                             monkeypatch, lines)
+        assert (res, cell) == ref[:2]
+        assert psi.tobytes() == ref[2].tobytes() and dpsi.tobytes() == ref[3].tobytes()
+        assert len(points) == 3
+        assert all(p.tobytes() == q.tobytes() for p, q in zip(points, ref[4]))
+        assert np.array([origin]).tobytes() == np.array([ref[5]]).tobytes()
+
+
+@pytest.mark.parametrize("order", ["xy", "yx"])
+def test_nan_in_later_block_names_its_cell(monkeypatch, order):
+    # the first cell using a[3, 9] is the one at (3, 8) in both orders ('xy'
+    # meets it on line 9, 'yx' on line 3), past the first block of three lines
+    fields, layers = _block_case(16)
+    fields.a[3, 9] = np.nan
+    cells = []
+    for lines in (1, 3):
+        monkeypatch.setattr(frames, "_BLOCK_SITES", lines * 17)
+        with pytest.raises(ZeroCurvatureError) as exc:
+            frames._sweep(fields, 1.0, order, layers, sym=True)
+        assert np.isnan(exc.value.residual)
+        cells.append(exc.value.cell)
+    assert cells[0] == cells[1] == (3 / 16, 8 / 16)
+
+
+def test_nan_on_axis_fails_sym(monkeypatch):
+    # the walk along the axis carries the NaN into line 0, whose Sym points
+    # are checked before the residual of its cells
+    fields, _ = _block_case(16)
+    fields.a[5, 0] = np.nan
+    for lines in (1, 3, None):
+        monkeypatch.undo()
+        if lines:
+            monkeypatch.setattr(frames, "_BLOCK_SITES", lines * 17)
+        with pytest.raises(ValueError, match="Sym points are not finite"):
+            surface_from_fields(fields, 1.0)
+
+
+def test_sym_runs_once_per_block_and_layer(monkeypatch):
+    fields, layers = _block_case(64)
+    calls = []
+    sym = frames._sym
+    monkeypatch.setattr(frames, "_sym", lambda *args: calls.append(1) or sym(*args))
+    frames._sweep(fields, 1.0, layers=layers, sym=True)
+    lines = frames._BLOCK_SITES // 65
+    assert len(calls) <= math.ceil(65 / lines) * (len(layers) + 1)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,55 @@ def test_blowup_detection_field_b():
         solve_goursat_2d(Rhs2(step, np.inf, "bad-b"), data, dom)
     assert exc.value.field_name == "b"
     assert exc.value.site == (0.75, 0.25)
+
+
+def test_blowup_in_both_fields_names_a():
+    # on anti-diagonal 2, g is NaN at i = 0 (b0[2] = 0.7) and f at i = 2
+    # (a0[2] = 0.3): the sweep writes a before b, so a[2, 1] is reported
+    def step(a, b, eps):
+        return np.where(a == 0.3, np.nan, 0.0), np.where(b == 0.7, np.nan, 0.0)
+
+    dom = LatticeDomain2(1.0, 0.25)
+    data = GoursatData2(a0=np.array([0.0, 0.0, 0.3, 0.0]),
+                        b0=np.array([0.0, 0.0, 0.7, 0.0]))
+    with pytest.raises(BlowUpError) as exc:
+        solve_goursat_2d(Rhs2(step, np.inf, "bad-ab"), data, dom)
+    assert exc.value.field_name == "a"
+    assert exc.value.site == (0.5, 0.25)
+
+
+def test_blowup_site_survives_healing_steps():
+    # b[1, 1] overflows on anti-diagonal 0; the step maps every later
+    # non-finite input back to finite values, and a at a lower i turns NaN
+    # only on anti-diagonal 3: the first site is still reported, and the
+    # overflow raises no RuntimeWarning
+    def step(a, b, eps):
+        a, b = np.nan_to_num(a), np.nan_to_num(b)
+        f = np.where(a == 0.3, np.nan, 0.0)
+        return f, np.exp(1000.0 * b)
+
+    dom = LatticeDomain2(1.0, 0.25)
+    data = GoursatData2(a0=np.array([0.0, 0.0, 0.0, 0.3]),
+                        b0=np.array([1.0, 0.0, 0.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError) as exc:
+            solve_goursat_2d(Rhs2(step, np.inf, "heal"), data, dom)
+    assert exc.value.field_name == "b"
+    assert exc.value.site == (0.25, 0.0)
+
+
+def test_solve_memory_beyond_fields():
+    # the sweep allocates no lattice-sized temporary: traced peak beyond the
+    # two fields at k = 10 measured 0.068 MB (0.084 MB with per-diagonal checks)
+    dom = LatticeDomain2.from_k(1.0, 10)
+    tracemalloc.start()
+    try:
+        sol = solve_goursat_2d(hirota_system(), demo_data(), dom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sol.a.nbytes - sol.b.nbytes <= 0.25e6
 
 
 def test_non_finite_data_rejected():
