@@ -21,8 +21,6 @@ EPS = (0.5, 0.5, 0.25, 0.25)
 R = (1.0, 1.0, 1.0, 0.5)
 
 spec = SystemSpecND(
-    num_fields=1,
-    dim=4,
     evol=(frozenset(range(4)),),
     rhs={(0, i): (lambda s, c=c: c * s[0]) for i, c in enumerate(RATES)},
     deps={(0, i): frozenset({0}) for i in range(4)},

@@ -8,6 +8,11 @@ Subcommands:
     converge   run a convergence sweep, write an epsilon/error CSV report
     check      evaluate the 3D compatibility residual on random samples
 
+Only solve, converge and check take --scheme; surface and backlund are
+Hirota-only.  converge refuses --lambda unless the quantity is surface or
+surface_bt, and --alpha, --theta0, --bt-file unless it is surface_bt; the
+quotient order is the m of the quantity quotients_order_<m>.
+
 Exit codes: 0 success, 1 invalid arguments or inputs, 2 numerical failure
 (blow-up, incompatibility, residual above threshold); failures print the
 offending site or residual to stderr.  Every subcommand is deterministic:
@@ -34,6 +39,7 @@ from .goursat import (
     CompatibilityError,
     GoursatData2,
     LatticeDomain2,
+    _read_pairs,
     save_field_csv,
     solve_goursat_2d,
 )
@@ -44,12 +50,12 @@ from .sinegordon import (
     SchemeKind,
     backlund_system,
     check_compatibility_3d,
+    hirota_system,
     load_backlund_chain,
     reconstruct_phi,
     system_for,
 )
 from .surfaces import (
-    _require_hirota,
     backlund_step_norms,
     backlund_surface,
     export_obj,
@@ -76,13 +82,18 @@ def _add_common(p: argparse.ArgumentParser):
                    help="lattice level: eps = 2^-k, n = r*2^k (default 6)")
     g.add_argument("--eps", type=float, default=None, help="lattice step (r/eps must be integer)")
     p.add_argument(
-        "--scheme", choices=["naive", "hirota"], default="hirota",
-        help="discretization scheme (default hirota)",
-    )
-    p.add_argument(
         "--data", default="demo",
         help="'demo', 'zero', or 'APATH,BPATH' tabulated files (default demo)",
     )
+
+
+def _add_chain(p: argparse.ArgumentParser):
+    p.add_argument("--alpha", type=float, action="append", default=None,
+                   help="Backlund parameter, repeat per step")
+    p.add_argument("--theta0", type=float, action="append", default=None,
+                   help="origin angle, repeat per step")
+    p.add_argument("--bt-file", default=None,
+                   help="file with one 'alpha theta0' pair per line")
 
 
 def _build_parser() -> _Parser:
@@ -91,6 +102,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="solve the Goursat problem and write fields")
     _add_common(p)
+    p.add_argument("--scheme", choices=["naive", "hirota"], default="hirota",
+                   help="discretization scheme (default hirota)")
     p.add_argument("--out", default="solve", help="output prefix (default 'solve')")
     p.add_argument("--phi", action="store_true", help="also reconstruct and write phi")
 
@@ -104,12 +117,7 @@ def _build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0,
                    help="spectral parameter (default 1.0)")
-    p.add_argument("--alpha", type=float, action="append", default=None,
-                   help="Backlund parameter, repeat per step")
-    p.add_argument("--theta0", type=float, action="append", default=None,
-                   help="origin angle, repeat per step")
-    p.add_argument("--bt-file", default=None,
-                   help="file with one 'alpha theta0' pair per line")
+    _add_chain(p)
     p.add_argument("--out", default="backlund", help="output prefix (default 'backlund')")
 
     p = sub.add_parser("converge", help="run a convergence sweep")
@@ -120,11 +128,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--kmax", type=int, default=10)
     p.add_argument("--kref", type=int, default=12)
     p.add_argument("--scheme", choices=["naive", "hirota"], default="hirota")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--quotient-order", type=int, default=2)
-    p.add_argument("--alpha", type=float, action="append", default=None)
-    p.add_argument("--theta0", type=float, action="append", default=None)
-    p.add_argument("--bt-file", default=None)
+    p.add_argument("--lambda", dest="lam", type=float, default=None,
+                   help="spectral parameter, surface and surface_bt only (default 1.0)")
+    _add_chain(p)  # surface_bt only
     p.add_argument("--data", default="demo")
     p.add_argument("--out", default=None,
                    help="report path (default converge_<quantity>.csv)")
@@ -142,30 +148,18 @@ def _build_parser() -> _Parser:
 
 
 def _domain(args) -> LatticeDomain2:
-    if args.k is not None and args.eps is not None:
-        raise ValueError("pass --k or --eps, not both")
     if args.eps is not None:
         return LatticeDomain2(args.r, args.eps)
     return LatticeDomain2.from_k(args.r, args.k if args.k is not None else 6)
 
 
 def _load_tabulated(path: str, dom: LatticeDomain2) -> np.ndarray:
-    xs = []
-    vals = []
-    with open(path, "r", encoding="ascii") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{ln}: expected 'x value', got {line!r}")
-            xs.append(float(parts[0]))
-            vals.append(float(parts[1]))
-    if len(xs) != dom.n:
+    pairs = _read_pairs(path, "x value", lambda x, v: (x, v))
+    if len(pairs) != dom.n:
         raise ValueError(
-            f"{path}: {len(xs)} rows, but the grid needs {dom.n} data sites"
+            f"{path}: {len(pairs)} rows, but the grid needs {dom.n} data sites"
         )
+    xs = [x for x, _ in pairs]
     for i in range(1, len(xs)):
         if xs[i] <= xs[i - 1]:
             raise ValueError(f"{path}: x values must be strictly increasing")
@@ -176,7 +170,7 @@ def _load_tabulated(path: str, dom: LatticeDomain2) -> np.ndarray:
                 f"{path}: x = {x!r} does not match lattice site {want!r} "
                 f"(no interpolation is performed)"
             )
-    return np.asarray(vals, dtype=float)
+    return np.asarray([v for _, v in pairs], dtype=float)
 
 
 def _resolve_data(spec: str, dom: LatticeDomain2) -> GoursatData2:
@@ -188,10 +182,6 @@ def _resolve_data(spec: str, dom: LatticeDomain2) -> GoursatData2:
         apath, bpath = spec.split(",", 1)
         return GoursatData2(_load_tabulated(apath, dom), _load_tabulated(bpath, dom))
     raise ValueError(f"--data must be 'demo', 'zero', or 'APATH,BPATH', got {spec!r}")
-
-
-def _scheme(name: str) -> SchemeKind:
-    return SchemeKind.HIROTA if name == "hirota" else SchemeKind.NAIVE
 
 
 def _chain(args, default=None) -> list:
@@ -211,7 +201,7 @@ def _chain(args, default=None) -> list:
 def _cmd_solve(args) -> int:
     dom = _domain(args)
     data = _resolve_data(args.data, dom)
-    scheme = _scheme(args.scheme)
+    scheme = SchemeKind(args.scheme)
     fields = solve_goursat_2d(system_for(scheme), data, dom)
     save_field_csv(f"{args.out}_a.csv", fields.a, dom)
     save_field_csv(f"{args.out}_b.csv", fields.b, dom)
@@ -227,11 +217,9 @@ def _cmd_solve(args) -> int:
 def _cmd_surface(args) -> int:
     dom = _domain(args)
     data = _resolve_data(args.data, dom)
-    scheme = _scheme(args.scheme)
-    _require_hirota(scheme)
-    fields = solve_goursat_2d(system_for(scheme), data, dom)
+    fields = solve_goursat_2d(hirota_system(), data, dom)
     mesh = mesh_from_fields(fields, args.lam)
-    phi = reconstruct_phi(fields, _phi00(data, dom), scheme)
+    phi = reconstruct_phi(fields, _phi00(data, dom), SchemeKind.HIROTA)
     report = validate_k_surface(mesh, phi)
     export_obj(mesh, f"{args.out}.obj")
     print(f"surface on n = {dom.n} (eps = {dom.eps:.6g}), lambda = {args.lam:.6g}")
@@ -247,9 +235,8 @@ def _cmd_surface(args) -> int:
 def _cmd_backlund(args) -> int:
     dom = _domain(args)
     data = _resolve_data(args.data, dom)
-    scheme = _scheme(args.scheme)
     chain = _chain(args)
-    meshes = backlund_surface(data, dom, chain, args.lam, scheme)
+    meshes = backlund_surface(data, dom, chain, args.lam)
     for z, mesh in enumerate(meshes):
         export_obj(mesh, f"{args.out}_layer{z}.obj")
     print(f"tower of {len(meshes)} surfaces on n = {dom.n} (eps = {dom.eps:.6g})")
@@ -266,8 +253,14 @@ def _cmd_backlund(args) -> int:
 
 
 def _cmd_converge(args) -> int:
+    given = {"--lambda": args.lam, "--alpha": args.alpha, "--theta0": args.theta0,
+             "--bt-file": args.bt_file}
+    reads = {"surface": ("--lambda",), "surface_bt": tuple(given)}.get(args.quantity, ())
+    for flag, value in given.items():
+        if value is not None and flag not in reads:
+            raise ValueError(f"--quantity {args.quantity} does not read {flag}")
     chain = ()
-    if args.quantity.startswith("surface_bt"):
+    if args.quantity == "surface_bt":
         chain = tuple(_chain(args, default=[BacklundParam(1.0, 0.5)]))
     cfg = SweepConfig(
         r=args.r,
@@ -275,10 +268,9 @@ def _cmd_converge(args) -> int:
         k_max=args.kmax,
         k_ref=args.kref,
         quantity=args.quantity,
-        scheme=_scheme(args.scheme),
-        lam=args.lam,
+        scheme=SchemeKind(args.scheme),
+        lam=1.0 if args.lam is None else args.lam,
         bt_chain=chain,
-        quotient_order=args.quotient_order,
     )
     if "," in args.data:
         raise ValueError(
@@ -309,7 +301,7 @@ def _cmd_check(args) -> int:
     samples = rng.uniform(-3.0, 3.0, size=(args.samples, 3))
     residuals = []
     for alpha in alphas:
-        rhs6 = backlund_system(alpha, _scheme(args.scheme))
+        rhs6 = backlund_system(alpha, SchemeKind(args.scheme))
         for eps in eps_list:
             residuals.append(check_compatibility_3d(rhs6, samples, eps))
             print(f"alpha = {alpha:<6g} eps = {eps:<12g} residual = {residuals[-1]:.3e}")

@@ -313,6 +313,26 @@ def _write_rows(fh, arr: np.ndarray) -> None:
         fh.write(template % tuple(args))
 
 
+def _read_pairs(path, what: str, make) -> list:
+    """make(x, y) for each line "x y" of two numbers in a text file; blank
+    lines and lines starting with # are skipped.  ValueError naming path:line
+    for a line that is not two numbers or that make refuses."""
+    out = []
+    with open(path, "r", encoding="ascii") as fh:
+        for ln, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{ln}: expected '{what}', got {line!r}")
+            try:
+                out.append(make(float(parts[0]), float(parts[1])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from None
+    return out
+
+
 _ROW_BLOCK = 1 << 15  # lines parsed per np.loadtxt call
 
 

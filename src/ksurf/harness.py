@@ -9,9 +9,12 @@ common sites only, which exist because the lattices are nested.
 
 Measurable quantities: the fields themselves, the reconstructed angle, the
 immersed surface, the surface after a Backlund chain, and difference
-quotients of the fields up to a chosen order (quotients are formed on each
-grid with its own eps and compared at common sites, so the comparison is
-between discrete derivatives, not interpolants).
+quotients of the fields up to the order m named by the quantity
+'quotients_order_<m>' (quotients are formed on each grid with its own eps
+and compared at common sites, so the comparison is between discrete
+derivatives, not interpolants).  Every quantity is one or more named arrays
+per lattice, and one loop measures each reference array against the same
+array of every level.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from .goursat import (
-    EdgeField2,
     GoursatData2,
     LatticeDomain2,
     delta_x,
@@ -32,7 +34,7 @@ from .goursat import (
     sup_error,
 )
 from .sinegordon import SchemeKind, reconstruct_phi, system_for
-from .surfaces import backlund_surface, build_surface
+from .surfaces import backlund_surface
 
 _QUANTITIES = ("fields_ab", "phi", "surface", "surface_bt", "quotients")
 
@@ -56,7 +58,13 @@ class SweepConfig:
     """What to sweep: lattice levels, quantity, scheme, spectral parameter.
 
     quantity is one of 'fields_ab', 'phi', 'surface', 'surface_bt',
-    'quotients' ('quotients_order_<m>' is accepted and sets quotient_order).
+    'quotients' or 'quotients_order_<m>'; the latter is stored as
+    'quotients' with quotient_order = m (2 for plain 'quotients').  The
+    order is set by the quantity name only, so dataclasses.replace keeps it
+    only when given quantity='quotients_order_<m>' again.  lam is read by
+    the two surface quantities and bt_chain only by 'surface_bt' (a chain
+    for any other quantity is refused); run_sweep refuses the surface
+    quantities for any scheme but Hirota.
     """
 
     r: float = 1.0
@@ -67,17 +75,21 @@ class SweepConfig:
     scheme: SchemeKind = SchemeKind.HIROTA
     lam: float = 1.0
     bt_chain: tuple = ()
-    quotient_order: int = 2
+    quotient_order: int = field(default=2, init=False)
 
     def __post_init__(self):
         q = self.quantity
         if q.startswith("quotients_order_"):
-            m = int(q[len("quotients_order_"):])
+            m = q[len("quotients_order_"):]
+            if not (m.isdecimal() and int(m) >= 1):
+                raise ValueError(f"quantity {q!r}: quotient_order must be an integer >= 1")
             object.__setattr__(self, "quantity", "quotients")
-            object.__setattr__(self, "quotient_order", m)
+            object.__setattr__(self, "quotient_order", int(m))
             q = "quotients"
         if q not in _QUANTITIES:
             raise ValueError(f"unknown quantity {q!r}; pick one of {_QUANTITIES}")
+        if self.bt_chain and q != "surface_bt":
+            raise ValueError(f"bt_chain is read only by quantity 'surface_bt', not {q!r}")
         if not (1 <= self.k_min <= self.k_max):
             raise ValueError(f"need 1 <= k_min <= k_max, got {self.k_min}..{self.k_max}")
         if self.k_ref < self.k_max + 2:
@@ -85,8 +97,6 @@ class SweepConfig:
                 f"k_ref = {self.k_ref} too close to k_max = {self.k_max}; "
                 f"the reference must be at least two levels finer"
             )
-        if q == "quotients" and self.quotient_order < 1:
-            raise ValueError("quotient_order must be >= 1")
         if self.r <= 0:
             raise ValueError("r must be positive")
         if self.lam <= 0:
@@ -136,55 +146,43 @@ def _phi00(data: GoursatData2, dom: LatticeDomain2) -> float:
     return float(data.sample(dom)[1][0])
 
 
-def run_sweep(cfg: SweepConfig, data: GoursatData2) -> ConvergenceReport:
-    """Measure the configured quantity against the k_ref reference lattice."""
-    levels = list(range(cfg.k_min, cfg.k_max + 1))
-    doms = [LatticeDomain2.from_k(cfg.r, k) for k in levels]
-    dom_ref = LatticeDomain2.from_k(cfg.r, cfg.k_ref)
+def _measured(cfg: SweepConfig, data: GoursatData2, dom: LatticeDomain2):
+    """The swept quantity on one lattice as (name, array) pairs, each formed
+    only when asked for (the solved fields stay alive between quotients), in
+    an order that does not depend on the lattice."""
+    if cfg.quantity.startswith("surface"):
+        if cfg.scheme is not SchemeKind.HIROTA:
+            raise ValueError("surface sweeps require the Hirota scheme")
+        # 'surface' is the tower of an empty chain
+        yield cfg.quantity, backlund_surface(data, dom, cfg.bt_chain, cfg.lam)[-1].points
+        return
     rhs = system_for(cfg.scheme)
+    if cfg.quantity == "phi":
+        yield "phi", reconstruct_phi(solve_goursat_2d(rhs, data, dom), _phi00(data, dom),
+                                     cfg.scheme).phi
+        return
+    sol = solve_goursat_2d(rhs, data, dom)
+    if cfg.quantity == "fields_ab":
+        yield "a", sol.a
+        yield "b", sol.b
+        return
+    for kx in range(cfg.quotient_order + 1):
+        for ky in range(1 if kx == 0 else 0, cfg.quotient_order + 1 - kx):
+            for name in ("a", "b"):
+                yield f"{name}_dx{kx}dy{ky}", _quotient(getattr(sol, name), kx, ky, dom.eps)
+
+
+def run_sweep(cfg: SweepConfig, data: GoursatData2) -> ConvergenceReport:
+    """Measure the configured quantity against the k_ref reference lattice,
+    one reference array at a time against the same array of every level."""
+    doms = [LatticeDomain2.from_k(cfg.r, k) for k in range(cfg.k_min, cfg.k_max + 1)]
+    dom_ref = LatticeDomain2.from_k(cfg.r, cfg.k_ref)
+    levels = [_measured(cfg, data, dom) for dom in doms]
     families: dict = {}
-
-    def record(name: str, value: float):
-        families.setdefault(name, []).append(value)
-
-    if cfg.quantity == "quotients":
-        # one reference quotient at a time, measured against every level
-        ref = solve_goursat_2d(rhs, data, dom_ref)
-        sols = [solve_goursat_2d(rhs, data, dom) for dom in doms]
-        for kx in range(cfg.quotient_order + 1):
-            for ky in range(1 if kx == 0 else 0, cfg.quotient_order + 1 - kx):
-                for name in ("a", "b"):
-                    q_ref = _quotient(getattr(ref, name), kx, ky, dom_ref.eps)
-                    for dom, sol in zip(doms, sols):
-                        q = _quotient(getattr(sol, name), kx, ky, dom.eps)
-                        record(f"{name}_dx{kx}dy{ky}", sup_error(q, dom.eps, q_ref, dom_ref.eps))
-                    del q_ref, q  # hold no quotient while the next is formed
-    elif cfg.quantity in ("fields_ab", "phi"):
-        ref = solve_goursat_2d(rhs, data, dom_ref)
-        if cfg.quantity == "phi":
-            ref_phi = reconstruct_phi(ref, _phi00(data, dom_ref), cfg.scheme).phi
-        for dom in doms:
-            sol = solve_goursat_2d(rhs, data, dom)
-            if cfg.quantity == "fields_ab":
-                record("a", sup_error(sol.a, dom.eps, ref.a, dom_ref.eps))
-                record("b", sup_error(sol.b, dom.eps, ref.b, dom_ref.eps))
-            else:
-                phi = reconstruct_phi(sol, _phi00(data, dom), cfg.scheme).phi
-                record("phi", sup_error(phi, dom.eps, ref_phi, dom_ref.eps))
-    elif cfg.quantity == "surface":
-        if cfg.scheme is not SchemeKind.HIROTA:
-            raise ValueError("surface sweeps require the Hirota scheme")
-        ref_pts = build_surface(data, dom_ref, cfg.lam).points
-        for dom in doms:
-            pts = build_surface(data, dom, cfg.lam).points
-            record("surface", sup_error(pts, dom.eps, ref_pts, dom_ref.eps))
-    else:
-        if cfg.scheme is not SchemeKind.HIROTA:
-            raise ValueError("surface sweeps require the Hirota scheme")
-        ref_pts = backlund_surface(data, dom_ref, cfg.bt_chain, cfg.lam)[-1].points
-        for dom in doms:
-            pts = backlund_surface(data, dom, cfg.bt_chain, cfg.lam)[-1].points
-            record("surface_bt", sup_error(pts, dom.eps, ref_pts, dom_ref.eps))
+    for name, ref in _measured(cfg, data, dom_ref):
+        families[name] = [sup_error(next(arrays)[1], dom.eps, ref, dom_ref.eps)
+                          for dom, arrays in zip(doms, levels)]
+        del ref  # hold no reference array while the next is formed
 
     per_row = list(zip(*families.values()))
     rows = [(doms[idx].eps, float(max(vals))) for idx, vals in enumerate(per_row)]
@@ -220,7 +218,7 @@ def load_report(path) -> ConvergenceReport:
         header = fh.readline().strip()
         if header != "epsilon,error":
             raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in fh:
+        for ln, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
@@ -233,6 +231,9 @@ def load_report(path) -> ConvergenceReport:
                 elif body.startswith("intercept="):
                     intercept = float(body[len("intercept="):])
                 continue
-            e, v = line.split(",")
-            rows.append((float(e), float(v)))
+            try:
+                e, v = (float(c) for c in line.split(","))
+            except ValueError:
+                raise ValueError(f"{path}:{ln}: expected 'epsilon,error', got {line!r}") from None
+            rows.append((e, v))
     return ConvergenceReport("", rows, slope, intercept, degenerate)

@@ -38,7 +38,7 @@ as that of any site-by-site enumeration compatible with the dependency order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -54,7 +54,7 @@ from .goursat import (
     _step_count,
     _write_rows,
 )
-from .sinegordon import SchemeKind, backlund_system, system_for
+from .sinegordon import SchemeKind, backlund_eta, backlund_system, backlund_xi, system_for
 
 
 @dataclass(frozen=True)
@@ -65,24 +65,26 @@ class SystemSpecND:
     (k, i) with i in evol[k] to a function of the state vector (a sequence of
     N values, scalars or aligned arrays); deps[(k, i)] declares which field
     indices that function reads (used by the dependency check and honored on
-    trust everywhere else).
+    trust everywhere else).  eps[i] is the step in direction i, so the
+    number of fields N is len(evol) and the dimension d is len(eps).
     """
 
-    num_fields: int
-    dim: int
     evol: tuple
     rhs: Mapping
     deps: Mapping
     eps: tuple
-    name: str = ""
+
+    @property
+    def num_fields(self) -> int:
+        return len(self.evol)
+
+    @property
+    def dim(self) -> int:
+        return len(self.eps)
 
     def __post_init__(self):
         if self.num_fields < 1 or self.dim < 1:
             raise ValueError("need at least one field and one direction")
-        if len(self.evol) != self.num_fields:
-            raise ValueError("evol must have one entry per field")
-        if len(self.eps) != self.dim:
-            raise ValueError("eps must have one entry per direction")
         if any(e <= 0 for e in self.eps):
             raise ValueError("all lattice steps must be positive")
         want = {(k, i) for k in range(self.num_fields) for i in self.evol[k]}
@@ -93,9 +95,6 @@ class SystemSpecND:
             raise ValueError("rhs keys must be exactly {(k, i): i in evol[k]}")
         if set(self.deps.keys()) != want:
             raise ValueError("deps keys must be exactly {(k, i): i in evol[k]}")
-
-    def data_dirs(self, k: int) -> tuple:
-        return tuple(i for i in range(self.dim) if i not in self.evol[k])
 
 
 def check_dependency(spec: SystemSpecND) -> bool:
@@ -282,8 +281,6 @@ def sine_gordon_2d_spec(scheme, eps: float) -> SystemSpecND:
     """The two-field planar system as a SystemSpecND (directions x=0, y=1)."""
     step = system_for(scheme).step
     return SystemSpecND(
-        num_fields=2,
-        dim=2,
         evol=(frozenset({1}), frozenset({0})),
         rhs={
             (0, 1): lambda s: step(s[0], s[1], eps)[0],
@@ -291,7 +288,6 @@ def sine_gordon_2d_spec(scheme, eps: float) -> SystemSpecND:
         },
         deps={(0, 1): frozenset({0, 1}), (1, 0): frozenset({0, 1})},
         eps=(eps, eps),
-        name=f"sine-gordon-2d-{scheme.value}",
     )
 
 
@@ -300,20 +296,18 @@ def sine_gordon_3d_spec(alpha: float, eps: float, scheme=SchemeKind.HIROTA) -> S
 
     Fields: a_0 = a with E = {y, z}, a_1 = b with E = {x, z}, a_2 = theta
     with E = {x, y}, stepped by the sides of backlund_system(alpha, scheme).
-    The z-direction right-hand sides are the layer increments xi and eta;
-    theta never steps in z (a fresh theta0 seeds each layer), so its extent
-    in z counts layers.
+    The z-direction right-hand sides are the layer increments backlund_xi
+    and backlund_eta of the theta increments; theta never steps in z (a
+    fresh theta0 seeds each layer), so its extent in z counts layers.
     """
     rhs6 = backlund_system(alpha, scheme)
     return SystemSpecND(
-        num_fields=3,
-        dim=3,
         evol=(frozenset({1, 2}), frozenset({0, 2}), frozenset({0, 1})),
         rhs={
             (0, 1): lambda s: rhs6.step(s[0], s[1], eps)[0],
-            (0, 2): lambda s: rhs6.xi(s[0], s[2], eps),
+            (0, 2): lambda s: backlund_xi(rhs6.u(s[0], s[2], eps)),
             (1, 0): lambda s: rhs6.step(s[0], s[1], eps)[1],
-            (1, 2): lambda s: rhs6.eta(s[1], s[2], eps),
+            (1, 2): lambda s: backlund_eta(rhs6.v(s[1], s[2], eps), s[2], eps),
             (2, 0): lambda s: rhs6.u(s[0], s[2], eps),
             (2, 1): lambda s: rhs6.v(s[1], s[2], eps),
         },
@@ -326,5 +320,4 @@ def sine_gordon_3d_spec(alpha: float, eps: float, scheme=SchemeKind.HIROTA) -> S
             (2, 1): frozenset({1, 2}),
         },
         eps=(eps, eps, 1.0),
-        name="sine-gordon-backlund-3d",
     )

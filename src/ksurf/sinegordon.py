@@ -49,6 +49,7 @@ from .goursat import (
     GoursatData2,
     LatticeDomain2,
     Rhs2,
+    _read_pairs,
     _require_step,
     solve_goursat_2d,
 )
@@ -202,14 +203,13 @@ def second_order_residual(field: PhiField) -> float:
 
 def backlund_rhs_continuous(a, b, theta, alpha):
     """Continuous Backlund system: theta_x = u, theta_y = v, and the field
-    increments (xi, eta) = (a~ - a, b~ - b)."""
+    increments (xi, eta) = (a~ - a, b~ - b), the eps -> 0 limit of the
+    discrete ones."""
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     u = -np.asarray(a) + alpha * np.sin(theta)
     v = np.sin(np.asarray(b) + theta) / alpha
-    xi = 2.0 * u
-    eta = 2.0 * np.asarray(theta)
-    return u, v, xi, eta
+    return u, v, backlund_xi(u), backlund_eta(v, theta, 0.0)
 
 
 def backlund_u(a, theta, alpha, eps):
@@ -242,31 +242,41 @@ def backlund_v(b, theta, alpha, eps):
 # the three-dimensional (Backlund-extended) system
 
 
+def backlund_xi(u):
+    """Increment a~ - a of one discrete Backlund step from theta's x-increment
+    u = rhs6.u at the same site: xi = 2u."""
+    return 2.0 * u
+
+
+def backlund_eta(v, theta, eps):
+    """Increment b~ - b of one discrete Backlund step from theta's y-increment
+    v = rhs6.v at the same site: eta = 2 theta + eps v."""
+    return 2.0 * np.asarray(theta) + eps * v
+
+
 @dataclass(frozen=True)
 class Rhs3:
-    """Six right-hand sides of the Backlund-extended system.
+    """Right-hand sides of the Backlund-extended system.
 
     step(a, b, eps) -> (f, g) drives (a, b) within a layer (the joint step of
-    Rhs2); u, v propagate theta in x and y; xi, eta advance (a, b) to the next
-    layer (z-step 1).  All must be numpy-vectorized.  eps0 bounds the
-    admissible lattice step.
+    Rhs2); u, v propagate theta in x and y, and backlund_xi, backlund_eta
+    turn them into the increments that advance (a, b) to the next layer
+    (z-step 1).  All must be numpy-vectorized.  eps0 bounds the admissible
+    lattice step.
     """
 
     step: Callable
     u: Callable
     v: Callable
-    xi: Callable
-    eta: Callable
     eps0: float
     name: str
-    alpha: float
 
 
 def backlund_system(alpha: float, scheme: SchemeKind = SchemeKind.HIROTA) -> Rhs3:
     """The in-layer scheme's joint step with the discrete Backlund sides.
 
-    u, v propagate theta; xi = 2u and eta = 2 theta + eps v advance (a, b) to
-    the next layer.  Only the Hirota combination is compatible; the naive one
+    u, v propagate theta; backlund_xi and backlund_eta advance (a, b) to the
+    next layer.  Only the Hirota combination is compatible; the naive one
     exists so the failure is measurable (check_compatibility_3d returns a
     residual far above roundoff).  alpha must be finite and positive.
     """
@@ -277,12 +287,8 @@ def backlund_system(alpha: float, scheme: SchemeKind = SchemeKind.HIROTA) -> Rhs
         step=base.step,
         u=lambda a, th, eps: backlund_u(a, th, alpha, eps),
         v=lambda b, th, eps: backlund_v(b, th, alpha, eps),
-        xi=lambda a, th, eps: 2.0 * backlund_u(a, th, alpha, eps),
-        eta=lambda b, th, eps: 2.0 * np.asarray(th)
-        + eps * backlund_v(b, th, alpha, eps),
         eps0=min(base.eps0, 2.0 / alpha, 2.0 * alpha),
         name=f"{base.name}+backlund",
-        alpha=alpha,
     )
 
 
@@ -372,8 +378,8 @@ def _solve_layers(rhs2: Rhs2, steps, data: GoursatData2, dom: LatticeDomain2) ->
             raise CompatibilityError(float(mism[i, j]), ((i + 1) * eps, (j + 1) * eps),
                                      detail=f"theta, directions x/y, layer {z}")
         layer = solve_goursat_2d(rhs2, GoursatData2(
-            a[:, 0] + rhs6.xi(a[:, 0], th[:n, 0], eps),
-            b[0, :] + rhs6.eta(b[0, :], th[0, :n], eps)), dom)
+            a[:, 0] + backlund_xi(rhs6.u(a[:, 0], th[:n, 0], eps)),
+            b[0, :] + backlund_eta(rhs6.v(b[0, :], th[0, :n], eps), th[0, :n], eps)), dom)
         sol.theta.append(th)
         sol.cross.append(float(mism[i, j]))
         sol.a.append(layer.a)
@@ -387,8 +393,10 @@ def check_compatibility_3d(rhs6: Rhs3, samples: np.ndarray, eps: float) -> float
     samples has shape (m, 3) holding (a, b, theta) triples.  The identities
     compare the two orders of advancing each field around an elementary
     lattice square in the three direction pairs; they hold to roundoff
-    exactly when the six right-hand sides are mutually compatible.
-    ValueError unless 0 < eps < rhs6.eps0.
+    exactly when the right-hand sides are mutually compatible.  u and v are
+    each evaluated at the corner and at one neighbour, and the layer
+    increments are read off from those values by backlund_xi and
+    backlund_eta.  ValueError unless 0 < eps < rhs6.eps0.
     """
     _require_step(rhs6, eps)
     s = np.asarray(samples, dtype=float)
@@ -396,14 +404,14 @@ def check_compatibility_3d(rhs6: Rhs3, samples: np.ndarray, eps: float) -> float
     f, g = rhs6.step(a, b, eps)
     u = rhs6.u(a, th, eps)
     v = rhs6.v(b, th, eps)
-    xi = rhs6.xi(a, th, eps)
-    eta = rhs6.eta(b, th, eps)
+    xi, eta = backlund_xi(u), backlund_eta(v, th, eps)
     f_up, g_up = rhs6.step(a + xi, b + eta, eps)
-    id1 = (rhs6.u(a + eps * f, th + eps * v, eps) - u) - (
-        rhs6.v(b + eps * g, th + eps * u, eps) - v
-    )
-    id2 = (rhs6.xi(a + eps * f, th + eps * v, eps) - xi) - eps * (f_up - f)
-    id3 = (rhs6.eta(b + eps * g, th + eps * u, eps) - eta) - eps * (g_up - g)
+    th_x, th_y = th + eps * u, th + eps * v
+    u_y = rhs6.u(a + eps * f, th_y, eps)
+    v_x = rhs6.v(b + eps * g, th_x, eps)
+    id1 = (u_y - u) - (v_x - v)
+    id2 = (backlund_xi(u_y) - xi) - eps * (f_up - f)
+    id3 = (backlund_eta(v_x, th_x, eps) - eta) - eps * (g_up - g)
     return float(
         max(np.max(np.abs(id1)), np.max(np.abs(id2)), np.max(np.abs(id3)))
     )
@@ -428,16 +436,7 @@ class BacklundParam:
 def load_backlund_chain(path) -> list[BacklundParam]:
     """Read a chain from a text file: one 'alpha theta0' pair per line.
 
-    Blank lines and lines starting with # are skipped.
+    Blank lines and lines starting with # are skipped; a bad line is a
+    ValueError naming path:line.
     """
-    chain = []
-    with open(path, "r", encoding="ascii") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{ln}: expected 'alpha theta0', got {line!r}")
-            chain.append(BacklundParam(float(parts[0]), float(parts[1])))
-    return chain
+    return _read_pairs(path, "alpha theta0", BacklundParam)

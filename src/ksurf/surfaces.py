@@ -12,7 +12,8 @@ measures all three properties.
 
 Surfaces exist only for the integrable scheme: the naive scheme violates the
 discrete zero-curvature condition at order eps^2 per cell, so its frames are
-path-dependent and build_surface refuses it.
+path-dependent.  The surface entry points therefore take no scheme: they
+solve with the Hirota scheme.
 
 A Backlund step moves every point by a fixed distance 2*lam*alpha /
 (alpha^2 + lam^2); backlund_surface returns the whole tower of meshes, and
@@ -33,11 +34,9 @@ from .sinegordon import (
     BacklundParam,
     LayeredField3,
     PhiField,
-    SchemeKind,
     _solve_layers,
-    backlund_system,
+    hirota_backlund_system,
     hirota_system,
-    system_for,
 )
 
 
@@ -62,7 +61,6 @@ class SurfaceMesh:
     eps: float
     r: float
     lam: float
-    scheme: str = "hirota"
     bt_chain: tuple = ()
     zcc_residual: float = 0.0
     theta_cross_residual: float = 0.0
@@ -70,14 +68,6 @@ class SurfaceMesh:
     @property
     def n(self) -> int:
         return self.points.shape[0] - 1
-
-
-def _require_hirota(scheme: SchemeKind):
-    if scheme is not SchemeKind.HIROTA:
-        raise ValueError(
-            "surfaces require the Hirota scheme: naive fields violate the "
-            "discrete zero-curvature condition, so no consistent frame exists"
-        )
 
 
 def _tower(fields: EdgeField2, lam: float, chain=(), th_layers=(), cross=()) -> list[SurfaceMesh]:
@@ -96,7 +86,7 @@ def _tower(fields: EdgeField2, lam: float, chain=(), th_layers=(), cross=()) -> 
                    sym=True)
     dom = fields.domain
     return [
-        SurfaceMesh(pts, dom.eps, dom.r, lam, scheme="hirota", bt_chain=tuple(chain[:z]),
+        SurfaceMesh(pts, dom.eps, dom.r, lam, bt_chain=tuple(chain[:z]),
                     zcc_residual=sweep.residual,
                     theta_cross_residual=max(cross[:z], default=0.0))
         for z, pts in enumerate(sweep.points)
@@ -117,7 +107,6 @@ def build_surface(
     data: GoursatData2,
     dom: LatticeDomain2,
     lam: float = 1.0,
-    scheme: SchemeKind = SchemeKind.HIROTA,
 ) -> SurfaceMesh:
     """Solve the Goursat problem and immerse the solution as a K-surface.
 
@@ -125,7 +114,6 @@ def build_surface(
     Rebuilding with identical inputs is bit-identical: the sweep, the frame
     recursion, and the Sym projection are all deterministic.
     """
-    _require_hirota(scheme)
     return mesh_from_fields(solve_goursat_2d(hirota_system(), data, dom), lam)
 
 
@@ -148,17 +136,16 @@ def _params(bt_chain) -> list[BacklundParam]:
     return [p if isinstance(p, BacklundParam) else BacklundParam(*p) for p in bt_chain]
 
 
-def _chain_layers(data, dom, chain, scheme) -> LayeredField3:
+def _chain_layers(data, dom, chain) -> LayeredField3:
     """The layered solve of a chain of BacklundParams, each with its own alpha."""
-    steps = [(backlund_system(p.alpha, scheme), p.theta0) for p in chain]
-    return _solve_layers(system_for(scheme), steps, data, dom)
+    steps = [(hirota_backlund_system(p.alpha), p.theta0) for p in chain]
+    return _solve_layers(hirota_system(), steps, data, dom)
 
 
 def solve_backlund_chain(
     data: GoursatData2,
     dom: LatticeDomain2,
     bt_chain,
-    scheme: SchemeKind = SchemeKind.HIROTA,
 ):
     """Solve the layered system for a chain of Backlund steps.
 
@@ -168,7 +155,7 @@ def solve_backlund_chain(
     R + 1 layers once; for a constant-alpha chain this agrees bitwise with a
     single multi-layer solve.
     """
-    sol = _chain_layers(data, dom, _params(bt_chain), scheme)
+    sol = _chain_layers(data, dom, _params(bt_chain))
     return sol.a, sol.b, sol.theta, sol.cross_residual
 
 
@@ -177,7 +164,6 @@ def backlund_surface(
     dom: LatticeDomain2,
     bt_chain,
     lam: float = 1.0,
-    scheme: SchemeKind = SchemeKind.HIROTA,
 ) -> list[SurfaceMesh]:
     """Tower of surfaces under a chain of Backlund transformations.
 
@@ -188,9 +174,8 @@ def backlund_surface(
     point-wise step of constant length 2*lam*alpha/(alpha^2 + lam^2).
     Mesh z records the worst theta cross residual of the z steps behind it.
     """
-    _require_hirota(scheme)
     chain = _params(bt_chain)
-    sol = _chain_layers(data, dom, chain, scheme)
+    sol = _chain_layers(data, dom, chain)
     return _tower(EdgeField2(sol.a[0], sol.b[0], dom), lam, chain, sol.theta, sol.cross)
 
 
@@ -342,9 +327,10 @@ def export_obj(mesh: SurfaceMesh, path) -> None:
     i*(n+1) + j + 1); each elementary square becomes one quad face.  Floats
     use 17 significant digits, so points survive a write/read round trip
     bitwise.  The sidecar (same name, .meta extension) records eps, lambda,
-    r, scheme, the Backlund chain as comma-separated alpha:theta0 pairs, the
-    zero-curvature residual of the fields the mesh was built from, and the
-    worst theta cross residual of the Backlund steps behind it.
+    r, scheme (always hirota), the Backlund chain as comma-separated
+    alpha:theta0 pairs, the zero-curvature residual of the fields the mesh
+    was built from, and the worst theta cross residual of the Backlund steps
+    behind it.
     """
     path = str(path)
     n = mesh.n
@@ -363,7 +349,7 @@ def export_obj(mesh: SurfaceMesh, path) -> None:
         fh.write(f"eps={mesh.eps:.17g}\n")
         fh.write(f"lambda={mesh.lam:.17g}\n")
         fh.write(f"r={mesh.r:.17g}\n")
-        fh.write(f"scheme={mesh.scheme}\n")
+        fh.write("scheme=hirota\n")
         fh.write(f"bt_chain={chain}\n")
         fh.write(f"zcc_residual={mesh.zcc_residual:.17g}\n")
         fh.write(f"theta_cross_residual={mesh.theta_cross_residual:.17g}\n")

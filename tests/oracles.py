@@ -8,7 +8,9 @@ against the literal matrices here.  two_path_layers keeps the Backlund
 layer solve that propagates theta along both paths, as the bitwise
 reference for the kernel's single defining path; it reuses the kernel's
 in-layer sweep and right-hand sides and checks only how theta and the
-layers are put together.
+layers are put together.  compatibility_3d_three_identities keeps the
+closure check that evaluates every right-hand side afresh, as the bitwise
+reference for check_compatibility_3d.
 
 The identification is
 
@@ -205,6 +207,35 @@ def backlund_compat_residual_continuous(samples: np.ndarray, alpha: float) -> fl
     )
 
 
+def compatibility_3d_three_identities(rhs6, samples: np.ndarray, eps: float) -> float:
+    """Reference for check_compatibility_3d: the three closure identities with
+    every right-hand side evaluated afresh (10 calls), the layer increments
+    written out as xi = 2u and eta = 2 theta + eps v."""
+    s = np.asarray(samples, dtype=float)
+    a, b, th = s[..., 0], s[..., 1], s[..., 2]
+
+    def xi(a, th):
+        return 2.0 * rhs6.u(a, th, eps)
+
+    def eta(b, th):
+        return 2.0 * np.asarray(th) + eps * rhs6.v(b, th, eps)
+
+    f, g = rhs6.step(a, b, eps)
+    u = rhs6.u(a, th, eps)
+    v = rhs6.v(b, th, eps)
+    xi0 = xi(a, th)
+    eta0 = eta(b, th)
+    f_up, g_up = rhs6.step(a + xi0, b + eta0, eps)
+    id1 = (rhs6.u(a + eps * f, th + eps * v, eps) - u) - (
+        rhs6.v(b + eps * g, th + eps * u, eps) - v
+    )
+    id2 = (xi(a + eps * f, th + eps * v) - xi0) - eps * (f_up - f)
+    id3 = (eta(b + eps * g, th + eps * u) - eta0) - eps * (g_up - g)
+    return float(
+        max(np.max(np.abs(id1)), np.max(np.abs(id2)), np.max(np.abs(id3)))
+    )
+
+
 # ---------------------------------------------------------------------------
 # Backlund layers
 
@@ -216,8 +247,8 @@ def two_path_layers(rhs2, steps, data, dom):
     propagates theta over the current layer twice, from theta00 at the
     origin: along the defining path (up the y-axis by v, then across rows by
     u) and along the alternative one (across the x-axis by u, then up
-    columns by v).  The next layer's Goursat data are the (xi, eta)
-    increments on the data axes, and that layer is solved by the step's own
+    columns by v).  The next layer's Goursat data are the increments
+    xi = 2u and eta = 2 theta + eps v on the data axes, and that layer is solved by the step's own
     in-layer system.  Returns (a_layers, b_layers, theta_layers, the largest
     difference between the two paths).
     """
@@ -239,8 +270,9 @@ def two_path_layers(rhs2, steps, data, dom):
         for j in range(n):
             alt[:, j + 1] = alt[:, j] + eps * rhs6.v(b[:, j], alt[:, j], eps)
         worst = max(worst, float(np.abs(th - alt).max()))
-        data_next = GoursatData2(a[:, 0] + rhs6.xi(a[:, 0], th[:n, 0], eps),
-                                 b[0, :] + rhs6.eta(b[0, :], th[0, :n], eps))
+        xi = 2.0 * rhs6.u(a[:, 0], th[:n, 0], eps)
+        eta = 2.0 * th[0, :n] + eps * rhs6.v(b[0, :], th[0, :n], eps)
+        data_next = GoursatData2(a[:, 0] + xi, b[0, :] + eta)
         layer = solve_goursat_2d(Rhs2(rhs6.step, rhs6.eps0, rhs6.name), data_next, dom)
         th_layers.append(th)
         a_layers.append(layer.a)

@@ -118,6 +118,13 @@ def test_tabulated_data_errors(tmp_path, capsys):
     (tmp_path / "wide.txt").write_text("0 1.0 2.0\n")
     assert main(["solve", "--k", "3", "--data", "wide.txt,wide.txt"]) == 1
 
+    rows = [f"{i * 0.125:.17g} 1.0" for i in range(8)]
+    rows[4] = "0.5 x"  # not a number
+    (tmp_path / "nan.txt").write_text("\n".join(rows) + "\n")
+    assert main(["solve", "--k", "3", "--data", "nan.txt,nan.txt"]) == 1
+    assert ("error: nan.txt:5: could not convert string to float: 'x'"
+            in capsys.readouterr().err)
+
 
 def test_blowup_exits_two(tmp_path, capsys):
     rows = [f"{i * 0.125:.17g} 1.0" for i in range(8)]
@@ -183,8 +190,12 @@ def test_surface_wide_lambda_is_finite(tmp_path, lam):
 
 
 def test_surface_rejects_naive(capsys):
+    # surface and backlund are Hirota-only: they have no --scheme flag
     assert main(["surface", "--k", "4", "--scheme", "naive"]) == 1
-    assert "Hirota" in capsys.readouterr().err
+    assert "unrecognized arguments: --scheme naive" in capsys.readouterr().err
+    assert main(["backlund", "--k", "3", "--alpha", "1", "--theta0", "0", "--scheme",
+                 "hirota"]) == 1
+    assert "unrecognized arguments: --scheme hirota" in capsys.readouterr().err
 
 
 def test_backlund_command(tmp_path, capsys):
@@ -243,6 +254,10 @@ def test_backlund_chain_errors(tmp_path, capsys):
         == 1
     )
     assert "not both" in capsys.readouterr().err
+    (tmp_path / "chain.txt").write_text("1.0 0.5\n1.0 abc\n")
+    assert main(["backlund", "--k", "4", "--bt-file", "chain.txt"]) == 1
+    assert ("error: chain.txt:2: could not convert string to float: 'abc'"
+            in capsys.readouterr().err)
 
 
 def test_converge_command(tmp_path, capsys):
@@ -311,6 +326,40 @@ def test_converge_degenerate(tmp_path, capsys):
     )
     assert "degenerate" in capsys.readouterr().out
     assert "# degenerate=true" in (tmp_path / "deg.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "quantity, flags, flag",
+    [
+        ("fields_ab", ["--alpha", "2", "--theta0", "0.1", "--lambda", "5"], "--lambda"),
+        ("fields_ab", ["--alpha", "2", "--theta0", "0.1"], "--alpha"),
+        ("phi", ["--theta0", "0.1"], "--theta0"),
+        ("quotients_order_1", ["--bt-file", "chain.txt"], "--bt-file"),
+        ("surface", ["--alpha", "2", "--theta0", "0.1"], "--alpha"),
+        ("surface", ["--bt-file", "chain.txt"], "--bt-file"),
+        ("quotients", ["--lambda", "1.0"], "--lambda"),
+    ],
+)
+def test_converge_refuses_unread_flags(capsys, quantity, flags, flag):
+    # flags the quantity does not read end in an error naming the flag
+    argv = ["converge", "--quantity", quantity, "--kmin", "4", "--kmax", "6", "--kref", "9"]
+    assert main([*argv, *flags]) == 1
+    assert capsys.readouterr().err == f"error: --quantity {quantity} does not read {flag}\n"
+
+
+def test_converge_reads_surface_flags(tmp_path):
+    # --lambda for both surface quantities, the chain flags for surface_bt
+    (tmp_path / "chain.txt").write_text("0.5 0.25\n")
+    argv = ["converge", "--kmin", "2", "--kmax", "4", "--kref", "6", "--lambda", "2"]
+    assert main([*argv, "--quantity", "surface", "--out", "s.csv"]) == 0
+    assert main([*argv, "--quantity", "surface_bt", "--bt-file", "chain.txt",
+                 "--out", "bt.csv"]) == 0
+    assert load_report(tmp_path / "s.csv").rows != load_report(tmp_path / "bt.csv").rows
+
+
+def test_converge_quotient_order_is_the_quantity_name(capsys):
+    assert main(["converge", "--quantity", "quotients", "--quotient-order", "3"]) == 1
+    assert "unrecognized arguments: --quotient-order 3" in capsys.readouterr().err
 
 
 def test_converge_rejects_tabulated(capsys):

@@ -63,7 +63,7 @@ def state_3d():
 
 
 def state_1d():
-    spec = SystemSpecND(1, 1, ({0},), {(0, 0): lambda s: 0.1 * s[0]}, {(0, 0): (0,)}, (0.25,))
+    spec = SystemSpecND(({0},), {(0, 0): lambda s: 0.1 * s[0]}, {(0, 0): (0,)}, (0.25,))
     return solve_goursat_nd(spec, [lambda x: 1.0], 2.0)
 
 

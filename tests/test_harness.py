@@ -1,6 +1,7 @@
 """Tests for the convergence sweep harness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,9 @@ def test_sweep_config_normalizes_quotients():
     assert cfg.quantity == "quotients"
     assert cfg.quotient_order == 3
     assert SweepConfig(quantity="quotients").quotient_order == 2  # default
+    # the quantity name is the only way to set the order
+    with pytest.raises(TypeError, match="quotient_order"):
+        SweepConfig(quantity="quotients", quotient_order=3)
 
 
 def test_sweep_config_validation():
@@ -52,6 +56,12 @@ def test_sweep_config_validation():
         SweepConfig(lam=-1.0)
     with pytest.raises(ValueError, match="quotient_order"):
         SweepConfig(quantity="quotients_order_0")
+    with pytest.raises(ValueError, match="quotient_order"):
+        SweepConfig(quantity="quotients_order_x")
+    # a chain is read by surface_bt only; any other quantity refuses it
+    for q in ("fields_ab", "phi", "surface", "quotients_order_2"):
+        with pytest.raises(ValueError, match="bt_chain"):
+            SweepConfig(quantity=q, bt_chain=((1.0, 0.5),))
 
 
 def test_fit_slope_exact_power_laws():
@@ -117,6 +127,28 @@ def test_run_sweep_surfaces():
     )
     rep_bt = run_sweep(cfg_bt, demo_data())
     assert 0.8 <= rep_bt.slope <= 1.2  # measured 1.057
+
+
+# tracemalloc peak of run_sweep(quotients_order_2) at k = 4..6 against
+# k_ref = 9 before the sweep became one loop over per-lattice generators:
+# the reference fields, every level's fields and one quotient at a time
+QUOTIENT_SWEEP_PEAK_B = 8_617_414
+
+
+def test_quotient_sweep_memory():
+    # each reference quotient is dropped before the next one is formed; held
+    # all at once, the ten of them would more than double the peak
+    cfg = SweepConfig(k_min=4, k_max=6, k_ref=9, quantity="quotients_order_2")
+    data = demo_data()
+    run_sweep(cfg, data)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        rep = run_sweep(cfg, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rep.families) == 10
+    assert peak <= 1.10 * QUOTIENT_SWEEP_PEAK_B
 
 
 def test_run_sweep_surface_rejects_naive():
@@ -186,3 +218,7 @@ def test_emit_load_errors(tmp_path):
     bad.write_text("nope\n")
     with pytest.raises(ValueError, match="header"):
         load_report(bad)
+    for row in ("0.5,0.1,3", "0.5,x"):
+        bad.write_text(f"epsilon,error\n0.25,0.1\n\n{row}\n")
+        with pytest.raises(ValueError, match=f"bad.csv:4: expected 'epsilon,error', got '{row}'"):
+            load_report(bad)

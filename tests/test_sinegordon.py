@@ -1,5 +1,7 @@
 """Tests for the sine-Gordon schemes, angle reconstruction, and Backlund layer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,12 @@ from ksurf.sinegordon import (
     BacklundParam,
     SchemeKind,
     _im_log1m,
+    backlund_eta,
     backlund_rhs_continuous,
     backlund_system,
     backlund_u,
     backlund_v,
+    backlund_xi,
     check_compatibility_3d,
     hirota_backlund_system,
     hirota_rhs,
@@ -34,7 +38,12 @@ from ksurf.sinegordon import (
     solve_goursat_3d,
     system_for,
 )
-from oracles import backlund_compat_residual_continuous, hirota_f_complex, two_path_layers
+from oracles import (
+    backlund_compat_residual_continuous,
+    compatibility_3d_three_identities,
+    hirota_f_complex,
+    two_path_layers,
+)
 
 RNG = np.random.default_rng(20240818)
 A = RNG.uniform(-3.0, 3.0, 4000)
@@ -214,8 +223,11 @@ def test_backlund_discrete_increments():
     alpha, eps = 0.8, 2.0**-3
     rhs6 = backlund_system(alpha)
     u, v = rhs6.u(A, TH, eps), rhs6.v(B, TH, eps)
-    assert np.array_equal(rhs6.xi(A, TH, eps), 2.0 * u)
-    assert np.array_equal(rhs6.eta(B, TH, eps), 2.0 * TH + eps * v)
+    assert np.array_equal(backlund_xi(u), 2.0 * u)
+    assert np.array_equal(backlund_eta(v, TH, eps), 2.0 * TH + eps * v)
+    assert np.array_equal(backlund_eta(v[0], TH[0], eps), 2.0 * TH[0] + eps * v[0])
+    # the increments are not settable: Rhs3 carries only what they are made of
+    assert [f.name for f in dataclasses.fields(rhs6)] == ["step", "u", "v", "eps0", "name"]
     dom = LatticeDomain2(1.0, 0.25)
     for bad_alpha in (8.0, 0.1):  # eps*alpha = 2, eps = 2.5*alpha
         with pytest.raises(ValueError, match="not admissible"):
@@ -267,6 +279,28 @@ def test_compatibility_naive_backlund_fails():
     assert worst > 1e-3  # measured ~8e-2
 
 
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_compatibility_matches_three_identity_oracle(scheme):
+    # each of u and v is evaluated at two points, not four: 6 right-hand side
+    # calls against the reference's 10, with bitwise the same residual
+    samples = RNG.uniform(-3.0, 3.0, size=(25_000, 3))
+    for alpha in (0.5, 1.0, 2.0):
+        calls = {"step": 0, "u": 0, "v": 0}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        rhs6 = backlund_system(alpha, scheme)
+        counting = dataclasses.replace(rhs6, **{k: counted(k, getattr(rhs6, k)) for k in calls})
+        for eps in (2.0**-3, 2.0**-6):
+            got = check_compatibility_3d(counting, samples, eps)
+            assert got == compatibility_3d_three_identities(rhs6, samples, eps)
+        assert calls == {"step": 4, "u": 4, "v": 4}
+
+
 def test_compatibility_rejects_inadmissible_step():
     # the identities are only defined for 0 < eps < eps0 (eps*alpha < 2)
     samples = np.zeros((5, 3))
@@ -307,8 +341,8 @@ def test_solve_3d_two_layers():
     n, eps = dom.n, dom.eps
     for z in range(2):
         a, b, th = sol3.a[z], sol3.b[z], sol3.theta[z]
-        xi = rhs6.xi(a, th[:n, :], eps)
-        eta = rhs6.eta(b, th[:, :n], eps)
+        xi = backlund_xi(rhs6.u(a, th[:n, :], eps))
+        eta = backlund_eta(rhs6.v(b, th[:, :n], eps), th[:, :n], eps)
         assert np.abs(sol3.a[z + 1] - (a + xi)).max() <= 1e-11  # measured 5e-15
         assert np.abs(sol3.b[z + 1] - (b + eta)).max() <= 1e-11
 
@@ -363,4 +397,11 @@ def test_load_backlund_chain(tmp_path):
     assert chain == [BacklundParam(1.0, 0.5), BacklundParam(2.0, -0.25)]
     path.write_text("1.0 0.5 9\n")
     with pytest.raises(ValueError, match="alpha theta0"):
+        load_backlund_chain(path)
+    # a bad number or parameter names the file and line
+    path.write_text("# chain\n1.0 abc\n")
+    with pytest.raises(ValueError, match=r"chain\.txt:2: could not convert string to float: 'abc'"):
+        load_backlund_chain(path)
+    path.write_text("1.0 0.5\n-2.0 0.1\n")
+    with pytest.raises(ValueError, match=r"chain\.txt:2: alpha must be > 0"):
         load_backlund_chain(path)

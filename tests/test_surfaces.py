@@ -70,7 +70,8 @@ def test_build_surface_basics(mesh, dom):
     assert mesh.n == dom.n
     assert np.abs(mesh.points[0, 0]).max() == 0.0  # origin maps to 0
     assert np.isfinite(mesh.points).all()
-    assert mesh.scheme == "hirota" and mesh.bt_chain == ()
+    assert mesh.bt_chain == ()
+    assert not hasattr(mesh, "scheme")  # surfaces are Hirota-only
 
 
 def test_build_surface_deterministic(mesh, dom):
@@ -79,7 +80,8 @@ def test_build_surface_deterministic(mesh, dom):
 
 
 def test_build_surface_rejects_naive(dom):
-    with pytest.raises(ValueError, match="Hirota"):
+    # Hirota-only by signature: there is no scheme to pass
+    with pytest.raises(TypeError, match="scheme"):
         build_surface(demo_data(), dom, scheme=SchemeKind.NAIVE)
 
 
@@ -206,8 +208,10 @@ def test_backlund_surface_empty_chain(dom):
 
 
 def test_backlund_surface_rejects_naive(dom):
-    with pytest.raises(ValueError, match="Hirota"):
-        backlund_surface(demo_data(), dom, [(1.0, 0.5)], scheme=SchemeKind.NAIVE)
+    # Hirota-only by signature: there is no scheme to pass
+    for solve in (backlund_surface, solve_backlund_chain):
+        with pytest.raises(TypeError, match="scheme"):
+            solve(demo_data(), dom, [(1.0, 0.5)], scheme=SchemeKind.NAIVE)
 
 
 def test_backlund_zero_data_step(dom):
