@@ -126,7 +126,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--kmin", type=int, default=5)
     p.add_argument("--kmax", type=int, default=10)
-    p.add_argument("--kref", type=int, default=12)
+    p.add_argument("--kref", type=int, default=12,
+                   help="reference level, eps = 2^-kref (default 12); a fields_ab reference "
+                        "keeps only the kmax sites, at O(r 2^kref) memory beyond them; a "
+                        "reference whose two full fields exceed free memory is refused")
     p.add_argument("--scheme", choices=["naive", "hirota"], default="hirota")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="spectral parameter, surface and surface_bt only (default 1.0)")

@@ -14,15 +14,20 @@ stored as arrays of shape (n, n+1) and (n+1, n): index (i, j) is the site
 
 with data a(x, 0) = a0(x), b(0, y) = b0(y) has exactly one solution, filled in
 by a single sweep.  Values on one anti-diagonal i+j = d depend only on the
-previous anti-diagonal, so the sweep is vectorized along anti-diagonals; each
-value is assigned exactly once, making the result identical (bitwise) to the
-naive lexicographic double loop.
+previous anti-diagonal, so the sweep is vectorized along anti-diagonals and
+holds just the current one, in two contiguous slot buffers; each value is
+assigned exactly once, making the result identical (bitwise) to the naive
+lexicographic double loop.  The sweep can keep every site, or only the sites
+a coarser nested lattice shares (a convergence reference): then it costs
+O(n) memory beyond the kept arrays.  A lattice whose two full fields would
+not fit in free memory is refused before anything is allocated.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -188,44 +193,93 @@ def _require_step(rhs, eps: float) -> None:
 def solve_goursat_2d(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2) -> EdgeField2:
     """Solve the discrete Goursat problem by the anti-diagonal sweep.
 
-    Each anti-diagonal is read and written as a strided view of the C-ordered
-    buffers: a[i, d-i] is a.flat[d + i*n] and b[i, d-i] is b.flat[d + i*(n-1)],
-    so their successors a[i, d-i+1] and b[i+1, d-i] sit 1 and n entries later.
+    Each anti-diagonal is stepped on two contiguous slot buffers, one per
+    field, and then copied into the row-major fields; every value is
+    assigned once, so the result is bitwise that of the lexicographic double
+    loop.
 
-    Aborts with BlowUpError if a non-finite value appears (the systems here
-    are nonlinear and can blow up for large data on large domains).  The
-    sweep itself does no test: one finiteness test of the two sums follows
-    it, and only when that fails is the first offending site searched for,
-    in sweep order.  Every value is written once, so that site is the one at
-    which the sweep went non-finite, even when later steps map non-finite
-    inputs back to finite values.
+    Raises ValueError for a step eps the rhs does not admit and, before
+    allocating anything, when the two fields would not fit in the free
+    memory of the machine.  Raises BlowUpError at the first site (in sweep
+    order) where a non-finite value appears: the systems here are nonlinear
+    and can blow up for large data on large domains.
+    """
+    return _sweep(rhs, data, dom, 1)
+
+
+def _free_bytes() -> int | None:
+    """Free physical memory in bytes, or None where the system does not say."""
+    try:
+        pages = os.sysconf("SC_AVPHYS_PAGES")
+        size = os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no such sysconf name here
+        return None
+    return pages * size if pages >= 0 and size > 0 else None
+
+
+def _sweep(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2, every: int) -> EdgeField2:
+    """The anti-diagonal sweep, keeping only the sites i = j = 0 (mod every).
+
+    The current anti-diagonal d lives in two slot buffers of n entries,
+    A[i] = a[i, d-i] indexed by i and B[n-1-d+i] = b[i, d-i] indexed by
+    reversed j.  A starts as the a0 samples and B as the b0 samples reversed.
+    The cell (i, d-i) moves a[i, d-i] to a[i, d-i+1] and b[i, d-i] to
+    b[i+1, d-i], each within its own slot, so one step is one rhs.step on two
+    contiguous views and an in-place update, with the arithmetic of the
+    double loop.  The kept sites of each new anti-diagonal are then copied
+    out: the whole views when every = 1 (the fastest path at every k), every
+    every-th slot of every every-th anti-diagonal otherwise.  The result is
+    an EdgeField2 on LatticeDomain2(r, eps*every), bitwise the full solve at
+    its sites; memory beyond it is O(n).
+
+    The full lattice is sized before anything is allocated: ValueError when
+    its two fields, 16 n (n+1) bytes, exceed the free memory (the blow-up
+    report below may need them).  A slot only ever gains eps*f, so a value
+    that went non-finite leaves its slot non-finite to the end: one test of
+    the final slots finds any blow-up.  BlowUpError then names the first
+    non-finite site in sweep order, from the fields when every = 1 and from
+    a full re-solve otherwise.
     """
     _require_step(rhs, dom.eps)
-    n = dom.n
-    eps = dom.eps
-    a = np.empty((n, n + 1), dtype=float)
-    b = np.empty((n + 1, n), dtype=float)
+    n, eps = dom.n, dom.eps
+    need, free = 16 * n * (n + 1), _free_bytes()
+    if free is not None and need > free:
+        raise ValueError(f"a lattice of n = {n} steps needs {need} bytes for its two "
+                         f"fields, more than the {free} bytes of free memory")
+    kept = LatticeDomain2(dom.r, eps * every)  # ValueError unless every divides n
+    nc = kept.n
     a_row, b_col = data.sample(dom)
-    a[:, 0] = a_row
-    b[0, :] = b_col
     if not (np.isfinite(a_row).all() and np.isfinite(b_col).all()):
         raise BlowUpError("data", (0.0, 0.0))
-
+    A, B = a_row.copy(), b_col[::-1].copy()
+    a, b = np.empty((nc, nc + 1)), np.empty((nc + 1, nc))
+    a[:, 0], b[0, :] = a_row[::every], b_col[::every]
     af, bf = a.reshape(-1), b.reshape(-1)
-    sb = max(n - 1, 1)  # b's stride; at n = 1 every diagonal has one site
+    sb = max(nc - 1, 1)  # b's stride; at nc = 1 every diagonal has one kept site
     with np.errstate(all="ignore"):  # a blow-up is reported below, not warned of
         for d in range(2 * n - 1):
             lo, hi = max(0, d - n + 1), min(d, n - 1)
-            ra = slice(d + lo * n, d + hi * n + 1, n)
-            rb = slice(d + lo * (n - 1), d + hi * (n - 1) + 1, sb)
-            av, bv = af[ra], bf[rb]
+            av, bv = A[lo : hi + 1], B[n - 1 - d + lo : n - d + hi]
             f, g = rhs.step(av, bv, eps)
-            af[ra.start + 1 : ra.stop + 1 : n] = av + eps * f
-            bf[rb.start + n : rb.stop + n : sb] = bv + eps * g
-        total = a.sum() + b.sum()  # finite unless some value is not (or the sum overflows)
-    if not np.isfinite(total):
+            f, g = eps * f, eps * g  # both before either slot moves: f, g may be views of them
+            av += f
+            bv += g
+            # av and bv now hold a[i, d-i+1] and b[i+1, d-i], lo <= i <= hi
+            if every == 1:
+                af[d + 1 + lo * n : d + 2 + hi * n : n] = av
+                bf[d + n + lo * (n - 1) : d + n + 1 + hi * (n - 1) : sb] = bv
+            elif (d + 1) % every == 0:
+                e = (d + 1) // every
+                i0, i1 = -(-lo // every), hi // every
+                af[e + i0 * nc : e + i1 * nc + 1 : nc] = av[i0 * every - lo :: every]
+                i0, i1 = -(-(lo + 1) // every), (hi + 1) // every
+                bf[e + i0 * (nc - 1) : e + i1 * (nc - 1) + 1 : sb] = \
+                    bv[i0 * every - lo - 1 :: every]
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        if every > 1:
+            _sweep(rhs, data, dom, 1)  # raises BlowUpError at the first non-finite site
         _raise_first_blowup(a, b, eps)
-    return EdgeField2(a, b, dom)
+    return EdgeField2(a, b, kept)
 
 
 def _raise_first_blowup(a: np.ndarray, b: np.ndarray, eps: float) -> None:

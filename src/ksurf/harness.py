@@ -5,7 +5,8 @@ A sweep solves the same Goursat problem for eps = 2^-k, k = k_min..k_max
 (k_ref >= k_max + 2, so the reference error is negligible next to the
 coarse one), and fits a line to (log eps, log error).  First-order
 convergence shows up as a slope near 1.  The reference is compared on
-common sites only, which exist because the lattices are nested.
+common sites only, which exist because the lattices are nested; all of
+them lie on the k_max lattice, so the reference keeps only those.
 
 Measurable quantities: the fields themselves, the reconstructed angle, the
 immersed surface, the surface after a Backlund chain, and difference
@@ -13,8 +14,8 @@ quotients of the fields up to the order m named by the quantity
 'quotients_order_<m>' (quotients are formed on each grid with its own eps
 and compared at common sites, so the comparison is between discrete
 derivatives, not interpolants).  Every quantity is one or more named arrays
-per lattice, and one loop measures each reference array against the same
-array of every level.
+per lattice; one loop solves each level in turn and measures each of its
+arrays against the same kept reference array.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ import numpy as np
 from .goursat import (
     GoursatData2,
     LatticeDomain2,
-    delta_x,
-    delta_y,
+    _sweep,
     solve_goursat_2d,
     sup_error,
 )
@@ -133,12 +133,20 @@ def fit_slope(rows: Sequence) -> tuple:
     return float(slope), float(intercept)
 
 
-def _quotient(p: np.ndarray, kx: int, ky: int, eps: float) -> np.ndarray:
+def _quotient(p: np.ndarray, kx: int, ky: int, eps: float, every: int = 1) -> np.ndarray:
+    """delta_x^kx delta_y^ky p at the sites i = j = 0 (mod every) where it is
+    defined.  Each site's value is formed from its own (kx+1) x (ky+1)
+    stencil by the operations delta_x and delta_y apply to the whole array
+    (x first, then y), so the values are bitwise theirs, and no quotient of
+    the whole lattice is formed."""
+    rows = np.arange(0, p.shape[0] - kx, every)[:, None] + np.arange(kx + 1)
+    cols = np.arange(0, p.shape[1] - ky, every)[:, None] + np.arange(ky + 1)
+    q = p[rows[:, :, None, None], cols]  # q[I, u, J, v] = p[I*every + u, J*every + v]
     for _ in range(kx):
-        p = delta_x(p, eps)
+        q = (q[:, 1:] - q[:, :-1]) / eps
     for _ in range(ky):
-        p = delta_y(p, eps)
-    return p
+        q = (q[..., 1:] - q[..., :-1]) / eps
+    return q[:, 0, :, 0]
 
 
 def _phi00(data: GoursatData2, dom: LatticeDomain2) -> float:
@@ -146,43 +154,61 @@ def _phi00(data: GoursatData2, dom: LatticeDomain2) -> float:
     return float(data.sample(dom)[1][0])
 
 
-def _measured(cfg: SweepConfig, data: GoursatData2, dom: LatticeDomain2):
+def _kept(p: np.ndarray, every: int) -> np.ndarray:
+    """The sites i = j = 0 (mod every) of p, in an array of their own."""
+    return p if every == 1 else p[::every, ::every].copy()
+
+
+def _measured(cfg: SweepConfig, data: GoursatData2, dom: LatticeDomain2, every: int = 1):
     """The swept quantity on one lattice as (name, array) pairs, each formed
     only when asked for (the solved fields stay alive between quotients), in
-    an order that does not depend on the lattice."""
+    an order that does not depend on the lattice.  Each array keeps only
+    the sites i = j = 0 (mod every): the fields are solved at those sites
+    only, every other quantity is formed on the whole lattice and cut down."""
     if cfg.quantity.startswith("surface"):
         if cfg.scheme is not SchemeKind.HIROTA:
             raise ValueError("surface sweeps require the Hirota scheme")
         # 'surface' is the tower of an empty chain
-        yield cfg.quantity, backlund_surface(data, dom, cfg.bt_chain, cfg.lam)[-1].points
+        yield cfg.quantity, _kept(backlund_surface(data, dom, cfg.bt_chain, cfg.lam)[-1].points,
+                                  every)
         return
     rhs = system_for(cfg.scheme)
-    if cfg.quantity == "phi":
-        yield "phi", reconstruct_phi(solve_goursat_2d(rhs, data, dom), _phi00(data, dom),
-                                     cfg.scheme).phi
-        return
-    sol = solve_goursat_2d(rhs, data, dom)
     if cfg.quantity == "fields_ab":
+        # every level is a plain solve, the entry point that layer tracers wrap
+        sol = solve_goursat_2d(rhs, data, dom) if every == 1 else _sweep(rhs, data, dom, every)
         yield "a", sol.a
         yield "b", sol.b
         return
+    if cfg.quantity == "phi":
+        yield "phi", _kept(reconstruct_phi(solve_goursat_2d(rhs, data, dom), _phi00(data, dom),
+                                           cfg.scheme).phi, every)
+        return
+    sol = solve_goursat_2d(rhs, data, dom)
     for kx in range(cfg.quotient_order + 1):
         for ky in range(1 if kx == 0 else 0, cfg.quotient_order + 1 - kx):
             for name in ("a", "b"):
-                yield f"{name}_dx{kx}dy{ky}", _quotient(getattr(sol, name), kx, ky, dom.eps)
+                yield f"{name}_dx{kx}dy{ky}", _quotient(getattr(sol, name), kx, ky, dom.eps,
+                                                        every)
 
 
 def run_sweep(cfg: SweepConfig, data: GoursatData2) -> ConvergenceReport:
-    """Measure the configured quantity against the k_ref reference lattice,
-    one reference array at a time against the same array of every level."""
+    """Measure the configured quantity against the k_ref reference lattice.
+
+    A level is compared with the reference at the sites of its own lattice,
+    all of which lie on the k_max lattice, so the reference keeps only
+    those.  For fields_ab the sweep itself keeps them, at O(n) memory beyond
+    the k_max-sized kept arrays; the other quantities solve the whole
+    reference lattice first.  Each level is then solved, measured against
+    every kept array and dropped in turn."""
     doms = [LatticeDomain2.from_k(cfg.r, k) for k in range(cfg.k_min, cfg.k_max + 1)]
     dom_ref = LatticeDomain2.from_k(cfg.r, cfg.k_ref)
-    levels = [_measured(cfg, data, dom) for dom in doms]
-    families: dict = {}
-    for name, ref in _measured(cfg, data, dom_ref):
-        families[name] = [sup_error(next(arrays)[1], dom.eps, ref, dom_ref.eps)
-                          for dom, arrays in zip(doms, levels)]
-        del ref  # hold no reference array while the next is formed
+    every = 2 ** (cfg.k_ref - cfg.k_max)
+    ref = dict(_measured(cfg, data, dom_ref, every))
+    families: dict = {name: [] for name in ref}
+    for dom in doms:
+        for name, p in _measured(cfg, data, dom):
+            families[name].append(sup_error(p, dom.eps, ref[name], dom_ref.eps * every))
+        del p  # hold no array of this level while the next is solved
 
     per_row = list(zip(*families.values()))
     rows = [(doms[idx].eps, float(max(vals))) for idx, vals in enumerate(per_row)]

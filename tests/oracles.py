@@ -10,7 +10,12 @@ reference for the kernel's single defining path; it reuses the kernel's
 in-layer sweep and right-hand sides and checks only how theta and the
 layers are put together.  compatibility_3d_three_identities keeps the
 closure check that evaluates every right-hand side afresh, as the bitwise
-reference for check_compatibility_3d.
+reference for check_compatibility_3d.  strided_sweep keeps the Goursat
+sweep that reads and writes each anti-diagonal as a strided view of the full
+fields, as the bitwise reference for the kernel's slot sweep, and
+full_reference_fields_sweep measures the fields_ab convergence sweep against
+the whole reference lattice it solves, as the reference for the harness's
+kept-site one.
 
 The identification is
 
@@ -25,8 +30,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from ksurf.goursat import GoursatData2, Rhs2, solve_goursat_2d
-from ksurf.sinegordon import backlund_rhs_continuous
+from ksurf.goursat import (
+    BlowUpError,
+    EdgeField2,
+    GoursatData2,
+    LatticeDomain2,
+    Rhs2,
+    _raise_first_blowup,
+    _require_step,
+    solve_goursat_2d,
+    sup_error,
+)
+from ksurf.harness import fit_slope
+from ksurf.sinegordon import backlund_rhs_continuous, system_for
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -278,3 +294,61 @@ def two_path_layers(rhs2, steps, data, dom):
         a_layers.append(layer.a)
         b_layers.append(layer.b)
     return a_layers, b_layers, th_layers, worst
+
+
+# ---------------------------------------------------------------------------
+# Goursat sweep
+
+
+def strided_sweep(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2) -> EdgeField2:
+    """Solve the discrete Goursat problem by the anti-diagonal sweep.
+
+    Each anti-diagonal is read and written as a strided view of the C-ordered
+    buffers: a[i, d-i] is a.flat[d + i*n] and b[i, d-i] is b.flat[d + i*(n-1)],
+    so their successors a[i, d-i+1] and b[i+1, d-i] sit 1 and n entries later.
+
+    Aborts with BlowUpError if a non-finite value appears.  The sweep itself
+    does no test: one finiteness test of the two sums follows it, and only
+    when that fails is the first offending site searched for, in sweep order.
+    """
+    _require_step(rhs, dom.eps)
+    n = dom.n
+    eps = dom.eps
+    a = np.empty((n, n + 1), dtype=float)
+    b = np.empty((n + 1, n), dtype=float)
+    a_row, b_col = data.sample(dom)
+    a[:, 0] = a_row
+    b[0, :] = b_col
+    if not (np.isfinite(a_row).all() and np.isfinite(b_col).all()):
+        raise BlowUpError("data", (0.0, 0.0))
+
+    af, bf = a.reshape(-1), b.reshape(-1)
+    sb = max(n - 1, 1)  # b's stride; at n = 1 every diagonal has one site
+    with np.errstate(all="ignore"):  # a blow-up is reported below, not warned of
+        for d in range(2 * n - 1):
+            lo, hi = max(0, d - n + 1), min(d, n - 1)
+            ra = slice(d + lo * n, d + hi * n + 1, n)
+            rb = slice(d + lo * (n - 1), d + hi * (n - 1) + 1, sb)
+            av, bv = af[ra], bf[rb]
+            f, g = rhs.step(av, bv, eps)
+            af[ra.start + 1 : ra.stop + 1 : n] = av + eps * f
+            bf[rb.start + n : rb.stop + n : sb] = bv + eps * g
+        total = a.sum() + b.sum()  # finite unless some value is not (or the sum overflows)
+    if not np.isfinite(total):
+        _raise_first_blowup(a, b, eps)
+    return EdgeField2(a, b, dom)
+
+
+def full_reference_fields_sweep(cfg, data):
+    """(rows, (slope, intercept), families) of the fields_ab sweep cfg, each
+    level and the whole k_ref reference solved by strided_sweep."""
+    rhs = system_for(cfg.scheme)
+    ref = strided_sweep(rhs, data, LatticeDomain2.from_k(cfg.r, cfg.k_ref))
+    rows, families = [], {"a": [], "b": []}
+    for k in range(cfg.k_min, cfg.k_max + 1):
+        sol = strided_sweep(rhs, data, LatticeDomain2.from_k(cfg.r, k))
+        for name, errs in families.items():
+            errs.append(sup_error(getattr(sol, name), sol.domain.eps, getattr(ref, name),
+                                  ref.domain.eps))
+        rows.append((sol.domain.eps, max(families["a"][-1], families["b"][-1])))
+    return rows, fit_slope(rows), families

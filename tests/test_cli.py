@@ -1,5 +1,7 @@
 """End-to-end tests for the ksurf command line."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -365,6 +367,24 @@ def test_converge_quotient_order_is_the_quantity_name(capsys):
 def test_converge_rejects_tabulated(capsys):
     assert main(["converge", "--data", "a.txt,b.txt"]) == 1
     assert "preset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kref", ["26", "40"])
+def test_converge_refuses_oversized_reference(capsys, tmp_path, kref):
+    # the reference's two full fields would take 16 n (n+1) bytes, 72 PB at
+    # kref 26: refused with a one-line error before anything is allocated
+    tracemalloc.start()
+    try:
+        code = main(["converge", "--kmin", "1", "--kmax", "3", "--kref", kref])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: a lattice of n = ") and err.count("\n") == 1
+    assert "bytes for its two fields" in err
+    assert peak < 1e6
+    assert not list(tmp_path.iterdir())
 
 
 def test_converge_surface_bt_default_chain(tmp_path):

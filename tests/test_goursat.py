@@ -7,12 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
+from ksurf import goursat
 from ksurf.goursat import (
     BlowUpError,
     EdgeField2,
     GoursatData2,
     LatticeDomain2,
     Rhs2,
+    _sweep,
     delta_x,
     delta_y,
     discrete_ck_norm,
@@ -24,6 +26,7 @@ from ksurf.goursat import (
 )
 from ksurf.harness import demo_data
 from ksurf.sinegordon import hirota_system, naive_system
+from oracles import strided_sweep
 
 
 def test_domain_from_k():
@@ -162,8 +165,8 @@ def _scalar_oracle(rhs, data, dom):
 @pytest.mark.parametrize("system", [hirota_system, naive_system])
 @pytest.mark.parametrize("n", [1, 2, 3, 16])
 def test_strided_sweep_matches_scalar_oracle(system, n):
-    # the strided anti-diagonal views must visit every site of the double
-    # loop, including n = 1 where b's diagonal stride n - 1 is 0
+    # the slot sweep must visit every site of the double loop, including
+    # n = 1 where b's diagonal stride n - 1 is 0
     rhs, data = system(), demo_data()
     dom = LatticeDomain2(1.0, 1.0 / n)
     sol = solve_goursat_2d(rhs, data, dom)
@@ -216,6 +219,20 @@ def test_solution_bounded_as_eps_shrinks():
     assert max(sup_a) < 2.0 and max(sup_b) < 3.2
 
 
+def _first_blowup(rhs, data, dom):
+    """The BlowUpError of solve_goursat_2d, after checking that the strided
+    oracle and the kept-site sweeps (every = 2 and 4) name the same field and
+    site."""
+    found = []
+    for solve in (solve_goursat_2d, strided_sweep,
+                  lambda *args: _sweep(*args, 2), lambda *args: _sweep(*args, 4)):
+        with pytest.raises(BlowUpError) as exc:
+            solve(rhs, data, dom)
+        found.append(exc.value)
+    assert len({(e.field_name, e.site) for e in found}) == 1
+    return found[0]
+
+
 def test_blowup_detection():
     def bad_f(a, b, eps):
         return np.where(a > 0.9, np.inf, np.zeros_like(a))
@@ -224,11 +241,10 @@ def test_blowup_detection():
                eps0=np.inf, name="bad")
     dom = LatticeDomain2(1.0, 0.25)
     data = GoursatData2(a0=lambda x: 0.95, b0=lambda y: 0.0)
-    with pytest.raises(BlowUpError) as exc:
-        solve_goursat_2d(rhs, data, dom)
-    assert exc.value.field_name == "a"
-    assert exc.value.site == (0.0, 0.25)
-    assert "non-finite" in str(exc.value)
+    exc = _first_blowup(rhs, data, dom)
+    assert exc.field_name == "a"
+    assert exc.site == (0.0, 0.25)
+    assert "non-finite" in str(exc)
 
 
 def test_blowup_detection_field_b():
@@ -242,10 +258,9 @@ def test_blowup_detection_field_b():
     dom = LatticeDomain2(1.0, 0.25)
     data = GoursatData2(a0=np.array([0.0, 0.0, 0.3, 0.0]),
                         b0=np.array([0.0, 0.7, 0.0, 0.0]))
-    with pytest.raises(BlowUpError) as exc:
-        solve_goursat_2d(Rhs2(step, np.inf, "bad-b"), data, dom)
-    assert exc.value.field_name == "b"
-    assert exc.value.site == (0.75, 0.25)
+    exc = _first_blowup(Rhs2(step, np.inf, "bad-b"), data, dom)
+    assert exc.field_name == "b"
+    assert exc.site == (0.75, 0.25)
 
 
 def test_blowup_in_both_fields_names_a():
@@ -257,10 +272,9 @@ def test_blowup_in_both_fields_names_a():
     dom = LatticeDomain2(1.0, 0.25)
     data = GoursatData2(a0=np.array([0.0, 0.0, 0.3, 0.0]),
                         b0=np.array([0.0, 0.0, 0.7, 0.0]))
-    with pytest.raises(BlowUpError) as exc:
-        solve_goursat_2d(Rhs2(step, np.inf, "bad-ab"), data, dom)
-    assert exc.value.field_name == "a"
-    assert exc.value.site == (0.5, 0.25)
+    exc = _first_blowup(Rhs2(step, np.inf, "bad-ab"), data, dom)
+    assert exc.field_name == "a"
+    assert exc.site == (0.5, 0.25)
 
 
 def test_blowup_site_survives_healing_steps():
@@ -278,15 +292,14 @@ def test_blowup_site_survives_healing_steps():
                         b0=np.array([1.0, 0.0, 0.0, 0.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(BlowUpError) as exc:
-            solve_goursat_2d(Rhs2(step, np.inf, "heal"), data, dom)
-    assert exc.value.field_name == "b"
-    assert exc.value.site == (0.25, 0.0)
+        exc = _first_blowup(Rhs2(step, np.inf, "heal"), data, dom)
+    assert exc.field_name == "b"
+    assert exc.site == (0.25, 0.0)
 
 
 def test_solve_memory_beyond_fields():
     # the sweep allocates no lattice-sized temporary: traced peak beyond the
-    # two fields at k = 10 measured 0.068 MB (0.084 MB with per-diagonal checks)
+    # two fields at k = 10 measured 0.086 MB (slots and one step's temporaries)
     dom = LatticeDomain2.from_k(1.0, 10)
     tracemalloc.start()
     try:
@@ -295,6 +308,64 @@ def test_solve_memory_beyond_fields():
     finally:
         tracemalloc.stop()
     assert peak - sol.a.nbytes - sol.b.nbytes <= 0.25e6
+
+
+def test_kept_sweep_memory_beyond_kept_sites():
+    # keeping every 4th site, the sweep holds its slots, not the lattice:
+    # traced peak beyond the 1.05 MB of kept fields at k = 10 measured
+    # 0.086 MB, against 16.8 MB for the full fields
+    dom = LatticeDomain2.from_k(1.0, 10)
+    tracemalloc.start()
+    try:
+        sol = _sweep(hirota_system(), demo_data(), dom, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.domain.n == dom.n // 4
+    assert peak - sol.a.nbytes - sol.b.nbytes <= 0.25e6
+
+
+def _random_data(seed):
+    rng = np.random.default_rng(seed)
+    return GoursatData2(a0=lambda x: rng.uniform(-1.0, 1.0, np.shape(x)),
+                        b0=lambda y: rng.uniform(-1.0, 1.0, np.shape(y)))
+
+
+@pytest.mark.parametrize("system", [hirota_system, naive_system])
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 10])
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_slot_sweep_matches_strided_oracle(system, k, r):
+    # the slot sweep keeps the bits of the strided sweep it replaced: every
+    # site when every = 1, and every every-th row and column otherwise
+    rhs, dom = system(), LatticeDomain2.from_k(r, k)
+    for data in (demo_data(), _random_data(k)):
+        a0, b0 = data.sample(dom)
+        data = GoursatData2(a0, b0)  # the same samples for every solve
+        ref = strided_sweep(rhs, data, dom)
+        for every in (1, 2, 4, 8):
+            if dom.n % every:
+                continue
+            sol = solve_goursat_2d(rhs, data, dom) if every == 1 else _sweep(rhs, data, dom,
+                                                                             every)
+            assert sol.domain == LatticeDomain2(r, dom.eps * every)
+            assert np.array_equal(sol.a.view(np.int64), ref.a[::every, ::every].view(np.int64))
+            assert np.array_equal(sol.b.view(np.int64), ref.b[::every, ::every].view(np.int64))
+
+
+@pytest.mark.parametrize("every", [1, 4])
+def test_oversized_lattice_refused_before_allocation(monkeypatch, every):
+    # the two full fields at n = 16 take 16 * 16 * 17 bytes; one byte less
+    # of free memory refuses the lattice, in kept-site mode as well
+    dom = LatticeDomain2.from_k(1.0, 4)
+    monkeypatch.setattr(goursat, "_free_bytes", lambda: 16 * 16 * 17)
+    assert _sweep(hirota_system(), demo_data(), dom, every).domain.n == 16 // every
+
+    def never(x):
+        raise AssertionError("data sampled for a refused lattice")
+
+    monkeypatch.setattr(goursat, "_free_bytes", lambda: 16 * 16 * 17 - 1)
+    with pytest.raises(ValueError, match="needs 4352 bytes for its two fields"):
+        _sweep(hirota_system(), GoursatData2(never, never), dom, every)
 
 
 def test_non_finite_data_rejected():

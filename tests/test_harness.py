@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ksurf import goursat, harness
+from ksurf.goursat import delta_x, delta_y
 from ksurf.harness import (
     ConvergenceReport,
     SweepConfig,
@@ -17,6 +19,7 @@ from ksurf.harness import (
     zero_data,
 )
 from ksurf.sinegordon import SchemeKind
+from oracles import full_reference_fields_sweep
 
 
 def test_demo_and_zero_data():
@@ -136,8 +139,9 @@ QUOTIENT_SWEEP_PEAK_B = 8_617_414
 
 
 def test_quotient_sweep_memory():
-    # each reference quotient is dropped before the next one is formed; held
-    # all at once, the ten of them would more than double the peak
+    # the reference quotients are formed at the k_max sites only (measured
+    # 4.8 MB); formed on the whole reference lattice and held all at once,
+    # the ten of them would more than double the peak
     cfg = SweepConfig(k_min=4, k_max=6, k_ref=9, quantity="quotients_order_2")
     data = demo_data()
     run_sweep(cfg, data)  # warm caches outside the measurement
@@ -149,6 +153,63 @@ def test_quotient_sweep_memory():
         tracemalloc.stop()
     assert len(rep.families) == 10
     assert peak <= 1.10 * QUOTIENT_SWEEP_PEAK_B
+
+
+@pytest.mark.parametrize("scheme", [SchemeKind.HIROTA, SchemeKind.NAIVE])
+def test_fields_sweep_matches_full_reference(scheme):
+    # keeping only the k_max sites of the reference changes no bit of the
+    # report: the levels are compared at exactly those sites
+    cfg = SweepConfig(k_min=5, k_max=8, k_ref=10, scheme=scheme)
+    rep = run_sweep(cfg, demo_data())
+    rows, (slope, intercept), families = full_reference_fields_sweep(cfg, demo_data())
+    assert rep.rows == rows
+    assert (rep.slope, rep.intercept) == (slope, intercept)
+    assert rep.families == families
+
+
+def test_fields_sweep_holds_one_level_at_a_time(monkeypatch):
+    # the reference keeps only the k_max sites, and each level is dropped once
+    # measured: when a level's solve starts only the kept reference is held
+    # (the lower levels held as well would add up to 88 KB), and the peak is
+    # the kept reference, the k_max level and one comparison's temporaries
+    # (measured 0.80 MB; 17.4 MB with the whole reference and every level held)
+    cfg, data = SweepConfig(k_min=4, k_max=7, k_ref=10), demo_data()
+    held, sweep = [], harness._sweep
+
+    def recording(rhs, data, dom, every):
+        held.append((dom.n, tracemalloc.get_traced_memory()[0]))
+        return sweep(rhs, data, dom, every)
+
+    monkeypatch.setattr(harness, "_sweep", recording)  # the reference
+    monkeypatch.setattr(goursat, "_sweep", recording)  # the levels, in solve_goursat_2d
+    run_sweep(cfg, data)  # warm caches outside the measurement
+    held.clear()
+    tracemalloc.start()
+    try:
+        run_sweep(cfg, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = 2 * 128 * 129 * 8  # the two reference fields at the k_max sites
+    assert [n for n, _ in held] == [1024, 16, 32, 64, 128]
+    assert all(current <= kept + 16e3 for _, current in held[1:])
+    assert peak <= 3 * kept + 0.25e6
+
+
+@pytest.mark.parametrize("every", [1, 2, 4])
+def test_quotient_at_kept_sites_is_bitwise(every):
+    # each kept site's quotient comes from its own stencil by the operations
+    # delta_x and delta_y apply to the whole array
+    p = np.random.default_rng(every).normal(size=(17, 18))
+    for kx in range(4):
+        for ky in range(4 - kx):
+            full = p
+            for _ in range(kx):
+                full = delta_x(full, 0.125)
+            for _ in range(ky):
+                full = delta_y(full, 0.125)
+            got = harness._quotient(p, kx, ky, 0.125, every)
+            assert np.array_equal(got, full[::every, ::every])
 
 
 def test_run_sweep_surface_rejects_naive():
