@@ -129,7 +129,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--kref", type=int, default=12,
                    help="reference level, eps = 2^-kref (default 12); a fields_ab reference "
                         "keeps only the kmax sites, at O(r 2^kref) memory beyond them; a "
-                        "reference whose two full fields exceed free memory is refused")
+                        "reference whose two full fields exceed the available memory is refused")
     p.add_argument("--scheme", choices=["naive", "hirota"], default="hirota")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="spectral parameter, surface and surface_bt only (default 1.0)")

@@ -20,7 +20,7 @@ assigned exactly once, making the result identical (bitwise) to the naive
 lexicographic double loop.  The sweep can keep every site, or only the sites
 a coarser nested lattice shares (a convergence reference): then it costs
 O(n) memory beyond the kept arrays.  A lattice whose two full fields would
-not fit in free memory is refused before anything is allocated.
+not fit in the available memory is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -199,16 +199,29 @@ def solve_goursat_2d(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2) -> Edge
     loop.
 
     Raises ValueError for a step eps the rhs does not admit and, before
-    allocating anything, when the two fields would not fit in the free
-    memory of the machine.  Raises BlowUpError at the first site (in sweep
+    allocating anything, when the two fields would not fit in the memory
+    available on the machine.  Raises BlowUpError at the first site (in sweep
     order) where a non-finite value appears: the systems here are nonlinear
     and can blow up for large data on large domains.
     """
     return _sweep(rhs, data, dom, 1)
 
 
-def _free_bytes() -> int | None:
-    """Free physical memory in bytes, or None where the system does not say."""
+_MEMINFO = "/proc/meminfo"  # Linux; its MemAvailable counts reclaimable page cache too
+
+
+def _available_bytes() -> int | None:
+    """Memory available for new allocations in bytes: MemAvailable of the
+    kernel's meminfo where there is one, otherwise the free physical pages
+    (which leave out the page cache the kernel would reclaim), or None where
+    the system says neither."""
+    try:
+        with open(_MEMINFO, "rb") as fh:
+            for line in fh:
+                if line.startswith(b"MemAvailable:"):
+                    return int(line.split()[1]) * 1024  # the figure is in kB
+    except OSError:  # no such file here
+        pass
     try:
         pages = os.sysconf("SC_AVPHYS_PAGES")
         size = os.sysconf("SC_PAGE_SIZE")
@@ -233,19 +246,19 @@ def _sweep(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2, every: int) -> Ed
     its sites; memory beyond it is O(n).
 
     The full lattice is sized before anything is allocated: ValueError when
-    its two fields, 16 n (n+1) bytes, exceed the free memory (the blow-up
-    report below may need them).  A slot only ever gains eps*f, so a value
+    its two fields, 16 n (n+1) bytes, exceed the available memory (the
+    blow-up report below may need them).  A slot only ever gains eps*f, so a value
     that went non-finite leaves its slot non-finite to the end: one test of
     the final slots finds any blow-up.  BlowUpError then names the first
-    non-finite site in sweep order, from the fields when every = 1 and from
-    a full re-solve otherwise.
+    non-finite site in sweep order, from the fields when every = 1 and
+    otherwise from a full re-solve of the same axis samples.
     """
     _require_step(rhs, dom.eps)
     n, eps = dom.n, dom.eps
-    need, free = 16 * n * (n + 1), _free_bytes()
-    if free is not None and need > free:
+    need, avail = 16 * n * (n + 1), _available_bytes()
+    if avail is not None and need > avail:
         raise ValueError(f"a lattice of n = {n} steps needs {need} bytes for its two "
-                         f"fields, more than the {free} bytes of free memory")
+                         f"fields, more than the {avail} bytes of available memory")
     kept = LatticeDomain2(dom.r, eps * every)  # ValueError unless every divides n
     nc = kept.n
     a_row, b_col = data.sample(dom)
@@ -276,9 +289,12 @@ def _sweep(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2, every: int) -> Ed
                 bf[e + i0 * (nc - 1) : e + i1 * (nc - 1) + 1 : sb] = \
                     bv[i0 * every - lo - 1 :: every]
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        if every > 1:
-            _sweep(rhs, data, dom, 1)  # raises BlowUpError at the first non-finite site
-        _raise_first_blowup(a, b, eps)
+        if every == 1:
+            _raise_first_blowup(a, b, eps)
+        else:  # the samples taken above, now at every site
+            _sweep(rhs, GoursatData2(a_row, b_col), dom, 1)
+        raise AssertionError(f"the sweep went non-finite but no site of the full lattice did "
+                             f"(rhs {rhs.name!r} is not deterministic)")
     return EdgeField2(a, b, kept)
 
 

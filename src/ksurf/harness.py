@@ -30,6 +30,8 @@ from .goursat import (
     GoursatData2,
     LatticeDomain2,
     _sweep,
+    delta_x,
+    delta_y,
     solve_goursat_2d,
     sup_error,
 )
@@ -135,10 +137,16 @@ def fit_slope(rows: Sequence) -> tuple:
 
 def _quotient(p: np.ndarray, kx: int, ky: int, eps: float, every: int = 1) -> np.ndarray:
     """delta_x^kx delta_y^ky p at the sites i = j = 0 (mod every) where it is
-    defined.  Each site's value is formed from its own (kx+1) x (ky+1)
-    stencil by the operations delta_x and delta_y apply to the whole array
-    (x first, then y), so the values are bitwise theirs, and no quotient of
-    the whole lattice is formed."""
+    defined.  For every > 1 (a reference) each kept site's value is formed
+    from its own (kx+1) x (ky+1) stencil by the operations delta_x and
+    delta_y apply to the whole array (x first, then y), so the values are
+    bitwise theirs, and no quotient of the whole lattice is formed."""
+    if every == 1:
+        for _ in range(kx):
+            p = delta_x(p, eps)
+        for _ in range(ky):
+            p = delta_y(p, eps)
+        return p
     rows = np.arange(0, p.shape[0] - kx, every)[:, None] + np.arange(kx + 1)
     cols = np.arange(0, p.shape[1] - ky, every)[:, None] + np.arange(ky + 1)
     q = p[rows[:, :, None, None], cols]  # q[I, u, J, v] = p[I*every + u, J*every + v]

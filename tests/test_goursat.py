@@ -355,17 +355,65 @@ def test_slot_sweep_matches_strided_oracle(system, k, r):
 @pytest.mark.parametrize("every", [1, 4])
 def test_oversized_lattice_refused_before_allocation(monkeypatch, every):
     # the two full fields at n = 16 take 16 * 16 * 17 bytes; one byte less
-    # of free memory refuses the lattice, in kept-site mode as well
+    # of available memory refuses the lattice, in kept-site mode as well
     dom = LatticeDomain2.from_k(1.0, 4)
-    monkeypatch.setattr(goursat, "_free_bytes", lambda: 16 * 16 * 17)
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: 16 * 16 * 17)
     assert _sweep(hirota_system(), demo_data(), dom, every).domain.n == 16 // every
 
     def never(x):
         raise AssertionError("data sampled for a refused lattice")
 
-    monkeypatch.setattr(goursat, "_free_bytes", lambda: 16 * 16 * 17 - 1)
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: 16 * 16 * 17 - 1)
     with pytest.raises(ValueError, match="needs 4352 bytes for its two fields"):
         _sweep(hirota_system(), GoursatData2(never, never), dom, every)
+
+
+def test_size_guard_counts_reclaimable_memory(monkeypatch, tmp_path):
+    # free pages alone (1 page of 4096 bytes) fall short of the 4352 bytes of
+    # the n = 16 fields; MemAvailable, which counts the page cache the kernel
+    # would reclaim, does not, and decides where the system reports it
+    dom = LatticeDomain2.from_k(1.0, 4)
+    pages = {"SC_AVPHYS_PAGES": 1, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(goursat.os, "sysconf", pages.__getitem__)
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text("MemTotal:       16 kB\nMemFree:         4 kB\n"
+                       "MemAvailable:    5 kB\nCached:          1 kB\n")
+    monkeypatch.setattr(goursat, "_MEMINFO", str(meminfo))
+    assert goursat._available_bytes() == 5 * 1024
+    assert _sweep(hirota_system(), demo_data(), dom, 4).domain.n == 4
+    monkeypatch.setattr(goursat, "_MEMINFO", str(tmp_path / "missing"))
+    assert goursat._available_bytes() == 4096
+    with pytest.raises(ValueError, match="more than the 4096 bytes of available memory"):
+        _sweep(hirota_system(), demo_data(), dom, 4)
+
+
+@pytest.mark.parametrize("every", [2, 4])
+def test_kept_blowup_resolves_the_same_samples(every):
+    # data sampled afresh differ from call to call: the full re-solve that
+    # names the site must step the samples that blew up, not new ones
+    draws = iter([0.95, 0.0])
+
+    def a0(x):
+        return np.full(np.shape(x), next(draws))
+
+    rhs = Rhs2(step=lambda a, b, eps: (np.where(a > 0.9, np.inf, 0.0), np.zeros_like(b)),
+               eps0=np.inf, name="bad")
+    with pytest.raises(BlowUpError) as exc:
+        _sweep(rhs, GoursatData2(a0=a0, b0=lambda y: 0.0), LatticeDomain2(1.0, 0.25), every)
+    assert (exc.value.field_name, exc.value.site) == ("a", (0.0, 0.25))
+
+
+def test_kept_blowup_not_reproduced_is_an_error():
+    # an rhs that goes non-finite only on its first call cannot be reported
+    # at a site: the sweep fails loudly instead of returning its fields
+    calls = []
+
+    def step(a, b, eps):
+        calls.append(1)
+        return np.full_like(a, np.nan if len(calls) == 1 else 0.0), np.zeros_like(b)
+
+    with pytest.raises(AssertionError, match="not deterministic"):
+        _sweep(Rhs2(step, np.inf, "once"), demo_data(), LatticeDomain2(1.0, 0.25), 2)
 
 
 def test_non_finite_data_rejected():

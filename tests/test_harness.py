@@ -196,7 +196,7 @@ def test_fields_sweep_holds_one_level_at_a_time(monkeypatch):
     assert peak <= 3 * kept + 0.25e6
 
 
-@pytest.mark.parametrize("every", [1, 2, 4])
+@pytest.mark.parametrize("every", [1, 2, 4, 8])
 def test_quotient_at_kept_sites_is_bitwise(every):
     # each kept site's quotient comes from its own stencil by the operations
     # delta_x and delta_y apply to the whole array

@@ -1,18 +1,18 @@
 """Alternating parent/change benchmark runs, summarised as one BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json \
-        [--pairs 10] [--seed0 101] [--workloads NAME ...] [--records DIR]
+        [--seed0 101]
 
-Each DIR is a clean checkout of one revision.  For pair i and each workload,
-perfbench/run.py runs once in each checkout with --trace 0, --seed seed0 + i
-and the run_seconds of the change's BENCHMARK.json: the parent first on even
-pairs, the change first on odd ones, one run at a time.  The record that a run
-writes to .perfbench/<workload>-trace0.json is copied to --records as
-<side>-<workload>-<i>.json.  The output holds, per workload and side, every
-run's end-to-end metrics with their median and quartiles, the failed and
-attempted job counts, the environment record of its first run and its git
-revision; and, per metric, the pairs the change won (ties count for neither).
-Standard library only.
+Each DIR is a clean checkout of one revision.  For each of PAIRS pairs i and
+each workload of the change's BENCHMARK.json, perfbench/run.py runs once in
+each checkout with --trace 0, --seed seed0 + i and that file's run_seconds:
+the parent first on even pairs, the change first on odd ones, one run at a
+time.  Each run's record is read from the .perfbench/<workload>-trace0.json
+it writes.  The output holds, per workload and side, every run's end-to-end
+metrics with their median and quartiles, the failed and attempted job
+counts, the environment record of its first run and its git revision; and,
+per metric, the pairs the change won (ties count for neither).  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -20,26 +20,23 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import statistics
 import subprocess
 import sys
 
 SIDES = ("parent", "change")
+PAIRS = 10  # the fewest alternating pairs a claimed gain is judged on
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float, records: str,
-             name: str) -> dict:
-    """One perfbench run in tree; the record it wrote, copied to records/name."""
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run in tree; the record it wrote."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
-    src = os.path.join(tree, ".perfbench", f"{workload}-trace0.json")
-    dst = os.path.join(records, name)
-    shutil.copyfile(src, dst)
-    with open(dst, encoding="utf-8") as fh:
+    with open(os.path.join(tree, ".perfbench", f"{workload}-trace0.json"),
+              encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -81,28 +78,19 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True)
     p.add_argument("--change", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed0", type=int, default=101)
-    p.add_argument("--workloads", nargs="*")
-    p.add_argument("--records", default=None,
-                   help="where each run's record is copied (default: <out>.records)")
     args = p.parse_args(argv)
-    if args.pairs < 2:
-        p.error("--pairs must be at least 2 (quartiles need two runs per side)")
 
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    records = args.records or args.out + ".records"
-    os.makedirs(records, exist_ok=True)
+    workloads = [w["name"] for w in bench["workloads"]]
     trees = {"parent": args.parent, "change": args.change}
     runs = {w: {side: [] for side in SIDES} for w in workloads}
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for w in workloads:
             for side in order:
-                rec = run_once(trees[side], w, args.seed0 + i, bench["run_seconds"], records,
-                               f"{side}-{w}-{i}.json")
+                rec = run_once(trees[side], w, args.seed0 + i, bench["run_seconds"])
                 runs[w][side].append(rec)
                 wall = rec["result"]["metrics"]["norm_wall_s"]["value"]
                 print(f"pair {i} {w} {side}: norm_wall_s {wall:.4f}", flush=True)
@@ -110,8 +98,8 @@ def main(argv=None) -> int:
     out = {
         "command": bench["command"],
         "run_seconds": bench["run_seconds"],
-        "pairs": args.pairs,
-        "seeds": [args.seed0 + i for i in range(args.pairs)],
+        "pairs": PAIRS,
+        "seeds": [args.seed0 + i for i in range(PAIRS)],
         "order": "parent first on even pairs, change first on odd pairs",
         "workloads": {w: summarise(runs[w], bench["end_to_end"]) for w in workloads},
     }
