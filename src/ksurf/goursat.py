@@ -247,9 +247,9 @@ def _sweep(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2, every: int) -> Ed
 
     The full lattice is sized before anything is allocated: ValueError when
     its two fields, 16 n (n+1) bytes, exceed the available memory (the
-    blow-up report below may need them).  A slot only ever gains eps*f, so a value
-    that went non-finite leaves its slot non-finite to the end: one test of
-    the final slots finds any blow-up.  BlowUpError then names the first
+    blow-up report below may need them).  A slot only ever gains eps*f, so a
+    value that went non-finite leaves its slot non-finite to the end: one
+    test of the final slots finds any blow-up.  BlowUpError then names the first
     non-finite site in sweep order, from the fields when every = 1 and
     otherwise from a full re-solve of the same axis samples.
     """

@@ -141,7 +141,7 @@ def _quotient(p: np.ndarray, kx: int, ky: int, eps: float, every: int = 1) -> np
     from its own (kx+1) x (ky+1) stencil by the operations delta_x and
     delta_y apply to the whole array (x first, then y), so the values are
     bitwise theirs, and no quotient of the whole lattice is formed."""
-    if every == 1:
+    if every == 1:  # the stencils would copy the lattice (kx+1)(ky+1) times
         for _ in range(kx):
             p = delta_x(p, eps)
         for _ in range(ky):
