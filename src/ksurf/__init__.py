@@ -24,9 +24,7 @@ from .goursat import (
     Rhs2,
     delta_x,
     delta_y,
-    discrete_ck_norm,
     load_field_csv,
-    nested_levels,
     save_field_csv,
     solve_goursat_2d,
     sup_error,
@@ -37,7 +35,6 @@ from .sinegordon import (
     PhiField,
     Rhs3,
     SchemeKind,
-    backlund_rhs_continuous,
     backlund_system,
     check_compatibility_3d,
     hirota_backlund_system,

@@ -44,7 +44,7 @@ from .goursat import (
     solve_goursat_2d,
 )
 from .frames import ZeroCurvatureError
-from .harness import SweepConfig, _phi00, demo_data, emit_report, run_sweep, zero_data
+from .harness import SweepConfig, demo_data, emit_report, run_sweep, zero_data
 from .sinegordon import (
     BacklundParam,
     SchemeKind,
@@ -211,7 +211,7 @@ def _cmd_solve(args) -> int:
     print(f"solved {args.scheme} on n = {dom.n} (eps = {dom.eps:.6g}, r = {dom.r:.6g})")
     print(f"wrote {args.out}_a.csv and {args.out}_b.csv")
     if args.phi:
-        field = reconstruct_phi(fields, _phi00(data, dom), scheme)
+        field = reconstruct_phi(fields, fields.b[0, 0], scheme)
         save_field_csv(f"{args.out}_phi.csv", field.phi, dom)
         print(f"wrote {args.out}_phi.csv")
     return 0
@@ -222,7 +222,7 @@ def _cmd_surface(args) -> int:
     data = _resolve_data(args.data, dom)
     fields = solve_goursat_2d(hirota_system(), data, dom)
     mesh = mesh_from_fields(fields, args.lam)
-    phi = reconstruct_phi(fields, _phi00(data, dom), SchemeKind.HIROTA)
+    phi = reconstruct_phi(fields, fields.b[0, 0], SchemeKind.HIROTA)
     report = validate_k_surface(mesh, phi)
     export_obj(mesh, f"{args.out}.obj")
     print(f"surface on n = {dom.n} (eps = {dom.eps:.6g}), lambda = {args.lam:.6g}")

@@ -100,9 +100,6 @@ class LatticeDomain2:
         """Domain with dyadic step eps = 2**-k."""
         return cls(r, 2.0 ** -k)
 
-    def sites_x(self) -> np.ndarray:
-        return np.arange(self.n + 1) * self.eps
-
 
 @dataclass(frozen=True)
 class Rhs2:
@@ -230,6 +227,16 @@ def _available_bytes() -> int | None:
     return pages * size if pages >= 0 and size > 0 else None
 
 
+def _require_memory(need: int, what: str, purpose: str) -> None:
+    """ValueError when what needs need bytes for purpose, more than the
+    available memory; called before the bytes are allocated (no check where
+    the system reports no figure)."""
+    avail = _available_bytes()
+    if avail is not None and need > avail:
+        raise ValueError(f"{what} needs {need} bytes for {purpose}, more than the "
+                         f"{avail} bytes of available memory")
+
+
 def _sweep(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2, every: int) -> EdgeField2:
     """The anti-diagonal sweep, keeping only the sites i = j = 0 (mod every).
 
@@ -255,10 +262,7 @@ def _sweep(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2, every: int) -> Ed
     """
     _require_step(rhs, dom.eps)
     n, eps = dom.n, dom.eps
-    need, avail = 16 * n * (n + 1), _available_bytes()
-    if avail is not None and need > avail:
-        raise ValueError(f"a lattice of n = {n} steps needs {need} bytes for its two "
-                         f"fields, more than the {avail} bytes of available memory")
+    _require_memory(16 * n * (n + 1), f"a lattice of n = {n} steps", "its two fields")
     kept = LatticeDomain2(dom.r, eps * every)  # ValueError unless every divides n
     nc = kept.n
     a_row, b_col = data.sample(dom)
@@ -314,36 +318,6 @@ def _raise_first_blowup(a: np.ndarray, b: np.ndarray, eps: float) -> None:
     if found:
         _, name, site = min(found)
         raise BlowUpError(name, site)
-
-
-def discrete_ck_norm(p: np.ndarray, order: int, dom: LatticeDomain2) -> float:
-    """Discrete C^K norm: max over k+l <= K of sup |delta_x^k delta_y^l p|.
-
-    The sup runs over the domain shrunk by K = order steps in each direction,
-    so every quotient of total order up to K is evaluated on a common set of
-    sites.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if order * dom.eps > dom.r * (1 + 1e-12):
-        raise ValueError(f"order {order} shrinks the domain below zero extent")
-    eps = dom.eps
-    s0, s1 = p.shape
-    if order >= s0 or order >= s1:
-        raise ValueError(f"order {order} too large for array of shape {p.shape}")
-    best = 0.0
-    # quotients[l] holds delta_x^k delta_y^l p for the current k
-    quotients = [p]
-    for _ in range(order):
-        quotients.append(delta_y(quotients[-1], eps))
-    for k in range(order + 1):
-        for l in range(order + 1 - k):
-            block = quotients[l][: s0 - order, : s1 - order]
-            if block.size:
-                best = max(best, float(np.max(np.abs(block))))
-        if k < order:
-            quotients = [delta_x(q, eps) for q in quotients[: order - k]]
-    return best
 
 
 def sup_error(p: np.ndarray, eps_p: float, q: np.ndarray, eps_q: float) -> float:
@@ -520,9 +494,3 @@ def load_field_csv(path) -> tuple[np.ndarray, float, float]:
     _check_grid(path, arr, eps * 2, r * 2)
     return arr, eps[0], r[0]
 
-
-def nested_levels(k_lo: int, k_hi: int) -> list[float]:
-    """Dyadic steps 2**-k for k in [k_lo, k_hi], coarse to fine."""
-    if k_lo > k_hi:
-        raise ValueError("k_lo must be <= k_hi")
-    return [2.0 ** -k for k in range(k_lo, k_hi + 1)]

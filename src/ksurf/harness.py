@@ -65,8 +65,9 @@ class SweepConfig:
     order is set by the quantity name only, so dataclasses.replace keeps it
     only when given quantity='quotients_order_<m>' again.  lam is read by
     the two surface quantities and bt_chain only by 'surface_bt' (a chain
-    for any other quantity is refused); run_sweep refuses the surface
-    quantities for any scheme but Hirota.
+    for any other quantity is refused).  What run_sweep could not measure is
+    refused here, before anything is solved: fewer than three levels (no
+    slope to fit) and a surface quantity with any scheme but Hirota.
     """
 
     r: float = 1.0
@@ -92,8 +93,13 @@ class SweepConfig:
             raise ValueError(f"unknown quantity {q!r}; pick one of {_QUANTITIES}")
         if self.bt_chain and q != "surface_bt":
             raise ValueError(f"bt_chain is read only by quantity 'surface_bt', not {q!r}")
+        if q.startswith("surface") and self.scheme is not SchemeKind.HIROTA:
+            raise ValueError("surface sweeps require the Hirota scheme")
         if not (1 <= self.k_min <= self.k_max):
             raise ValueError(f"need 1 <= k_min <= k_max, got {self.k_min}..{self.k_max}")
+        if self.k_max - self.k_min < 2:
+            raise ValueError(f"k_min..k_max = {self.k_min}..{self.k_max} gives fewer than the "
+                             f"3 levels a slope is fitted to")
         if self.k_ref < self.k_max + 2:
             raise ValueError(
                 f"k_ref = {self.k_ref} too close to k_max = {self.k_max}; "
@@ -157,11 +163,6 @@ def _quotient(p: np.ndarray, kx: int, ky: int, eps: float, every: int = 1) -> np
     return q[:, 0, :, 0]
 
 
-def _phi00(data: GoursatData2, dom: LatticeDomain2) -> float:
-    """The phi(0, 0) seed of reconstruct_phi: the first b0 sample."""
-    return float(data.sample(dom)[1][0])
-
-
 def _kept(p: np.ndarray, every: int) -> np.ndarray:
     """The sites i = j = 0 (mod every) of p, in an array of their own."""
     return p if every == 1 else p[::every, ::every].copy()
@@ -173,10 +174,7 @@ def _measured(cfg: SweepConfig, data: GoursatData2, dom: LatticeDomain2, every: 
     an order that does not depend on the lattice.  Each array keeps only
     the sites i = j = 0 (mod every): the fields are solved at those sites
     only, every other quantity is formed on the whole lattice and cut down."""
-    if cfg.quantity.startswith("surface"):
-        if cfg.scheme is not SchemeKind.HIROTA:
-            raise ValueError("surface sweeps require the Hirota scheme")
-        # 'surface' is the tower of an empty chain
+    if cfg.quantity.startswith("surface"):  # 'surface' is the tower of an empty chain
         yield cfg.quantity, _kept(backlund_surface(data, dom, cfg.bt_chain, cfg.lam)[-1].points,
                                   every)
         return
@@ -187,9 +185,9 @@ def _measured(cfg: SweepConfig, data: GoursatData2, dom: LatticeDomain2, every: 
         yield "a", sol.a
         yield "b", sol.b
         return
-    if cfg.quantity == "phi":
-        yield "phi", _kept(reconstruct_phi(solve_goursat_2d(rhs, data, dom), _phi00(data, dom),
-                                           cfg.scheme).phi, every)
+    if cfg.quantity == "phi":  # seeded by the b0 sample the solve stored
+        sol = solve_goursat_2d(rhs, data, dom)
+        yield "phi", _kept(reconstruct_phi(sol, sol.b[0, 0], cfg.scheme).phi, every)
         return
     sol = solve_goursat_2d(rhs, data, dom)
     for kx in range(cfg.quotient_order + 1):

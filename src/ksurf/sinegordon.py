@@ -201,17 +201,6 @@ def second_order_residual(field: PhiField) -> float:
 # Backlund transformation right-hand sides
 
 
-def backlund_rhs_continuous(a, b, theta, alpha):
-    """Continuous Backlund system: theta_x = u, theta_y = v, and the field
-    increments (xi, eta) = (a~ - a, b~ - b), the eps -> 0 limit of the
-    discrete ones."""
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    u = -np.asarray(a) + alpha * np.sin(theta)
-    v = np.sin(np.asarray(b) + theta) / alpha
-    return u, v, backlund_xi(u), backlund_eta(v, theta, 0.0)
-
-
 def backlund_u(a, theta, alpha, eps):
     """Discrete Backlund x-derivative of theta.
 
@@ -354,10 +343,18 @@ def _solve_layers(rhs2: Rhs2, steps, data: GoursatData2, dom: LatticeDomain2) ->
     naming the worst site otherwise; a non-finite theta is a BlowUpError
     first).  The (xi, eta) increments on the data axes are the Goursat data
     of layer z + 1, which rhs2 solves, so each layer is solved exactly once.
+
+    A finite theta00 whose float spacing exceeds eps * 2^-30 is refused with
+    ValueError before anything is solved: the increments eps*u, eps*v would
+    be lost in its rounding, leaving theta frozen (a non-finite theta00
+    stays a BlowUpError).
     """
     n, eps = dom.n, dom.eps
-    for rhs6, _ in steps:
+    for rhs6, theta00 in steps:
         _require_step(rhs6, eps)
+        if math.isfinite(theta00) and math.ulp(theta00) > eps * 2.0**-30:
+            raise ValueError(f"theta0 = {float(theta00)!r} is too large for eps = {eps!r}: its float "
+                             f"spacing {math.ulp(theta00):.3g} exceeds eps * 2^-30")
     layer = solve_goursat_2d(rhs2, data, dom)
     sol = LayeredField3([layer.a], [layer.b], [], dom, [])
     for z, (rhs6, theta00) in enumerate(steps):

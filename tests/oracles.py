@@ -42,7 +42,7 @@ from ksurf.goursat import (
     sup_error,
 )
 from ksurf.harness import fit_slope
-from ksurf.sinegordon import backlund_rhs_continuous, system_for
+from ksurf.sinegordon import system_for
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -195,6 +195,17 @@ def hirota_f_complex(a, b, eps):
     num = 1.0 - q * np.exp(-1j * b - 0.5j * eps * a)
     den = 1.0 - q * np.exp(1j * b + 0.5j * eps * a)
     return (2.0 / (1j * eps * eps)) * np.log(num / den)
+
+
+def backlund_rhs_continuous(a, b, theta, alpha):
+    """Continuous Backlund system: theta_x = u, theta_y = v, and the field
+    increments (xi, eta) = (a~ - a, b~ - b) = (2u, 2 theta), the eps -> 0
+    limit of the discrete ones."""
+    if alpha <= 0:
+        raise ValueError("alpha must be > 0")
+    u = -np.asarray(a) + alpha * np.sin(theta)
+    v = np.sin(np.asarray(b) + theta) / alpha
+    return u, v, 2.0 * u, 2.0 * np.asarray(theta)
 
 
 def backlund_compat_residual_continuous(samples: np.ndarray, alpha: float) -> float:

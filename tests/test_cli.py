@@ -5,11 +5,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ksurf import goursat, harness, sinegordon
 from ksurf.cli import main
-from ksurf.goursat import LatticeDomain2, load_field_csv, solve_goursat_2d
+from ksurf.goursat import (
+    GoursatData2,
+    LatticeDomain2,
+    load_field_csv,
+    save_field_csv,
+    solve_goursat_2d,
+)
 from ksurf.harness import demo_data, load_report
-from ksurf.sinegordon import hirota_system
-from ksurf.surfaces import build_surface, load_obj_points
+from ksurf.sinegordon import SchemeKind, hirota_system, reconstruct_phi, system_for
+from ksurf.surfaces import (
+    build_surface,
+    export_obj,
+    load_obj_points,
+    mesh_from_fields,
+    validate_k_surface,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -35,6 +48,48 @@ def test_solve_with_phi(tmp_path):
     phi, _, _ = load_field_csv(tmp_path / "run_phi.csv")
     assert phi.shape == (17, 17)
     assert np.isfinite(phi).all()
+
+
+def write_tabulated(tmp_path, dom):
+    """Demo data as "x value" files at the sites of dom; returns the --data value."""
+    xs = np.arange(dom.n) * dom.eps
+    for name, vals in (("a.txt", np.cos(2.0 * xs)), ("b.txt", 1.0 + np.sin(xs))):
+        (tmp_path / name).write_text("".join(f"{x:.17g} {v:.17g}\n" for x, v in zip(xs, vals)))
+    return "a.txt,b.txt"
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("source", ["demo", "tabulated"])
+def test_phi_files_match_the_resampled_seed(tmp_path, capsys, k, source):
+    # phi(0, 0) is now the b0 sample the solve stored; seeding it from a
+    # fresh sampling of the data, as before, writes the same bytes
+    dom = LatticeDomain2.from_k(1.0, k)
+    spec = "demo" if source == "demo" else write_tabulated(tmp_path, dom)
+    a0, b0 = (demo_data() if source == "demo" else GoursatData2(
+        *(np.loadtxt(tmp_path / f, usecols=1, ndmin=1) for f in ("a.txt", "b.txt")))).sample(dom)
+    data = GoursatData2(a0, b0)
+    for scheme in SchemeKind:
+        fields = solve_goursat_2d(system_for(scheme), data, dom)
+        phi = reconstruct_phi(fields, float(data.sample(dom)[1][0]), scheme)
+        save_field_csv("want_phi.csv", phi.phi, dom)
+        assert main(["solve", "--k", str(k), "--data", spec, "--scheme", scheme.value,
+                     "--phi", "--out", "got"]) == 0
+        for name in ("a", "b", "phi"):
+            if name != "phi":
+                save_field_csv(f"want_{name}.csv", getattr(fields, name), dom)
+            assert (tmp_path / f"got_{name}.csv").read_bytes() == \
+                (tmp_path / f"want_{name}.csv").read_bytes()
+    # surface: the OBJ does not read phi, the printed validation does
+    mesh = mesh_from_fields(fields, 1.0)
+    report = validate_k_surface(mesh, phi)
+    export_obj(mesh, "want.obj")
+    capsys.readouterr()
+    assert main(["surface", "--k", str(k), "--data", spec, "--out", "got"]) == 0
+    assert (f"residuals: edge {report.edge:.3e}, planarity {report.planarity:.3e}, "
+            f"angle {report.angle:.3e}, angle sum {report.angle_sum:.3e} "
+            f"({report.interior_sites} interior sites)\n") in capsys.readouterr().out
+    for ext in ("obj", "meta"):
+        assert (tmp_path / f"got.{ext}").read_bytes() == (tmp_path / f"want.{ext}").read_bytes()
 
 
 def test_k_sets_eps_to_two_to_minus_k(tmp_path, capsys):
@@ -245,6 +300,29 @@ def test_backlund_nan_theta0_is_a_blowup(capsys):
     assert "incompatible" not in err
 
 
+@pytest.mark.parametrize("theta0", ["1e300", "1e17", "1048576"])
+def test_backlund_oversized_theta0_exits_one(monkeypatch, capsys, theta0):
+    # its float spacing would swallow every theta step: refused before any solve
+    def never(*args):
+        raise AssertionError("solved with an oversized theta0")
+
+    monkeypatch.setattr(sinegordon, "solve_goursat_2d", never)
+    assert main(["backlund", "--k", "3", "--alpha", "1", "--theta0", theta0]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: theta0 = {float(theta0)!r} is too large for eps = 0.125")
+    assert err.count("\n") == 1
+
+
+def test_surface_points_beyond_memory_exit_one(monkeypatch, capsys, tmp_path):
+    # n = 8: fields of 1,152 bytes fit, points of 24 * 81 = 1,944 bytes do not
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: 24 * 81 - 1)
+    assert main(["surface", "--k", "3"]) == 1
+    assert capsys.readouterr().err == ("error: a tower of 1 surfaces on n = 8 steps needs 1944 "
+                                       "bytes for its points, more than the 1943 bytes of "
+                                       "available memory\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_backlund_chain_errors(tmp_path, capsys):
     assert main(["backlund", "--k", "4"]) == 1  # no chain given
     assert main(["backlund", "--k", "4", "--alpha", "1.0"]) == 1  # no theta0
@@ -362,6 +440,20 @@ def test_converge_reads_surface_flags(tmp_path):
 def test_converge_quotient_order_is_the_quantity_name(capsys):
     assert main(["converge", "--quantity", "quotients", "--quotient-order", "3"]) == 1
     assert "unrecognized arguments: --quotient-order 3" in capsys.readouterr().err
+
+
+def test_converge_refuses_two_levels_before_solving(monkeypatch, capsys, tmp_path):
+    def never(*args):
+        raise AssertionError("solved a sweep with no slope to fit")
+
+    monkeypatch.setattr(harness, "solve_goursat_2d", never)
+    monkeypatch.setattr(harness, "_sweep", never)
+    assert main(["converge", "--kmin", "1", "--kmax", "2", "--kref", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: k_min..k_max = 1..2 gives fewer than the 3 levels")
+    assert main(["converge", "--quantity", "surface", "--scheme", "naive"]) == 1
+    assert capsys.readouterr().err == "error: surface sweeps require the Hirota scheme\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_converge_rejects_tabulated(capsys):

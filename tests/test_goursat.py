@@ -1,4 +1,4 @@
-"""Tests for the 2D Goursat solver, norms, and grid utilities."""
+"""Tests for the 2D Goursat solver and grid utilities."""
 
 import math
 import tracemalloc
@@ -17,9 +17,7 @@ from ksurf.goursat import (
     _sweep,
     delta_x,
     delta_y,
-    discrete_ck_norm,
     load_field_csv,
-    nested_levels,
     save_field_csv,
     solve_goursat_2d,
     sup_error,
@@ -33,7 +31,6 @@ def test_domain_from_k():
     dom = LatticeDomain2.from_k(4.0, 6)
     assert dom.eps == 2.0**-6
     assert dom.n == 4 * 2**6
-    assert np.allclose(dom.sites_x(), np.arange(dom.n + 1) * dom.eps)
 
 
 def test_domain_validation():
@@ -54,7 +51,7 @@ def test_domain_validation():
 def test_difference_quotient_value():
     # delta_x of x^2 at eps = 1/4 sampled at x = 1/2 is (0.75^2 - 0.5^2)/0.25
     dom = LatticeDomain2(1.0, 0.25)
-    xs = dom.sites_x()
+    xs = np.arange(dom.n + 1) * dom.eps
     p = np.outer(xs, np.ones_like(xs)) ** 2
     dx = delta_x(p, dom.eps)
     assert dx.shape == (dom.n, dom.n + 1)
@@ -62,47 +59,6 @@ def test_difference_quotient_value():
     # delta_y on the transposed field gives the same quotients
     dy = delta_y(p.T, dom.eps)
     assert np.array_equal(dy, dx.T)
-
-
-def test_ck_norm_of_xy():
-    # p = x*y on r = 1, eps = 1/2: the only nonzero quotient on the shrunken
-    # domain is delta_x delta_y p = 1, so the C^2 norm is exactly 1
-    dom = LatticeDomain2(1.0, 0.5)
-    xs = dom.sites_x()
-    p = np.outer(xs, xs)
-    assert discrete_ck_norm(p, 2, dom) == pytest.approx(1.0, abs=1e-15)
-    # C^0 sees the corner value 1; C^1 runs on the domain shrunk by one
-    # step, where both p and its quotients are bounded by 1/2
-    assert discrete_ck_norm(p, 0, dom) == pytest.approx(1.0)
-    assert discrete_ck_norm(p, 1, dom) == pytest.approx(0.5)
-
-
-def test_ck_norm_brute_force():
-    rng = np.random.default_rng(3)
-    dom = LatticeDomain2(1.0, 2.0**-3)
-    p = rng.normal(size=(dom.n + 1, dom.n + 1))
-    eps = dom.eps
-    order = 2
-    expected = 0.0
-    for k in range(order + 1):
-        for l in range(order + 1 - k):
-            q = p
-            for _ in range(k):
-                q = delta_x(q, eps)
-            for _ in range(l):
-                q = delta_y(q, eps)
-            block = q[: p.shape[0] - order, : p.shape[1] - order]
-            expected = max(expected, float(np.abs(block).max()))
-    assert discrete_ck_norm(p, order, dom) == pytest.approx(expected, rel=1e-14)
-
-
-def test_ck_norm_validation():
-    dom = LatticeDomain2(1.0, 0.5)
-    p = np.zeros((3, 3))
-    with pytest.raises(ValueError):
-        discrete_ck_norm(p, -1, dom)
-    with pytest.raises(ValueError):
-        discrete_ck_norm(p, 3, dom)  # shrinks the 2-step domain below zero
 
 
 def test_goursat_data_sampling():
@@ -528,10 +484,3 @@ def test_field_csv_loader_memory(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(p, q)
     assert peak < 24e6
-
-
-def test_nested_levels():
-    assert nested_levels(3, 5) == [0.125, 0.0625, 0.03125]
-    assert nested_levels(4, 4) == [0.0625]
-    with pytest.raises(ValueError):
-        nested_levels(5, 3)

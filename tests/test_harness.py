@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ksurf import goursat, harness
-from ksurf.goursat import delta_x, delta_y
+from ksurf.goursat import GoursatData2, delta_x, delta_y
 from ksurf.harness import (
     ConvergenceReport,
     SweepConfig,
@@ -18,7 +18,7 @@ from ksurf.harness import (
     run_sweep,
     zero_data,
 )
-from ksurf.sinegordon import SchemeKind
+from ksurf.sinegordon import SchemeKind, reconstruct_phi
 from oracles import full_reference_fields_sweep
 
 
@@ -51,6 +51,10 @@ def test_sweep_config_validation():
         SweepConfig(k_min=0)
     with pytest.raises(ValueError, match="k_min"):
         SweepConfig(k_min=7, k_max=6)
+    for k_min, k_max in ((1, 1), (1, 2), (5, 6)):  # no slope through fewer than 3 levels
+        with pytest.raises(ValueError, match="fewer than the 3 levels"):
+            SweepConfig(k_min=k_min, k_max=k_max, k_ref=k_max + 2)
+    assert SweepConfig(k_min=1, k_max=3, k_ref=5).k_max == 3
     with pytest.raises(ValueError, match="k_ref"):
         SweepConfig(k_min=4, k_max=6, k_ref=7)  # reference too close
     with pytest.raises(ValueError, match="r must"):
@@ -213,11 +217,36 @@ def test_quotient_at_kept_sites_is_bitwise(every):
 
 
 def test_run_sweep_surface_rejects_naive():
-    cfg = SweepConfig(
-        k_min=4, k_max=6, k_ref=9, quantity="surface", scheme=SchemeKind.NAIVE
-    )
-    with pytest.raises(ValueError, match="Hirota"):
-        run_sweep(cfg, demo_data())
+    # refused by the config, before anything is solved
+    for q in ("surface", "surface_bt"):
+        with pytest.raises(ValueError, match="Hirota"):
+            SweepConfig(k_min=4, k_max=6, k_ref=9, quantity=q, scheme=SchemeKind.NAIVE)
+
+
+def jittered_data():
+    """Demo data whose b0 samples move by up to 1e-9 from one sampling to the next."""
+    rng, base = np.random.default_rng(12), demo_data()
+    return GoursatData2(base.a0, lambda y: base.b0(y) + rng.uniform(-1e-9, 1e-9))
+
+
+@pytest.mark.parametrize("scheme", [SchemeKind.NAIVE, SchemeKind.HIROTA])
+def test_phi_sweep_seeds_phi00_from_the_solved_field(monkeypatch, scheme):
+    # phi(0, 0) is the b0 sample the solve stored, not a second sampling of
+    # the data, so the naive identification phi = b holds for any data
+    seeds = []
+
+    def recording(fields, phi00, kind):
+        field = reconstruct_phi(fields, phi00, kind)
+        seeds.append((field.phi[0, 0], fields.b[0, 0]))
+        return field
+
+    monkeypatch.setattr(harness, "reconstruct_phi", recording)
+    cfg = SweepConfig(k_min=3, k_max=5, k_ref=7, quantity="phi", scheme=scheme)
+    rep = run_sweep(cfg, jittered_data())
+    assert len(rep.rows) == 3 and all(np.isfinite(err) for _, err in rep.rows)
+    assert len(seeds) == 4
+    for phi00, b00 in seeds:
+        assert np.float64(phi00).view(np.int64) == np.float64(b00).view(np.int64)
 
 
 def test_run_sweep_degenerate():

@@ -158,6 +158,22 @@ def test_solve_3d_matches_dedicated_solver():
     assert st.alt_residual <= 1e-13  # measured 1.8e-15
 
 
+@pytest.mark.parametrize("k", [3, 4, 6])
+@pytest.mark.parametrize("theta0", [(0.5, -0.3), (1.0, 0.2, -0.7)])
+def test_solve_3d_equals_dedicated_solver_bitwise(k, theta0):
+    # both define each value along the same path with the same arithmetic;
+    # the nd solver checks the layered solver bit for bit
+    eps = 2.0**-k
+    ref = solve_goursat_3d(hirota_backlund_system(1.0), demo_data(), theta0,
+                           LatticeDomain2(1.0, eps))
+    st = solve_goursat_nd(sine_gordon_3d_spec(1.0, eps), [A0, B0, theta0_layers(theta0)],
+                          (1.0, 1.0, float(len(theta0))))
+    for field, layers in zip(st.fields, (ref.a, ref.b, ref.theta)):
+        assert field.shape[2] == len(layers)
+        for z, want in enumerate(layers):
+            assert np.array_equal(field[:, :, z].view(np.int64), want.view(np.int64))
+
+
 def scalar_oracle(spec, data, r):
     """Site-by-site reference: a lexicographic loop over the box that calls
     every right-hand side on scalars, defines each value from its smallest

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ksurf import sinegordon
 from ksurf.goursat import (
     COMPAT_TOL,
     CompatibilityError,
@@ -19,7 +20,6 @@ from ksurf.sinegordon import (
     SchemeKind,
     _im_log1m,
     backlund_eta,
-    backlund_rhs_continuous,
     backlund_system,
     backlund_u,
     backlund_v,
@@ -40,6 +40,7 @@ from ksurf.sinegordon import (
 )
 from oracles import (
     backlund_compat_residual_continuous,
+    backlund_rhs_continuous,
     compatibility_3d_three_identities,
     hirota_f_complex,
     two_path_layers,
@@ -379,6 +380,35 @@ def test_solve_3d_naive_aborts():
         solve_goursat_3d(naive_backlund_system(1.0), data, [0.5], dom)
     assert exc.value.mismatch > COMPAT_TOL  # measured 2.75e-4, the worst site
     assert "layer 0" in str(exc.value)
+
+
+class _Solved(Exception):
+    """Raised in place of a layer solve: the guards before it all passed."""
+
+
+def test_theta0_beyond_its_float_spacing_refused_before_solving(monkeypatch):
+    # theta0 whose ulp exceeds eps * 2^-30 would swallow the increments
+    # eps*u and eps*v; at eps = 1/8 the limit sits at |theta0| = 2^20
+    def solving(*args):
+        raise _Solved
+
+    monkeypatch.setattr(sinegordon, "solve_goursat_2d", solving)
+    rhs6 = hirota_backlund_system(1.0)
+    for k in range(1, 15):  # every theta0 with |theta0| <= 100 passes at k <= 14
+        for theta0 in (100.0, -100.0):
+            with pytest.raises(_Solved):
+                solve_goursat_3d(rhs6, demo_data(), [0.5, theta0], LatticeDomain2.from_k(1.0, k))
+    dom = LatticeDomain2.from_k(1.0, 3)
+    for theta0 in (2.0**20, -(2.0**20), 1e300, -1e300, np.finfo(float).max):
+        with pytest.raises(ValueError, match=r"theta0 = .* too large for eps = 0\.125"):
+            solve_goursat_3d(rhs6, demo_data(), [0.5, theta0], dom)
+    for theta0 in (np.nan, np.inf):  # left to the solve, which reports a blow-up
+        with pytest.raises(_Solved):
+            solve_goursat_3d(rhs6, demo_data(), [theta0], dom)
+    monkeypatch.undo()
+    below = np.nextafter(2.0**20, 0.0)  # one ulp is exactly eps * 2^-30: solved
+    sol = solve_goursat_3d(rhs6, demo_data(), [below, -below], dom)
+    assert sol.layers == 2 and sol.cross_residual <= COMPAT_TOL  # measured 5.8e-10
 
 
 def test_backlund_param():

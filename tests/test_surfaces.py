@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ksurf import goursat, surfaces
 from ksurf.frames import ZeroCurvatureError
 from ksurf.goursat import EdgeField2, GoursatData2, LatticeDomain2, solve_goursat_2d
 from ksurf.harness import demo_data, zero_data
@@ -205,6 +206,26 @@ def test_backlund_surface_empty_chain(dom):
     tower = backlund_surface(demo_data(), dom, [])
     assert len(tower) == 1
     assert np.array_equal(tower[0].points, build_surface(demo_data(), dom).points)
+
+
+@pytest.mark.parametrize("chain", [(), ((1.0, 0.5),), tuple(MIXED_CHAIN)])
+def test_tower_points_refused_before_allocation(monkeypatch, chain):
+    # R + 1 point arrays of 24 (n+1)^2 bytes each, n = 8; the fields of the
+    # layer solves (16 n (n+1) bytes each) fit well under that
+    dom, layers = LatticeDomain2.from_k(1.0, 3), len(chain) + 1
+    need = 24 * 81 * layers
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: need)
+    assert len(backlund_surface(demo_data(), dom, chain)) == layers
+
+    def never(*args, **kwargs):
+        raise AssertionError("frames swept for a refused tower")
+
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: need - 1)
+    monkeypatch.setattr(surfaces, "_sweep", never)
+    with pytest.raises(ValueError, match=f"a tower of {layers} surfaces on n = 8 steps "
+                                         f"needs {need} bytes for its points, more than "
+                                         f"the {need - 1} bytes"):
+        backlund_surface(demo_data(), dom, chain)
 
 
 def test_backlund_surface_rejects_naive(dom):
