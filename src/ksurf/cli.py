@@ -40,6 +40,7 @@ from .goursat import (
     GoursatData2,
     LatticeDomain2,
     _read_pairs,
+    _require_memory,
     save_field_csv,
     solve_goursat_2d,
 )
@@ -300,6 +301,7 @@ def _cmd_check(args) -> int:
     eps_list = args.eps if args.eps else [2.0**-3, 2.0**-6]
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
+    _require_memory(24 * args.samples, f"--samples {args.samples}", "its (a, b, theta) samples")
     rng = np.random.default_rng(args.seed)
     samples = rng.uniform(-3.0, 3.0, size=(args.samples, 3))
     residuals = []

@@ -33,6 +33,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _text
+
 
 class BlowUpError(RuntimeError):
     """A sweep produced a non-finite value; carries the first offending site."""
@@ -345,16 +347,13 @@ def sup_error(p: np.ndarray, eps_p: float, q: np.ndarray, eps_q: float) -> float
 def _write_rows(fh, arr: np.ndarray) -> None:
     """Write every site of arr to the binary file fh as "i1,...,id,value" lines.
 
-    One bytes % template formats a last-axis row (b"%.17g" gives the text of
-    f"{x:.17g}"), one row at a time.  Formatting rows as str instead left the
-    process's peak RSS about 1 MB higher after a few files."""
-    m = arr.shape[-1]
-    template = "".join(f"%s{j},%.17g\n" for j in range(m)).encode("ascii")
-    args = [b""] * (2 * m)
-    for idx in np.ndindex(*arr.shape[:-1]):
-        args[0::2] = ["".join(f"{i}," for i in idx).encode("ascii")] * m
-        args[1::2] = arr[idx].tolist()
-        fh.write(template % tuple(args))
+    The sites go in row-major order, _text.BLOCK at a time, each block
+    formatted by one _text.lines call: the value's text is that of
+    b"%.17g" % float(value), and the memory held is bounded by the block."""
+    for start in range(0, arr.size, _text.BLOCK):
+        stop = min(start + _text.BLOCK, arr.size)
+        index = np.unravel_index(np.arange(start, stop), arr.shape)
+        fh.write(_text.lines(b"", b",", np.stack(index, axis=1), arr.flat[start:stop][:, None]))
 
 
 def _read_pairs(path, what: str, make) -> list:

@@ -38,6 +38,7 @@ as that of any site-by-site enumeration compatible with the dependency order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -51,6 +52,7 @@ from .goursat import (
     _meta_numbers,
     _read_meta,
     _read_rows,
+    _require_memory,
     _step_count,
     _write_rows,
 )
@@ -172,7 +174,9 @@ def solve_goursat_nd(
 
     A disagreement beyond COMPAT_TOL raises CompatibilityError and a
     non-finite value BlowUpError; both name a site on the first failing
-    level.
+    level.  A box whose arrays, 8 (2 num_fields + 1) bytes per site, exceed
+    the available memory is refused with ValueError before anything is
+    allocated.
     """
     if not check_dependency(spec):
         raise ValueError("system violates the dependency condition")
@@ -192,6 +196,8 @@ def solve_goursat_nd(
     # every field is stored in the whole box, NaN outside its own extent, so
     # a predecessor state is one gather per field at flat index site - stride
     box = tuple(ni + 1 for ni in n)
+    _require_memory(8 * math.prod(box) * (2 * num + 1), "a box of " + "x".join(map(str, box))
+                    + " sites", f"its {num} padded fields, their level order and the fields it returns")
     stride = [int(np.prod(box[i + 1 :])) for i in range(dim)]
     full = [np.full(box, np.nan) for _ in range(num)]
     flat = [f.reshape(-1) for f in full]

@@ -50,6 +50,7 @@ from .goursat import (
     LatticeDomain2,
     Rhs2,
     _read_pairs,
+    _require_memory,
     _require_step,
     solve_goursat_2d,
 )
@@ -344,17 +345,19 @@ def _solve_layers(rhs2: Rhs2, steps, data: GoursatData2, dom: LatticeDomain2) ->
     first).  The (xi, eta) increments on the data axes are the Goursat data
     of layer z + 1, which rhs2 solves, so each layer is solved exactly once.
 
-    A finite theta00 whose float spacing exceeds eps * 2^-30 is refused with
-    ValueError before anything is solved: the increments eps*u, eps*v would
-    be lost in its rounding, leaving theta frozen (a non-finite theta00
-    stays a BlowUpError).
+    A finite theta00 whose float spacing exceeds min(eps, 1/4) * 2^-30 is
+    refused with ValueError before anything is solved: the increments eps*u,
+    eps*v would be lost in its rounding, leaving theta frozen, and at eps =
+    1/2 the rounding of theta00 = 2^22 less one ulp alone already drives the
+    theta cross check past COMPAT_TOL (a non-finite theta00 stays a
+    BlowUpError).
     """
     n, eps = dom.n, dom.eps
     for rhs6, theta00 in steps:
         _require_step(rhs6, eps)
-        if math.isfinite(theta00) and math.ulp(theta00) > eps * 2.0**-30:
+        if math.isfinite(theta00) and math.ulp(theta00) > min(eps, 0.25) * 2.0**-30:
             raise ValueError(f"theta0 = {float(theta00)!r} is too large for eps = {eps!r}: its float "
-                             f"spacing {math.ulp(theta00):.3g} exceeds eps * 2^-30")
+                             f"spacing {math.ulp(theta00):.3g} exceeds min(eps, 1/4) * 2^-30")
     layer = solve_goursat_2d(rhs2, data, dom)
     sol = LayeredField3([layer.a], [layer.b], [], dom, [])
     for z, (rhs6, theta00) in enumerate(steps):
@@ -393,10 +396,14 @@ def check_compatibility_3d(rhs6: Rhs3, samples: np.ndarray, eps: float) -> float
     exactly when the right-hand sides are mutually compatible.  u and v are
     each evaluated at the corner and at one neighbour, and the layer
     increments are read off from those values by backlund_xi and
-    backlund_eta.  ValueError unless 0 < eps < rhs6.eps0.
+    backlund_eta.  ValueError unless 0 < eps < rhs6.eps0, and before the
+    work when its temporaries, 128 bytes per sample, exceed the available
+    memory.
     """
     _require_step(rhs6, eps)
     s = np.asarray(samples, dtype=float)
+    _require_memory(128 * (s.size // 3), f"a check of {s.size // 3} samples",
+                    "the temporaries of its closure identities")
     a, b, th = s[..., 0], s[..., 1], s[..., 2]
     f, g = rhs6.step(a, b, eps)
     u = rhs6.u(a, th, eps)

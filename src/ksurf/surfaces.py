@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _text
 from .goursat import EdgeField2, GoursatData2, LatticeDomain2, _require_memory, solve_goursat_2d
 from .frames import _pair, _sweep
 from .sinegordon import (
@@ -329,7 +330,9 @@ def export_obj(mesh: SurfaceMesh, path) -> None:
     Vertices appear in row-major site order (index of site (i, j) is
     i*(n+1) + j + 1); each elementary square becomes one quad face.  Floats
     use 17 significant digits, so points survive a write/read round trip
-    bitwise.  The sidecar (same name, .meta extension) records eps, lambda,
+    bitwise.  The vertex and face lines are formatted a block at a time by
+    _text.lines, with the bytes of b"v %.17g %.17g %.17g" and b"f %d %d %d %d",
+    so the memory held is bounded by the block.  The sidecar (same name, .meta extension) records eps, lambda,
     r, scheme (always hirota), the Backlund chain as comma-separated
     alpha:theta0 pairs, the zero-curvature residual of the fields the mesh
     was built from, and the worst theta cross residual of the Backlund steps
@@ -337,15 +340,14 @@ def export_obj(mesh: SurfaceMesh, path) -> None:
     """
     path = str(path)
     n = mesh.n
-    v_row = b"v %.17g %.17g %.17g\n" * (n + 1)
-    f_row = b"f %d %d %d %d\n" * n
-    # face (0, j) is (v1, v1 + n + 1, v1 + n + 2, v1 + 1) with v1 = j + 1
-    quads = np.arange(1, n + 1)[:, None] + np.array([0, n + 1, n + 2, 1])
+    points = mesh.points.reshape(-1, 3)
     with open(path, "wb") as fh:
-        for row in mesh.points:
-            fh.write(v_row % tuple(row.ravel().tolist()))
-        for i in range(n):
-            fh.write(f_row % tuple((quads + i * (n + 1)).ravel().tolist()))
+        for start in range(0, len(points), _text.BLOCK // 3):
+            fh.write(_text.lines(b"v ", b" ", floats=points[start : start + _text.BLOCK // 3]))
+        for start in range(0, n * n, _text.BLOCK // 4):
+            face = np.arange(start, min(start + _text.BLOCK // 4, n * n))
+            v1 = face // n * (n + 1) + face % n + 1  # face (i, j) starts at vertex i (n+1) + j + 1
+            fh.write(_text.lines(b"f ", b" ", v1[:, None] + [0, n + 1, n + 2, 1]))
     meta = path[: path.rfind(".")] + ".meta" if "." in path.rsplit("/", 1)[-1] else path + ".meta"
     chain = ",".join(f"{p.alpha:.17g}:{p.theta0:.17g}" for p in mesh.bt_chain)
     with open(meta, "w", encoding="ascii") as fh:

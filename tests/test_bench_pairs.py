@@ -1,0 +1,58 @@
+"""tools/bench_pairs.py: the summary of synthetic parent/change records."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "norm_wall_s", "unit": "s", "better": "lower"},
+           {"name": "rate", "unit": "1/s", "better": "higher"}]
+
+
+def record(seed, wall, rate, failed=0):
+    return {"seed": seed, "environment": {"git_revision": f"rev{seed % 2}"},
+            "result": {"attempted": 4, "failed": failed,
+                       "metrics": {"norm_wall_s": {"value": wall}, "rate": {"value": rate}}}}
+
+
+def test_summarise_quartiles_and_wins():
+    parent = [record(s, w, r) for s, (w, r) in enumerate([(1.0, 5.0), (2.0, 5.0), (3.0, 5.0),
+                                                         (4.0, 5.0), (5.0, 5.0)])]
+    change = [record(s, w, r, failed=s == 2) for s, (w, r) in
+              enumerate([(0.5, 6.0), (2.0, 4.0), (2.5, 5.0), (4.5, 7.0), (4.0, 5.0)])]
+    entry = bench_pairs.summarise({"parent": parent, "change": change}, METRICS)
+    wall = entry["parent"]["metrics"]["norm_wall_s"]
+    assert wall["runs"] == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert (wall["median"], wall["q1"], wall["q3"], wall["iqr"]) == (3.0, 2.0, 4.0, 2.0)
+    assert entry["change"]["metrics"]["norm_wall_s"]["median"] == 2.5
+    assert entry["parent"]["attempted"] == 20 and entry["parent"]["failed"] == 0
+    assert entry["change"]["failed"] == 1
+    assert entry["parent"]["seeds"] == [0, 1, 2, 3, 4]
+    # lower is better: wins at pairs 0, 2 and 4, a tie at pair 1 counts for neither side
+    assert entry["change_wins"]["norm_wall_s"] == "3/5"
+    # higher is better: wins at pairs 0 and 3, ties at pairs 2 and 4
+    assert entry["change_wins"]["rate"] == "2/5"
+
+
+def test_a_failed_job_fails_the_run_after_the_file_is_written(tmp_path, monkeypatch, capsys):
+    bench = {"command": ["python3", "perfbench/run.py"], "run_seconds": 1,
+             "workloads": [{"name": "w"}], "end_to_end": METRICS}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+    change = str(tmp_path)
+
+    def run_once(tree, workload, seed, seconds):
+        return record(seed, 1.0, 1.0, failed=int(tree == change and seed == 103))
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", "p", "--change", change, "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["workloads"]["w"]["change"]["failed"] == 1
+    captured = capsys.readouterr()
+    assert "pair 2 w change: norm_wall_s 1.0000, failed 1 of 4" in captured.out
+    assert "w parent: failed 0 of 40\nw change: failed 1 of 40\n" in captured.out
+    assert captured.err == "w change seed 103: 1 of 4 jobs failed\n"

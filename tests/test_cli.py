@@ -310,6 +310,15 @@ def test_backlund_oversized_theta0_exits_one(monkeypatch, capsys, theta0):
     assert err.count("\n") == 1
 
 
+def test_backlund_theta0_past_the_eps_one_half_limit_exits_one(capsys):
+    # its rounding alone failed the theta cross check (exit 2, theta0 unnamed)
+    theta0 = repr(float(np.nextafter(2.0**22, 0.0)))
+    assert main(["backlund", "--k", "1", "--alpha", "1", "--theta0", theta0]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: theta0 = {theta0} is too large for eps = 0.5")
+    assert err.count("\n") == 1
+
+
 def test_surface_points_beyond_memory_exit_one(monkeypatch, capsys, tmp_path):
     # n = 8: fields of 1,152 bytes fit, points of 24 * 81 = 1,944 bytes do not
     monkeypatch.setattr(goursat, "_available_bytes", lambda: 24 * 81 - 1)
@@ -518,6 +527,15 @@ def test_check_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(["check", "--samples", "200", "--seed", "3"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_check_samples_beyond_memory_exit_one(monkeypatch, capsys):
+    # 24 bytes per (a, b, theta) sample, refused before they are drawn
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: 2**33)
+    assert main(["check", "--samples", "1000000000000"]) == 1
+    assert capsys.readouterr().err == ("error: --samples 1000000000000 needs 24000000000000 bytes "
+                                       "for its (a, b, theta) samples, more than the 8589934592 "
+                                       "bytes of available memory\n")
 
 
 def test_check_validation(capsys):

@@ -1,8 +1,9 @@
 """Text export: field CSV, state CSV and OBJ, byte for byte against per-value writers.
 
 The oracle writers below format one value at a time with f-strings; the
-writers under test format a whole row with one bytes % template.  Both must
-give the same file, because b"%.17g" and f"{x:.17g}" give the same text.
+writers under test format blocks of lines with the array formatter of
+ksurf._text.  Both must give the same file, because that formatter spells
+each value as b"%.17g" does, and b"%.17g" and f"{x:.17g}" give the same text.
 """
 
 import tracemalloc
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from ksurf.goursat import LatticeDomain2, save_field_csv, solve_goursat_2d
-from ksurf.harness import demo_data
+from ksurf.harness import demo_data, zero_data
 from ksurf.ndsys import SystemSpecND, save_state_csv, sine_gordon_3d_spec, solve_goursat_nd
 from ksurf.sinegordon import hirota_system
 from ksurf.surfaces import SurfaceMesh, export_obj, mesh_from_fields
@@ -89,6 +90,27 @@ def test_state_csv_bytes_match_oracle(tmp_path, make_state):
     for k in range(len(st.fields)):
         save_state_csv(st, tmp_path / "s.csv", k)
         assert (tmp_path / "s.csv").read_bytes() == oracle_state_csv(st, k).encode()
+
+
+def test_float32_field_bytes_match_oracle(tmp_path):
+    # each float32 value is written as the float64 it converts to exactly
+    p = wide_normal(np.random.default_rng(5), (9, 8)).clip(-1e38, 1e38).astype(np.float32)
+    dom = LatticeDomain2(1.0, 0.125)
+    save_field_csv(tmp_path / "f.csv", p, dom)
+    assert (tmp_path / "f.csv").read_bytes() == oracle_field_csv(p, dom).encode()
+
+
+def test_zero_data_files_match_oracle(tmp_path):
+    dom = LatticeDomain2.from_k(1.0, 3)
+    fields = solve_goursat_2d(hirota_system(), zero_data(), dom)
+    for p in (fields.a, fields.b):
+        assert not p.any()
+        save_field_csv(tmp_path / "f.csv", p, dom)
+        assert (tmp_path / "f.csv").read_bytes() == oracle_field_csv(p, dom).encode()
+    for st in (state_3d(), state_1d()):
+        st.fields[0] = np.zeros_like(st.fields[0])
+        save_state_csv(st, tmp_path / "s.csv", 0)
+        assert (tmp_path / "s.csv").read_bytes() == oracle_state_csv(st, 0).encode()
 
 
 def test_special_values_bytes_match_oracle(tmp_path):

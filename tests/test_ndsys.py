@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ksurf import goursat
 from ksurf.goursat import (
     BlowUpError,
     CompatibilityError,
@@ -312,6 +313,24 @@ def test_solve_domain_validation():
     for r in (np.inf, np.nan, (1.0, np.inf)):
         with pytest.raises(ValueError, match="finite"):
             solve_goursat_nd(spec, data, r)
+
+
+def test_solve_refuses_a_box_beyond_memory(monkeypatch):
+    # 8 (2 N + 1) bytes per box site: the N padded fields, the level order and
+    # the N fields returned; at eps = 1/8 the box is 9 x 9 x 3 = 243 sites
+    spec, data = sine_gordon_3d_spec(1.0, 0.125), [A0, B0, theta0_layers([0.5, -0.3])]
+    need = 8 * 243 * 7
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: need - 1)
+    with pytest.raises(ValueError, match=f"a box of 9x9x3 sites needs {need} bytes for its 3 "
+                                         f"padded fields, their level order and the fields it "
+                                         f"returns, more than the {need - 1} bytes"):
+        solve_goursat_nd(spec, data, (1.0, 1.0, 2.0))
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: need)
+    assert solve_goursat_nd(spec, data, (1.0, 1.0, 2.0)).fields[2].shape == (9, 9, 2)
+    # 894 TiB of padded fields: refused before numpy is asked for them
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: 2**33)
+    with pytest.raises(ValueError, match=r"a box of 6400001x6400001x3 sites needs \d+ bytes"):
+        solve_goursat_nd(sine_gordon_3d_spec(1.0, 2.0**-6), data, (1e5, 1e5, 2.0))
 
 
 def test_solve_has_no_tolerance_argument():

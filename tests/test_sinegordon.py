@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ksurf import sinegordon
+from ksurf import goursat, sinegordon
 from ksurf.goursat import (
     COMPAT_TOL,
     CompatibilityError,
@@ -387,8 +387,8 @@ class _Solved(Exception):
 
 
 def test_theta0_beyond_its_float_spacing_refused_before_solving(monkeypatch):
-    # theta0 whose ulp exceeds eps * 2^-30 would swallow the increments
-    # eps*u and eps*v; at eps = 1/8 the limit sits at |theta0| = 2^20
+    # theta0 whose ulp exceeds min(eps, 1/4) * 2^-30 would swallow the
+    # increments eps*u and eps*v; at eps = 1/8 the limit sits at |theta0| = 2^20
     def solving(*args):
         raise _Solved
 
@@ -409,6 +409,41 @@ def test_theta0_beyond_its_float_spacing_refused_before_solving(monkeypatch):
     below = np.nextafter(2.0**20, 0.0)  # one ulp is exactly eps * 2^-30: solved
     sol = solve_goursat_3d(rhs6, demo_data(), [below, -below], dom)
     assert sol.layers == 2 and sol.cross_residual <= COMPAT_TOL  # measured 5.8e-10
+
+
+def test_theta0_limit_is_capped_at_eps_one_quarter():
+    # at eps = 1/2 the bound eps * 2^-30 let 2^22 less one ulp through, and its
+    # rounding alone then failed the theta cross check (1.4e-9): now it is
+    # refused by name, and the limit 2^21 is the one of eps = 1/4
+    rhs6, dom = hirota_backlund_system(1.0), LatticeDomain2.from_k(1.0, 1)
+    with pytest.raises(ValueError, match=r"theta0 = 4194303\.9999999995 is too large for eps = 0\.5"):
+        solve_goursat_3d(rhs6, demo_data(), [np.nextafter(2.0**22, 0.0)], dom)
+    below = np.nextafter(2.0**21, 0.0)
+    sol = solve_goursat_3d(rhs6, demo_data(), [below, -below], dom)
+    assert sol.cross_residual <= COMPAT_TOL  # measured 9.3e-10
+
+
+@pytest.mark.parametrize("k, corners", [
+    (1, ("0x1.8a1e6096e0166p+6", "-0x1.80cc2dd95741ap+6")),
+    (3, ("0x1.8bddeec58863ep+6", "-0x1.82b8c4f13d40fp+6")),
+    (6, ("0x1.8c5c9fcb08099p+6", "-0x1.83304d61ff0b6p+6")),
+])
+def test_theta0_of_size_100_keeps_its_bits(k, corners):
+    # theta(1, 1) of each layer, as solved before the limit was capped
+    sol = solve_goursat_3d(hirota_backlund_system(1.0), demo_data(), [100.0, -100.0],
+                           LatticeDomain2.from_k(1.0, k))
+    assert tuple(th[-1, -1].hex() for th in sol.theta) == corners
+
+
+def test_compatibility_check_refuses_samples_beyond_memory(monkeypatch):
+    # 128 bytes per sample for the temporaries of the closure identities
+    rhs6, samples = hirota_backlund_system(1.0), np.zeros((10, 3))
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: 1279)
+    with pytest.raises(ValueError, match="a check of 10 samples needs 1280 bytes for the "
+                                         "temporaries of its closure identities"):
+        check_compatibility_3d(rhs6, samples, 0.125)
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: 1280)
+    assert check_compatibility_3d(rhs6, samples, 0.125) <= COMPAT_TOL
 
 
 def test_backlund_param():

@@ -11,7 +11,10 @@ time.  Each run's record is read from the .perfbench/<workload>-trace0.json
 it writes.  The output holds, per workload and side, every run's end-to-end
 metrics with their median and quartiles, the failed and attempted job
 counts, the environment record of its first run and its git revision; and,
-per metric, the pairs the change won (ties count for neither).  Standard
+per metric, the pairs the change won (ties count for neither).  Each run
+prints its failed and attempted job counts, and so does each side at the
+end; after the file is written, the exit code is 1 when any run had a failed
+job, each named by workload, side and seed on standard error.  Standard
 library only.
 """
 
@@ -92,8 +95,9 @@ def main(argv=None) -> int:
             for side in order:
                 rec = run_once(trees[side], w, args.seed0 + i, bench["run_seconds"])
                 runs[w][side].append(rec)
-                wall = rec["result"]["metrics"]["norm_wall_s"]["value"]
-                print(f"pair {i} {w} {side}: norm_wall_s {wall:.4f}", flush=True)
+                res = rec["result"]
+                print(f"pair {i} {w} {side}: norm_wall_s {res['metrics']['norm_wall_s']['value']:.4f}"
+                      f", failed {res['failed']} of {res['attempted']}", flush=True)
 
     out = {
         "command": bench["command"],
@@ -106,7 +110,15 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
-    return 0
+    for w, entry in out["workloads"].items():
+        for side in SIDES:
+            print(f"{w} {side}: failed {entry[side]['failed']} of {entry[side]['attempted']}")
+    failed = [f"{w} {side} seed {r['seed']}: {r['result']['failed']} of "
+              f"{r['result']['attempted']} jobs failed"
+              for w in workloads for side in SIDES for r in runs[w][side] if r["result"]["failed"]]
+    for line in failed:
+        print(line, file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
