@@ -31,12 +31,18 @@ _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for float64
 _POW10_HI = (_SPLIT * _POW10) - ((_SPLIT * _POW10) - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 _INT10 = 10 ** np.arange(19, dtype=np.int64)  # 10^0 .. 10^18
-_DIGITS = np.indices((10,) * 4).reshape(4, -1)  # column v: the decimal digits of v < 10^4
-# item v: the four ASCII digits of v as one 4-byte item
-_DIGITS4 = (_DIGITS.T + ord("0")).astype(np.uint8, order="C").view("V4").reshape(-1)
-# item v: the trailing zeros of v, 4 for v = 0
-_ZEROS4 = (_DIGITS[3] == 0) * (1 + (_DIGITS[2] == 0) * (1 + (_DIGITS[1] == 0) * (
-    1 + (_DIGITS[0] == 0))))
+
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Item v < 10^4 of each: the four ASCII digits of v as one 4-byte item,
+    and the number of trailing zeros of v (4 for v = 0)."""
+    d0, d1, d2, d3 = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)
+    ascii = np.stack((d0, d1, d2, d3), axis=1) + np.uint8(ord("0"))
+    zeros = (d3 == 0) * (1 + (d2 == 0) * (1 + (d1 == 0) * (1 + (d0 == 0).astype(np.uint8))))
+    return ascii.view("V4").reshape(-1), zeros
+
+
+_DIGITS4, _ZEROS4 = _digit_tables()
 
 # The _FLOAT_WIDTH byte slots of a float, the last one its separator:
 #   0        "-"

@@ -332,11 +332,11 @@ def export_obj(mesh: SurfaceMesh, path) -> None:
     use 17 significant digits, so points survive a write/read round trip
     bitwise.  The vertex and face lines are formatted a block at a time by
     _text.lines, with the bytes of b"v %.17g %.17g %.17g" and b"f %d %d %d %d",
-    so the memory held is bounded by the block.  The sidecar (same name, .meta extension) records eps, lambda,
-    r, scheme (always hirota), the Backlund chain as comma-separated
-    alpha:theta0 pairs, the zero-curvature residual of the fields the mesh
-    was built from, and the worst theta cross residual of the Backlund steps
-    behind it.
+    so the memory held is bounded by the block.  The sidecar (same name,
+    .meta extension) records eps, lambda, r, scheme (always hirota), the
+    Backlund chain as comma-separated alpha:theta0 pairs, the zero-curvature
+    residual of the fields the mesh was built from, and the worst theta
+    cross residual of the Backlund steps behind it.
     """
     path = str(path)
     n = mesh.n
