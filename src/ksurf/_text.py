@@ -10,11 +10,12 @@ product shows it, and X is corrected.  The 17 correctly rounded digits are
 then D = p + rint(e).  p > 2^53 is an even integer, so a tie rounds to even,
 as dtoa does.  D never rounds up to 10^17: the largest double below each
 power of ten in the range is more than half a unit of the 17th digit away
-from it.  D is spelt through a table of 4-digit groups.  Its digits are laid out in %g's fixed form
-(-4 <= X < 17) or its exponent form, in a fixed-width byte matrix, and one
-boolean mask picks out each line's bytes.  ±0 take the same path.  The rest
-go through b"%.17g" %, one template per block: |x| < 1e-6, |x| >= 1e17, inf
-and nan, and the x just below 1e-6 whose X = -7 would need 10^23.
+from it.  D is spelt through a table of 4-digit groups.  Its digits are
+laid out in %g's fixed form (-4 <= X < 17) or its exponent form, in a
+fixed-width byte matrix, and one boolean mask picks out each line's bytes.
+±0 take the same path.  The rest go through b"%.17g" %, one template per
+block: |x| < 1e-6, |x| >= 1e17, inf and nan, and the double 1e-6 itself,
+which lies below 10^-6, so that its X = -7 would need 10^23.
 
 lines() is the one place that knows this line format.  The writers pass it
 at most BLOCK values at a time, which bounds the memory a call holds.
@@ -132,7 +133,7 @@ def _decimal(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _float_text(x: np.ndarray, sep: bytes) -> tuple[np.ndarray, np.ndarray]:
     """(text, shown): _FLOAT_WIDTH byte slots per entry of x, in order, each
     ending in sep, and the mask of the slots that spell %.17g."""
-    x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
+    x = np.ascontiguousarray(np.asarray(x).astype(np.float64, casting="same_kind")).reshape(-1)
     ax = np.abs(x)
     D, X, fast = _decimal(ax)
     lead = D // _INT10[16]

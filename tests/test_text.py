@@ -69,6 +69,13 @@ def test_no_double_rounds_up_to_a_power_of_ten():
         assert spelt([below]) == b"%.17g\n" % below
 
 
+def test_complex_values_are_refused():
+    # b"%.17g" % complex raises TypeError: so does the formatter, instead of
+    # dropping the imaginary part
+    with pytest.raises(TypeError):
+        lines(b"", b",", floats=np.array([[1 + 2j]]))
+
+
 def test_lines_join_ints_and_floats():
     ints = np.array([[0, 9999], [10000, 123456789012]])
     floats = np.array([[0.5, -0.0], [1e-7, np.inf]])
