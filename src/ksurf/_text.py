@@ -2,20 +2,20 @@
 
 CPython formats a float through its correctly rounded dtoa (Gay 1990), one
 value at a time.  Here a whole block of float64 values gets the same bytes
-from array arithmetic.  For 1e-6 <= |x| < 1e17, let X = floor(log10 |x|).
-Then |x| * 10^(16-X) lies in [1e16, 1e17).  Dekker's two-product (Numer.
-Math. 18, 1971) forms it exactly as p + e.  10^q is an exact double for
-q <= 22, since 5^22 < 2^53.  Where log10 put X one decade off, the exact
-product shows it, and X is corrected.  The 17 correctly rounded digits are
-then D = p + rint(e).  p > 2^53 is an even integer, so a tie rounds to even,
-as dtoa does.  D never rounds up to 10^17: the largest double below each
-power of ten in the range is more than half a unit of the 17th digit away
-from it.  D is spelt through a table of 4-digit groups.  Its digits are
-laid out in %g's fixed form (-4 <= X < 17) or its exponent form, in a
-fixed-width byte matrix, and one boolean mask picks out each line's bytes.
-±0 take the same path.  The rest go through b"%.17g" %, one template per
-block: |x| < 1e-6, |x| >= 1e17, inf and nan, and the double 1e-6 itself,
-which lies below 10^-6, so that its X = -7 would need 10^23.
+from array arithmetic wherever %g spells its fixed form: for 1e-4 <= |x| <
+1e17, let X = floor(log10 |x|), which lies in -4 .. 16 (the double 1e-4 lies
+above 10^-4).  Then |x| * 10^(16-X) lies in [1e16, 1e17).  Dekker's
+two-product (Numer. Math. 18, 1971) forms it exactly as p + e.  10^q is an
+exact double for q <= 22, since 5^22 < 2^53.  Where log10 put X one decade
+off, the exact product shows it, and X is corrected.  The 17 correctly
+rounded digits are then D = p + rint(e).  p > 2^53 is an even integer, so a
+tie rounds to even, as dtoa does.  D never rounds up to 10^17: the largest
+double below each power of ten in the range is more than half a unit of the
+17th digit away from it.  D is spelt through a table of 4-digit groups.  Its
+digits are laid out in the fixed form in a fixed-width byte matrix, and one
+boolean mask picks out each line's bytes.  ±0 take the same path.  The rest
+go through b"%.17g" %, one template per block: |x| < 1e-4, |x| >= 1e17, inf
+and nan.
 
 lines() is the one place that knows this line format.  The writers pass it
 at most BLOCK values at a time, which bounds the memory a call holds.
@@ -51,36 +51,32 @@ _DIGITS4, _ZEROS4 = _digit_tables()
 #   6 .. 22  digits      those up to the point
 #   23       "."
 #   24 .. 40 digits      those after the point
-#   41 .. 44 "e-0" and the exponent digit, the exponent form (X = -6, -5)
 # Which slots show depends only on the sign, X and the digit count; _SHOWN
 # holds each such mask as one item.  A value taken by b"%.17g" % fills the
 # first 24 slots, left-aligned.
-_FLOAT_WIDTH = 46
+_FLOAT_WIDTH = 42
 _FLOAT = np.dtype([("prefix", "V6"), ("lead", "u1"), ("digits", "V16"), ("point", "V1"),
-                   ("lead2", "u1"), ("digits2", "V16"), ("e", "V3"), ("exp", "u1"), ("sep", "u1")])
-_FLOAT_TEXT = b"-0.000" + b"0" * 17 + b"." + b"0" * 17 + b"e-00"
+                   ("lead2", "u1"), ("digits2", "V16"), ("sep", "u1")])
+_FLOAT_TEXT = b"-0.000" + b"0" * 17 + b"." + b"0" * 17
 _SLOW = 24  # the longest %.17g text: "-2.2250738585072014e-308"
 
 
 def _shown_table() -> np.ndarray:
-    """Item (neg * 23 + X + 6) * 17 + shown - 1: the slots that a float of
-    that sign and X in -6 .. 16 shows, with shown = 1 .. 17 digits (the fixed
+    """Item (neg * 21 + X + 4) * 17 + shown - 1: the slots that a float of
+    that sign and X in -4 .. 16 shows, with shown = 1 .. 17 digits (the fixed
     form shows every integer digit)."""
     neg = np.arange(2)[:, None, None]
-    X = np.arange(-6, 17)[:, None, None]
+    X = np.arange(-4, 17)[:, None, None]  # the digit that the "." follows, if X >= 0
     shown = np.arange(1, 18)[:, None]
     k = np.arange(17)
-    fixed = X >= -4
-    point = np.where(fixed, X, 0)  # the digit that the "." follows, if any
-    tab = np.zeros((2, 23, 17, _FLOAT_WIDTH), bool)
+    tab = np.zeros((2, 21, 17, _FLOAT_WIDTH), bool)
     tab[..., 0] = neg == 1
-    tab[..., 1:3] = fixed & (X < 0)
-    tab[..., 3:6] = fixed & (k[:3] < -X - 1)
-    tab[..., 6:23] = (k <= point) & (k < shown)
-    tab[..., 23] = ((point >= 0) & (point + 1 < shown))[..., 0]
-    tab[..., 24:41] = (k > point) & (k < shown)
-    tab[..., 41:45] = ~fixed
-    tab[..., 45] = True
+    tab[..., 1:3] = X < 0
+    tab[..., 3:6] = k[:3] < -X - 1
+    tab[..., 6:23] = (k <= X) & (k < shown)
+    tab[..., 23] = ((X >= 0) & (X + 1 < shown))[..., 0]
+    tab[..., 24:41] = (k > X) & (k < shown)
+    tab[..., 41] = True
     return tab.view(f"V{_FLOAT_WIDTH}").reshape(-1)
 
 
@@ -112,20 +108,17 @@ def _times_pow10(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _decimal(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(D, X, fast): ax = D * 10^(X-16) to 17 correctly rounded digits, with
     D in [1e16, 1e17) where fast, and D = X = 0 elsewhere."""
-    fast = (ax >= 1e-6) & (ax < 1e17)  # nan is neither
+    fast = (ax >= 1e-4) & (ax < 1e17)  # nan is neither
     a = np.where(fast, ax, 1.0)
-    X = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.intp)
+    X = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
     p, e = _times_pow10(a, 16 - X)
     up = (p > 1e17) | ((p == 1e17) & (e >= 0))
     down = (p < 1e16) | ((p == 1e16) & (e < 0))  # 1e16 less a little is below
     if up.any() or down.any():
         X += up
         X -= down
-        fast &= X >= -6  # 10^23 is not a double
-        a[~fast] = 1.0
-        X[~fast] = 0
         p, e = _times_pow10(a, 16 - X)
-    # p is even, so ties go to even.  D < 10^17: no double of [1e-6, 1e17)
+    # p is even, so ties go to even.  D < 10^17: no double of [1e-4, 1e17)
     # lies within half a unit of the 17th digit below a power of ten
     return np.where(fast, p.astype(np.int64) + np.rint(e).astype(np.int64), 0), X, fast
 
@@ -143,12 +136,11 @@ def _float_text(x: np.ndarray, sep: bytes) -> tuple[np.ndarray, np.ndarray]:
     text = text.view(_FLOAT)
     text["lead"] = text["lead2"] = lead + ord("0")
     text["digits"] = text["digits2"] = _DIGITS4[groups].view("V16")[:, 0]
-    text["exp"] = ord("0") - np.minimum(X, 0)
     g0, g1, g2, g3 = groups.T
     zeros = _ZEROS4[g3] + (g3 == 0) * (_ZEROS4[g2] + (g2 == 0) * (
         _ZEROS4[g1] + (g1 == 0) * _ZEROS4[g0]))  # 16 when D is 0 or a power of ten
     digits = np.maximum(17 - zeros, X + 1)  # the fixed form shows every integer digit
-    shown = _SHOWN[(np.signbit(x) * 23 + X + 6) * 17 + digits - 1]
+    shown = _SHOWN[(np.signbit(x) * 21 + X + 4) * 17 + digits - 1]
     text = text.view(np.uint8).reshape(x.size, _FLOAT_WIDTH)
     shown = shown.view(bool).reshape(x.size, _FLOAT_WIDTH)
     slow = np.flatnonzero(~fast & (ax != 0.0))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .goursat import EdgeField2, LatticeDomain2
+from .goursat import EdgeField2, LatticeDomain2, _require_memory
 
 # Largest zero-curvature cell residual (Frobenius) a frame is built on.
 ZCC_TOL = 1e-10
@@ -89,8 +89,6 @@ def _v_planes(b, lam: float, eps: float, norms: tuple) -> tuple:
 
 
 def _w_planes(theta, alpha: float, lam: float) -> tuple:
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
     return alpha * np.exp(1j * np.asarray(theta, dtype=float)), -1j * lam, 0.0, -1j
 
 
@@ -207,7 +205,9 @@ def _sweep(fields: EdgeField2, lam: float, order: str = "xy", layers=(),
     frame=True stores the undressed frame as (n+1, n+1, 2, 2) arrays;
     sym=True fills points[z], the Sym image after z dressings.  origin is the
     pair (p, q) of the dressed frame at the origin, the product of the W
-    matrices there.
+    matrices there.  Those arrays, 128 (n+1)^2 bytes for the frame and 24
+    (n+1)^2 bytes per point array, are sized before anything is allocated:
+    ValueError when they exceed the available memory.
     Raises ZeroCurvatureError when the worst cell residual exceeds tol.  A NaN
     residual is worst and ends the sweep after its line, so errors come in
     the order of a line-by-line sweep.
@@ -225,19 +225,24 @@ def _sweep(fields: EdgeField2, lam: float, order: str = "xy", layers=(),
     else:
         raise ValueError(f"order must be 'xy' or 'yx', got {order!r}")
     norms = _normalisers(lam, eps)
+    need = (n + 1) ** 2 * (128 * frame + 24 * (len(layers) + 1) * sym)
+    if frame:
+        _require_memory(need, f"a frame on n = {n} steps", "Psi and dPsi" + " and its points" * sym)
+    elif sym:
+        _require_memory(need, f"a tower of {len(layers) + 1} surfaces on n = {n} steps",
+                        "its points")
+    size = min(max(1, _BLOCK_SITES // (n + 1)), n + 1)  # lines per block
+    buf = _frame_buffer(size, n)
     psi, dpsi = np.empty((2, n + 1, n + 1, 2, 2), dtype=complex) if frame else (None, None)
     points = [np.empty((n + 1, n + 1, 3)) for _ in range(len(layers) + 1)] if sym else []
     out_rows = [rows(x) for x in points]
     dressing = [(rows(th), alpha) for th, alpha in layers]
 
-    size = min(max(1, _BLOCK_SITES // (n + 1)), n + 1)  # lines per block
-    buf = _frame_buffer(size, n)
     f0 = first(axis[:1], lam, eps, norms)
     cur = buf[:, 0]
     cur[:, 0] = (1.0, 0.0, 0.0, 0.0)
     for i, m in enumerate(zip(*(x[0] for x in np.broadcast_arrays(*f0)))):
         cur[:, i + 1] = _mul(m, cur[:, i])
-    lo = f0[:2]  # (p, q) axis planes of the block's first line
 
     worst, worst_at = 0.0, (0, 0)
     for k0 in range(0, n + 1, size):
@@ -245,12 +250,8 @@ def _sweep(fields: EdgeField2, lam: float, order: str = "xy", layers=(),
         kk, last, stop = min(k1, n), k1 - 1, False
         if kk > k0:
             m = step(lines[k0:kk], lam, eps, norms)
-            hi = first(axis[k0 + 1:kk + 1], lam, eps, norms)[:2]
-            # (p, q) axis planes of lines k0..kk-1: the carried line k0, then hi's
-            f_lo = [np.concatenate((l, h[:-1])) if isinstance(h, np.ndarray) and len(h) > 1
-                    else l for l, h in zip(lo, hi)]
-            lo = _take(hi, np.s_[-1:])
-            res = _cell_residuals(hi, f_lo, m)
+            ax = first(axis[k0:kk + 1], lam, eps, norms)[:2]  # (p, q) of lines k0..kk
+            res = _cell_residuals(_take(ax, np.s_[1:]), _take(ax, np.s_[:-1]), m)
             j, i = divmod(int(res.argmax()), n)  # the first NaN, else the first maximum
             if not (res[j, i] <= worst):
                 worst, worst_at = float(res[j, i]), (i, k0 + j)

@@ -249,8 +249,7 @@ def _sweep(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2, every: int) -> Ed
     b[i+1, d-i], each within its own slot, so one step is one rhs.step on two
     contiguous views and an in-place update, with the arithmetic of the
     double loop.  The kept sites of each new anti-diagonal are then copied
-    out: the whole views when every = 1 (the fastest path at every k), every
-    every-th slot of every every-th anti-diagonal otherwise.  The result is
+    out: every every-th slot of every every-th anti-diagonal.  The result is
     an EdgeField2 on LatticeDomain2(r, eps*every), bitwise the full solve at
     its sites; memory beyond it is O(n).
 
@@ -260,7 +259,9 @@ def _sweep(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2, every: int) -> Ed
     value that went non-finite leaves its slot non-finite to the end: one
     test of the final slots finds any blow-up.  BlowUpError then names the first
     non-finite site in sweep order, from the fields when every = 1 and
-    otherwise from a full re-solve of the same axis samples.
+    otherwise from a full re-solve of the same axis samples.  Non-finite data
+    is a BlowUpError of field 'data' at its first sample, an a0 sample before
+    a b0 sample.
     """
     _require_step(rhs, dom.eps)
     n, eps = dom.n, dom.eps
@@ -268,8 +269,10 @@ def _sweep(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2, every: int) -> Ed
     kept = LatticeDomain2(dom.r, eps * every)  # ValueError unless every divides n
     nc = kept.n
     a_row, b_col = data.sample(dom)
-    if not (np.isfinite(a_row).all() and np.isfinite(b_col).all()):
-        raise BlowUpError("data", (0.0, 0.0))
+    for axis, vals in enumerate((a_row, b_col)):  # a0 lies on the x-axis, b0 on the y-axis
+        if not np.isfinite(vals).all():
+            at = int(np.argmin(np.isfinite(vals))) * eps
+            raise BlowUpError("data", (at, 0.0) if axis == 0 else (0.0, at))
     A, B = a_row.copy(), b_col[::-1].copy()
     a, b = np.empty((nc, nc + 1)), np.empty((nc + 1, nc))
     a[:, 0], b[0, :] = a_row[::every], b_col[::every]
@@ -284,10 +287,7 @@ def _sweep(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2, every: int) -> Ed
             av += f
             bv += g
             # av and bv now hold a[i, d-i+1] and b[i+1, d-i], lo <= i <= hi
-            if every == 1:
-                af[d + 1 + lo * n : d + 2 + hi * n : n] = av
-                bf[d + n + lo * (n - 1) : d + n + 1 + hi * (n - 1) : sb] = bv
-            elif (d + 1) % every == 0:
+            if (d + 1) % every == 0:
                 e = (d + 1) // every
                 i0, i1 = -(-lo // every), hi // every
                 af[e + i0 * nc : e + i1 * nc + 1 : nc] = av[i0 * every - lo :: every]
@@ -330,10 +330,7 @@ def sup_error(p: np.ndarray, eps_p: float, q: np.ndarray, eps_q: float) -> float
     index range where both arrays are defined.  Axes after the first two hold
     coordinates (surface points, say): there the distance is Euclidean.
     """
-    ratio = eps_p / eps_q
-    s = round(ratio)
-    if s < 1 or abs(ratio - s) > 1e-9 * max(1.0, ratio):
-        raise ValueError(f"grids are not nested: eps_p/eps_q = {ratio!r}")
+    s = _step_count(eps_p, eps_q, "grids are not nested: eps_p/eps_q")
     n0 = min(p.shape[0], (q.shape[0] - 1) // s + 1)
     n1 = min(p.shape[1], (q.shape[1] - 1) // s + 1)
     if n0 == 0 or n1 == 0:
@@ -342,18 +339,6 @@ def sup_error(p: np.ndarray, eps_p: float, q: np.ndarray, eps_q: float) -> float
     if diff.ndim > 2:
         diff = np.sqrt(np.sum(diff * diff, axis=tuple(range(2, diff.ndim))))
     return float(np.max(np.abs(diff)))
-
-
-def _write_rows(fh, arr: np.ndarray) -> None:
-    """Write every site of arr to the binary file fh as "i1,...,id,value" lines.
-
-    The sites go in row-major order, _text.BLOCK at a time, each block
-    formatted by one _text.lines call: the value's text is that of
-    b"%.17g" % float(value), and the memory held is bounded by the block."""
-    for start in range(0, arr.size, _text.BLOCK):
-        stop = min(start + _text.BLOCK, arr.size)
-        index = np.unravel_index(np.arange(start, stop), arr.shape)
-        fh.write(_text.lines(b"", b",", np.stack(index, axis=1), arr.flat[start:stop][:, None]))
 
 
 def _read_pairs(path, what: str, make) -> list:
@@ -377,19 +362,6 @@ def _read_pairs(path, what: str, make) -> list:
 
 
 _ROW_BLOCK = 1 << 15  # lines parsed per np.loadtxt call
-
-
-def _read_meta(fh, path, keys) -> dict:
-    """The key=value tokens of the "# ..." metadata line of fh; ValueError
-    naming path when the line or one of keys is missing."""
-    line = fh.readline().strip()
-    if not line.startswith("# "):
-        raise ValueError(f"{path}: missing metadata line")
-    meta = dict(tok.split("=", 1) for tok in line[2:].split() if "=" in tok)
-    missing = [f"{key}=" for key in keys if key not in meta]
-    if missing:
-        raise ValueError(f"{path}: metadata line lacks {', '.join(missing)}")
-    return meta
 
 
 def _row_error(lines, path, d: int, exc: ValueError) -> ValueError:
@@ -444,14 +416,6 @@ def _read_rows(fh, path, d: int) -> np.ndarray:
     return arr
 
 
-def _meta_numbers(path, meta: dict, key: str) -> tuple:
-    """The comma-separated numbers of metadata key; ValueError naming path."""
-    try:
-        return tuple(float(v) for v in meta[key].split(","))
-    except ValueError:
-        raise ValueError(f"{path}: metadata {key}={meta[key]} is not numeric") from None
-
-
 def _check_grid(path, arr: np.ndarray, eps: tuple, r: tuple) -> None:
     """ValueError naming path unless eps and r hold one entry per axis of arr
     and axis i has n_i or n_i + 1 entries, n_i = r_i/eps_i (a field extends
@@ -469,11 +433,57 @@ def _check_grid(path, arr: np.ndarray, eps: tuple, r: tuple) -> None:
                              f"allows {n} or {n + 1}")
 
 
+def _save_grid(path, arr: np.ndarray, meta: str, header) -> None:
+    """Write arr as a grid CSV: the line "# meta", the line header(arr.ndim),
+    then one "i1,...,id,value" line per site.
+
+    The sites go in row-major order, _text.BLOCK at a time, each block
+    formatted by one _text.lines call: the value's text is that of
+    b"%.17g" % float(value), and the memory held is bounded by the block."""
+    with open(path, "wb") as fh:
+        fh.write(f"# {meta}\n{header(arr.ndim)}\n".encode("ascii"))
+        for start in range(0, arr.size, _text.BLOCK):
+            stop = min(start + _text.BLOCK, arr.size)
+            index = np.unravel_index(np.arange(start, stop), arr.shape)
+            fh.write(_text.lines(b"", b",", np.stack(index, axis=1),
+                                 arr.flat[start:stop][:, None]))
+
+
+def _load_grid(path, header) -> tuple[np.ndarray, tuple, tuple]:
+    """(array, eps, r) of a grid CSV written by _save_grid, eps and r the
+    comma-separated numbers of its metadata; ValueError naming path for a
+    missing metadata line, eps= or r=, a header line other than header(d)
+    for d index columns, rows that _read_rows refuses, or a non-numeric eps
+    or r."""
+    with open(path, "r", encoding="ascii") as fh:
+        line = fh.readline().strip()
+        if not line.startswith("# "):
+            raise ValueError(f"{path}: missing metadata line")
+        meta = dict(tok.split("=", 1) for tok in line[2:].split() if "=" in tok)
+        missing = [f"{key}=" for key in ("eps", "r") if key not in meta]
+        if missing:
+            raise ValueError(f"{path}: metadata line lacks {', '.join(missing)}")
+        line = fh.readline().strip()
+        d = line.count(",")
+        if line != header(d):
+            raise ValueError(f"{path}: unexpected header {line!r}")
+        arr = _read_rows(fh, path, d)
+    numbers = []
+    for key in ("eps", "r"):
+        try:
+            numbers.append(tuple(float(v) for v in meta[key].split(",")))
+        except ValueError:
+            raise ValueError(f"{path}: metadata {key}={meta[key]} is not numeric") from None
+    return arr, *numbers
+
+
+def _field_header(d: int) -> str:
+    return "i,j,value"
+
+
 def save_field_csv(path, p: np.ndarray, dom: LatticeDomain2) -> None:
     """Write one grid field as CSV: metadata line, header, then i,j,value."""
-    with open(path, "wb") as fh:
-        fh.write(f"# eps={dom.eps:.17g} r={dom.r:.17g}\ni,j,value\n".encode("ascii"))
-        _write_rows(fh, p)
+    _save_grid(path, p, f"eps={dom.eps:.17g} r={dom.r:.17g}", _field_header)
 
 
 def load_field_csv(path) -> tuple[np.ndarray, float, float]:
@@ -481,15 +491,8 @@ def load_field_csv(path) -> tuple[np.ndarray, float, float]:
 
     ValueError naming path unless the rows fill a grid with n or n + 1
     entries per axis, n = r/eps."""
-    with open(path, "r", encoding="ascii") as fh:
-        meta = _read_meta(fh, path, ("eps", "r"))
-        header = fh.readline().strip()
-        if header != "i,j,value":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        arr = _read_rows(fh, path, 2)
-    eps, r = _meta_numbers(path, meta, "eps"), _meta_numbers(path, meta, "r")
+    arr, eps, r = _load_grid(path, _field_header)
     if len(eps) != 1 or len(r) != 1:
         raise ValueError(f"{path}: a field CSV has one eps and one r")
     _check_grid(path, arr, eps * 2, r * 2)
     return arr, eps[0], r[0]
-

@@ -67,7 +67,9 @@ class SweepConfig:
     the two surface quantities and bt_chain only by 'surface_bt' (a chain
     for any other quantity is refused).  What run_sweep could not measure is
     refused here, before anything is solved: fewer than three levels (no
-    slope to fit) and a surface quantity with any scheme but Hirota.
+    slope to fit), a surface quantity with any scheme but Hirota, and a
+    quotient order m that the coarsest level, r 2^k_min <= m steps, cannot
+    form.
     """
 
     r: float = 1.0
@@ -107,6 +109,10 @@ class SweepConfig:
             )
         if self.r <= 0:
             raise ValueError("r must be positive")
+        if q == "quotients" and self.r * 2**self.k_min <= self.quotient_order:
+            raise ValueError(f"quotient order {self.quotient_order} needs more than "
+                             f"{self.quotient_order} steps per axis, but k_min = {self.k_min} "
+                             f"gives r * 2^k_min = {self.r * 2**self.k_min:g}")
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
 

@@ -49,12 +49,10 @@ from .goursat import (
     BlowUpError,
     CompatibilityError,
     _check_grid,
-    _meta_numbers,
-    _read_meta,
-    _read_rows,
+    _load_grid,
     _require_memory,
+    _save_grid,
     _step_count,
-    _write_rows,
 )
 from .sinegordon import SchemeKind, backlund_eta, backlund_system, backlund_xi, system_for
 
@@ -250,15 +248,16 @@ def solve_goursat_nd(
     return StateND(fields, spec, r, n, worst)
 
 
+def _state_header(d: int) -> str:
+    return "".join(f"i{i + 1}," for i in range(d)) + "value"
+
+
 def save_state_csv(state: StateND, path, field_index: int) -> None:
     """Write one field as CSV: metadata line, header i1..id, then values."""
-    k = field_index
     eps_s = ",".join(f"{e:.17g}" for e in state.spec.eps)
     r_s = ",".join(f"{v:.17g}" for v in state.r)
-    cols = ",".join(f"i{i + 1}" for i in range(state.spec.dim))
-    with open(path, "wb") as fh:
-        fh.write(f"# field={k} eps={eps_s} r={r_s}\n{cols},value\n".encode("ascii"))
-        _write_rows(fh, state.fields[k])
+    _save_grid(path, state.fields[field_index], f"field={field_index} eps={eps_s} r={r_s}",
+               _state_header)
 
 
 def load_state_csv(path) -> tuple:
@@ -267,14 +266,7 @@ def load_state_csv(path) -> tuple:
     ValueError naming path unless the header is i1..id,value, eps and r
     have d entries each, and the rows fill a box with n_i or n_i + 1
     entries on axis i, n_i = r_i/eps_i."""
-    with open(path, "r", encoding="ascii") as fh:
-        meta = _read_meta(fh, path, ("eps", "r"))
-        header = fh.readline().strip()
-        d = header.count(",")
-        if header != "".join(f"i{i + 1}," for i in range(d)) + "value":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        arr = _read_rows(fh, path, d)
-    eps, r = _meta_numbers(path, meta, "eps"), _meta_numbers(path, meta, "r")
+    arr, eps, r = _load_grid(path, _state_header)
     _check_grid(path, arr, eps, r)
     return arr, eps, r
 

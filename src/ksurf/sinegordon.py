@@ -345,19 +345,22 @@ def _solve_layers(rhs2: Rhs2, steps, data: GoursatData2, dom: LatticeDomain2) ->
     first).  The (xi, eta) increments on the data axes are the Goursat data
     of layer z + 1, which rhs2 solves, so each layer is solved exactly once.
 
-    A finite theta00 whose float spacing exceeds min(eps, 1/4) * 2^-30 is
-    refused with ValueError before anything is solved: the increments eps*u,
-    eps*v would be lost in its rounding, leaving theta frozen, and at eps =
-    1/2 the rounding of theta00 = 2^22 less one ulp alone already drives the
-    theta cross check past COMPAT_TOL (a non-finite theta00 stays a
-    BlowUpError).
+    A finite theta00 whose float spacing exceeds min(eps, 1/4) * m^2 * 2^-30,
+    m = min(1, alpha, 1/alpha) = rhs6.eps0 / 2, is refused with ValueError
+    before anything is solved: the increments eps*u, eps*v would be lost in
+    its rounding, leaving theta frozen, and near that limit the rounding of
+    theta00 alone drives the theta cross check past COMPAT_TOL (at eps = 1/2
+    and alpha = 1, theta00 = 2^22 less one ulp), the more so as alpha leaves
+    1.  A non-finite theta00 stays a BlowUpError.
     """
     n, eps = dom.n, dom.eps
     for rhs6, theta00 in steps:
         _require_step(rhs6, eps)
-        if math.isfinite(theta00) and math.ulp(theta00) > min(eps, 0.25) * 2.0**-30:
+        bound = min(eps, 0.25) * min(1.0, rhs6.eps0 / 2) ** 2 * 2.0**-30
+        if math.isfinite(theta00) and math.ulp(theta00) > bound:
             raise ValueError(f"theta0 = {float(theta00)!r} is too large for eps = {eps!r}: its float "
-                             f"spacing {math.ulp(theta00):.3g} exceeds min(eps, 1/4) * 2^-30")
+                             f"spacing {math.ulp(theta00):.3g} exceeds {bound:.3g} = min(eps, 1/4) "
+                             f"* min(1, alpha, 1/alpha)^2 * 2^-30")
     layer = solve_goursat_2d(rhs2, data, dom)
     sol = LayeredField3([layer.a], [layer.b], [], dom, [])
     for z, (rhs6, theta00) in enumerate(steps):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _text
-from .goursat import EdgeField2, GoursatData2, LatticeDomain2, _require_memory, solve_goursat_2d
+from .goursat import EdgeField2, GoursatData2, LatticeDomain2, solve_goursat_2d
 from .frames import _pair, _sweep
 from .sinegordon import (
     BacklundParam,
@@ -79,15 +79,12 @@ def _tower(fields: EdgeField2, lam: float, chain=(), th_layers=(), cross=()) -> 
     per level (one block: a fixed number of sites, at least one line); every
     mesh records the zero-curvature residual of the base fields from the same
     sweep, and mesh z the worst theta cross residual cross[:z] of the steps
-    behind it.  The R + 1 point arrays, 24 (n+1)^2 bytes each, are sized
-    before the sweep allocates them: ValueError when they exceed the
-    available memory.
+    behind it.  The sweep refuses R + 1 point arrays that exceed the
+    available memory (ValueError) before it allocates them.
     """
     if lam <= 0 or not np.isfinite(lam):
         raise ValueError(f"lambda must be positive and finite, got {lam}")
     layers, dom = [(th, p.alpha) for th, p in zip(th_layers, chain)], fields.domain
-    _require_memory(24 * (dom.n + 1) ** 2 * (len(layers) + 1),
-                    f"a tower of {len(layers) + 1} surfaces on n = {dom.n} steps", "its points")
     sweep = _sweep(fields, lam, layers=layers, sym=True)
     return [
         SurfaceMesh(pts, dom.eps, dom.r, lam, bt_chain=tuple(chain[:z]),

@@ -39,20 +39,45 @@ def test_summarise_quartiles_and_wins():
     assert entry["change_wins"]["rate"] == "2/5"
 
 
+BENCH = {"command": ["python3", "perfbench/run.py"], "run_seconds": 1,
+         "workloads": [{"name": "w"}], "end_to_end": METRICS}
+
+
+def trees(tmp_path, parent_bench, change_bench=BENCH) -> tuple:
+    """Two checkouts under tmp_path, each holding only its BENCHMARK.json."""
+    for side, bench in (("parent", parent_bench), ("change", change_bench)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
+    return str(tmp_path / "parent"), str(tmp_path / "change")
+
+
 def test_a_failed_job_fails_the_run_after_the_file_is_written(tmp_path, monkeypatch, capsys):
-    bench = {"command": ["python3", "perfbench/run.py"], "run_seconds": 1,
-             "workloads": [{"name": "w"}], "end_to_end": METRICS}
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
-    change = str(tmp_path)
+    parent, change = trees(tmp_path, BENCH)
 
     def run_once(tree, workload, seed, seconds):
         return record(seed, 1.0, 1.0, failed=int(tree == change and seed == 103))
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     out = tmp_path / "BENCH.json"
-    assert bench_pairs.main(["--parent", "p", "--change", change, "--out", str(out)]) == 1
+    assert bench_pairs.main(["--parent", parent, "--change", change, "--out", str(out)]) == 1
     assert json.loads(out.read_text())["workloads"]["w"]["change"]["failed"] == 1
     captured = capsys.readouterr()
     assert "pair 2 w change: norm_wall_s 1.0000, failed 1 of 4" in captured.out
     assert "w parent: failed 0 of 40\nw change: failed 1 of 40\n" in captured.out
     assert captured.err == "w change seed 103: 1 of 4 jobs failed\n"
+
+
+def test_benchmark_files_that_differ_stop_before_any_run(tmp_path, monkeypatch, capsys):
+    def run_once(tree, workload, seed, seconds):
+        raise AssertionError("ran a benchmark that the two sides do not share")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    parent, change = trees(tmp_path, dict(BENCH, run_seconds=2, workloads=[{"name": "v"}]))
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", parent, "--change", change, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: the parent's and the change's BENCHMARK.json differ in 'run_seconds': "
+        "2 against 1\n"
+        "error: the parent's and the change's BENCHMARK.json differ in 'workloads': "
+        "[{'name': 'v'}] against [{'name': 'w'}]\n")
+    assert not out.exists()

@@ -459,6 +459,11 @@ def test_converge_refuses_two_levels_before_solving(monkeypatch, capsys, tmp_pat
     assert err.startswith("error: k_min..k_max = 1..2 gives fewer than the 3 levels")
     assert main(["converge", "--quantity", "surface", "--scheme", "naive"]) == 1
     assert capsys.readouterr().err == "error: surface sweeps require the Hirota scheme\n"
+    # the 2 steps of k_min = 1 form no second quotient ("grids share no sites" before)
+    assert main(["converge", "--quantity", "quotients_order_2", "--kmin", "1", "--kmax", "3",
+                 "--kref", "5"]) == 1
+    assert capsys.readouterr().err == ("error: quotient order 2 needs more than 2 steps per "
+                                       "axis, but k_min = 1 gives r * 2^k_min = 2\n")
     assert not list(tmp_path.iterdir())
 
 

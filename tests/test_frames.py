@@ -384,3 +384,21 @@ def test_sym_runs_once_per_block_and_layer(monkeypatch):
     frames._sweep(fields, 1.0, layers=layers, sym=True)
     lines = frames._BLOCK_SITES // 65
     assert len(calls) <= math.ceil(65 / lines) * (len(layers) + 1)
+
+
+@pytest.mark.parametrize("k, residual, cell", [
+    (1, "0x1.bb67ae8584caap-54", ("0x1.0000000000000p-1", "0x0.0p+0")),
+    (3, "0x1.6d0810be67742p-52", ("0x1.0000000000000p-3", "0x1.8000000000000p-2")),
+    (8, "0x1.0f87b83aa6fedp-51", ("0x1.1200000000000p-1", "0x1.a800000000000p-1")),
+])
+def test_zero_curvature_residual_keeps_its_bits(k, residual, cell):
+    # the worst cell residual and its cell in both orders, and the residual a
+    # 3-step tower records, as the kernel measured them when each block
+    # carried its first line's axis planes over from the block before
+    dom = LatticeDomain2.from_k(1.0, k)
+    fields = solve_goursat_2d(hirota_system(), demo_data(), dom)
+    for order in ("xy", "yx"):
+        s = frames._sweep(fields, 1.0, order, tol=np.inf)
+        assert (s.residual.hex(), tuple(c.hex() for c in s.cell)) == (residual, cell)
+    tower = backlund_surface(demo_data(), dom, [(1.0, 0.5), (0.5, -0.25), (2.0, 0.1)])
+    assert [m.zcc_residual.hex() for m in tower] == [residual] * 4

@@ -373,12 +373,18 @@ def test_kept_blowup_not_reproduced_is_an_error():
 
 
 def test_non_finite_data_rejected():
+    # the first non-finite sample is named: an a0 sample before a b0 sample
     rhs = hirota_system()
     dom = LatticeDomain2(1.0, 0.25)
-    data = GoursatData2(a0=lambda x: np.where(x > 0.4, np.nan, x), b0=lambda y: 0.0)
-    with pytest.raises(BlowUpError) as exc:
-        solve_goursat_2d(rhs, data, dom)
-    assert exc.value.field_name == "data"
+    bad_b0 = [0.0, 1.0, np.inf, np.nan]
+    for data, site in ((GoursatData2(a0=lambda x: np.where(x > 0.4, np.nan, x),
+                                     b0=lambda y: 0.0), (0.5, 0.0)),
+                       (GoursatData2(a0=np.zeros(4), b0=bad_b0), (0.0, 0.5)),
+                       (GoursatData2(a0=[0.0, 0.0, 0.0, -np.inf], b0=bad_b0), (0.75, 0.0))):
+        with pytest.raises(BlowUpError) as exc:
+            solve_goursat_2d(rhs, data, dom)
+        assert exc.value.field_name == "data"
+        assert exc.value.site == site
 
 
 def test_inadmissible_eps_rejected():
@@ -398,8 +404,9 @@ def test_sup_error_nested_grids():
     q2 = q + 1e-3
     q2[0, 0] += 0.5  # only perturbation at a shared site that dominates
     assert sup_error(p, 0.25, q2, 0.125) == pytest.approx(0.501, abs=1e-12)
-    with pytest.raises(ValueError, match="nested"):
-        sup_error(p, 0.25, q, 0.1)
+    for eps_q in (0.1, np.nan):
+        with pytest.raises(ValueError, match="grids are not nested: eps_p/eps_q"):
+            sup_error(p, 0.25, q, eps_q)
     # trailing axes are coordinates: the distance there is Euclidean
     pts_q = np.zeros((9, 9, 3))
     pts_q[2, 4] = (3.0, 0.0, 4.0)

@@ -65,6 +65,16 @@ def test_sweep_config_validation():
         SweepConfig(quantity="quotients_order_0")
     with pytest.raises(ValueError, match="quotient_order"):
         SweepConfig(quantity="quotients_order_x")
+    # order m needs more than m steps on the coarsest level, r 2^k_min of them
+    for r, k_min in ((1.0, 1), (1.0, 2), (0.5, 2), (1.5, 1)):
+        for m in range(1, 5):
+            q = f"quotients_order_{m}"
+            if r * 2**k_min <= m:
+                with pytest.raises(ValueError, match=f"quotient order {m} needs more than {m} "
+                                                     f"steps per axis, but k_min = {k_min}"):
+                    SweepConfig(r=r, k_min=k_min, k_max=k_min + 2, quantity=q)
+            else:
+                assert SweepConfig(r=r, k_min=k_min, k_max=k_min + 2, quantity=q).k_min == k_min
     # a chain is read by surface_bt only; any other quantity refuses it
     for q in ("fields_ab", "phi", "surface", "quotients_order_2"):
         with pytest.raises(ValueError, match="bt_chain"):

@@ -423,6 +423,25 @@ def test_theta0_limit_is_capped_at_eps_one_quarter():
     assert sol.cross_residual <= COMPAT_TOL  # measured 9.3e-10
 
 
+def test_theta0_limit_scales_with_alpha():
+    # the limit is min(eps, 1/4) * min(1, alpha, 1/alpha)^2 * 2^-30: at eps =
+    # 1/8 and alpha = 2 or 1/2 it sits at |theta0| = 2^18.  2^20 less one ulp,
+    # inside the limit of alpha = 1, failed the theta cross check at alpha = 2
+    # (1.28e-9, a CompatibilityError that did not name theta0)
+    dom, theta0 = LatticeDomain2.from_k(1.0, 3), np.nextafter(2.0**20, 0.0)
+    for alpha in (2.0, 0.5):
+        rhs6 = hirota_backlund_system(alpha)
+        with pytest.raises(ValueError, match=r"theta0 = 1048575\.9999999999 is too large for "
+                                             r"eps = 0\.125: its float spacing 1\.16e-10 exceeds "
+                                             r"2\.91e-11 = min\(eps, 1/4\)"):
+            solve_goursat_3d(rhs6, demo_data(), [theta0], dom)
+        below = np.nextafter(2.0**18, 0.0)
+        sol = solve_goursat_3d(rhs6, demo_data(), [below, -below], dom)
+        assert sol.cross_residual <= COMPAT_TOL
+    sol = solve_goursat_3d(hirota_backlund_system(1.0), demo_data(), [theta0], dom)
+    assert sol.cross_residual <= COMPAT_TOL  # alpha = 1 keeps its limit
+
+
 @pytest.mark.parametrize("k, corners", [
     (1, ("0x1.8a1e6096e0166p+6", "-0x1.80cc2dd95741ap+6")),
     (3, ("0x1.8bddeec58863ep+6", "-0x1.82b8c4f13d40fp+6")),

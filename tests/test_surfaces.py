@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ksurf import goursat, surfaces
-from ksurf.frames import ZeroCurvatureError
+from ksurf import frames, goursat
+from ksurf.frames import ZeroCurvatureError, propagate_frame
 from ksurf.goursat import EdgeField2, GoursatData2, LatticeDomain2, solve_goursat_2d
 from ksurf.harness import demo_data, zero_data
 from ksurf.sinegordon import (
@@ -221,11 +221,33 @@ def test_tower_points_refused_before_allocation(monkeypatch, chain):
         raise AssertionError("frames swept for a refused tower")
 
     monkeypatch.setattr(goursat, "_available_bytes", lambda: need - 1)
-    monkeypatch.setattr(surfaces, "_sweep", never)
+    monkeypatch.setattr(frames, "_frame_buffer", never)  # the kernel's first allocation
     with pytest.raises(ValueError, match=f"a tower of {layers} surfaces on n = 8 steps "
                                          f"needs {need} bytes for its points, more than "
                                          f"the {need - 1} bytes"):
         backlund_surface(demo_data(), dom, chain)
+
+
+@pytest.mark.parametrize("call, need, what", [
+    (lambda dom: propagate_frame(solve_goursat_2d(hirota_system(), demo_data(), dom), 1.0),
+     128 * 81, "a frame on n = 8 steps needs 10368 bytes for Psi and dPsi"),
+    (lambda dom: backlund_two_route_residual(demo_data(), dom, MIXED_CHAIN),
+     24 * 81 * 4, "a tower of 4 surfaces on n = 8 steps needs 7776 bytes for its points"),
+])
+def test_frame_arrays_refused_before_allocation(monkeypatch, call, need, what):
+    # the kernel sizes the frame (128 (n+1)^2 bytes) and route A's R + 1 point
+    # arrays (24 (n+1)^2 bytes each) before it allocates them, n = 8
+    dom = LatticeDomain2.from_k(1.0, 3)
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: need)
+    call(dom)
+
+    def never(*args, **kwargs):
+        raise AssertionError("frames swept for a refused sweep")
+
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: need - 1)
+    monkeypatch.setattr(frames, "_frame_buffer", never)  # the kernel's first allocation
+    with pytest.raises(ValueError, match=f"{what}, more than the {need - 1} bytes"):
+        call(dom)
 
 
 def test_backlund_surface_rejects_naive(dom):

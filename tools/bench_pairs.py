@@ -3,8 +3,10 @@
     python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json \
         [--seed0 101]
 
-Each DIR is a clean checkout of one revision.  For each of PAIRS pairs i and
-each workload of the change's BENCHMARK.json, perfbench/run.py runs once in
+Each DIR is a clean checkout of one revision.  Before any run, the exit code
+is 1 when the two checkouts' BENCHMARK.json differ in any of COMPARED, each
+difference named on standard error.  For each of PAIRS pairs i and each
+workload of the change's BENCHMARK.json, perfbench/run.py runs once in
 each checkout with --trace 0, --seed seed0 + i and that file's run_seconds:
 the parent first on even pairs, the change first on odd ones, one run at a
 time.  Each run's record is read from the .perfbench/<workload>-trace0.json
@@ -29,6 +31,7 @@ import sys
 
 SIDES = ("parent", "change")
 PAIRS = 10  # the fewest alternating pairs a claimed gain is judged on
+COMPARED = ("command", "run_seconds", "workloads", "end_to_end")  # what both sides must share
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -84,8 +87,18 @@ def main(argv=None) -> int:
     p.add_argument("--seed0", type=int, default=101)
     args = p.parse_args(argv)
 
-    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
-        bench = json.load(fh)
+    benches = {}
+    for side in SIDES:
+        with open(os.path.join(getattr(args, side), "BENCHMARK.json"), encoding="utf-8") as fh:
+            benches[side] = json.load(fh)
+    differ = [key for key in COMPARED if benches["parent"].get(key) != benches["change"].get(key)]
+    for key in differ:
+        print(f"error: the parent's and the change's BENCHMARK.json differ in {key!r}: "
+              f"{benches['parent'].get(key)!r} against {benches['change'].get(key)!r}",
+              file=sys.stderr)
+    if differ:
+        return 1
+    bench = benches["change"]
     workloads = [w["name"] for w in bench["workloads"]]
     trees = {"parent": args.parent, "change": args.change}
     runs = {w: {side: [] for side in SIDES} for w in workloads}
