@@ -250,7 +250,9 @@ def _sweep(fields: EdgeField2, lam: float, order: str = "xy", layers=(),
         kk, last, stop = min(k1, n), k1 - 1, False
         if kk > k0:
             m = step(lines[k0:kk], lam, eps, norms)
-            ax = first(axis[k0:kk + 1], lam, eps, norms)[:2]  # (p, q) of lines k0..kk
+            # (p, q) of lines k0..kk, stored line by line (in order 'xy' a line of
+            # axis is strided, and so would the planes be, slowing the residual)
+            ax = first(np.ascontiguousarray(axis[k0:kk + 1]), lam, eps, norms)[:2]
             res = _cell_residuals(_take(ax, np.s_[1:]), _take(ax, np.s_[:-1]), m)
             j, i = divmod(int(res.argmax()), n)  # the first NaN, else the first maximum
             if not (res[j, i] <= worst):
