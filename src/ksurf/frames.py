@@ -151,8 +151,9 @@ def _planes(psi: np.ndarray, dpsi: np.ndarray) -> tuple:
 # ---------------------------------------------------------------------------
 # the frame kernel
 
-# Sites per block of lines (at least one line): the work that does not
-# depend on the previous line runs once per block.  Larger blocks save
+# Sites per block of lines (at least two lines: each block forms the axis
+# planes of one line more than it holds, the first of the next block): the
+# work that does not depend on the previous line runs once per block.  Larger blocks save
 # interpreter calls but hold more temporaries; at this size the k = 8 tower
 # of three dressings peaks 0.82 MB above its points (0.15 MB line by line).
 _BLOCK_SITES = 1 << 11
@@ -196,8 +197,8 @@ def _sweep(fields: EdgeField2, lam: float, order: str = "xy", layers=(),
 
     order 'xy' walks the bottom row by Ud steps, then fills columns by Vd
     steps; 'yx' walks the left column by Vd steps, then fills rows by Ud
-    steps.  The lines are taken in blocks of _BLOCK_SITES sites (at least one
-    line).  The only sequential work is the frame product from one line to
+    steps.  The lines are taken in blocks of _BLOCK_SITES sites (at least two
+    lines).  The only sequential work is the frame product from one line to
     the next, written into the block's buffer; the step planes, the
     zero-curvature residual of every cell, the dressing by the
     (theta_field, alpha) layers, Sym and the stored frames are computed once
@@ -231,7 +232,7 @@ def _sweep(fields: EdgeField2, lam: float, order: str = "xy", layers=(),
     elif sym:
         _require_memory(need, f"a tower of {len(layers) + 1} surfaces on n = {n} steps",
                         "its points")
-    size = min(max(1, _BLOCK_SITES // (n + 1)), n + 1)  # lines per block
+    size = min(max(2, _BLOCK_SITES // (n + 1)), n + 1)  # lines per block
     buf = _frame_buffer(size, n)
     psi, dpsi = np.empty((2, n + 1, n + 1, 2, 2), dtype=complex) if frame else (None, None)
     points = [np.empty((n + 1, n + 1, 3)) for _ in range(len(layers) + 1)] if sym else []

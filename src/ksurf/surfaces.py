@@ -76,7 +76,7 @@ def _tower(fields: EdgeField2, lam: float, chain=(), th_layers=(), cross=()) -> 
 
     One kernel sweep takes the frame lines in blocks, dresses each block by
     (th_layers[z], chain[z].alpha) and applies Sym, holding O(n) frame planes
-    per level (one block: a fixed number of sites, at least one line); every
+    per level (one block: a fixed number of sites, at least two lines); every
     mesh records the zero-curvature residual of the base fields from the same
     sweep, and mesh z the worst theta cross residual cross[:z] of the steps
     behind it.  The sweep refuses R + 1 point arrays that exceed the

@@ -332,10 +332,11 @@ def _sweep_output(fields, order, layers, monkeypatch, lines):
 @pytest.mark.parametrize("n", [1, 2, 16, 17])
 @pytest.mark.parametrize("order", ["xy", "yx"])
 def test_block_size_keeps_bits(monkeypatch, n, order):
-    # one line, three lines and the default budget per block give the same
-    # points, frames, residual, cell and origin, bitwise
+    # two lines (the fewest a block holds), three lines and the default
+    # budget per block give the same points, frames, residual, cell and
+    # origin, bitwise
     fields, layers = _block_case(n)
-    ref = _sweep_output(fields, order, layers, monkeypatch, 1)
+    ref = _sweep_output(fields, order, layers, monkeypatch, 2)
     for lines in (3, None):
         monkeypatch.undo()
         res, cell, psi, dpsi, points, origin = _sweep_output(fields, order, layers,
@@ -354,7 +355,7 @@ def test_nan_in_later_block_names_its_cell(monkeypatch, order):
     fields, layers = _block_case(16)
     fields.a[3, 9] = np.nan
     cells = []
-    for lines in (1, 3):
+    for lines in (2, 3):
         monkeypatch.setattr(frames, "_BLOCK_SITES", lines * 17)
         with pytest.raises(ZeroCurvatureError) as exc:
             frames._sweep(fields, 1.0, order, layers, sym=True)
@@ -368,7 +369,7 @@ def test_nan_on_axis_fails_sym(monkeypatch):
     # are checked before the residual of its cells
     fields, _ = _block_case(16)
     fields.a[5, 0] = np.nan
-    for lines in (1, 3, None):
+    for lines in (2, 3, None):
         monkeypatch.undo()
         if lines:
             monkeypatch.setattr(frames, "_BLOCK_SITES", lines * 17)
