@@ -77,7 +77,7 @@ def _step_count(r: float, eps: float, label: str = "r/eps") -> int:
     the ratio is a positive integer (to 1e-9 relative)."""
     ratio = r / eps if math.isfinite(r) and math.isfinite(eps) else math.nan
     if not math.isfinite(ratio):
-        raise ValueError(f"{label} must be finite, got r = {r!r}, eps = {eps!r}")
+        raise ValueError(f"{label} must be finite, got {r!r}/{eps!r}")
     n = round(ratio)
     if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, ratio):
         raise ValueError(f"{label} = {ratio!r} is not a positive integer")
