@@ -19,8 +19,10 @@ holds just the current one, in two contiguous slot buffers; each value is
 assigned exactly once, making the result identical (bitwise) to the naive
 lexicographic double loop.  The sweep can keep every site, or only the sites
 a coarser nested lattice shares (a convergence reference): then it costs
-O(n) memory beyond the kept arrays.  A lattice whose two full fields would
-not fit in the available memory is refused before anything is allocated.
+O(n) memory beyond the kept arrays.  It steps the data of several layers
+together (the Backlund layers of sinegordon), one right-hand side call per
+anti-diagonal for all of them.  A lattice whose two full fields would not
+fit in the available memory is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -193,9 +195,9 @@ def solve_goursat_2d(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2) -> Edge
     """Solve the discrete Goursat problem by the anti-diagonal sweep.
 
     Each anti-diagonal is stepped on two contiguous slot buffers, one per
-    field, and then copied into the row-major fields; every value is
-    assigned once, so the result is bitwise that of the lexicographic double
-    loop.
+    field, and then copied into the row-major fields (_sweep with one layer);
+    every value is assigned once, so the result is bitwise that of the
+    lexicographic double loop.
 
     Raises ValueError for a step eps the rhs does not admit and, before
     allocating anything, when the two fields would not fit in the memory
@@ -239,49 +241,70 @@ def _require_memory(need: int, what: str, purpose: str) -> None:
                          f"{avail} bytes of available memory")
 
 
-def _sweep(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2, every: int) -> EdgeField2:
-    """The anti-diagonal sweep, keeping only the sites i = j = 0 (mod every).
-
-    The current anti-diagonal d lives in two slot buffers of n entries,
-    A[i] = a[i, d-i] indexed by i and B[n-1-d+i] = b[i, d-i] indexed by
-    reversed j.  A starts as the a0 samples and B as the b0 samples reversed.
-    The cell (i, d-i) moves a[i, d-i] to a[i, d-i+1] and b[i, d-i] to
-    b[i+1, d-i], each within its own slot, so one step is one rhs.step on two
-    contiguous views and an in-place update, with the arithmetic of the
-    double loop.  The kept sites of each new anti-diagonal are then copied
-    out: every every-th slot of every every-th anti-diagonal.  The result is
-    an EdgeField2 on LatticeDomain2(r, eps*every), bitwise the full solve at
-    its sites; memory beyond it is O(n).
-
-    The full lattice is sized before anything is allocated: ValueError when
-    its two fields, 16 n (n+1) bytes, exceed the available memory (the
-    blow-up report below may need them).  A slot only ever gains eps*f, so a
-    value that went non-finite leaves its slot non-finite to the end: one
-    test of the final slots finds any blow-up.  BlowUpError then names the first
-    non-finite site in sweep order, from the fields when every = 1 and
-    otherwise from a full re-solve of the same axis samples.  Non-finite data
-    is a BlowUpError of field 'data' at its first sample, an a0 sample before
-    a b0 sample.
-    """
-    _require_step(rhs, dom.eps)
-    n, eps = dom.n, dom.eps
-    _require_memory(16 * n * (n + 1), f"a lattice of n = {n} steps", "its two fields")
-    kept = LatticeDomain2(dom.r, eps * every)  # ValueError unless every divides n
-    nc = kept.n
-    a_row, b_col = data.sample(dom)
-    for axis, vals in enumerate((a_row, b_col)):  # a0 lies on the x-axis, b0 on the y-axis
+def _check_data(a_row: np.ndarray, b_col: np.ndarray, eps: float) -> None:
+    """BlowUpError of field 'data' at the first non-finite axis sample, if
+    any: an a0 sample (on the x-axis) before a b0 sample (on the y-axis),
+    then the lowest index."""
+    for axis, vals in enumerate((a_row, b_col)):
         if not np.isfinite(vals).all():
             at = int(np.argmin(np.isfinite(vals))) * eps
             raise BlowUpError("data", (at, 0.0) if axis == 0 else (0.0, at))
-    A, B = a_row.copy(), b_col[::-1].copy()
-    a, b = np.empty((nc, nc + 1)), np.empty((nc + 1, nc))
-    a[:, 0], b[0, :] = a_row[::every], b_col[::every]
-    af, bf = a.reshape(-1), b.reshape(-1)
+
+
+def _sweep(rhs: Rhs2, data, dom: LatticeDomain2, every: int):
+    """The anti-diagonal sweep of L stacked layers, keeping only the sites
+    i = j = 0 (mod every).
+
+    data is the GoursatData2 of one layer, or the axis samples of L layers
+    as a pair (a0, b0) of finite (L, n) arrays.  The current anti-diagonal d
+    of layer z lives in two slot buffers of n entries, A[z, i] = a[i, d-i]
+    indexed by i and B[z, n-1-d+i] = b[i, d-i] indexed by reversed j (one
+    layer's buffers have no layer axis: A[i] and B[n-1-d+i]).  A
+    starts as the a0 samples and B as the b0 samples reversed.  The cell
+    (i, d-i) moves a[i, d-i] to a[i, d-i+1] and b[i, d-i] to b[i+1, d-i],
+    each within its own slot, so one step of all L layers is one rhs.step on
+    two (L, len) views and an in-place update, with the arithmetic of the
+    double loop.  The kept sites of each new anti-diagonal are then copied
+    out: every every-th slot of every every-th anti-diagonal.  The fields
+    kept are bitwise those of the full solve of each layer on its own at
+    LatticeDomain2(r, eps*every); memory beyond them is O(L n).
+
+    A slot only ever gains eps*f, so a value that went non-finite leaves its
+    slot non-finite to the end: one test of the final slots finds any
+    blow-up of a layer.
+
+    One layer is sized first: ValueError when its two fields, 16 n (n+1)
+    bytes, exceed the available memory (the blow-up report below may need
+    them).  Non-finite data is then a BlowUpError of field 'data' at its
+    first sample (see _check_data), and the result is an EdgeField2; a
+    blow-up is a BlowUpError at the first non-finite site in sweep order,
+    from the fields when every = 1 and otherwise from a full re-solve of the
+    same axis samples.  A stack is sized, and its blow-ups reported, by the
+    caller: the result is the kept fields as (L, nc, nc+1) and (L, nc+1, nc)
+    arrays, and a bool per layer that is True where the layer stayed finite.
+    """
+    _require_step(rhs, dom.eps)
+    n, eps = dom.n, dom.eps
+    one = isinstance(data, GoursatData2)
+    if one:
+        _require_memory(16 * n * (n + 1), f"a lattice of n = {n} steps", "its two fields")
+    kept = LatticeDomain2(dom.r, eps * every)  # ValueError unless every divides n
+    nc = kept.n
+    if one:
+        a_row, b_col = data.sample(dom)
+        _check_data(a_row, b_col, eps)
+        data = a_row, b_col
+    a0, b0 = data  # [..., i] is slot i of every layer
+    A, B = a0.copy(), b0[..., ::-1].copy()
+    stack = a0.shape[:-1]
+    a, b = np.empty(stack + (nc, nc + 1)), np.empty(stack + (nc + 1, nc))
+    a[..., 0], b[..., 0, :] = a0[..., ::every], b0[..., ::every]
+    af, bf = a.reshape(stack + (-1,)), b.reshape(stack + (-1,))
     sb = max(nc - 1, 1)  # b's stride; at nc = 1 every diagonal has one kept site
     with np.errstate(all="ignore"):  # a blow-up is reported below, not warned of
         for d in range(2 * n - 1):
             lo, hi = max(0, d - n + 1), min(d, n - 1)
-            av, bv = A[lo : hi + 1], B[n - 1 - d + lo : n - d + hi]
+            av, bv = A[..., lo : hi + 1], B[..., n - 1 - d + lo : n - d + hi]
             f, g = rhs.step(av, bv, eps)
             f, g = eps * f, eps * g  # both before either slot moves: f, g may be views of them
             av += f
@@ -290,11 +313,14 @@ def _sweep(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2, every: int) -> Ed
             if (d + 1) % every == 0:
                 e = (d + 1) // every
                 i0, i1 = -(-lo // every), hi // every
-                af[e + i0 * nc : e + i1 * nc + 1 : nc] = av[i0 * every - lo :: every]
+                af[..., e + i0 * nc : e + i1 * nc + 1 : nc] = av[..., i0 * every - lo :: every]
                 i0, i1 = -(-(lo + 1) // every), (hi + 1) // every
-                bf[e + i0 * (nc - 1) : e + i1 * (nc - 1) + 1 : sb] = \
-                    bv[i0 * every - lo - 1 :: every]
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+                bf[..., e + i0 * (nc - 1) : e + i1 * (nc - 1) + 1 : sb] = \
+                    bv[..., i0 * every - lo - 1 :: every]
+    finite = np.isfinite(A).all(axis=-1) & np.isfinite(B).all(axis=-1)
+    if not one:
+        return a, b, finite
+    if not finite:
         if every == 1:
             _raise_first_blowup(a, b, eps)
         else:  # the samples taken above, now at every site

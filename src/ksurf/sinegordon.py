@@ -22,10 +22,11 @@ auxiliary angle theta propagates in x and y, and the transformed fields on the
 next layer are read off from theta.  The six right-hand sides form a
 compatible three-dimensional system exactly when the Hirota scheme is used;
 check_compatibility_3d measures the defect of the three closure identities,
-which is what fails for the naive scheme.  The layered solver computes each
-theta once, along one defining path, and checks it at every site against the
-alternative assignment by the rule of solve_goursat_nd, with the same bound
-goursat.COMPAT_TOL.
+which is what fails for the naive scheme.  The layered solver takes every
+layer's Goursat data from one pass along the axes and then solves all layers
+in one stacked sweep.  It computes each theta once, along one defining path,
+and checks it at every site against the alternative assignment by the rule
+of solve_goursat_nd, with the same bound goursat.COMPAT_TOL.
 
 Angles are stored as unwrapped real numbers; circle semantics enter only
 through trigonometric evaluation, so difference quotients of angle fields are
@@ -49,10 +50,12 @@ from .goursat import (
     GoursatData2,
     LatticeDomain2,
     Rhs2,
+    _check_data,
+    _raise_first_blowup,
     _read_pairs,
     _require_memory,
     _require_step,
-    solve_goursat_2d,
+    _sweep,
 )
 
 
@@ -325,25 +328,39 @@ def solve_goursat_3d(
     """Solve the Backlund-extended system on layers z = 0..R, R = len(theta0).
 
     Layer 0 solves the plain 2D Goursat problem; on each layer, theta
-    propagates from theta0[z] at the origin and yields the next layer (see
-    _solve_layers).  Every value has a single defining assignment; the
-    redundant equations hold to roundoff by compatibility, which is checked
-    at every site of every theta layer.
+    propagates from theta0[z] at the origin and yields the next layer, whose
+    data follow from theta on the axes (see _solve_layers).  Every value has
+    a single defining assignment; the redundant equations hold to roundoff
+    by compatibility, which is checked at every site of every theta layer.
     """
     rhs2 = Rhs2(rhs6.step, rhs6.eps0, rhs6.name)
     return _solve_layers(rhs2, [(rhs6, float(t)) for t in theta0], data, dom)
 
 
 def _solve_layers(rhs2: Rhs2, steps, data: GoursatData2, dom: LatticeDomain2) -> LayeredField3:
-    """Solve layer 0 from data by rhs2, then one Backlund step per (rhs6, theta00).
+    """Solve layer 0 from data and one more layer per Backlund step
+    (rhs6, theta00), every layer by rhs2, in three stages.
 
-    Step z propagates theta over layer z from theta00 along its defining
-    path, up the y-axis by v and then row by row by u, the smallest-direction
-    rule of solve_goursat_nd.  At every site off the y-axis the alternative
-    v-step from the site below must agree to COMPAT_TOL (CompatibilityError
-    naming the worst site otherwise; a non-finite theta is a BlowUpError
-    first).  The (xi, eta) increments on the data axes are the Goursat data
-    of layer z + 1, which rhs2 solves, so each layer is solved exactly once.
+    1. The axes.  The data fix every layer's Goursat data: step z walks
+       theta from theta00 up the y-axis of layer z by v and along its x-axis
+       by u, and the increments (xi, eta) on those axes added to layer z's
+       data are the data of layer z + 1.  This costs O(n) per step.
+    2. One stacked sweep (goursat._sweep) solves all R + 1 layers together,
+       each exactly once.
+    3. Theta.  Step z fills theta over layer z along its defining path, the
+       y-axis of stage 1 and then row by row by u, the smallest-direction
+       rule of solve_goursat_nd.  At every site off the y-axis the
+       alternative v-step from the site below must agree to COMPAT_TOL.
+
+    Every value is that of solving the layers one after another.  Errors
+    come in that order too: for z = 0, 1, ..., a blow-up of layer z
+    (BlowUpError naming its first site in sweep order), a non-finite theta
+    of step z (BlowUpError of field 'theta'), its failed check
+    (CompatibilityError naming the worst site), and non-finite data of layer
+    z + 1 (BlowUpError of field 'data').  Stage 1 stops at such data, and
+    later layers are not solved.  Before any of it, the R + 1 layers' fields,
+    16 n (n+1) bytes each, and the R theta layers, 8 (n+1)^2 bytes each, are
+    sized together: ValueError when they exceed the available memory.
 
     A finite theta00 whose float spacing exceeds min(eps, 1/4) * m^2 * 2^-30,
     m = min(1, alpha, 1/alpha) = rhs6.eps0 / 2, is refused with ValueError
@@ -353,7 +370,7 @@ def _solve_layers(rhs2: Rhs2, steps, data: GoursatData2, dom: LatticeDomain2) ->
     and alpha = 1, theta00 = 2^22 less one ulp), the more so as alpha leaves
     1.  A non-finite theta00 stays a BlowUpError.
     """
-    n, eps = dom.n, dom.eps
+    n, eps, R = dom.n, dom.eps, len(steps)
     for rhs6, theta00 in steps:
         _require_step(rhs6, eps)
         bound = min(eps, 0.25) * min(1.0, rhs6.eps0 / 2) ** 2 * 2.0**-30
@@ -361,32 +378,53 @@ def _solve_layers(rhs2: Rhs2, steps, data: GoursatData2, dom: LatticeDomain2) ->
             raise ValueError(f"theta0 = {float(theta00)!r} is too large for eps = {eps!r}: its float "
                              f"spacing {math.ulp(theta00):.3g} exceeds {bound:.3g} = min(eps, 1/4) "
                              f"* min(1, alpha, 1/alpha)^2 * 2^-30")
-    layer = solve_goursat_2d(rhs2, data, dom)
-    sol = LayeredField3([layer.a], [layer.b], [], dom, [])
-    for z, (rhs6, theta00) in enumerate(steps):
-        a, b = sol.a[-1], sol.b[-1]
-        th = np.empty((n + 1, n + 1))
-        th[0, 0] = theta00
-        for j in range(n):
-            th[0, j + 1] = th[0, j] + eps * rhs6.v(b[0, j], th[0, j], eps)
-        for i in range(n):
-            th[i + 1, :] = th[i, :] + eps * rhs6.u(a[i, :], th[i, :], eps)
-        if not np.isfinite(th).all():
-            i, j = np.unravel_index(int(np.argmin(np.isfinite(th))), th.shape)
-            raise BlowUpError("theta", (i * eps, j * eps))
-        below = th[1:, :-1]
-        mism = np.abs(below + eps * rhs6.v(b[1:, :], below, eps) - th[1:, 1:])
-        i, j = np.unravel_index(int(np.argmax(mism)), mism.shape)  # nan counts as largest
-        if not mism[i, j] <= COMPAT_TOL:
-            raise CompatibilityError(float(mism[i, j]), ((i + 1) * eps, (j + 1) * eps),
-                                     detail=f"theta, directions x/y, layer {z}")
-        layer = solve_goursat_2d(rhs2, GoursatData2(
-            a[:, 0] + backlund_xi(rhs6.u(a[:, 0], th[:n, 0], eps)),
-            b[0, :] + backlund_eta(rhs6.v(b[0, :], th[0, :n], eps), th[0, :n], eps)), dom)
-        sol.theta.append(th)
-        sol.cross.append(float(mism[i, j]))
-        sol.a.append(layer.a)
-        sol.b.append(layer.b)
+    _require_step(rhs2, eps)
+    _require_memory(16 * n * (n + 1) * (R + 1) + 8 * (n + 1) ** 2 * R,
+                    f"a layered solve on n = {n} steps", f"{R + 1} field and {R} theta layers")
+    a0, b0 = data.sample(dom)
+    _check_data(a0, b0, eps)
+    axes, edges = [(a0, b0)], []  # each layer's data; theta of each step on its y-axis
+    with np.errstate(all="ignore"):  # a non-finite value is reported below, not warned of
+        for rhs6, theta00 in steps:
+            a0, b0 = axes[-1]
+            ty, tx = np.empty(n + 1), np.empty(n + 1)
+            ty[0] = tx[0] = theta00
+            for j in range(n):
+                ty[j + 1] = ty[j] + eps * rhs6.v(b0[j], ty[j], eps)
+            for i in range(n):
+                tx[i + 1] = tx[i] + eps * rhs6.u(a0[i], tx[i], eps)
+            edges.append(ty)
+            nxt = (a0 + backlund_xi(rhs6.u(a0, tx[:n], eps)),
+                   b0 + backlund_eta(rhs6.v(b0, ty[:n], eps), ty[:n], eps))
+            if not (np.isfinite(nxt[0]).all() and np.isfinite(nxt[1]).all()):
+                break
+            axes.append(nxt)
+        a, b, finite = _sweep(rhs2, (np.array([x for x, _ in axes]),
+                                     np.array([y for _, y in axes])), dom, 1)
+        sol = LayeredField3(list(a), list(b), [], dom, [])
+        for z in range(len(axes)):
+            if not finite[z]:
+                _raise_first_blowup(a[z], b[z], eps)
+            if z == len(edges):  # the top layer carries no theta
+                break
+            rhs6 = steps[z][0]
+            th = np.empty((n + 1, n + 1))
+            th[0] = edges[z]
+            for i in range(n):
+                th[i + 1, :] = th[i, :] + eps * rhs6.u(a[z, i, :], th[i, :], eps)
+            if not np.isfinite(th).all():
+                i, j = np.unravel_index(int(np.argmin(np.isfinite(th))), th.shape)
+                raise BlowUpError("theta", (i * eps, j * eps))
+            below = th[1:, :-1]
+            mism = np.abs(below + eps * rhs6.v(b[z, 1:, :], below, eps) - th[1:, 1:])
+            i, j = np.unravel_index(int(np.argmax(mism)), mism.shape)  # nan counts as largest
+            if not mism[i, j] <= COMPAT_TOL:
+                raise CompatibilityError(float(mism[i, j]), ((i + 1) * eps, (j + 1) * eps),
+                                         detail=f"theta, directions x/y, layer {z}")
+            sol.theta.append(th)
+            sol.cross.append(float(mism[i, j]))
+    if len(axes) == len(edges):  # stage 1 stopped at the data of the next layer
+        _check_data(*nxt, eps)
     return sol
 
 
@@ -408,17 +446,18 @@ def check_compatibility_3d(rhs6: Rhs3, samples: np.ndarray, eps: float) -> float
     _require_memory(128 * (s.size // 3), f"a check of {s.size // 3} samples",
                     "the temporaries of its closure identities")
     a, b, th = s[..., 0], s[..., 1], s[..., 2]
-    f, g = rhs6.step(a, b, eps)
-    u = rhs6.u(a, th, eps)
-    v = rhs6.v(b, th, eps)
-    xi, eta = backlund_xi(u), backlund_eta(v, th, eps)
-    f_up, g_up = rhs6.step(a + xi, b + eta, eps)
-    th_x, th_y = th + eps * u, th + eps * v
-    u_y = rhs6.u(a + eps * f, th_y, eps)
-    v_x = rhs6.v(b + eps * g, th_x, eps)
-    id1 = (u_y - u) - (v_x - v)
-    id2 = (backlund_xi(u_y) - xi) - eps * (f_up - f)
-    id3 = (backlund_eta(v_x, th_x, eps) - eta) - eps * (g_up - g)
+    with np.errstate(all="ignore"):  # a non-finite defect is returned, not warned of
+        f, g = rhs6.step(a, b, eps)
+        u = rhs6.u(a, th, eps)
+        v = rhs6.v(b, th, eps)
+        xi, eta = backlund_xi(u), backlund_eta(v, th, eps)
+        f_up, g_up = rhs6.step(a + xi, b + eta, eps)
+        th_x, th_y = th + eps * u, th + eps * v
+        u_y = rhs6.u(a + eps * f, th_y, eps)
+        v_x = rhs6.v(b + eps * g, th_x, eps)
+        id1 = (u_y - u) - (v_x - v)
+        id2 = (backlund_xi(u_y) - xi) - eps * (f_up - f)
+        id3 = (backlund_eta(v_x, th_x, eps) - eta) - eps * (g_up - g)
     return float(
         max(np.max(np.abs(id1)), np.max(np.abs(id2)), np.max(np.abs(id3)))
     )

@@ -151,10 +151,10 @@ def solve_backlund_chain(
     """Solve the layered system for a chain of Backlund steps.
 
     Returns (a_layers, b_layers, theta_layers, cross_residual) with fields on
-    layers 0..R and theta on 0..R-1.  Each step may carry its own alpha, so
-    the chain is advanced one transformation at a time, solving each of the
-    R + 1 layers once; for a constant-alpha chain this agrees bitwise with a
-    single multi-layer solve.
+    layers 0..R and theta on 0..R-1.  Each step may carry its own alpha.  The
+    data on the axes fix every layer's Goursat data, so all R + 1 layers are
+    solved once, in one stacked sweep (see sinegordon._solve_layers); for a
+    constant-alpha chain this agrees bitwise with solve_goursat_3d.
     """
     sol = _chain_layers(data, dom, _params(bt_chain))
     return sol.a, sol.b, sol.theta, sol.cross_residual

@@ -303,7 +303,7 @@ def test_backlund_oversized_theta0_exits_one(monkeypatch, capsys, theta0):
     def never(*args):
         raise AssertionError("solved with an oversized theta0")
 
-    monkeypatch.setattr(sinegordon, "solve_goursat_2d", never)
+    monkeypatch.setattr(sinegordon, "_sweep", never)
     assert main(["backlund", "--k", "3", "--alpha", "1", "--theta0", theta0]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: theta0 = {float(theta0)!r} is too large for eps = 0.125")

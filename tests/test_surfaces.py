@@ -281,24 +281,28 @@ def _count_solves(monkeypatch):
     import ksurf.surfaces
 
     calls = []
-    solve = ksurf.sinegordon.solve_goursat_2d
+    sweep = ksurf.sinegordon._sweep
 
-    def counting(*args, **kwargs):
-        calls.append(args[2].n)
-        return solve(*args, **kwargs)
+    def counting(rhs, data, dom, every):
+        calls.append(len(data[0]))  # the layers stepped together
+        return sweep(rhs, data, dom, every)
 
-    for mod in (ksurf.sinegordon, ksurf.surfaces):
-        monkeypatch.setattr(mod, "solve_goursat_2d", counting)
+    def never(*args):
+        raise AssertionError("a layer solved on its own")
+
+    monkeypatch.setattr(ksurf.sinegordon, "_sweep", counting)
+    monkeypatch.setattr(ksurf.surfaces, "solve_goursat_2d", never)
     return calls
 
 
 @pytest.mark.parametrize("steps", [0, 1, 3])
 def test_backlund_chain_solves_each_layer_once(monkeypatch, dom, steps):
+    # all R + 1 layers in one stacked sweep
     calls = _count_solves(monkeypatch)
     chain = [(1.0, 0.5), (0.5, -0.25), (2.0, 0.1)][:steps]
     a_layers, _, _, _ = solve_backlund_chain(demo_data(), dom, chain)
     assert len(a_layers) == steps + 1
-    assert len(calls) == steps + 1
+    assert calls == [steps + 1]
 
 
 def test_backlund_chain_constant_alpha_matches_3d_solve(dom):
