@@ -252,59 +252,55 @@ def _check_data(a_row: np.ndarray, b_col: np.ndarray, eps: float) -> None:
 
 
 def _sweep(rhs: Rhs2, data, dom: LatticeDomain2, every: int):
-    """The anti-diagonal sweep of L stacked layers, keeping only the sites
-    i = j = 0 (mod every).
+    """The anti-diagonal sweep of one layer or of L stacked layers, keeping
+    only the sites i = j = 0 (mod every).
 
     data is the GoursatData2 of one layer, or the axis samples of L layers
     as a pair (a0, b0) of finite (L, n) arrays.  The current anti-diagonal d
-    of layer z lives in two slot buffers of n entries, A[z, i] = a[i, d-i]
-    indexed by i and B[z, n-1-d+i] = b[i, d-i] indexed by reversed j (one
-    layer's buffers have no layer axis: A[i] and B[n-1-d+i]).  A
-    starts as the a0 samples and B as the b0 samples reversed.  The cell
-    (i, d-i) moves a[i, d-i] to a[i, d-i+1] and b[i, d-i] to b[i+1, d-i],
-    each within its own slot, so one step of all L layers is one rhs.step on
-    two (L, len) views and an in-place update, with the arithmetic of the
-    double loop.  The kept sites of each new anti-diagonal are then copied
-    out: every every-th slot of every every-th anti-diagonal.  The fields
-    kept are bitwise those of the full solve of each layer on its own at
-    LatticeDomain2(r, eps*every); memory beyond them is O(L n).
-
-    A slot only ever gains eps*f, so a value that went non-finite leaves its
-    slot non-finite to the end: one test of the final slots finds any
-    blow-up of a layer.
+    lives in two slot buffers, A[i] = a[i, d-i] indexed by i and
+    B[n-1-d+i] = b[i, d-i] indexed by reversed j; for L layers slot i is a
+    contiguous row of L values, one per layer.  A starts as the a0 samples
+    and B as the b0 samples reversed.  The cell (i, d-i) moves a[i, d-i] to
+    a[i, d-i+1] and b[i, d-i] to b[i+1, d-i], each within its own slot, so
+    one step of every layer is one rhs.step on two contiguous views and an
+    in-place update, with the arithmetic of the double loop.  The kept sites of each new
+    anti-diagonal are then copied out: every every-th slot of every
+    every-th anti-diagonal.  Each layer's kept fields are bitwise its full
+    solve at those sites; memory beyond them is O(L n).  A slot only ever
+    gains eps*f, so a value that went non-finite leaves its slot non-finite
+    to the end: one test of the final slots finds any blow-up of a layer.
 
     One layer is sized first: ValueError when its two fields, 16 n (n+1)
     bytes, exceed the available memory (the blow-up report below may need
-    them).  Non-finite data is then a BlowUpError of field 'data' at its
-    first sample (see _check_data), and the result is an EdgeField2; a
-    blow-up is a BlowUpError at the first non-finite site in sweep order,
-    from the fields when every = 1 and otherwise from a full re-solve of the
-    same axis samples.  A stack is sized, and its blow-ups reported, by the
-    caller: the result is the kept fields as (L, nc, nc+1) and (L, nc+1, nc)
-    arrays, and a bool per layer that is True where the layer stayed finite.
+    them).  Its non-finite data is a BlowUpError from _check_data, and its
+    result an EdgeField2 on LatticeDomain2(r, eps*every); a blow-up is a
+    BlowUpError at the first non-finite site in sweep order, from the fields
+    when every = 1 and otherwise from a full re-solve of the same axis
+    samples.  A stack is sized, and its blow-ups reported, by the caller:
+    the result is its kept fields as (L, nc, nc+1) and (L, nc+1, nc) arrays,
+    and per layer whether it stayed finite.
     """
     _require_step(rhs, dom.eps)
     n, eps = dom.n, dom.eps
+    kept = LatticeDomain2(dom.r, eps * every)  # ValueError unless every divides n
+    nc = kept.n
     one = isinstance(data, GoursatData2)
     if one:
         _require_memory(16 * n * (n + 1), f"a lattice of n = {n} steps", "its two fields")
-    kept = LatticeDomain2(dom.r, eps * every)  # ValueError unless every divides n
-    nc = kept.n
-    if one:
         a_row, b_col = data.sample(dom)
         _check_data(a_row, b_col, eps)
         data = a_row, b_col
-    a0, b0 = data  # [..., i] is slot i of every layer
-    A, B = a0.copy(), b0[..., ::-1].copy()
+    a0, b0 = data
+    A, B = a0.T.copy(), b0.T[::-1].copy()  # slot i of every layer is row i
     stack = a0.shape[:-1]
     a, b = np.empty(stack + (nc, nc + 1)), np.empty(stack + (nc + 1, nc))
     a[..., 0], b[..., 0, :] = a0[..., ::every], b0[..., ::every]
-    af, bf = a.reshape(stack + (-1,)), b.reshape(stack + (-1,))
+    af, bf = a.reshape(stack + (-1,)).T, b.reshape(stack + (-1,)).T  # site k is row k
     sb = max(nc - 1, 1)  # b's stride; at nc = 1 every diagonal has one kept site
     with np.errstate(all="ignore"):  # a blow-up is reported below, not warned of
         for d in range(2 * n - 1):
             lo, hi = max(0, d - n + 1), min(d, n - 1)
-            av, bv = A[..., lo : hi + 1], B[..., n - 1 - d + lo : n - d + hi]
+            av, bv = A[lo : hi + 1], B[n - 1 - d + lo : n - d + hi]
             f, g = rhs.step(av, bv, eps)
             f, g = eps * f, eps * g  # both before either slot moves: f, g may be views of them
             av += f
@@ -313,11 +309,11 @@ def _sweep(rhs: Rhs2, data, dom: LatticeDomain2, every: int):
             if (d + 1) % every == 0:
                 e = (d + 1) // every
                 i0, i1 = -(-lo // every), hi // every
-                af[..., e + i0 * nc : e + i1 * nc + 1 : nc] = av[..., i0 * every - lo :: every]
+                af[e + i0 * nc : e + i1 * nc + 1 : nc] = av[i0 * every - lo :: every]
                 i0, i1 = -(-(lo + 1) // every), (hi + 1) // every
-                bf[..., e + i0 * (nc - 1) : e + i1 * (nc - 1) + 1 : sb] = \
-                    bv[..., i0 * every - lo - 1 :: every]
-    finite = np.isfinite(A).all(axis=-1) & np.isfinite(B).all(axis=-1)
+                bf[e + i0 * (nc - 1) : e + i1 * (nc - 1) + 1 : sb] = \
+                    bv[i0 * every - lo - 1 :: every]
+    finite = np.isfinite(A).all(axis=0) & np.isfinite(B).all(axis=0)
     if not one:
         return a, b, finite
     if not finite:

@@ -339,28 +339,25 @@ def solve_goursat_3d(
 
 def _solve_layers(rhs2: Rhs2, steps, data: GoursatData2, dom: LatticeDomain2) -> LayeredField3:
     """Solve layer 0 from data and one more layer per Backlund step
-    (rhs6, theta00), every layer by rhs2, in three stages.
+    (rhs6, theta00), all by rhs2, in three stages:
 
-    1. The axes.  The data fix every layer's Goursat data: step z walks
-       theta from theta00 up the y-axis of layer z by v and along its x-axis
-       by u, and the increments (xi, eta) on those axes added to layer z's
-       data are the data of layer z + 1.  This costs O(n) per step.
-    2. One stacked sweep (goursat._sweep) solves all R + 1 layers together,
-       each exactly once.
-    3. Theta.  Step z fills theta over layer z along its defining path, the
-       y-axis of stage 1 and then row by row by u, the smallest-direction
-       rule of solve_goursat_nd.  At every site off the y-axis the
-       alternative v-step from the site below must agree to COMPAT_TOL.
+    1. along the axes: step z walks theta from theta00 up the y-axis of
+       layer z by v and along its x-axis by u, and the increments (xi, eta)
+       on those axes give the data of layer z + 1 (O(n) per step);
+    2. one stacked goursat._sweep solves all R + 1 layers, each once;
+    3. step z fills theta over layer z row by row by u from the y-axis of
+       stage 1 (the smallest-direction rule of solve_goursat_nd), and at
+       every site off the y-axis the v-step from the site below must agree
+       to COMPAT_TOL.
 
-    Every value is that of solving the layers one after another.  Errors
-    come in that order too: for z = 0, 1, ..., a blow-up of layer z
-    (BlowUpError naming its first site in sweep order), a non-finite theta
-    of step z (BlowUpError of field 'theta'), its failed check
-    (CompatibilityError naming the worst site), and non-finite data of layer
-    z + 1 (BlowUpError of field 'data').  Stage 1 stops at such data, and
-    later layers are not solved.  Before any of it, the R + 1 layers' fields,
-    16 n (n+1) bytes each, and the R theta layers, 8 (n+1)^2 bytes each, are
-    sized together: ValueError when they exceed the available memory.
+    The values, and the errors and their order, are those of solving the
+    layers one after another: for z = 0, 1, ... a blow-up of layer z
+    (BlowUpError at its first site in sweep order), a non-finite theta of
+    step z (BlowUpError 'theta'), its failed check (CompatibilityError at
+    the worst site), then non-finite data of layer z + 1 (BlowUpError
+    'data'; stage 1 stops there).  Before anything is allocated, the R + 1
+    field layers (16 n (n+1) bytes each) and the R theta layers (8 (n+1)^2
+    bytes each) are sized together: ValueError beyond the available memory.
 
     A finite theta00 whose float spacing exceeds min(eps, 1/4) * m^2 * 2^-30,
     m = min(1, alpha, 1/alpha) = rhs6.eps0 / 2, is refused with ValueError

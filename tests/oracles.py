@@ -8,7 +8,10 @@ against the literal matrices here.  two_path_layers keeps the Backlund
 layer solve that propagates theta along both paths, as the bitwise
 reference for the kernel's single defining path; it reuses the kernel's
 in-layer sweep and right-hand sides and checks only how theta and the
-layers are put together.  compatibility_3d_three_identities keeps the
+layers are put together.  layer_by_layer keeps the layered solve that
+solves each layer on its own, after the theta of the layer below, as the
+bitwise reference (values and errors) for the stacked one.
+compatibility_3d_three_identities keeps the
 closure check that evaluates every right-hand side afresh, as the bitwise
 reference for check_compatibility_3d.  strided_sweep keeps the Goursat
 sweep that reads and writes each anti-diagonal as a strided view of the full
@@ -31,7 +34,9 @@ from __future__ import annotations
 import numpy as np
 
 from ksurf.goursat import (
+    COMPAT_TOL,
     BlowUpError,
+    CompatibilityError,
     EdgeField2,
     GoursatData2,
     LatticeDomain2,
@@ -42,7 +47,7 @@ from ksurf.goursat import (
     sup_error,
 )
 from ksurf.harness import fit_slope
-from ksurf.sinegordon import system_for
+from ksurf.sinegordon import LayeredField3, backlund_eta, backlund_xi, system_for
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -305,6 +310,49 @@ def two_path_layers(rhs2, steps, data, dom):
         a_layers.append(layer.a)
         b_layers.append(layer.b)
     return a_layers, b_layers, th_layers, worst
+
+
+def layer_by_layer(rhs2, steps, data, dom):
+    """Reference for the stacked layered solve: one layer after another.
+
+    Layer 0 is solved from data by rhs2 with solve_goursat_2d.  Each
+    (rhs6, theta00) step z then fills theta over layer z from theta00, up
+    the y-axis by v and row by row by u; a non-finite theta is a
+    BlowUpError of field 'theta' at its first site in row-major order, and
+    a v-step from the site below that misses theta by more than COMPAT_TOL
+    a CompatibilityError at the worst site.  The increments xi and eta on
+    the data axes give layer z + 1's data, solved by rhs2 with
+    solve_goursat_2d.  Returns a LayeredField3.  The theta0 and memory
+    guards before the solve are not repeated here.
+    """
+    n, eps = dom.n, dom.eps
+    layer = solve_goursat_2d(rhs2, data, dom)
+    sol = LayeredField3([layer.a], [layer.b], [], dom, [])
+    for z, (rhs6, theta00) in enumerate(steps):
+        a, b = sol.a[-1], sol.b[-1]
+        th = np.empty((n + 1, n + 1))
+        th[0, 0] = theta00
+        for j in range(n):
+            th[0, j + 1] = th[0, j] + eps * rhs6.v(b[0, j], th[0, j], eps)
+        for i in range(n):
+            th[i + 1, :] = th[i, :] + eps * rhs6.u(a[i, :], th[i, :], eps)
+        if not np.isfinite(th).all():
+            i, j = np.unravel_index(int(np.argmin(np.isfinite(th))), th.shape)
+            raise BlowUpError("theta", (i * eps, j * eps))
+        below = th[1:, :-1]
+        mism = np.abs(below + eps * rhs6.v(b[1:, :], below, eps) - th[1:, 1:])
+        i, j = np.unravel_index(int(np.argmax(mism)), mism.shape)  # nan counts as largest
+        if not mism[i, j] <= COMPAT_TOL:
+            raise CompatibilityError(float(mism[i, j]), ((i + 1) * eps, (j + 1) * eps),
+                                     detail=f"theta, directions x/y, layer {z}")
+        layer = solve_goursat_2d(rhs2, GoursatData2(
+            a[:, 0] + backlund_xi(rhs6.u(a[:, 0], th[:n, 0], eps)),
+            b[0, :] + backlund_eta(rhs6.v(b[0, :], th[0, :n], eps), th[0, :n], eps)), dom)
+        sol.theta.append(th)
+        sol.cross.append(float(mism[i, j]))
+        sol.a.append(layer.a)
+        sol.b.append(layer.b)
+    return sol
 
 
 # ---------------------------------------------------------------------------

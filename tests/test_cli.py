@@ -1,6 +1,7 @@
 """End-to-end tests for the ksurf command line."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -326,6 +327,41 @@ def test_surface_points_beyond_memory_exit_one(monkeypatch, capsys, tmp_path):
     assert capsys.readouterr().err == ("error: a tower of 1 surfaces on n = 8 steps needs 1944 "
                                        "bytes for its points, more than the 1943 bytes of "
                                        "available memory\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["backlund", "--k", "3", "--alpha", "1", "--theta0", "inf"],
+     "numerical failure: non-finite value in field 'theta' at site (0, 0)\n"),
+    (["check", "--alpha", "1", "--eps", "1e-160", "--samples", "100"],
+     "FAIL: residual nan exceeds 1e-09; the right-hand sides are not compatible\n"),
+], ids=["backlund", "check"])
+def test_non_finite_runs_print_only_their_named_line(monkeypatch, capsys, tmp_path, argv, err):
+    # the failure is named once; numpy does not warn of the values behind it
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would raise here
+        assert main(argv) == 2
+    assert capsys.readouterr().err == err
+    assert not list(tmp_path.iterdir())
+
+
+def test_backlund_layers_beyond_memory_exit_one(monkeypatch, capsys, tmp_path):
+    # n = 8192 and 40 steps: 41 field layers of 16 n (n+1) bytes and 40 theta
+    # layers of 8 (n+1)^2 bytes, 65.5 GB; 8 GiB hold one layer's fields
+    def never(*args):
+        raise AssertionError("solved beyond memory")
+
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: 2**33)
+    monkeypatch.setattr(sinegordon, "_sweep", never)
+    monkeypatch.chdir(tmp_path)
+    n = 8192
+    need = 16 * n * (n + 1) * 41 + 8 * (n + 1) ** 2 * 40
+    assert 16 * n * (n + 1) < 2**33 < need
+    assert main(["backlund", "--k", "13", *["--alpha", "1", "--theta0", "0.5"] * 40]) == 1
+    assert capsys.readouterr().err == (f"error: a layered solve on n = 8192 steps needs {need} "
+                                       f"bytes for 41 field and 40 theta layers, more than the "
+                                       f"8589934592 bytes of available memory\n")
     assert not list(tmp_path.iterdir())
 
 

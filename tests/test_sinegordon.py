@@ -8,6 +8,7 @@ import pytest
 from ksurf import goursat, sinegordon
 from ksurf.goursat import (
     COMPAT_TOL,
+    BlowUpError,
     CompatibilityError,
     GoursatData2,
     LatticeDomain2,
@@ -43,6 +44,7 @@ from oracles import (
     backlund_rhs_continuous,
     compatibility_3d_three_identities,
     hirota_f_complex,
+    layer_by_layer,
     two_path_layers,
 )
 
@@ -410,6 +412,68 @@ def test_theta0_beyond_its_float_spacing_refused_before_solving(monkeypatch):
     below = np.nextafter(2.0**20, 0.0)  # one ulp is exactly eps * 2^-30: solved
     sol = solve_goursat_3d(rhs6, demo_data(), [below, -below], dom)
     assert sol.layers == 2 and sol.cross_residual <= COMPAT_TOL  # measured 5.8e-10
+
+
+def _big_b_step(a, b, eps):
+    # the Hirota step, but infinite where b > 3.5: at k = 3 layer 1 of the
+    # demo data with theta0 = 0.5 gets there (b up to 4.06), layer 0 does
+    # not (b up to 3.08)
+    f, g = hirota_rhs(a, b, eps)
+    return np.where(b > 3.5, np.inf, f), g
+
+
+_BIG_B = Rhs2(_big_b_step, 2.0, "hirota, infinite for b > 3.5")
+
+LAYER_ERRORS = {  # name: (rhs2, scheme, (alpha, theta0) chain, data, field named)
+    "theta0 nan": (hirota_system(), SchemeKind.HIROTA, [(1.0, 0.5), (1.0, np.nan)],
+                   demo_data(), "theta"),
+    "theta0 inf": (hirota_system(), SchemeKind.HIROTA, [(1.0, np.inf)], demo_data(), "theta"),
+    "theta0 -inf": (hirota_system(), SchemeKind.HIROTA, [(0.5, 0.2), (1.0, -np.inf)],
+                    demo_data(), "theta"),
+    "naive layer 0": (naive_system(), SchemeKind.NAIVE, [(1.0, 0.5), (1.0, 0.5)], demo_data(),
+                      None),
+    "a0 nan": (hirota_system(), SchemeKind.HIROTA, [(1.0, 0.5)],
+               GoursatData2(lambda x: np.where(x > 0.3, np.nan, x), lambda y: 0.0 * y), "data"),
+    "layer 1 blows up": (_BIG_B, SchemeKind.HIROTA, [(1.0, 0.5), (1.0, 0.5)], demo_data(), "a"),
+}
+
+
+@pytest.mark.parametrize("case", LAYER_ERRORS)
+def test_layered_errors_come_in_layer_by_layer_order(case):
+    # solving all layers at once raises the error that solving them one after
+    # another raises first: same class, field, site and message
+    rhs2, scheme, chain, data, field_name = LAYER_ERRORS[case]
+    steps = [(backlund_system(alpha, scheme), theta0) for alpha, theta0 in chain]
+    dom = LatticeDomain2.from_k(1.0, 3)
+    if case == "layer 1 blows up":
+        assert np.isfinite(solve_goursat_2d(rhs2, data, dom).a).all()  # layer 0 stays finite
+    with pytest.raises((BlowUpError, CompatibilityError)) as want, np.errstate(all="ignore"):
+        layer_by_layer(rhs2, steps, data, dom)  # the reference warns of what it reports
+    with pytest.raises(want.type) as got:
+        sinegordon._solve_layers(rhs2, steps, data, dom)
+    assert getattr(want.value, "field_name", None) == field_name
+    assert getattr(got.value, "field_name", None) == field_name
+    assert got.value.site == want.value.site
+    assert str(got.value) == str(want.value)
+
+
+def test_layered_solve_sized_before_allocation(monkeypatch):
+    # n = 8: three field layers of 16 n (n+1) bytes and two theta layers of
+    # 8 (n+1)^2 bytes, sized together before the data are sampled
+    dom, rhs6 = LatticeDomain2.from_k(1.0, 3), hirota_backlund_system(1.0)
+    need = 3 * 16 * 8 * 9 + 2 * 8 * 81
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: need)
+    assert solve_goursat_3d(rhs6, demo_data(), [0.5, -0.25], dom).layers == 2
+
+    def never(*args):
+        raise AssertionError("sampled or solved beyond memory")
+
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: need - 1)
+    monkeypatch.setattr(sinegordon, "_sweep", never)
+    with pytest.raises(ValueError, match=f"a layered solve on n = 8 steps needs {need} bytes "
+                                         f"for 3 field and 2 theta layers, more than the "
+                                         f"{need - 1} bytes of available memory"):
+        solve_goursat_3d(rhs6, GoursatData2(never, never), [0.5, -0.25], dom)
 
 
 def test_theta0_limit_is_capped_at_eps_one_quarter():

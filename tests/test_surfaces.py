@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ksurf import frames, goursat
+from ksurf import frames, goursat, sinegordon
 from ksurf.frames import ZeroCurvatureError, propagate_frame
 from ksurf.goursat import EdgeField2, GoursatData2, LatticeDomain2, solve_goursat_2d
 from ksurf.harness import demo_data, zero_data
@@ -36,9 +36,10 @@ from ksurf.surfaces import (
     surface_from_fields,
     validate_k_surface,
 )
-from oracles import conjugation_rotation, two_path_layers
+from oracles import conjugation_rotation, layer_by_layer, two_path_layers
 
 MIXED_CHAIN = [(1.0, 0.5), (0.5, -0.25), (2.0, 0.1)]
+CONSTANT_CHAIN = [(0.8, 0.5), (0.8, -0.3), (0.8, 0.1)]
 
 
 @pytest.fixture(scope="module")
@@ -328,6 +329,43 @@ def test_backlund_chain_matches_two_path_oracle(k):
         assert len(layers) == len(want)
         assert all(np.array_equal(x, y) for x, y in zip(layers, want))
     assert got[3] <= 1e-12 and ref[3] <= 1e-12  # measured <= 5e-15 at k <= 8
+
+
+def _bits(x):
+    return np.asarray(x).view(np.int64)
+
+
+def _steps(chain):
+    return [(hirota_backlund_system(a), t) for a, t in chain]
+
+
+@pytest.mark.parametrize("chain", [MIXED_CHAIN, CONSTANT_CHAIN, []],
+                         ids=["mixed", "constant", "empty"])
+@pytest.mark.parametrize("domain", [LatticeDomain2.from_k(1.0, k) for k in (1, 2, 3, 6, 8)]
+                         + [LatticeDomain2(0.5, 0.5)], ids=lambda d: f"n{d.n}")
+def test_stacked_layers_match_layer_by_layer_oracle(domain, chain):
+    # the pass along the axes and the one stacked sweep keep the bits of the
+    # layers solved one after another: fields, theta and each step's check
+    got = sinegordon._solve_layers(hirota_system(), _steps(chain), demo_data(), domain)
+    want = layer_by_layer(hirota_system(), _steps(chain), demo_data(), domain)
+    for name in ("a", "b", "theta"):
+        layers, ref = getattr(got, name), getattr(want, name)
+        assert len(layers) == len(ref)
+        assert all(np.array_equal(_bits(x), _bits(y)) for x, y in zip(layers, ref))
+    assert got.cross == want.cross
+
+
+@pytest.mark.parametrize("k", [3, 8])
+def test_tower_points_match_layer_by_layer_oracle(k):
+    domain, chain = LatticeDomain2.from_k(1.0, k), _params(MIXED_CHAIN)
+    ref = layer_by_layer(hirota_system(), _steps(MIXED_CHAIN), demo_data(), domain)
+    want = _tower(EdgeField2(ref.a[0], ref.b[0], domain), 1.0, chain, ref.theta, ref.cross)
+    got = backlund_surface(demo_data(), domain, chain)
+    assert len(got) == len(want) == 4
+    for mesh, ref_mesh in zip(got, want):
+        assert np.array_equal(_bits(mesh.points), _bits(ref_mesh.points))
+        assert mesh.zcc_residual == ref_mesh.zcc_residual
+        assert mesh.theta_cross_residual == ref_mesh.theta_cross_residual
 
 
 def test_backlund_chain_single_cell():
