@@ -91,8 +91,8 @@ def hirota_rhs(a, b, eps):
             f"Hirota scheme needs 0 < eps < 2 (log arguments must stay in the "
             f"right half-plane); got eps = {eps}"
         )
-    if eps * eps == 0.0:
-        raise ValueError(f"Hirota scheme step eps = {eps} is too small: eps^2 underflows to 0")
+    if eps * eps <= 2.0**-1022:  # 4/eps^2 overflows exactly from the smallest normal float down
+        raise ValueError(f"Hirota scheme step eps = {eps} is too small: 4/eps^2 overflows")
     f = (-4.0 / (eps * eps)) * _im_log1m(0.25 * eps * eps,
                                          np.asarray(b) + 0.5 * eps * np.asarray(a))
     return f, a + (0.5 * eps) * f

@@ -180,9 +180,19 @@ def backlund_surface(
     return _tower(EdgeField2(sol.a[0], sol.b[0], dom), lam, chain, sol.theta, sol.cross)
 
 
+def _dot(u, w) -> np.ndarray:
+    """u . w of two stacks of three coordinate planes, summed left to right."""
+    return u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
+
+
+def _norm(d) -> np.ndarray:
+    """Euclidean norm of a stack of three coordinate planes."""
+    return np.sqrt(_dot(d, d))
+
+
 def backlund_step_norms(mesh_lo: SurfaceMesh, mesh_hi: SurfaceMesh) -> np.ndarray:
     """Per-site Euclidean distance between consecutive tower layers."""
-    return np.sqrt(np.sum((mesh_hi.points - mesh_lo.points) ** 2, axis=-1))
+    return _norm(np.moveaxis(mesh_hi.points - mesh_lo.points, -1, 0))
 
 
 def _rotation(p, q) -> np.ndarray:
@@ -229,7 +239,7 @@ def backlund_two_route_residual(
     pts_b = surface_from_fields(EdgeField2(a_layers[-1], b_layers[-1], dom), lam)
     rot = _rotation(*route_a.origin)  # route A's frame at the origin is G
     mapped = pts_b @ rot.T + pts_a[0, 0]
-    return float(np.max(np.sqrt(np.sum((pts_a - mapped) ** 2, axis=-1))))
+    return float(np.max(_norm(np.moveaxis(pts_a - mapped, -1, 0))))
 
 
 # ---------------------------------------------------------------------------
@@ -260,61 +270,50 @@ def validate_k_surface(mesh: SurfaceMesh, phi: PhiField) -> KSurfaceReport:
 
     The angle field must come from the same fields the mesh was built from
     (Hirota reconstruction); interior vertex (i, j) uses the four neighbor
-    values of phi to predict its four corner angles.
+    values of phi to predict its four corner angles.  The work is done on the
+    three coordinate planes of the points, with dot products summed left to
+    right.  The edge star of a vertex is xp, yp (to the next sites) and xm, ym
+    (to the previous ones); planarity is the closed-form triple products
+    |(xp x yp) . xm| and |(xp x yp) . ym|, i.e. |det[xp, yp, xm]| and
+    |det[xp, yp, ym]|.  A NaN the validator reads makes the residual it feeds
+    NaN.
     """
-    pts = mesh.points
-    n = mesh.n
-    eps = mesh.eps
+    n, eps = mesh.n, mesh.eps
     lx, ly = ell_xy(eps, mesh.lam)
     tx, ty = eps * lx, eps * ly
-    ex = pts[1:, :, :] - pts[:-1, :, :]
-    ey = pts[:, 1:, :] - pts[:, :-1, :]
-    len_x = np.sqrt(np.sum(ex**2, axis=-1))
-    len_y = np.sqrt(np.sum(ey**2, axis=-1))
-    edge = float(
-        max(np.max(np.abs(len_x - tx)) / tx, np.max(np.abs(len_y - ty)) / ty)
-    )
+    pts = np.moveaxis(mesh.points, -1, 0)
+    ex = np.subtract(pts[:, 1:], pts[:, :-1], out=np.empty((3, n, n + 1)))
+    ey = np.subtract(pts[:, :, 1:], pts[:, :, :-1], out=np.empty((3, n + 1, n)))
+    len_x, len_y = _norm(ex), _norm(ey)
+    edge = float(np.max([np.max(np.abs(len_x - tx)) / tx, np.max(np.abs(len_y - ty)) / ty]))
     if n < 2:
         return KSurfaceReport(edge, 0.0, 0.0, 0.0, 0)
 
-    c = pts[1:-1, 1:-1]
-    xp = pts[2:, 1:-1] - c
-    xm = pts[:-2, 1:-1] - c
-    yp = pts[1:-1, 2:] - c
-    ym = pts[1:-1, :-2] - c
-    vol1 = np.abs(np.linalg.det(np.stack([xp, yp, xm], axis=-2)))
-    vol2 = np.abs(np.linalg.det(np.stack([xp, yp, ym], axis=-2)))
-    planarity = float(max(vol1.max() / (tx * tx * ty), vol2.max() / (tx * ty * ty)))
+    # the star of interior vertex (i, j): the edges out of it, xp = ex[i] and yp = ey[j],
+    # and into it, xi = ex[i-1] = -xm and yi = ey[j-1] = -ym
+    xp, xi, yp, yi = ex[:, 1:, 1:-1], ex[:, :-1, 1:-1], ey[:, 1:-1, 1:], ey[:, 1:-1, :-1]
+    vol_x = vol_y = 0.0  # (xp x yp) . xi and (xp x yp) . yi, one component of the cross at a time
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        w = xp[b] * yp[c] - xp[c] * yp[b]
+        vol_x, vol_y = vol_x + w * xi[a], vol_y + w * yi[a]
+    planarity = float(np.max([np.max(np.abs(vol_x)) / (tx * tx * ty),
+                              np.max(np.abs(vol_y)) / (tx * ty * ty)]))
+    del w, vol_x, vol_y
 
+    ex /= len_x  # unit edges in place; xp .. yi now view them
+    ey /= len_y
+    del len_x, len_y
     p = phi.phi
-    ppx = p[2:, 1:-1]
-    pmx = p[:-2, 1:-1]
-    ppy = p[1:-1, 2:]
-    pmy = p[1:-1, :-2]
-
-    def unit(v):
-        return v / np.sqrt(np.sum(v**2, axis=-1))[..., None]
-
-    uxp, uxm, uyp, uym = unit(xp), unit(xm), unit(yp), unit(ym)
-    cos1 = np.sum(uxp * uyp, axis=-1)
-    cos2 = np.sum(uyp * uxm, axis=-1)
-    cos3 = np.sum(uxm * uym, axis=-1)
-    cos4 = np.sum(uym * uxp, axis=-1)
-    exp1 = np.cos(0.5 * (ppx + ppy))
-    exp2 = -np.cos(0.5 * (ppy + pmx))
-    exp3 = np.cos(0.5 * (pmx + pmy))
-    exp4 = -np.cos(0.5 * (pmy + ppx))
-    angle = float(
-        max(
-            np.max(np.abs(cos1 - exp1)),
-            np.max(np.abs(cos2 - exp2)),
-            np.max(np.abs(cos3 - exp3)),
-            np.max(np.abs(cos4 - exp4)),
-        )
-    )
-    total = sum(np.arccos(np.clip(cc, -1.0, 1.0)) for cc in (cos1, cos2, cos3, cos4))
+    ppx, pmx, ppy, pmy = p[2:, 1:-1], p[:-2, 1:-1], p[1:-1, 2:], p[1:-1, :-2]
+    total, angle = np.zeros((n - 1, n - 1)), []
+    # corner (u, v): its cosine sign * (u . v) against sign * cos((phi_u + phi_v) / 2)
+    for u, v, sign, pu, pv in ((xp, yp, 1.0, ppx, ppy), (yp, xi, -1.0, ppy, pmx),
+                               (xi, yi, 1.0, pmx, pmy), (yi, xp, -1.0, pmy, ppx)):
+        cos = sign * _dot(u, v)
+        angle.append(np.max(np.abs(cos - sign * np.cos(0.5 * (pu + pv)))))
+        total += np.arccos(np.clip(cos, -1.0, 1.0))
     angle_sum = float(np.max(np.abs(total - 2.0 * np.pi)))
-    return KSurfaceReport(edge, planarity, angle, angle_sum, int(vol1.size))
+    return KSurfaceReport(edge, planarity, float(np.max(angle)), angle_sum, (n - 1) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ sweep that reads and writes each anti-diagonal as a strided view of the full
 fields, as the bitwise reference for the kernel's slot sweep, and
 full_reference_fields_sweep measures the fields_ab convergence sweep against
 the whole reference lattice it solves, as the reference for the harness's
-kept-site one.
+kept-site one.  validate_k_surface_det keeps the K-surface validator that
+works on interleaved xyz points and measures planarity by np.linalg.det, as
+the reference for the coordinate-plane one.
 
 The identification is
 
@@ -48,6 +50,7 @@ from ksurf.goursat import (
 )
 from ksurf.harness import fit_slope
 from ksurf.sinegordon import LayeredField3, backlund_eta, backlund_xi, system_for
+from ksurf.surfaces import KSurfaceReport, ell_xy
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -411,3 +414,62 @@ def full_reference_fields_sweep(cfg, data):
                                   ref.domain.eps))
         rows.append((sol.domain.eps, max(families["a"][-1], families["b"][-1])))
     return rows, fit_slope(rows), families
+
+
+# ---------------------------------------------------------------------------
+# K-surface validation
+
+
+def validate_k_surface_det(mesh, phi) -> KSurfaceReport:
+    """validate_k_surface on interleaved xyz points, planarity by LAPACK det.
+
+    Every reduction goes through np.max, so a NaN it reads reaches the
+    residual it feeds.  edge, angle, angle_sum and interior_sites are bitwise
+    those of the kernel; its planarity differs from the kernel's closed-form
+    triple products in the roundoff digits.
+    """
+    pts = mesh.points
+    n = mesh.n
+    eps = mesh.eps
+    lx, ly = ell_xy(eps, mesh.lam)
+    tx, ty = eps * lx, eps * ly
+    ex = pts[1:, :, :] - pts[:-1, :, :]
+    ey = pts[:, 1:, :] - pts[:, :-1, :]
+    len_x = np.sqrt(np.sum(ex**2, axis=-1))
+    len_y = np.sqrt(np.sum(ey**2, axis=-1))
+    edge = float(np.max([np.max(np.abs(len_x - tx)) / tx, np.max(np.abs(len_y - ty)) / ty]))
+    if n < 2:
+        return KSurfaceReport(edge, 0.0, 0.0, 0.0, 0)
+
+    c = pts[1:-1, 1:-1]
+    xp = pts[2:, 1:-1] - c
+    xm = pts[:-2, 1:-1] - c
+    yp = pts[1:-1, 2:] - c
+    ym = pts[1:-1, :-2] - c
+    vol1 = np.abs(np.linalg.det(np.stack([xp, yp, xm], axis=-2)))
+    vol2 = np.abs(np.linalg.det(np.stack([xp, yp, ym], axis=-2)))
+    planarity = float(np.max([vol1.max() / (tx * tx * ty), vol2.max() / (tx * ty * ty)]))
+
+    p = phi.phi
+    ppx = p[2:, 1:-1]
+    pmx = p[:-2, 1:-1]
+    ppy = p[1:-1, 2:]
+    pmy = p[1:-1, :-2]
+
+    def unit(v):
+        return v / np.sqrt(np.sum(v**2, axis=-1))[..., None]
+
+    uxp, uxm, uyp, uym = unit(xp), unit(xm), unit(yp), unit(ym)
+    cos1 = np.sum(uxp * uyp, axis=-1)
+    cos2 = np.sum(uyp * uxm, axis=-1)
+    cos3 = np.sum(uxm * uym, axis=-1)
+    cos4 = np.sum(uym * uxp, axis=-1)
+    exp1 = np.cos(0.5 * (ppx + ppy))
+    exp2 = -np.cos(0.5 * (ppy + pmx))
+    exp3 = np.cos(0.5 * (pmx + pmy))
+    exp4 = -np.cos(0.5 * (pmy + ppx))
+    angle = float(np.max([np.max(np.abs(cos1 - exp1)), np.max(np.abs(cos2 - exp2)),
+                          np.max(np.abs(cos3 - exp3)), np.max(np.abs(cos4 - exp4))]))
+    total = sum(np.arccos(np.clip(cc, -1.0, 1.0)) for cc in (cos1, cos2, cos3, cos4))
+    angle_sum = float(np.max(np.abs(total - 2.0 * np.pi)))
+    return KSurfaceReport(edge, planarity, angle, angle_sum, int(vol1.size))

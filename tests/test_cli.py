@@ -129,6 +129,17 @@ def test_solve_underflowing_step_exits_one(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: Hirota scheme step eps = 1e-170")
 
 
+def test_smallest_hirota_step(capsys, tmp_path):
+    # 4/eps^2 is finite from eps = 1.4916681462400417e-154 up: the check runs
+    # there, and a solve below it is refused by name
+    assert main(["check", "--alpha", "1", "--eps", "1.4916681462400417e-154",
+                 "--samples", "100"]) == 0
+    assert "over 100 samples (hirota)" in capsys.readouterr().out
+    assert main(["solve", "--r", "1e-160", "--eps", "1e-160", "--out", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err == ("error: Hirota scheme step eps = 1e-160 is too small: "
+                                       "4/eps^2 overflows\n")
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "solve" in capsys.readouterr().out
@@ -333,7 +344,8 @@ def test_surface_points_beyond_memory_exit_one(monkeypatch, capsys, tmp_path):
 @pytest.mark.parametrize("argv, err", [
     (["backlund", "--k", "3", "--alpha", "1", "--theta0", "inf"],
      "numerical failure: non-finite value in field 'theta' at site (0, 0)\n"),
-    (["check", "--alpha", "1", "--eps", "1e-160", "--samples", "100"],
+    # the naive closure identities overflow at alpha = 1e308 (eps = 1e-160 is refused by name)
+    (["check", "--alpha", "1e308", "--eps", "1e-309", "--scheme", "naive", "--samples", "100"],
      "FAIL: residual nan exceeds 1e-09; the right-hand sides are not compatible\n"),
 ], ids=["backlund", "check"])
 def test_non_finite_runs_print_only_their_named_line(monkeypatch, capsys, tmp_path, argv, err):
@@ -590,10 +602,13 @@ def test_check_validation(capsys):
     (["--alpha", "64", "--eps", "0.125"], 1, "error: step eps = 0.125 is not admissible"),
     (["--eps", "nan"], 1, "error: step eps = nan is not admissible"),
     (["--eps", "0"], 1, "error: step eps = 0.0 is not admissible"),
-    # 4/eps^2 overflows: the nan residual fails instead of vanishing from the max
-    (["--alpha", "1", "--eps", "1e-160"], 2, "FAIL: residual nan"),
+    # 4/eps^2 overflows: a named input error, not a nan residual
+    (["--alpha", "1", "--eps", "1e-160"], 1, "error: Hirota scheme step eps = 1e-160 is too small"),
     # eps^2 underflows to 0: a named input error, not a ZeroDivisionError
     (["--eps", "1e-170"], 1, "error: Hirota scheme step eps = 1e-170 is too small"),
+    # one ulp below the smallest step for which 4/eps^2 is finite
+    (["--alpha", "1", "--eps", "1.4916681462400413e-154"], 1,
+     "error: Hirota scheme step eps = 1.4916681462400413e-154 is too small"),
 ])
 def test_check_rejects_bad_parameters(capsys, flags, code, match):
     # a nan or inadmissible (alpha, eps) is an input error, never a residual

@@ -148,6 +148,33 @@ def test_hirota_eps_validation():
             hirota_rhs(A[:4], B[:4], bad)
 
 
+# the smallest step for which 4/eps^2 is finite
+EPS_MIN = 1.4916681462400417e-154
+
+
+@pytest.mark.parametrize("eps", [1e-170, 1e-160, np.nextafter(EPS_MIN, 0.0)])
+def test_hirota_refuses_overflowing_step(eps):
+    # 4/eps^2 overflows, so every f would be -inf * 0 or +-inf: refused by
+    # name, in the rhs, in a solve and in the compatibility check
+    match = f"eps = {eps} is too small: 4/eps\\^2 overflows"
+    with pytest.raises(ValueError, match=match):
+        hirota_rhs(A, B, eps)
+    with pytest.raises(ValueError, match=match):
+        solve_goursat_2d(hirota_system(), demo_data(), LatticeDomain2(float(eps), float(eps)))
+    samples = np.stack([A[:100], B[:100], TH[:100]], axis=-1)
+    with pytest.raises(ValueError, match=match):
+        check_compatibility_3d(hirota_backlund_system(1.0), samples, eps)
+
+
+def test_hirota_smallest_step_keeps_its_bits():
+    # at EPS_MIN the rhs is finite and still the formula, bit for bit
+    for eps in (EPS_MIN, 2.0**-6):
+        f, g = hirota_rhs(A, B, eps)
+        assert np.isfinite(f).all() and np.isfinite(g).all()
+        assert np.array_equal(f, (-4.0 / (eps * eps)) * _im_log1m(0.25 * eps * eps, B + 0.5 * eps * A))
+        assert np.array_equal(g, A + (0.5 * eps) * f)
+
+
 def test_system_for():
     assert system_for(SchemeKind.HIROTA).name == "hirota"
     assert system_for(SchemeKind.NAIVE).name == "naive"
