@@ -54,13 +54,18 @@ def trees(tmp_path, parent_bench, change_bench=BENCH) -> tuple:
 def test_a_failed_job_fails_the_run_after_the_file_is_written(tmp_path, monkeypatch, capsys):
     parent, change = trees(tmp_path, BENCH)
 
-    def run_once(tree, workload, seed, seconds):
-        return record(seed, 1.0, 1.0, failed=int(tree == change and seed == 103))
+    def run_once(tree, workload, seed, seconds, trace=0):
+        return record(seed, 1.0 + trace, 1.0, failed=int(tree == change and seed == 103))
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     out = tmp_path / "BENCH.json"
     assert bench_pairs.main(["--parent", parent, "--change", change, "--out", str(out)]) == 1
-    assert json.loads(out.read_text())["workloads"]["w"]["change"]["failed"] == 1
+    entry = json.loads(out.read_text())["workloads"]["w"]
+    assert entry["change"]["failed"] == 1
+    # one traced run per side, seed seed0, kept apart from the pairs' metrics
+    assert entry["change"]["traced"] == {"seed": 101, "attempted": 4, "failed": 0,
+                                         "metrics": {"norm_wall_s": 2.0, "rate": 1.0}}
+    assert entry["parent"]["metrics"]["norm_wall_s"]["runs"] == [1.0] * 10
     captured = capsys.readouterr()
     assert "pair 2 w change: norm_wall_s 1.0000, failed 1 of 4" in captured.out
     assert "w parent: failed 0 of 40\nw change: failed 1 of 40\n" in captured.out

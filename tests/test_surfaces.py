@@ -281,6 +281,9 @@ def test_backlund_surface_tower(dom):
         expected = 2.0 * lam * p.alpha / (p.alpha**2 + lam**2)
         assert np.abs(norms - expected).max() <= 1e-9 * expected
         assert norms.std() / norms.mean() <= 1e-9  # measured ~1e-16
+        # the plane-wise norm sums the squares left to right, as np.sum does
+        d = tower[z + 1].points - tower[z].points
+        assert np.array_equal(norms, np.sqrt(np.sum(d**2, axis=-1)))
 
 
 def test_backlund_surface_empty_chain(dom):

@@ -10,10 +10,13 @@ workload of the change's BENCHMARK.json, perfbench/run.py runs once in
 each checkout with --trace 0, --seed seed0 + i and that file's run_seconds:
 the parent first on even pairs, the change first on odd ones, one run at a
 time.  Each run's record is read from the .perfbench/<workload>-trace0.json
-it writes.  The output holds, per workload and side, every run's end-to-end
+it writes.  After the pairs, each workload runs once more in each checkout,
+parent first, with --trace 1 and --seed seed0, for its per-layer metrics.
+The output holds, per workload and side, every untraced run's end-to-end
 metrics with their median and quartiles, the failed and attempted job
-counts, the environment record of its first run and its git revision; and,
-per metric, the pairs the change won (ties count for neither).  Each run
+counts, the environment record of its first run, its git revision and the
+metrics of its traced run; and, per end-to-end metric, the pairs the change
+won (ties count for neither).  Each run
 prints its failed and attempted job counts, and so does each side at the
 end; after the file is written, the exit code is 1 when any run had a failed
 job, each named by workload, side and seed on standard error.  Standard
@@ -34,14 +37,14 @@ PAIRS = 10  # the fewest alternating pairs a claimed gain is judged on
 COMPARED = ("command", "run_seconds", "workloads", "end_to_end")  # what both sides must share
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One perfbench run in tree; the record it wrote."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
-    with open(os.path.join(tree, ".perfbench", f"{workload}-trace0.json"),
+    with open(os.path.join(tree, ".perfbench", f"{workload}-trace{trace}.json"),
               encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -111,6 +114,8 @@ def main(argv=None) -> int:
                 res = rec["result"]
                 print(f"pair {i} {w} {side}: norm_wall_s {res['metrics']['norm_wall_s']['value']:.4f}"
                       f", failed {res['failed']} of {res['attempted']}", flush=True)
+    traced = {w: {side: run_once(trees[side], w, args.seed0, bench["run_seconds"], trace=1)
+                  for side in SIDES} for w in workloads}
 
     out = {
         "command": bench["command"],
@@ -120,6 +125,12 @@ def main(argv=None) -> int:
         "order": "parent first on even pairs, change first on odd pairs",
         "workloads": {w: summarise(runs[w], bench["end_to_end"]) for w in workloads},
     }
+    for w, entry in out["workloads"].items():
+        for side in SIDES:
+            res = traced[w][side]["result"]
+            entry[side]["traced"] = {"seed": args.seed0, "attempted": res["attempted"],
+                                     "failed": res["failed"],
+                                     "metrics": {k: v["value"] for k, v in res["metrics"].items()}}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
@@ -129,6 +140,9 @@ def main(argv=None) -> int:
     failed = [f"{w} {side} seed {r['seed']}: {r['result']['failed']} of "
               f"{r['result']['attempted']} jobs failed"
               for w in workloads for side in SIDES for r in runs[w][side] if r["result"]["failed"]]
+    failed += [f"{w} {side} traced seed {args.seed0}: {traced[w][side]['result']['failed']} of "
+               f"{traced[w][side]['result']['attempted']} jobs failed"
+               for w in workloads for side in SIDES if traced[w][side]["result"]["failed"]]
     for line in failed:
         print(line, file=sys.stderr)
     return 1 if failed else 0
