@@ -9,18 +9,17 @@ difference named on standard error.  For each of PAIRS pairs i and each
 workload of the change's BENCHMARK.json, perfbench/run.py runs once in
 each checkout with --trace 0, --seed seed0 + i and that file's run_seconds:
 the parent first on even pairs, the change first on odd ones, one run at a
-time.  Each run's record is read from the .perfbench/<workload>-trace0.json
+time.  Each run's record is read from the .perfbench/<workload>-trace<t>.json
 it writes.  After the pairs, each workload runs once more in each checkout,
 parent first, with --trace 1 and --seed seed0, for its per-layer metrics.
 The output holds, per workload and side, every untraced run's end-to-end
 metrics with their median and quartiles, the failed and attempted job
 counts, the environment record of its first run, its git revision and the
 metrics of its traced run; and, per end-to-end metric, the pairs the change
-won (ties count for neither).  Each run
-prints its failed and attempted job counts, and so does each side at the
-end; after the file is written, the exit code is 1 when any run had a failed
-job, each named by workload, side and seed on standard error.  Standard
-library only.
+won (ties count for neither).  Each untraced run prints its failed and
+attempted job counts, and so does each side at the end; after the file is
+written, the exit code is 1 when any run had a failed job, each named by
+workload, side and seed on standard error.  Standard library only.
 """
 
 from __future__ import annotations
