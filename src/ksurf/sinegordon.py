@@ -23,10 +23,9 @@ next layer are read off from theta.  The six right-hand sides form a
 compatible three-dimensional system exactly when the Hirota scheme is used;
 check_compatibility_3d measures the defect of the three closure identities,
 which is what fails for the naive scheme.  The layered solver takes every
-layer's Goursat data from one pass along the axes and then solves all layers
-in one stacked sweep.  It computes each theta once, along one defining path,
-and checks it at every site against the alternative assignment by the rule
-of solve_goursat_nd, with the same bound goursat.COMPAT_TOL.
+layer's data from one pass along the axes, solves all layers in one stacked
+sweep and fills theta of all steps along one defining path, checked at every
+site against the alternative assignment to goursat.COMPAT_TOL.
 
 Angles are stored as unwrapped real numbers; circle semantics enter only
 through trigonometric evaluation, so difference quotients of angle fields are
@@ -213,10 +212,10 @@ def backlund_u(a, theta, alpha, eps):
       = -a - (2/eps) Im log(1 - w),  w = (eps alpha/2) e^{i(theta - eps a/2)},
 
     with Im log(1 - w) evaluated in the real atan2 form (see hirota_rhs).
+    ValueError where 2/eps is not finite (|eps| < 1.1e-308 or nan).
     """
     a = np.asarray(a)
-    return -a - (2.0 / eps) * _im_log1m(0.5 * eps * alpha,
-                                        np.asarray(theta) - 0.5 * eps * a)
+    return -a - _two_over(eps) * _im_log1m(0.5 * eps * alpha, np.asarray(theta) - 0.5 * eps * a)
 
 
 def backlund_v(b, theta, alpha, eps):
@@ -226,9 +225,17 @@ def backlund_v(b, theta, alpha, eps):
                         / (1 - (eps/(2 alpha)) e^{+i(b + theta)})]
       = -(2/eps) Im log(1 - w),  w = (eps/(2 alpha)) e^{i(b + theta)},
 
-    with Im log(1 - w) evaluated in the real atan2 form (see hirota_rhs).
+    with Im log(1 - w) evaluated in the real atan2 form; ValueError as in backlund_u.
     """
-    return -(2.0 / eps) * _im_log1m(0.5 * eps / alpha, np.asarray(b) + np.asarray(theta))
+    return -_two_over(eps) * _im_log1m(0.5 * eps / alpha, np.asarray(b) + np.asarray(theta))
+
+
+def _two_over(eps) -> float:
+    """2/eps of a Backlund step; ValueError where it is not finite."""
+    scale = 2.0 / float(eps) if eps else math.inf
+    if not math.isfinite(scale):
+        raise ValueError(f"Backlund step eps = {eps} is out of range: 2/eps = {scale} is not finite")
+    return scale
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +259,22 @@ class Rhs3:
     """Right-hand sides of the Backlund-extended system.
 
     step(a, b, eps) -> (f, g) drives (a, b) within a layer (the joint step of
-    Rhs2); u, v propagate theta in x and y, and backlund_xi, backlund_eta
-    turn them into the increments that advance (a, b) to the next layer
-    (z-step 1).  All must be numpy-vectorized.  eps0 bounds the admissible
-    lattice step.
+    Rhs2, numpy-vectorized); u, v are backlund_u and backlund_v at alpha.
+    They propagate theta in x and y, and backlund_xi, backlund_eta turn them
+    into the increments that advance (a, b) to the next layer (z-step 1).
+    eps0 bounds the admissible lattice step.
     """
 
     step: Callable
-    u: Callable
-    v: Callable
+    alpha: float
     eps0: float
     name: str
+
+    def u(self, a, theta, eps):
+        return backlund_u(a, theta, self.alpha, eps)
+
+    def v(self, b, theta, eps):
+        return backlund_v(b, theta, self.alpha, eps)
 
 
 def backlund_system(alpha: float, scheme: SchemeKind = SchemeKind.HIROTA) -> Rhs3:
@@ -276,13 +288,8 @@ def backlund_system(alpha: float, scheme: SchemeKind = SchemeKind.HIROTA) -> Rhs
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     base = system_for(scheme)
-    return Rhs3(
-        step=base.step,
-        u=lambda a, th, eps: backlund_u(a, th, alpha, eps),
-        v=lambda b, th, eps: backlund_v(b, th, alpha, eps),
-        eps0=min(base.eps0, 2.0 / alpha, 2.0 * alpha),
-        name=f"{base.name}+backlund",
-    )
+    return Rhs3(step=base.step, alpha=alpha, eps0=min(base.eps0, 2.0 / alpha, 2.0 * alpha),
+                name=f"{base.name}+backlund")
 
 
 def hirota_backlund_system(alpha: float) -> Rhs3:
@@ -295,13 +302,12 @@ def naive_backlund_system(alpha: float) -> Rhs3:
 
 @dataclass
 class LayeredField3:
-    """Solution of the layered system: (a, b) on layers 0..R, theta on 0..R-1.
-
-    cross[z] is the theta check of step z: at every site off the y-axis,
-    theta is defined by a u-step from the site before it in x, and cross[z]
-    is its largest mismatch with the alternative v-step from the site below
-    in y (compatibility in action).  cross_residual is the worst over all
-    steps.
+    """Solution of the layered system: (a, b) on layers 0..R (0..R-1 for a
+    tower, see _solve_layers), theta on 0..R-1.  cross[z] is the theta check
+    of step z: at every site off the y-axis, theta is defined by a u-step from
+    the site before it in x, and cross[z] is its largest mismatch with the
+    alternative v-step from the site below in y (compatibility in action).
+    cross_residual is the worst over all steps.
     """
 
     a: list
@@ -312,7 +318,7 @@ class LayeredField3:
 
     @property
     def layers(self) -> int:
-        return len(self.a) - 1
+        return len(self.theta)
 
     @property
     def cross_residual(self) -> float:
@@ -337,50 +343,54 @@ def solve_goursat_3d(
     return _solve_layers(rhs2, [(rhs6, float(t)) for t in theta0], data, dom)
 
 
-def _solve_layers(rhs2: Rhs2, steps, data: GoursatData2, dom: LatticeDomain2) -> LayeredField3:
+def _solve_layers(rhs2: Rhs2, steps, data: GoursatData2, dom: LatticeDomain2,
+                  top: bool = True) -> LayeredField3:
     """Solve layer 0 from data and one more layer per Backlund step
     (rhs6, theta00), all by rhs2, in three stages:
 
     1. along the axes: step z walks theta from theta00 up the y-axis of
        layer z by v and along its x-axis by u, and the increments (xi, eta)
        on those axes give the data of layer z + 1 (O(n) per step);
-    2. one stacked goursat._sweep solves all R + 1 layers, each once;
-    3. step z fills theta over layer z row by row by u from the y-axis of
-       stage 1 (the smallest-direction rule of solve_goursat_nd), and at
-       every site off the y-axis the v-step from the site below must agree
-       to COMPAT_TOL.
+    2. one stacked goursat._sweep solves all layers, each once;
+    3. theta of all steps is filled row by row by u from the y-axis of stage
+       1 (the smallest-direction rule of solve_goursat_nd), row i of every
+       step in one backlund_u call, alpha a column; at every site off the
+       y-axis the v-step from the site below must agree to COMPAT_TOL.
+
+    With top false, layer R, which carries no theta, is not solved (layer 0
+    is, for no steps), and the last step walks only its y-axis.
 
     The values, and the errors and their order, are those of solving the
     layers one after another: for z = 0, 1, ... a blow-up of layer z
     (BlowUpError at its first site in sweep order), a non-finite theta of
     step z (BlowUpError 'theta'), its failed check (CompatibilityError at
     the worst site), then non-finite data of layer z + 1 (BlowUpError
-    'data'; stage 1 stops there).  Before anything is allocated, the R + 1
-    field layers (16 n (n+1) bytes each) and the R theta layers (8 (n+1)^2
+    'data'; stage 1 stops there).  Before anything is allocated, the field
+    layers (16 n (n+1) bytes each) and the R theta layers (8 (n+1)^2
     bytes each) are sized together: ValueError beyond the available memory.
 
-    A finite theta00 whose float spacing exceeds min(eps, 1/4) * m^2 * 2^-30,
-    m = min(1, alpha, 1/alpha) = rhs6.eps0 / 2, is refused with ValueError
-    before anything is solved: the increments eps*u, eps*v would be lost in
-    its rounding, leaving theta frozen, and near that limit the rounding of
-    theta00 alone drives the theta cross check past COMPAT_TOL (at eps = 1/2
-    and alpha = 1, theta00 = 2^22 less one ulp), the more so as alpha leaves
-    1.  A non-finite theta00 stays a BlowUpError.
+    A finite theta00 whose float spacing exceeds min(eps, 1/4) *
+    min(1, alpha, 1/alpha)^2 * 2^-30 is refused with ValueError before any
+    solve: its rounding would swallow the increments eps*u, eps*v, and near
+    that limit alone drive the theta cross check past COMPAT_TOL (at eps =
+    1/2 and alpha = 1, theta00 = 2^22 less one ulp).  A non-finite theta00
+    stays a BlowUpError.
     """
     n, eps, R = dom.n, dom.eps, len(steps)
     for rhs6, theta00 in steps:
         _require_step(rhs6, eps)
-        bound = min(eps, 0.25) * min(1.0, rhs6.eps0 / 2) ** 2 * 2.0**-30
+        bound = min(eps, 0.25) * min(1.0, rhs6.alpha, 1.0 / rhs6.alpha) ** 2 * 2.0**-30
         if math.isfinite(theta00) and math.ulp(theta00) > bound:
             raise ValueError(f"theta0 = {float(theta00)!r} is too large for eps = {eps!r}: its float "
                              f"spacing {math.ulp(theta00):.3g} exceeds {bound:.3g} = min(eps, 1/4) "
                              f"* min(1, alpha, 1/alpha)^2 * 2^-30")
     _require_step(rhs2, eps)
-    _require_memory(16 * n * (n + 1) * (R + 1) + 8 * (n + 1) ** 2 * R,
-                    f"a layered solve on n = {n} steps", f"{R + 1} field and {R} theta layers")
+    fields = R + 1 if top else max(R, 1)
+    _require_memory(16 * n * (n + 1) * fields + 8 * (n + 1) ** 2 * R,
+                    f"a layered solve on n = {n} steps", f"{fields} field and {R} theta layers")
     a0, b0 = data.sample(dom)
     _check_data(a0, b0, eps)
-    axes, edges = [(a0, b0)], []  # each layer's data; theta of each step on its y-axis
+    axes, edges, bad = [(a0, b0)], [], None  # each layer's data; theta of each step on its y-axis
     with np.errstate(all="ignore"):  # a non-finite value is reported below, not warned of
         for rhs6, theta00 in steps:
             a0, b0 = axes[-1]
@@ -388,40 +398,44 @@ def _solve_layers(rhs2: Rhs2, steps, data: GoursatData2, dom: LatticeDomain2) ->
             ty[0] = tx[0] = theta00
             for j in range(n):
                 ty[j + 1] = ty[j] + eps * rhs6.v(b0[j], ty[j], eps)
+            edges.append(ty)
+            if len(axes) == fields:  # the layer after this step is not solved
+                break
             for i in range(n):
                 tx[i + 1] = tx[i] + eps * rhs6.u(a0[i], tx[i], eps)
-            edges.append(ty)
             nxt = (a0 + backlund_xi(rhs6.u(a0, tx[:n], eps)),
                    b0 + backlund_eta(rhs6.v(b0, ty[:n], eps), ty[:n], eps))
             if not (np.isfinite(nxt[0]).all() and np.isfinite(nxt[1]).all()):
+                bad = nxt
                 break
             axes.append(nxt)
         a, b, finite = _sweep(rhs2, (np.array([x for x, _ in axes]),
                                      np.array([y for _, y in axes])), dom, 1)
+        Z = len(edges)  # the steps with theta; layers 0..Z-1 were solved
+        th = np.empty((Z, n + 1, n + 1))
+        th[:, 0] = np.reshape(edges, (Z, n + 1))
+        alpha = np.reshape([rhs6.alpha for rhs6, _ in steps[:Z]], (Z, 1))
+        for i in range(n if Z else 0):  # with no steps, skip n calls on empty rows
+            th[:, i + 1] = th[:, i] + eps * backlund_u(a[:Z, i], th[:, i], alpha, eps)
         sol = LayeredField3(list(a), list(b), [], dom, [])
         for z in range(len(axes)):
             if not finite[z]:
                 _raise_first_blowup(a[z], b[z], eps)
-            if z == len(edges):  # the top layer carries no theta
+            if z == Z:  # the top layer carries no theta
                 break
-            rhs6 = steps[z][0]
-            th = np.empty((n + 1, n + 1))
-            th[0] = edges[z]
-            for i in range(n):
-                th[i + 1, :] = th[i, :] + eps * rhs6.u(a[z, i, :], th[i, :], eps)
-            if not np.isfinite(th).all():
-                i, j = np.unravel_index(int(np.argmin(np.isfinite(th))), th.shape)
+            if not np.isfinite(th[z]).all():
+                i, j = np.unravel_index(int(np.argmin(np.isfinite(th[z]))), th[z].shape)
                 raise BlowUpError("theta", (i * eps, j * eps))
-            below = th[1:, :-1]
-            mism = np.abs(below + eps * rhs6.v(b[z, 1:, :], below, eps) - th[1:, 1:])
+            below = th[z, 1:, :-1]
+            mism = np.abs(below + eps * steps[z][0].v(b[z, 1:, :], below, eps) - th[z, 1:, 1:])
             i, j = np.unravel_index(int(np.argmax(mism)), mism.shape)  # nan counts as largest
             if not mism[i, j] <= COMPAT_TOL:
                 raise CompatibilityError(float(mism[i, j]), ((i + 1) * eps, (j + 1) * eps),
                                          detail=f"theta, directions x/y, layer {z}")
-            sol.theta.append(th)
+            sol.theta.append(th[z])
             sol.cross.append(float(mism[i, j]))
-    if len(axes) == len(edges):  # stage 1 stopped at the data of the next layer
-        _check_data(*nxt, eps)
+    if bad is not None:  # stage 1 stopped at the data of the next layer
+        _check_data(*bad, eps)
     return sol
 
 
@@ -434,9 +448,9 @@ def check_compatibility_3d(rhs6: Rhs3, samples: np.ndarray, eps: float) -> float
     exactly when the right-hand sides are mutually compatible.  u and v are
     each evaluated at the corner and at one neighbour, and the layer
     increments are read off from those values by backlund_xi and
-    backlund_eta.  ValueError unless 0 < eps < rhs6.eps0, and before the
-    work when its temporaries, 128 bytes per sample, exceed the available
-    memory.
+    backlund_eta.  A NaN defect makes the result NaN.  ValueError unless
+    0 < eps < rhs6.eps0, and before the work when its temporaries, 128 bytes
+    per sample, exceed the available memory.
     """
     _require_step(rhs6, eps)
     s = np.asarray(samples, dtype=float)
@@ -455,9 +469,7 @@ def check_compatibility_3d(rhs6: Rhs3, samples: np.ndarray, eps: float) -> float
         id1 = (u_y - u) - (v_x - v)
         id2 = (backlund_xi(u_y) - xi) - eps * (f_up - f)
         id3 = (backlund_eta(v_x, th_x, eps) - eta) - eps * (g_up - g)
-    return float(
-        max(np.max(np.abs(id1)), np.max(np.abs(id2)), np.max(np.abs(id3)))
-    )
+    return float(np.max([np.max(np.abs(i)) for i in (id1, id2, id3)]))  # a nan stays nan
 
 
 # ---------------------------------------------------------------------------

@@ -137,10 +137,10 @@ def _params(bt_chain) -> list[BacklundParam]:
     return [p if isinstance(p, BacklundParam) else BacklundParam(*p) for p in bt_chain]
 
 
-def _chain_layers(data, dom, chain) -> LayeredField3:
+def _chain_layers(data, dom, chain, top=True) -> LayeredField3:
     """The layered solve of a chain of BacklundParams, each with its own alpha."""
     steps = [(hirota_backlund_system(p.alpha), p.theta0) for p in chain]
-    return _solve_layers(hirota_system(), steps, data, dom)
+    return _solve_layers(hirota_system(), steps, data, dom, top)
 
 
 def solve_backlund_chain(
@@ -174,9 +174,11 @@ def backlund_surface(
     dressed by accumulated W matrices, so consecutive layers differ by a
     point-wise step of constant length 2*lam*alpha/(alpha^2 + lam^2).
     Mesh z records the worst theta cross residual of the z steps behind it.
+    Layer R carries no theta and is not solved: a blow-up confined to it
+    does not stop the tower (solve_backlund_chain solves it).
     """
     chain = _params(bt_chain)
-    sol = _chain_layers(data, dom, chain)
+    sol = _chain_layers(data, dom, chain, top=False)
     return _tower(EdgeField2(sol.a[0], sol.b[0], dom), lam, chain, sol.theta, sol.cross)
 
 

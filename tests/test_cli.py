@@ -344,8 +344,9 @@ def test_surface_points_beyond_memory_exit_one(monkeypatch, capsys, tmp_path):
 @pytest.mark.parametrize("argv, err", [
     (["backlund", "--k", "3", "--alpha", "1", "--theta0", "inf"],
      "numerical failure: non-finite value in field 'theta' at site (0, 0)\n"),
-    # the naive closure identities overflow at alpha = 1e308 (eps = 1e-160 is refused by name)
-    (["check", "--alpha", "1e308", "--eps", "1e-309", "--scheme", "naive", "--samples", "100"],
+    # the naive closure identities overflow at alpha = 1e308: inf - inf in the
+    # second one (eps = 1e-309, where 2/eps overflows, is refused by name)
+    (["check", "--alpha", "1e308", "--eps", "1.5e-308", "--scheme", "naive", "--samples", "100"],
      "FAIL: residual nan exceeds 1e-09; the right-hand sides are not compatible\n"),
 ], ids=["backlund", "check"])
 def test_non_finite_runs_print_only_their_named_line(monkeypatch, capsys, tmp_path, argv, err):
@@ -358,9 +359,23 @@ def test_non_finite_runs_print_only_their_named_line(monkeypatch, capsys, tmp_pa
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("alpha", ["1", "1e308"])
+def test_check_overflowing_backlund_step_exits_one(capsys, alpha):
+    # 2/eps overflows below eps = 1.112536929253601e-308: one named line, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would raise here
+        assert main(["check", "--scheme", "naive", "--alpha", alpha, "--eps", "1e-309",
+                     "--samples", "100"]) == 1
+        assert main(["check", "--scheme", "naive", "--alpha", "1",
+                     "--eps", "1.112536929253601e-308", "--samples", "100"]) == 0
+    err = capsys.readouterr().err
+    assert err == "error: Backlund step eps = 1e-309 is out of range: 2/eps = inf is not finite\n"
+
+
 def test_backlund_layers_beyond_memory_exit_one(monkeypatch, capsys, tmp_path):
-    # n = 8192 and 40 steps: 41 field layers of 16 n (n+1) bytes and 40 theta
-    # layers of 8 (n+1)^2 bytes, 65.5 GB; 8 GiB hold one layer's fields
+    # n = 8192 and 40 steps: the tower solves 40 field layers of 16 n (n+1)
+    # bytes (not layer 40) and 40 theta layers of 8 (n+1)^2 bytes, 64.4 GB;
+    # 8 GiB hold one layer's fields
     def never(*args):
         raise AssertionError("solved beyond memory")
 
@@ -368,11 +383,11 @@ def test_backlund_layers_beyond_memory_exit_one(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(sinegordon, "_sweep", never)
     monkeypatch.chdir(tmp_path)
     n = 8192
-    need = 16 * n * (n + 1) * 41 + 8 * (n + 1) ** 2 * 40
+    need = 16 * n * (n + 1) * 40 + 8 * (n + 1) ** 2 * 40
     assert 16 * n * (n + 1) < 2**33 < need
     assert main(["backlund", "--k", "13", *["--alpha", "1", "--theta0", "0.5"] * 40]) == 1
     assert capsys.readouterr().err == (f"error: a layered solve on n = 8192 steps needs {need} "
-                                       f"bytes for 41 field and 40 theta layers, more than the "
+                                       f"bytes for 40 field and 40 theta layers, more than the "
                                        f"8589934592 bytes of available memory\n")
     assert not list(tmp_path.iterdir())
 

@@ -18,6 +18,7 @@ from ksurf.goursat import (
 from ksurf.harness import demo_data
 from ksurf.sinegordon import (
     BacklundParam,
+    Rhs3,
     SchemeKind,
     _im_log1m,
     backlund_eta,
@@ -175,6 +176,35 @@ def test_hirota_smallest_step_keeps_its_bits():
         assert np.array_equal(g, A + (0.5 * eps) * f)
 
 
+# the smallest step for which 2/eps is finite
+BACKLUND_EPS_MIN = 1.112536929253601e-308
+
+
+@pytest.mark.parametrize("eps", [1e-309, np.nextafter(BACKLUND_EPS_MIN, 0.0), 0.0, -1e-309,
+                                 np.nan])
+def test_backlund_refuses_overflowing_step(eps):
+    # 2/eps is not finite, so u and v would be inf or nan: refused by name, in
+    # u, in v and in the naive compatibility check (alpha = 1 and 1e308)
+    match = f"Backlund step eps = {eps} is out of range: 2/eps = .* is not finite"
+    for rhs in (backlund_u, backlund_v):
+        with pytest.raises(ValueError, match=match):
+            rhs(A, TH, 1.0, eps)
+    samples = np.stack([A[:100], B[:100], TH[:100]], axis=-1)
+    if eps > 0:
+        for alpha in (1.0, 1e308):
+            with pytest.raises(ValueError, match=match):
+                check_compatibility_3d(naive_backlund_system(alpha), samples, eps)
+
+
+def test_backlund_smallest_step_keeps_its_bits():
+    # at BACKLUND_EPS_MIN u and v are finite and still the formula, bit for bit
+    for eps in (BACKLUND_EPS_MIN, 2.0**-6):
+        u, v = backlund_u(A, TH, 0.8, eps), backlund_v(B, TH, 0.8, eps)
+        assert np.isfinite(u).all() and np.isfinite(v).all()
+        assert np.array_equal(u, -A - (2.0 / eps) * _im_log1m(0.5 * eps * 0.8, TH - 0.5 * eps * A))
+        assert np.array_equal(v, -(2.0 / eps) * _im_log1m(0.5 * eps / 0.8, B + TH))
+
+
 def test_system_for():
     assert system_for(SchemeKind.HIROTA).name == "hirota"
     assert system_for(SchemeKind.NAIVE).name == "naive"
@@ -257,7 +287,7 @@ def test_backlund_discrete_increments():
     assert np.array_equal(backlund_eta(v, TH, eps), 2.0 * TH + eps * v)
     assert np.array_equal(backlund_eta(v[0], TH[0], eps), 2.0 * TH[0] + eps * v[0])
     # the increments are not settable: Rhs3 carries only what they are made of
-    assert [f.name for f in dataclasses.fields(rhs6)] == ["step", "u", "v", "eps0", "name"]
+    assert [f.name for f in dataclasses.fields(rhs6)] == ["step", "alpha", "eps0", "name"]
     dom = LatticeDomain2(1.0, 0.25)
     for bad_alpha in (8.0, 0.1):  # eps*alpha = 2, eps = 2.5*alpha
         with pytest.raises(ValueError, match="not admissible"):
@@ -317,14 +347,21 @@ def test_compatibility_matches_three_identity_oracle(scheme):
     for alpha in (0.5, 1.0, 2.0):
         calls = {"step": 0, "u": 0, "v": 0}
 
-        def counted(name, fn):
-            def wrapped(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapped
+        def step(*args):
+            calls["step"] += 1
+            return rhs6.step(*args)
+
+        class Counting(Rhs3):  # counts the calls of the u and v methods
+            def u(self, *args):
+                calls["u"] += 1
+                return super().u(*args)
+
+            def v(self, *args):
+                calls["v"] += 1
+                return super().v(*args)
 
         rhs6 = backlund_system(alpha, scheme)
-        counting = dataclasses.replace(rhs6, **{k: counted(k, getattr(rhs6, k)) for k in calls})
+        counting = Counting(step, rhs6.alpha, rhs6.eps0, rhs6.name)
         for eps in (2.0**-3, 2.0**-6):
             got = check_compatibility_3d(counting, samples, eps)
             assert got == compatibility_3d_three_identities(rhs6, samples, eps)
@@ -462,6 +499,9 @@ LAYER_ERRORS = {  # name: (rhs2, scheme, (alpha, theta0) chain, data, field name
     "a0 nan": (hirota_system(), SchemeKind.HIROTA, [(1.0, 0.5)],
                GoursatData2(lambda x: np.where(x > 0.3, np.nan, x), lambda y: 0.0 * y), "data"),
     "layer 1 blows up": (_BIG_B, SchemeKind.HIROTA, [(1.0, 0.5), (1.0, 0.5)], demo_data(), "a"),
+    # step 0's failed check comes before step 1's non-finite theta, filled with it
+    "naive before theta0 nan": (naive_system(), SchemeKind.NAIVE, [(1.0, 0.5), (1.0, np.nan)],
+                                demo_data(), None),
 }
 
 
@@ -482,6 +522,20 @@ def test_layered_errors_come_in_layer_by_layer_order(case):
     assert getattr(got.value, "field_name", None) == field_name
     assert got.value.site == want.value.site
     assert str(got.value) == str(want.value)
+
+
+def test_top_layer_not_solved_for_the_tower():
+    # layer 1 of a one-step chain blows up under _BIG_B: the full solve stops
+    # there, the solve without the top layer keeps the bits of layer 0 and theta
+    steps, dom = [(hirota_backlund_system(1.0), 0.5)], LatticeDomain2.from_k(1.0, 3)
+    with pytest.raises(BlowUpError, match="field 'a'"):
+        sinegordon._solve_layers(_BIG_B, steps, demo_data(), dom)
+    sol = sinegordon._solve_layers(_BIG_B, steps, demo_data(), dom, top=False)
+    ref = sinegordon._solve_layers(hirota_system(), steps, demo_data(), dom)
+    assert sol.layers == 1 and len(sol.a) == len(sol.b) == 1
+    for got, want in ((sol.a[0], ref.a[0]), (sol.b[0], ref.b[0]), (sol.theta[0], ref.theta[0])):
+        assert np.array_equal(got, want)
+    assert sol.cross == ref.cross
 
 
 def test_layered_solve_sized_before_allocation(monkeypatch):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ksurf import frames, goursat, sinegordon
+from ksurf import frames, goursat, sinegordon, surfaces
 from ksurf.frames import ZeroCurvatureError, propagate_frame
 from ksurf.goursat import EdgeField2, GoursatData2, LatticeDomain2, solve_goursat_2d
 from ksurf.harness import demo_data, zero_data
@@ -381,12 +381,16 @@ def _count_solves(monkeypatch):
 
 @pytest.mark.parametrize("steps", [0, 1, 3])
 def test_backlund_chain_solves_each_layer_once(monkeypatch, dom, steps):
-    # all R + 1 layers in one stacked sweep
+    # all R + 1 layers in one stacked sweep; the tower stacks only the R
+    # layers its theta lives on (layer 0 alone for no steps)
     calls = _count_solves(monkeypatch)
-    chain = [(1.0, 0.5), (0.5, -0.25), (2.0, 0.1)][:steps]
+    chain = MIXED_CHAIN[:steps]
     a_layers, _, _, _ = solve_backlund_chain(demo_data(), dom, chain)
     assert len(a_layers) == steps + 1
-    assert calls == [steps + 1]
+    sol = solve_goursat_3d(hirota_backlund_system(0.8), demo_data(), [t for _, t in chain], dom)
+    assert sol.layers == steps and len(sol.a) == steps + 1
+    assert len(backlund_surface(demo_data(), dom, chain)) == steps + 1
+    assert calls == [steps + 1, steps + 1, max(steps, 1)]
 
 
 def test_backlund_chain_constant_alpha_matches_3d_solve(dom):
@@ -438,17 +442,34 @@ def test_stacked_layers_match_layer_by_layer_oracle(domain, chain):
     assert got.cross == want.cross
 
 
-@pytest.mark.parametrize("k", [3, 8])
-def test_tower_points_match_layer_by_layer_oracle(k):
-    domain, chain = LatticeDomain2.from_k(1.0, k), _params(MIXED_CHAIN)
-    ref = layer_by_layer(hirota_system(), _steps(MIXED_CHAIN), demo_data(), domain)
-    want = _tower(EdgeField2(ref.a[0], ref.b[0], domain), 1.0, chain, ref.theta, ref.cross)
-    got = backlund_surface(demo_data(), domain, chain)
-    assert len(got) == len(want) == 4
-    for mesh, ref_mesh in zip(got, want):
-        assert np.array_equal(_bits(mesh.points), _bits(ref_mesh.points))
-        assert mesh.zcc_residual == ref_mesh.zcc_residual
-        assert mesh.theta_cross_residual == ref_mesh.theta_cross_residual
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 8])
+def test_tower_points_match_layer_by_layer_oracle(monkeypatch, k):
+    # the tower solves layers 0..R-1 only, with the bits of the full solve:
+    # fields, theta, each step's check and the points
+    solved, solve = [], surfaces._solve_layers
+
+    def recording(*args):
+        solved.append(solve(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(surfaces, "_solve_layers", recording)
+    domain = LatticeDomain2.from_k(1.0, k)
+    for chain in ([], MIXED_CHAIN[:1], MIXED_CHAIN):
+        ref = layer_by_layer(hirota_system(), _steps(chain), demo_data(), domain)
+        params, R = _params(chain), len(chain)
+        want = _tower(EdgeField2(ref.a[0], ref.b[0], domain), 1.0, params, ref.theta, ref.cross)
+        got = backlund_surface(demo_data(), domain, params)
+        sol = solved.pop()
+        assert len(sol.a) == len(sol.b) == max(R, 1) and len(sol.theta) == R
+        for name in ("a", "b", "theta"):
+            assert all(np.array_equal(_bits(x), _bits(y))
+                       for x, y in zip(getattr(sol, name), getattr(ref, name)))
+        assert sol.cross == ref.cross
+        assert len(got) == len(want) == R + 1
+        for mesh, ref_mesh in zip(got, want):
+            assert np.array_equal(_bits(mesh.points), _bits(ref_mesh.points))
+            assert mesh.zcc_residual == ref_mesh.zcc_residual
+            assert mesh.theta_cross_residual == ref_mesh.theta_cross_residual
 
 
 def test_backlund_chain_single_cell():
