@@ -122,25 +122,27 @@ def check_identity(spec: SystemSpecND, samples: np.ndarray) -> float:
     """Max closure defect over all fields, direction pairs, and samples.
 
     samples has shape (m, N).  Functions are evaluated on the whole sample
-    batch at once, so the right-hand sides must be numpy-vectorized.
+    batch at once, so the right-hand sides must be numpy-vectorized.  A NaN
+    defect makes the result NaN.
     """
     s = np.asarray(samples, dtype=float)
     if s.ndim == 1:
         s = s[None, :]
     state = [s[:, l] for l in range(spec.num_fields)]
-    worst = 0.0
-    for k in range(spec.num_fields):
-        dirs = sorted(spec.evol[k])
-        for ai, i in enumerate(dirs):
-            for j in dirs[ai + 1 :]:
-                lhs = spec.eps[i] * spec.rhs[(k, i)](state) + spec.eps[j] * spec.rhs[
-                    (k, j)
-                ](_shifted_state(spec, state, i))
-                rhs = spec.eps[j] * spec.rhs[(k, j)](state) + spec.eps[i] * spec.rhs[
-                    (k, i)
-                ](_shifted_state(spec, state, j))
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    defects = []
+    with np.errstate(all="ignore"):  # a non-finite defect is returned, not warned of
+        for k in range(spec.num_fields):
+            dirs = sorted(spec.evol[k])
+            for ai, i in enumerate(dirs):
+                for j in dirs[ai + 1 :]:
+                    lhs = spec.eps[i] * spec.rhs[(k, i)](state) + spec.eps[j] * spec.rhs[
+                        (k, j)
+                    ](_shifted_state(spec, state, i))
+                    rhs = spec.eps[j] * spec.rhs[(k, j)](state) + spec.eps[i] * spec.rhs[
+                        (k, i)
+                    ](_shifted_state(spec, state, j))
+                    defects.append(np.max(np.abs(lhs - rhs)))
+    return float(np.max(defects, initial=0.0))  # a nan stays nan
 
 
 @dataclass

@@ -17,15 +17,14 @@ Two discretizations are provided as right-hand sides for the Goursat solver:
   (the two log arguments are complex conjugates; hirota_rhs evaluates it in
   a real atan2 form).
 
-The Backlund transformation adds a third lattice direction (step 1): an
-auxiliary angle theta propagates in x and y, and the transformed fields on the
-next layer are read off from theta.  The six right-hand sides form a
-compatible three-dimensional system exactly when the Hirota scheme is used;
-check_compatibility_3d measures the defect of the three closure identities,
-which is what fails for the naive scheme.  The layered solver takes every
-layer's data from one pass along the axes, solves all layers in one stacked
-sweep and fills theta of all steps along one defining path, checked at every
-site against the alternative assignment to goursat.COMPAT_TOL.
+The Backlund transformation adds a third lattice direction (step 1) whose
+only new datum is the parameter alpha (Rhs3): an auxiliary angle theta
+propagates in x and y, and the transformed fields on the next layer are read
+off from theta.  The six right-hand sides form a compatible three-dimensional
+system exactly when the Hirota scheme is used; check_compatibility_3d
+measures the defect of the three closure identities, which is what fails for
+the naive scheme.  _solve_layers solves a chain of steps, every layer by the
+same scheme.
 
 Angles are stored as unwrapped real numbers; circle semantics enter only
 through trigonometric evaluation, so difference quotients of angle fields are
@@ -37,7 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -254,21 +253,32 @@ def backlund_eta(v, theta, eps):
     return 2.0 * np.asarray(theta) + eps * v
 
 
+def _require_alpha(alpha) -> None:
+    """The one rule for a Backlund parameter: ValueError unless alpha is finite and > 0."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+
+
 @dataclass(frozen=True)
 class Rhs3:
-    """Right-hand sides of the Backlund-extended system.
+    """One Backlund step: the in-layer scheme base plus the parameter alpha.
 
-    step(a, b, eps) -> (f, g) drives (a, b) within a layer (the joint step of
-    Rhs2, numpy-vectorized); u, v are backlund_u and backlund_v at alpha.
-    They propagate theta in x and y, and backlund_xi, backlund_eta turn them
-    into the increments that advance (a, b) to the next layer (z-step 1).
-    eps0 bounds the admissible lattice step.
+    step, the joint step of base, drives (a, b) within every layer; u and v,
+    backlund_u and backlund_v at alpha, propagate theta in x and y, and
+    backlund_xi and backlund_eta turn them into the increments to the next
+    layer.  eps0 = min(base.eps0, 2/alpha, 2 alpha) and the name
+    base.name + "+backlund" are derived; alpha must be finite and > 0.
     """
 
-    step: Callable
+    base: Rhs2
     alpha: float
-    eps0: float
-    name: str
+
+    step = property(lambda self: self.base.step)
+    eps0 = property(lambda self: min(self.base.eps0, 2.0 / self.alpha, 2.0 * self.alpha))
+    name = property(lambda self: f"{self.base.name}+backlund")
+
+    def __post_init__(self):
+        _require_alpha(self.alpha)
 
     def u(self, a, theta, eps):
         return backlund_u(a, theta, self.alpha, eps)
@@ -277,19 +287,31 @@ class Rhs3:
         return backlund_v(b, theta, self.alpha, eps)
 
 
-def backlund_system(alpha: float, scheme: SchemeKind = SchemeKind.HIROTA) -> Rhs3:
-    """The in-layer scheme's joint step with the discrete Backlund sides.
+def _require_backlund_step(rhs6: Rhs3, eps) -> None:
+    """ValueError unless eps is a step of rhs6 whose increments stay finite.
 
-    u, v propagate theta; backlund_xi and backlund_eta advance (a, b) to the
-    next layer.  Only the Hirota combination is compatible; the naive one
-    exists so the failure is measurable (check_compatibility_3d returns a
-    residual far above roundoff).  alpha must be finite and positive.
+    Beyond 0 < eps < rhs6.eps0 and a finite 2/eps, the bounds
+    |xi + 2a| <= (4/eps) asin(eps alpha/2) and |v| <= (2/eps) asin(eps/(2 alpha))
+    must be finite.  Each is formed as asin(.)/eps first, which is finite
+    once 2/eps is, so only the bound itself can overflow.
     """
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-    base = system_for(scheme)
-    return Rhs3(step=base.step, alpha=alpha, eps0=min(base.eps0, 2.0 / alpha, 2.0 * alpha),
-                name=f"{base.name}+backlund")
+    _require_step(rhs6, eps)
+    _two_over(eps)
+    eps, alpha = float(eps), rhs6.alpha
+    for scale, p, what in ((4.0, 0.5 * eps * alpha, "(4/eps) asin(eps alpha/2)"),
+                           (2.0, 0.5 * eps / alpha, "(2/eps) asin(eps/(2 alpha))")):
+        bound = scale * (math.asin(min(p, 1.0)) / eps)
+        if not math.isfinite(bound):
+            raise ValueError(f"Backlund step eps = {eps} is out of range for alpha = {alpha}: "
+                             f"its increments reach {what} = {bound}")
+
+
+def backlund_system(alpha: float, scheme: SchemeKind = SchemeKind.HIROTA) -> Rhs3:
+    """Rhs3(system_for(scheme), alpha).  Only the Hirota combination is
+    compatible; the naive one exists so that the failure is measurable
+    (check_compatibility_3d returns a residual far above roundoff).
+    """
+    return Rhs3(system_for(scheme), alpha)
 
 
 def hirota_backlund_system(alpha: float) -> Rhs3:
@@ -331,26 +353,24 @@ def solve_goursat_3d(
     theta0: Sequence[float],
     dom: LatticeDomain2,
 ) -> LayeredField3:
-    """Solve the Backlund-extended system on layers z = 0..R, R = len(theta0).
-
-    Layer 0 solves the plain 2D Goursat problem; on each layer, theta
-    propagates from theta0[z] at the origin and yields the next layer, whose
-    data follow from theta on the axes (see _solve_layers).  Every value has
-    a single defining assignment; the redundant equations hold to roundoff
-    by compatibility, which is checked at every site of every theta layer.
+    """Solve the Backlund-extended system on layers z = 0..R, R = len(theta0):
+    _solve_layers by rhs6.base of the chain of steps (rhs6.alpha, theta0[z]).
+    The step eps is checked against rhs6 also when theta0 is empty.
     """
-    rhs2 = Rhs2(rhs6.step, rhs6.eps0, rhs6.name)
-    return _solve_layers(rhs2, [(rhs6, float(t)) for t in theta0], data, dom)
+    _require_backlund_step(rhs6, dom.eps)
+    return _solve_layers(rhs6.base, [BacklundParam(rhs6.alpha, float(t)) for t in theta0], data, dom)
 
 
-def _solve_layers(rhs2: Rhs2, steps, data: GoursatData2, dom: LatticeDomain2,
+def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
                   top: bool = True) -> LayeredField3:
-    """Solve layer 0 from data and one more layer per Backlund step
-    (rhs6, theta00), all by rhs2, in three stages:
+    """Solve layer 0 from data and one more layer per BacklundParam of chain.
 
-    1. along the axes: step z walks theta from theta00 up the y-axis of
-       layer z by v and along its x-axis by u, and the increments (xi, eta)
-       on those axes give the data of layer z + 1 (O(n) per step);
+    Every layer is stepped by rhs2, and step z by Rhs3(rhs2, chain[z].alpha)
+    from theta chain[z].theta0 at the origin, in three stages:
+
+    1. along the axes: step z walks theta up the y-axis of layer z by v and
+       along its x-axis by u, and the increments (xi, eta) on those axes
+       give the data of layer z + 1 (O(n) per step);
     2. one stacked goursat._sweep solves all layers, each once;
     3. theta of all steps is filled row by row by u from the y-axis of stage
        1 (the smallest-direction rule of solve_goursat_nd), row i of every
@@ -365,24 +385,25 @@ def _solve_layers(rhs2: Rhs2, steps, data: GoursatData2, dom: LatticeDomain2,
     (BlowUpError at its first site in sweep order), a non-finite theta of
     step z (BlowUpError 'theta'), its failed check (CompatibilityError at
     the worst site), then non-finite data of layer z + 1 (BlowUpError
-    'data'; stage 1 stops there).  Before anything is allocated, the field
-    layers (16 n (n+1) bytes each) and the R theta layers (8 (n+1)^2
-    bytes each) are sized together: ValueError beyond the available memory.
+    'data'; stage 1 stops there).  Before anything is allocated, each step
+    must admit eps (_require_backlund_step), and the field layers
+    (16 n (n+1) bytes each) and the R theta layers (8 (n+1)^2 bytes each)
+    are sized together: ValueError beyond the available memory.
 
-    A finite theta00 whose float spacing exceeds min(eps, 1/4) *
+    A finite theta0 whose float spacing exceeds min(eps, 1/4) *
     min(1, alpha, 1/alpha)^2 * 2^-30 is refused with ValueError before any
-    solve: its rounding would swallow the increments eps*u, eps*v, and near
-    that limit alone drive the theta cross check past COMPAT_TOL (at eps =
-    1/2 and alpha = 1, theta00 = 2^22 less one ulp).  A non-finite theta00
-    stays a BlowUpError.
+    solve: its rounding would swallow the increments eps*u, eps*v and alone
+    drive the theta cross check past COMPAT_TOL.  A non-finite theta0 stays
+    a BlowUpError.
     """
-    n, eps, R = dom.n, dom.eps, len(steps)
-    for rhs6, theta00 in steps:
-        _require_step(rhs6, eps)
-        bound = min(eps, 0.25) * min(1.0, rhs6.alpha, 1.0 / rhs6.alpha) ** 2 * 2.0**-30
-        if math.isfinite(theta00) and math.ulp(theta00) > bound:
-            raise ValueError(f"theta0 = {float(theta00)!r} is too large for eps = {eps!r}: its float "
-                             f"spacing {math.ulp(theta00):.3g} exceeds {bound:.3g} = min(eps, 1/4) "
+    n, eps, R = dom.n, dom.eps, len(chain)
+    steps = [Rhs3(rhs2, p.alpha) for p in chain]
+    for rhs6, p in zip(steps, chain):
+        _require_backlund_step(rhs6, eps)
+        bound = min(eps, 0.25) * min(1.0, p.alpha, 1.0 / p.alpha) ** 2 * 2.0**-30
+        if math.isfinite(p.theta0) and math.ulp(p.theta0) > bound:
+            raise ValueError(f"theta0 = {float(p.theta0)!r} is too large for eps = {eps!r}: its float "
+                             f"spacing {math.ulp(p.theta0):.3g} exceeds {bound:.3g} = min(eps, 1/4) "
                              f"* min(1, alpha, 1/alpha)^2 * 2^-30")
     _require_step(rhs2, eps)
     fields = R + 1 if top else max(R, 1)
@@ -392,10 +413,10 @@ def _solve_layers(rhs2: Rhs2, steps, data: GoursatData2, dom: LatticeDomain2,
     _check_data(a0, b0, eps)
     axes, edges, bad = [(a0, b0)], [], None  # each layer's data; theta of each step on its y-axis
     with np.errstate(all="ignore"):  # a non-finite value is reported below, not warned of
-        for rhs6, theta00 in steps:
+        for rhs6, p in zip(steps, chain):
             a0, b0 = axes[-1]
             ty, tx = np.empty(n + 1), np.empty(n + 1)
-            ty[0] = tx[0] = theta00
+            ty[0] = tx[0] = p.theta0
             for j in range(n):
                 ty[j + 1] = ty[j] + eps * rhs6.v(b0[j], ty[j], eps)
             edges.append(ty)
@@ -414,7 +435,7 @@ def _solve_layers(rhs2: Rhs2, steps, data: GoursatData2, dom: LatticeDomain2,
         Z = len(edges)  # the steps with theta; layers 0..Z-1 were solved
         th = np.empty((Z, n + 1, n + 1))
         th[:, 0] = np.reshape(edges, (Z, n + 1))
-        alpha = np.reshape([rhs6.alpha for rhs6, _ in steps[:Z]], (Z, 1))
+        alpha = np.reshape([p.alpha for p in chain[:Z]], (Z, 1))
         for i in range(n if Z else 0):  # with no steps, skip n calls on empty rows
             th[:, i + 1] = th[:, i] + eps * backlund_u(a[:Z, i], th[:, i], alpha, eps)
         sol = LayeredField3(list(a), list(b), [], dom, [])
@@ -427,7 +448,7 @@ def _solve_layers(rhs2: Rhs2, steps, data: GoursatData2, dom: LatticeDomain2,
                 i, j = np.unravel_index(int(np.argmin(np.isfinite(th[z]))), th[z].shape)
                 raise BlowUpError("theta", (i * eps, j * eps))
             below = th[z, 1:, :-1]
-            mism = np.abs(below + eps * steps[z][0].v(b[z, 1:, :], below, eps) - th[z, 1:, 1:])
+            mism = np.abs(below + eps * steps[z].v(b[z, 1:, :], below, eps) - th[z, 1:, 1:])
             i, j = np.unravel_index(int(np.argmax(mism)), mism.shape)  # nan counts as largest
             if not mism[i, j] <= COMPAT_TOL:
                 raise CompatibilityError(float(mism[i, j]), ((i + 1) * eps, (j + 1) * eps),
@@ -452,7 +473,7 @@ def check_compatibility_3d(rhs6: Rhs3, samples: np.ndarray, eps: float) -> float
     0 < eps < rhs6.eps0, and before the work when its temporaries, 128 bytes
     per sample, exceed the available memory.
     """
-    _require_step(rhs6, eps)
+    _require_backlund_step(rhs6, eps)
     s = np.asarray(samples, dtype=float)
     _require_memory(128 * (s.size // 3), f"a check of {s.size // 3} samples",
                     "the temporaries of its closure identities")
@@ -484,8 +505,7 @@ class BacklundParam:
     theta0: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        _require_alpha(self.alpha)
 
 
 def load_backlund_chain(path) -> list[BacklundParam]:

@@ -36,7 +36,6 @@ from .sinegordon import (
     LayeredField3,
     PhiField,
     _solve_layers,
-    hirota_backlund_system,
     hirota_system,
 )
 
@@ -137,27 +136,16 @@ def _params(bt_chain) -> list[BacklundParam]:
     return [p if isinstance(p, BacklundParam) else BacklundParam(*p) for p in bt_chain]
 
 
-def _chain_layers(data, dom, chain, top=True) -> LayeredField3:
-    """The layered solve of a chain of BacklundParams, each with its own alpha."""
-    steps = [(hirota_backlund_system(p.alpha), p.theta0) for p in chain]
-    return _solve_layers(hirota_system(), steps, data, dom, top)
-
-
 def solve_backlund_chain(
     data: GoursatData2,
     dom: LatticeDomain2,
     bt_chain,
-):
-    """Solve the layered system for a chain of Backlund steps.
-
-    Returns (a_layers, b_layers, theta_layers, cross_residual) with fields on
-    layers 0..R and theta on 0..R-1.  Each step may carry its own alpha.  The
-    data on the axes fix every layer's Goursat data, so all R + 1 layers are
-    solved once, in one stacked sweep (see sinegordon._solve_layers); for a
-    constant-alpha chain this agrees bitwise with solve_goursat_3d.
+) -> LayeredField3:
+    """The layered solve of a chain of Backlund steps, each with its own alpha,
+    by the Hirota scheme: fields on layers 0..R, theta on 0..R-1 (see
+    sinegordon._solve_layers; solve_goursat_3d is the same solve for one alpha).
     """
-    sol = _chain_layers(data, dom, _params(bt_chain))
-    return sol.a, sol.b, sol.theta, sol.cross_residual
+    return _solve_layers(hirota_system(), _params(bt_chain), data, dom)
 
 
 def backlund_surface(
@@ -178,7 +166,7 @@ def backlund_surface(
     does not stop the tower (solve_backlund_chain solves it).
     """
     chain = _params(bt_chain)
-    sol = _chain_layers(data, dom, chain, top=False)
+    sol = _solve_layers(hirota_system(), chain, data, dom, top=False)
     return _tower(EdgeField2(sol.a[0], sol.b[0], dom), lam, chain, sol.theta, sol.cross)
 
 
@@ -234,11 +222,11 @@ def backlund_two_route_residual(
     chain = _params(bt_chain)
     if not chain:
         raise ValueError("two-route comparison needs a nonempty chain")
-    a_layers, b_layers, th_layers, _ = solve_backlund_chain(data, dom, chain)
-    route_a = _sweep(EdgeField2(a_layers[0], b_layers[0], dom), lam,
-                     layers=[(th, p.alpha) for th, p in zip(th_layers, chain)], sym=True)
+    sol = solve_backlund_chain(data, dom, chain)
+    route_a = _sweep(EdgeField2(sol.a[0], sol.b[0], dom), lam,
+                     layers=[(th, p.alpha) for th, p in zip(sol.theta, chain)], sym=True)
     pts_a = route_a.points[-1]
-    pts_b = surface_from_fields(EdgeField2(a_layers[-1], b_layers[-1], dom), lam)
+    pts_b = surface_from_fields(EdgeField2(sol.a[-1], sol.b[-1], dom), lam)
     rot = _rotation(*route_a.origin)  # route A's frame at the origin is G
     mapped = pts_b @ rot.T + pts_a[0, 0]
     return float(np.max(_norm(np.moveaxis(pts_a - mapped, -1, 0))))

@@ -49,7 +49,7 @@ from ksurf.goursat import (
     sup_error,
 )
 from ksurf.harness import fit_slope
-from ksurf.sinegordon import LayeredField3, backlund_eta, backlund_xi, system_for
+from ksurf.sinegordon import LayeredField3, Rhs3, backlund_eta, backlund_xi, system_for
 from ksurf.surfaces import KSurfaceReport, ell_xy
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -275,22 +275,23 @@ def compatibility_3d_three_identities(rhs6, samples: np.ndarray, eps: float) -> 
 # Backlund layers
 
 
-def two_path_layers(rhs2, steps, data, dom):
+def two_path_layers(rhs2, chain, data, dom):
     """Reference for the layered Backlund solve: theta propagated on two paths.
 
-    Layer 0 is solved from data by rhs2.  Each (rhs6, theta00) step then
-    propagates theta over the current layer twice, from theta00 at the
-    origin: along the defining path (up the y-axis by v, then across rows by
-    u) and along the alternative one (across the x-axis by u, then up
-    columns by v).  The next layer's Goursat data are the increments
-    xi = 2u and eta = 2 theta + eps v on the data axes, and that layer is solved by the step's own
-    in-layer system.  Returns (a_layers, b_layers, theta_layers, the largest
+    Layer 0 is solved from data by rhs2.  Each BacklundParam of chain then
+    propagates theta over the current layer by Rhs3(rhs2, alpha) twice, from
+    theta0 at the origin: along the defining path (up the y-axis by v, then
+    across rows by u) and along the alternative one (across the x-axis by u,
+    then up columns by v).  The next layer's Goursat data are the increments
+    xi = 2u and eta = 2 theta + eps v on the data axes, and that layer is
+    solved by rhs2.  Returns (a_layers, b_layers, theta_layers, the largest
     difference between the two paths).
     """
     n, eps = dom.n, dom.eps
     layer = solve_goursat_2d(rhs2, data, dom)
     a_layers, b_layers, th_layers, worst = [layer.a], [layer.b], [], 0.0
-    for rhs6, theta00 in steps:
+    for p in chain:
+        rhs6, theta00 = Rhs3(rhs2, p.alpha), p.theta0
         a, b = layer.a, layer.b
         th = np.empty((n + 1, n + 1))
         th[0, 0] = theta00
@@ -308,21 +309,21 @@ def two_path_layers(rhs2, steps, data, dom):
         xi = 2.0 * rhs6.u(a[:, 0], th[:n, 0], eps)
         eta = 2.0 * th[0, :n] + eps * rhs6.v(b[0, :], th[0, :n], eps)
         data_next = GoursatData2(a[:, 0] + xi, b[0, :] + eta)
-        layer = solve_goursat_2d(Rhs2(rhs6.step, rhs6.eps0, rhs6.name), data_next, dom)
+        layer = solve_goursat_2d(rhs2, data_next, dom)
         th_layers.append(th)
         a_layers.append(layer.a)
         b_layers.append(layer.b)
     return a_layers, b_layers, th_layers, worst
 
 
-def layer_by_layer(rhs2, steps, data, dom):
+def layer_by_layer(rhs2, chain, data, dom):
     """Reference for the stacked layered solve: one layer after another.
 
-    Layer 0 is solved from data by rhs2 with solve_goursat_2d.  Each
-    (rhs6, theta00) step z then fills theta over layer z from theta00, up
-    the y-axis by v and row by row by u; a non-finite theta is a
-    BlowUpError of field 'theta' at its first site in row-major order, and
-    a v-step from the site below that misses theta by more than COMPAT_TOL
+    Layer 0 is solved from data by rhs2 with solve_goursat_2d.  Step z,
+    the BacklundParam chain[z], then fills theta over layer z by
+    Rhs3(rhs2, alpha) from theta0, up the y-axis by v and row by row by u;
+    a non-finite theta is a BlowUpError of field 'theta' at its first site
+    in row-major order, and a v-step from the site below that misses theta by more than COMPAT_TOL
     a CompatibilityError at the worst site.  The increments xi and eta on
     the data axes give layer z + 1's data, solved by rhs2 with
     solve_goursat_2d.  Returns a LayeredField3.  The theta0 and memory
@@ -331,7 +332,8 @@ def layer_by_layer(rhs2, steps, data, dom):
     n, eps = dom.n, dom.eps
     layer = solve_goursat_2d(rhs2, data, dom)
     sol = LayeredField3([layer.a], [layer.b], [], dom, [])
-    for z, (rhs6, theta00) in enumerate(steps):
+    for z, p in enumerate(chain):
+        rhs6, theta00 = Rhs3(rhs2, p.alpha), p.theta0
         a, b = sol.a[-1], sol.b[-1]
         th = np.empty((n + 1, n + 1))
         th[0, 0] = theta00

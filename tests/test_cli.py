@@ -341,16 +341,21 @@ def test_surface_points_beyond_memory_exit_one(monkeypatch, capsys, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def _nan_naive_rhs(a, b, eps):
+    # nan everywhere, with numpy's invalid-value warning unless it is silenced
+    return np.sqrt(-1.0 - np.asarray(b) ** 2), np.asarray(a) + 0.0
+
+
 @pytest.mark.parametrize("argv, err", [
     (["backlund", "--k", "3", "--alpha", "1", "--theta0", "inf"],
      "numerical failure: non-finite value in field 'theta' at site (0, 0)\n"),
-    # the naive closure identities overflow at alpha = 1e308: inf - inf in the
-    # second one (eps = 1e-309, where 2/eps overflows, is refused by name)
-    (["check", "--alpha", "1e308", "--eps", "1.5e-308", "--scheme", "naive", "--samples", "100"],
+    # the naive right-hand side is patched to give nan: so is the residual
+    (["check", "--scheme", "naive", "--samples", "100"],
      "FAIL: residual nan exceeds 1e-09; the right-hand sides are not compatible\n"),
 ], ids=["backlund", "check"])
 def test_non_finite_runs_print_only_their_named_line(monkeypatch, capsys, tmp_path, argv, err):
     # the failure is named once; numpy does not warn of the values behind it
+    monkeypatch.setattr(sinegordon, "naive_rhs", _nan_naive_rhs)  # the backlund run is Hirota
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a RuntimeWarning would raise here
@@ -370,6 +375,49 @@ def test_check_overflowing_backlund_step_exits_one(capsys, alpha):
                      "--eps", "1.112536929253601e-308", "--samples", "100"]) == 0
     err = capsys.readouterr().err
     assert err == "error: Backlund step eps = 1e-309 is out of range: 2/eps = inf is not finite\n"
+
+
+def test_check_overflowing_increments_exit_one(capsys):
+    # eps = 1.5e-308 is below 2/alpha and 2/eps is finite, but xi = 2u of the
+    # naive check reaches (4/eps) asin(eps alpha/2) = 2.3e308: refused by
+    # name before any sample is evaluated, where it printed a nan residual
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would raise here
+        assert main(["check", "--scheme", "naive", "--alpha", "1e308", "--eps", "1.5e-308",
+                     "--samples", "100"]) == 1
+    assert capsys.readouterr().err == (
+        "error: Backlund step eps = 1.5e-308 is out of range for alpha = 1e+308: its "
+        "increments reach (4/eps) asin(eps alpha/2) = inf\n")
+    # at alpha = 1 the two bounds are 2 and 1, and the run keeps its output
+    assert main(["check", "--scheme", "naive", "--alpha", "1", "--eps", "1.5e-308",
+                 "--samples", "100"]) == 0
+    assert capsys.readouterr().out == (
+        "alpha = 1      eps = 1.5e-308     residual = 1.174e-307\n"
+        "max residual = 1.174e-307 over 100 samples (naive)\n")
+
+
+# the largest alpha whose increment bound (4/eps) asin(eps alpha/2) is finite at eps = 1.5e-308
+ALPHA_MAX = 8.322956178289367e307
+
+
+@pytest.mark.parametrize("scheme", ["naive", "hirota"])
+def test_check_increment_bound_boundary(capsys, scheme):
+    # one ulp inside, the check runs (Hirota refuses eps = 1.5e-308 by its own
+    # rule, 4/eps^2); one ulp outside, both refuse the increments; no warning
+    argv = ["check", "--scheme", scheme, "--eps", "1.5e-308", "--samples", "100", "--alpha"]
+    outside = repr(float(np.nextafter(ALPHA_MAX, np.inf)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would raise here
+        assert main([*argv, repr(ALPHA_MAX)]) == (0 if scheme == "naive" else 1)
+        inside = capsys.readouterr()
+        assert main([*argv, outside]) == 1
+    if scheme == "naive":
+        assert inside.err == "" and "max residual = 4.441e-16" in inside.out
+    else:
+        assert inside.err.startswith("error: Hirota scheme step eps = 1.5e-308 is too small")
+    assert capsys.readouterr().err == (
+        f"error: Backlund step eps = 1.5e-308 is out of range for alpha = {outside}: its "
+        f"increments reach (4/eps) asin(eps alpha/2) = inf\n")
 
 
 def test_backlund_layers_beyond_memory_exit_one(monkeypatch, capsys, tmp_path):
@@ -407,6 +455,15 @@ def test_backlund_chain_errors(tmp_path, capsys):
     assert main(["backlund", "--k", "4", "--bt-file", "chain.txt"]) == 1
     assert ("error: chain.txt:2: could not convert string to float: 'abc'"
             in capsys.readouterr().err)
+
+
+def test_backlund_chain_file_non_finite_alpha_names_its_line(tmp_path, capsys, monkeypatch):
+    # BacklundParam holds the one alpha rule, so the file's line is named
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain.txt").write_text("1.0 0.5\ninf 0.5\n")
+    assert main(["backlund", "--k", "4", "--bt-file", "chain.txt"]) == 1
+    assert capsys.readouterr().err == "error: chain.txt:2: alpha must be finite and > 0, got inf\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.txt"]
 
 
 def test_converge_command(tmp_path, capsys):

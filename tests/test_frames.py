@@ -276,9 +276,9 @@ def oracle_stream(fields, lam, w_layers=()):
 def test_backlund_surface_matches_oracle():
     dom = LatticeDomain2.from_k(1.0, 6)
     chain = [BacklundParam(1.0, 0.5), BacklundParam(0.5, -0.25)]
-    a_layers, b_layers, th_layers, _ = solve_backlund_chain(demo_data(), dom, chain)
-    fields0 = EdgeField2(a_layers[0], b_layers[0], dom)
-    w_layers = [(th, p.alpha) for th, p in zip(th_layers, chain)]
+    sol = solve_backlund_chain(demo_data(), dom, chain)
+    fields0 = EdgeField2(sol.a[0], sol.b[0], dom)
+    w_layers = [(th, p.alpha) for th, p in zip(sol.theta, chain)]
     for lam in (0.5, 1.0):
         tower = backlund_surface(demo_data(), dom, chain, lam)
         ref = oracle_stream(fields0, lam, w_layers)
@@ -318,8 +318,8 @@ def _block_case(n):
     """Hirota fields on n x n cells with two Backlund layers of theta."""
     dom = LatticeDomain2(n / 16, 1 / 16)
     chain = [BacklundParam(1.0, 0.5), BacklundParam(0.5, -0.25)]
-    a, b, th, _ = solve_backlund_chain(demo_data(), dom, chain)
-    return EdgeField2(a[0], b[0], dom), [(t, p.alpha) for t, p in zip(th, chain)]
+    sol = solve_backlund_chain(demo_data(), dom, chain)
+    return EdgeField2(sol.a[0], sol.b[0], dom), [(t, p.alpha) for t, p in zip(sol.theta, chain)]
 
 
 def _sweep_output(fields, order, layers, monkeypatch, lines):

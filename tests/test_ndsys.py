@@ -1,5 +1,6 @@
 """Tests for the general d-dimensional Goursat solver and its checks."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -108,6 +109,29 @@ def test_identity_constant_rhs_is_exact():
         eps=(0.25, 0.5),
     )
     assert check_identity(spec, RNG.normal(size=(100, 1))) == 0.0
+
+
+def test_identity_keeps_a_nan_defect():
+    # f_1 is nan at s > 0, so the square closes at s = -1 only: the defect is
+    # nan, not the 0.0 of the sample that closes
+    spec = SystemSpecND(
+        evol=(frozenset({0, 1}),),
+        rhs={(0, 0): lambda s: 0.0 * s[0], (0, 1): lambda s: np.where(s[0] > 0, np.nan, 0.0)},
+        deps={(0, 0): frozenset({0}), (0, 1): frozenset({0})},
+        eps=(0.25, 0.5),
+    )
+    assert np.isnan(check_identity(spec, np.array([[1.0], [-1.0]])))
+    assert check_identity(spec, np.array([[-1.0], [-2.0]])) == 0.0
+
+
+def test_identity_nan_at_overflowing_backlund_step():
+    # at alpha = 1e308 and eps = 1.5e-308 the naive increments overflow: nan,
+    # as in check_compatibility_3d, and no numpy warning
+    spec = sine_gordon_3d_spec(1e308, 1.5e-308, SchemeKind.NAIVE)
+    samples = np.random.default_rng(0).uniform(-3.0, 3.0, size=(100, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(check_identity(spec, samples))
 
 
 def test_identity_broken_rhs():

@@ -1,9 +1,13 @@
 """Tests for the sine-Gordon schemes, angle reconstruction, and Backlund layer."""
 
 import dataclasses
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksurf import goursat, sinegordon
 from ksurf.goursat import (
@@ -16,6 +20,7 @@ from ksurf.goursat import (
     solve_goursat_2d,
 )
 from ksurf.harness import demo_data
+from ksurf.ndsys import sine_gordon_3d_spec, solve_goursat_nd
 from ksurf.sinegordon import (
     BacklundParam,
     Rhs3,
@@ -196,6 +201,38 @@ def test_backlund_refuses_overflowing_step(eps):
                 check_compatibility_3d(naive_backlund_system(alpha), samples, eps)
 
 
+# at eps = 1.5e-308, the alphas one ulp inside and outside each increment bound
+INCREMENT_BOUNDS = [
+    (8.322956178289367e307, 8.322956178289368e307, "(4/eps) asin(eps alpha/2)"),
+    (7.689602659854416e-309, 7.68960265985441e-309, "(2/eps) asin(eps/(2 alpha))"),
+]
+
+
+@pytest.mark.parametrize("inside, outside, what", INCREMENT_BOUNDS)
+def test_backlund_step_refuses_overflowing_increments(inside, outside, what):
+    # eps is admissible for both alphas and 2/eps is finite, but outside the
+    # bound |xi + 2a| or |v| is not: the compatibility check and the layered
+    # solve refuse it by name before reading a sample or a datum
+    def never(*args):
+        raise AssertionError("data sampled")
+
+    eps, samples = 1.5e-308, np.stack([A[:100], B[:100], TH[:100]], axis=-1)
+    assert np.nextafter(inside, outside) == outside
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(check_compatibility_3d(naive_backlund_system(inside), samples, eps))
+    match = re.escape(f"Backlund step eps = 1.5e-308 is out of range for alpha = {outside}: "
+                      f"its increments reach {what} = inf")
+    dom, rhs6 = LatticeDomain2(eps, eps), naive_backlund_system(outside)
+    for call in (lambda: check_compatibility_3d(rhs6, samples, eps),
+                 lambda: solve_goursat_3d(rhs6, GoursatData2(never, never), [0.5], dom),
+                 lambda: solve_goursat_3d(rhs6, GoursatData2(never, never), [], dom),
+                 lambda: sinegordon._solve_layers(naive_system(), [BacklundParam(outside, 0.5)],
+                                                  GoursatData2(never, never), dom)):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 def test_backlund_smallest_step_keeps_its_bits():
     # at BACKLUND_EPS_MIN u and v are finite and still the formula, bit for bit
     for eps in (BACKLUND_EPS_MIN, 2.0**-6):
@@ -286,12 +323,14 @@ def test_backlund_discrete_increments():
     assert np.array_equal(backlund_xi(u), 2.0 * u)
     assert np.array_equal(backlund_eta(v, TH, eps), 2.0 * TH + eps * v)
     assert np.array_equal(backlund_eta(v[0], TH[0], eps), 2.0 * TH[0] + eps * v[0])
-    # the increments are not settable: Rhs3 carries only what they are made of
-    assert [f.name for f in dataclasses.fields(rhs6)] == ["step", "alpha", "eps0", "name"]
+    # a Backlund step is the scheme plus alpha: step, eps0 and name are derived
+    assert [f.name for f in dataclasses.fields(rhs6)] == ["base", "alpha"]
     dom = LatticeDomain2(1.0, 0.25)
     for bad_alpha in (8.0, 0.1):  # eps*alpha = 2, eps = 2.5*alpha
-        with pytest.raises(ValueError, match="not admissible"):
-            solve_goursat_3d(backlund_system(bad_alpha), demo_data(), [0.5], dom)
+        for theta0 in ([0.5], []):  # refused with no steps too
+            with pytest.raises(ValueError, match=r"step eps = 0\.25 is not admissible for rhs "
+                                                 r"'hirota\+backlund'"):
+                solve_goursat_3d(backlund_system(bad_alpha), demo_data(), theta0, dom)
     with pytest.raises(ValueError):
         backlund_system(-1.0)
 
@@ -314,9 +353,10 @@ def test_backlund_system_takes_the_scheme_step():
     for scheme, make in ((SchemeKind.HIROTA, hirota_backlund_system),
                          (SchemeKind.NAIVE, naive_backlund_system)):
         rhs6 = backlund_system(0.8, scheme)
-        assert rhs6.step is system_for(scheme).step
-        assert rhs6.name == make(0.8).name == f"{scheme.value}+backlund"
-        assert rhs6.eps0 == make(0.8).eps0
+        assert rhs6 == Rhs3(system_for(scheme), 0.8) == make(0.8)
+        assert rhs6.step is rhs6.base.step is system_for(scheme).step
+        assert rhs6.name == f"{scheme.value}+backlund"
+        assert rhs6.eps0 == min(system_for(scheme).eps0, 2.0 / 0.8, 2.0 * 0.8)
 
 
 def test_compatibility_hirota_backlund():
@@ -361,7 +401,7 @@ def test_compatibility_matches_three_identity_oracle(scheme):
                 return super().v(*args)
 
         rhs6 = backlund_system(alpha, scheme)
-        counting = Counting(step, rhs6.alpha, rhs6.eps0, rhs6.name)
+        counting = Counting(dataclasses.replace(rhs6.base, step=step), rhs6.alpha)
         for eps in (2.0**-3, 2.0**-6):
             got = check_compatibility_3d(counting, samples, eps)
             assert got == compatibility_3d_three_identities(rhs6, samples, eps)
@@ -431,8 +471,8 @@ def test_solve_3d_matches_two_path_oracle(k):
     data, dom = demo_data(), LatticeDomain2.from_k(1.0, k)
     rhs6 = hirota_backlund_system(1.0)
     sol = solve_goursat_3d(rhs6, data, [0.5, -0.3], dom)
-    ref = two_path_layers(Rhs2(rhs6.step, rhs6.eps0, rhs6.name),
-                          [(rhs6, 0.5), (rhs6, -0.3)], data, dom)
+    ref = two_path_layers(rhs6.base, [BacklundParam(1.0, 0.5), BacklundParam(1.0, -0.3)],
+                          data, dom)
     for got, want in zip((sol.a, sol.b, sol.theta), ref[:3]):
         assert len(got) == len(want)
         assert all(np.array_equal(x, y) for x, y in zip(got, want))
@@ -488,20 +528,20 @@ def _big_b_step(a, b, eps):
 
 _BIG_B = Rhs2(_big_b_step, 2.0, "hirota, infinite for b > 3.5")
 
-LAYER_ERRORS = {  # name: (rhs2, scheme, (alpha, theta0) chain, data, field named)
-    "theta0 nan": (hirota_system(), SchemeKind.HIROTA, [(1.0, 0.5), (1.0, np.nan)],
-                   demo_data(), "theta"),
-    "theta0 inf": (hirota_system(), SchemeKind.HIROTA, [(1.0, np.inf)], demo_data(), "theta"),
-    "theta0 -inf": (hirota_system(), SchemeKind.HIROTA, [(0.5, 0.2), (1.0, -np.inf)],
-                    demo_data(), "theta"),
-    "naive layer 0": (naive_system(), SchemeKind.NAIVE, [(1.0, 0.5), (1.0, 0.5)], demo_data(),
-                      None),
-    "a0 nan": (hirota_system(), SchemeKind.HIROTA, [(1.0, 0.5)],
+LAYER_ERRORS = {  # name: (rhs2, (alpha, theta0) chain, data, field named)
+    "theta0 nan": (hirota_system(), [(1.0, 0.5), (1.0, np.nan)], demo_data(), "theta"),
+    "theta0 inf": (hirota_system(), [(1.0, np.inf)], demo_data(), "theta"),
+    "theta0 -inf": (hirota_system(), [(0.5, 0.2), (1.0, -np.inf)], demo_data(), "theta"),
+    "naive layer 0": (naive_system(), [(1.0, 0.5), (1.0, 0.5)], demo_data(), None),
+    "a0 nan": (hirota_system(), [(1.0, 0.5)],
                GoursatData2(lambda x: np.where(x > 0.3, np.nan, x), lambda y: 0.0 * y), "data"),
-    "layer 1 blows up": (_BIG_B, SchemeKind.HIROTA, [(1.0, 0.5), (1.0, 0.5)], demo_data(), "a"),
+    # layer 0 and theta stay finite, but xi = 2u, about -2a, overflows: the
+    # data of layer 1 are reported after the layer below them is checked
+    "a0 1e308": (hirota_system(), [(1.0, 0.5)],
+                 GoursatData2(lambda x: 0.0 * x + 1e308, lambda y: 1.0 + np.sin(y)), "data"),
+    "layer 1 blows up": (_BIG_B, [(1.0, 0.5), (1.0, 0.5)], demo_data(), "a"),
     # step 0's failed check comes before step 1's non-finite theta, filled with it
-    "naive before theta0 nan": (naive_system(), SchemeKind.NAIVE, [(1.0, 0.5), (1.0, np.nan)],
-                                demo_data(), None),
+    "naive before theta0 nan": (naive_system(), [(1.0, 0.5), (1.0, np.nan)], demo_data(), None),
 }
 
 
@@ -509,15 +549,15 @@ LAYER_ERRORS = {  # name: (rhs2, scheme, (alpha, theta0) chain, data, field name
 def test_layered_errors_come_in_layer_by_layer_order(case):
     # solving all layers at once raises the error that solving them one after
     # another raises first: same class, field, site and message
-    rhs2, scheme, chain, data, field_name = LAYER_ERRORS[case]
-    steps = [(backlund_system(alpha, scheme), theta0) for alpha, theta0 in chain]
+    rhs2, chain, data, field_name = LAYER_ERRORS[case]
+    chain = [BacklundParam(alpha, theta0) for alpha, theta0 in chain]
     dom = LatticeDomain2.from_k(1.0, 3)
     if case == "layer 1 blows up":
         assert np.isfinite(solve_goursat_2d(rhs2, data, dom).a).all()  # layer 0 stays finite
     with pytest.raises((BlowUpError, CompatibilityError)) as want, np.errstate(all="ignore"):
-        layer_by_layer(rhs2, steps, data, dom)  # the reference warns of what it reports
+        layer_by_layer(rhs2, chain, data, dom)  # the reference warns of what it reports
     with pytest.raises(want.type) as got:
-        sinegordon._solve_layers(rhs2, steps, data, dom)
+        sinegordon._solve_layers(rhs2, chain, data, dom)
     assert getattr(want.value, "field_name", None) == field_name
     assert getattr(got.value, "field_name", None) == field_name
     assert got.value.site == want.value.site
@@ -527,11 +567,11 @@ def test_layered_errors_come_in_layer_by_layer_order(case):
 def test_top_layer_not_solved_for_the_tower():
     # layer 1 of a one-step chain blows up under _BIG_B: the full solve stops
     # there, the solve without the top layer keeps the bits of layer 0 and theta
-    steps, dom = [(hirota_backlund_system(1.0), 0.5)], LatticeDomain2.from_k(1.0, 3)
+    chain, dom = [BacklundParam(1.0, 0.5)], LatticeDomain2.from_k(1.0, 3)
     with pytest.raises(BlowUpError, match="field 'a'"):
-        sinegordon._solve_layers(_BIG_B, steps, demo_data(), dom)
-    sol = sinegordon._solve_layers(_BIG_B, steps, demo_data(), dom, top=False)
-    ref = sinegordon._solve_layers(hirota_system(), steps, demo_data(), dom)
+        sinegordon._solve_layers(_BIG_B, chain, demo_data(), dom)
+    sol = sinegordon._solve_layers(_BIG_B, chain, demo_data(), dom, top=False)
+    ref = sinegordon._solve_layers(hirota_system(), chain, demo_data(), dom)
     assert sol.layers == 1 and len(sol.a) == len(sol.b) == 1
     for got, want in ((sol.a[0], ref.a[0]), (sol.b[0], ref.b[0]), (sol.theta[0], ref.theta[0])):
         assert np.array_equal(got, want)
@@ -618,6 +658,11 @@ def test_backlund_param():
         BacklundParam(0.0, 0.25)
     with pytest.raises(ValueError):
         BacklundParam(-1.0, 0.0)
+    for bad in (np.inf, np.nan):  # the rule of Rhs3 and backlund_system
+        with pytest.raises(ValueError, match=f"alpha must be finite and > 0, got {bad}"):
+            BacklundParam(bad, 0.25)
+        with pytest.raises(ValueError, match=f"alpha must be finite and > 0, got {bad}"):
+            Rhs3(hirota_system(), bad)
 
 
 def test_load_backlund_chain(tmp_path):
@@ -632,6 +677,82 @@ def test_load_backlund_chain(tmp_path):
     path.write_text("# chain\n1.0 abc\n")
     with pytest.raises(ValueError, match=r"chain\.txt:2: could not convert string to float: 'abc'"):
         load_backlund_chain(path)
-    path.write_text("1.0 0.5\n-2.0 0.1\n")
-    with pytest.raises(ValueError, match=r"chain\.txt:2: alpha must be > 0"):
-        load_backlund_chain(path)
+    # alpha follows the one rule of BacklundParam and Rhs3: finite and > 0
+    for bad in ("-2", "inf", "nan"):
+        path.write_text(f"1.0 0.5\n{bad} 0.1\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: alpha must be finite and > 0, "
+                                             rf"got {float(bad)}$"):
+            load_backlund_chain(path)
+
+
+# ---------------------------------------------------------------------------
+# differential property over random chains and data
+
+
+@st.composite
+def _layered_case(draw):
+    """k, a chain of 0-3 steps and a member of the demo data family."""
+    k = draw(st.integers(1, 5))
+    chain = draw(st.lists(st.builds(BacklundParam, st.floats(0.25, 4.0), st.floats(-1.0, 1.0)),
+                          max_size=3))
+    amp_a, amp_b = draw(st.floats(0.9, 1.1)), draw(st.floats(0.9, 1.1))
+    ph_a, ph_b = draw(st.floats(-0.1, 0.1)), draw(st.floats(-0.1, 0.1))
+    data = GoursatData2(lambda x: amp_a * np.cos(2.0 * x + ph_a),
+                        lambda y: 1.0 + amp_b * np.sin(y + ph_b))
+    return LatticeDomain2.from_k(1.0, k), chain, data
+
+
+def _same_error(got, want):
+    assert type(got) is type(want)
+    assert getattr(got, "field_name", None) == getattr(want, "field_name", None)
+    assert getattr(got, "site", None) == getattr(want, "site", None)
+    assert str(got) == str(want)
+
+
+@given(_layered_case())
+@settings(max_examples=200, deadline=None)
+def test_stacked_layers_match_layer_by_layer_on_random_chains(case):
+    # the stacked solve, with and without the top layer, keeps the bits of the
+    # layers solved one after another, or raises the error they raise first
+    dom, chain, data = case
+    if any(dom.eps >= Rhs3(hirota_system(), p.alpha).eps0 for p in chain):
+        with pytest.raises(ValueError, match="not admissible"):
+            sinegordon._solve_layers(hirota_system(), chain, data, dom)
+        return
+    try:
+        with np.errstate(all="ignore"):  # the reference warns of what it reports
+            want = layer_by_layer(hirota_system(), chain, data, dom)
+    except (BlowUpError, CompatibilityError) as exc:
+        with pytest.raises(type(exc)) as got:
+            sinegordon._solve_layers(hirota_system(), chain, data, dom)
+        _same_error(got.value, exc)
+        return
+    for top in (True, False):
+        got = sinegordon._solve_layers(hirota_system(), chain, data, dom, top=top)
+        solved = len(chain) + 1 if top else max(len(chain), 1)
+        assert len(got.a) == len(got.b) == solved and len(got.theta) == len(chain)
+        for name in ("a", "b", "theta"):
+            assert all(np.array_equal(x.view(np.int64), y.view(np.int64))
+                       for x, y in zip(getattr(got, name), getattr(want, name)))
+        assert got.cross == want.cross
+
+
+@given(_layered_case(), st.floats(0.25, 4.0))
+@settings(max_examples=60, deadline=None)
+def test_nd_solver_matches_layered_solve_on_random_chains(case, alpha):
+    # criterion 09's bound, for a chain of constant alpha
+    dom, chain, data = case
+    theta0 = [p.theta0 for p in chain] or [0.0]
+    if dom.eps >= hirota_backlund_system(alpha).eps0:
+        return
+    ref = solve_goursat_3d(hirota_backlund_system(alpha), data, theta0, dom)
+    got = solve_goursat_nd(sine_gordon_3d_spec(alpha, dom.eps),
+                           [lambda x, y, z: data.a0(x), lambda x, y, z: data.b0(y),
+                            lambda x, y, z: theta0[int(round(z))]],
+                           (1.0, 1.0, float(len(theta0))))
+    for z in range(len(theta0) + 1):
+        assert np.abs(got.fields[0][:, :, z] - ref.a[z]).max() <= 1e-13
+        assert np.abs(got.fields[1][:, :, z] - ref.b[z]).max() <= 1e-13
+    for z in range(len(theta0)):
+        assert np.abs(got.fields[2][:, :, z] - ref.theta[z]).max() <= 1e-13
+    assert got.alt_residual <= 1e-13

@@ -12,7 +12,6 @@ from ksurf.harness import demo_data, zero_data
 from ksurf.sinegordon import (
     BacklundParam,
     SchemeKind,
-    backlund_system,
     hirota_backlund_system,
     hirota_system,
     naive_system,
@@ -149,8 +148,9 @@ def test_validator_matches_det_oracle(k, lam):
     # own angle field
     dom = LatticeDomain2.from_k(1.0, k)
     chain = _params(MIXED_CHAIN)
-    a, b, th, cross = solve_backlund_chain(demo_data(), dom, chain)
-    tower = _tower(EdgeField2(a[0], b[0], dom), lam, chain, th, [cross] * len(chain))
+    sol = solve_backlund_chain(demo_data(), dom, chain)
+    a, b = sol.a, sol.b
+    tower = _tower(EdgeField2(a[0], b[0], dom), lam, chain, sol.theta, sol.cross)
     for m, a_z, b_z in zip(tower, a, b):
         _assert_matches_det_oracle(m, _hirota_phi(EdgeField2(a_z, b_z, dom)))
     rng = np.random.default_rng(k)
@@ -351,13 +351,11 @@ def test_backlund_zero_data_step(dom):
 
 
 def test_backlund_chain_tuples_accepted(dom):
-    a_layers, b_layers, th_layers, cross = solve_backlund_chain(
-        demo_data(), dom, [(1.0, 0.5)]
-    )
-    assert len(a_layers) == 2 and len(th_layers) == 1
-    assert cross <= 1e-12
+    sol = solve_backlund_chain(demo_data(), dom, [(1.0, 0.5)])
+    assert len(sol.a) == len(sol.b) == 2 and len(sol.theta) == 1
+    assert sol.cross_residual <= 1e-12
     empty = solve_backlund_chain(demo_data(), dom, [])
-    assert len(empty[0]) == 1 and empty[3] == 0.0
+    assert len(empty.a) == 1 and empty.theta == [] and empty.cross_residual == 0.0
 
 
 def _count_solves(monkeypatch):
@@ -385,8 +383,7 @@ def test_backlund_chain_solves_each_layer_once(monkeypatch, dom, steps):
     # layers its theta lives on (layer 0 alone for no steps)
     calls = _count_solves(monkeypatch)
     chain = MIXED_CHAIN[:steps]
-    a_layers, _, _, _ = solve_backlund_chain(demo_data(), dom, chain)
-    assert len(a_layers) == steps + 1
+    assert len(solve_backlund_chain(demo_data(), dom, chain).a) == steps + 1
     sol = solve_goursat_3d(hirota_backlund_system(0.8), demo_data(), [t for _, t in chain], dom)
     assert sol.layers == steps and len(sol.a) == steps + 1
     assert len(backlund_surface(demo_data(), dom, chain)) == steps + 1
@@ -396,12 +393,12 @@ def test_backlund_chain_solves_each_layer_once(monkeypatch, dom, steps):
 def test_backlund_chain_constant_alpha_matches_3d_solve(dom):
     theta0 = [0.5, -0.3, 0.1]
     sol = solve_goursat_3d(hirota_backlund_system(0.8), demo_data(), theta0, dom)
-    a_layers, b_layers, th_layers, cross = solve_backlund_chain(
-        demo_data(), dom, [(0.8, t) for t in theta0])
-    for got, ref in ((a_layers, sol.a), (b_layers, sol.b), (th_layers, sol.theta)):
+    chain = solve_backlund_chain(demo_data(), dom, [(0.8, t) for t in theta0])
+    for name in ("a", "b", "theta"):
+        got, ref = getattr(chain, name), getattr(sol, name)
         assert len(got) == len(ref)
         assert all(np.array_equal(x, y) for x, y in zip(got, ref))
-    assert cross == sol.cross_residual
+    assert chain.cross == sol.cross
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 6])
@@ -410,20 +407,15 @@ def test_backlund_chain_matches_two_path_oracle(k):
     # of the two-path propagation, and so are the fields of every layer
     dom = LatticeDomain2.from_k(1.0, k)
     got = solve_backlund_chain(demo_data(), dom, MIXED_CHAIN)
-    ref = two_path_layers(hirota_system(), [(backlund_system(a), t) for a, t in MIXED_CHAIN],
-                          demo_data(), dom)
-    for layers, want in zip(got[:3], ref[:3]):
+    ref = two_path_layers(hirota_system(), _params(MIXED_CHAIN), demo_data(), dom)
+    for layers, want in zip((got.a, got.b, got.theta), ref[:3]):
         assert len(layers) == len(want)
         assert all(np.array_equal(x, y) for x, y in zip(layers, want))
-    assert got[3] <= 1e-12 and ref[3] <= 1e-12  # measured <= 5e-15 at k <= 8
+    assert got.cross_residual <= 1e-12 and ref[3] <= 1e-12  # measured <= 5e-15 at k <= 8
 
 
 def _bits(x):
     return np.asarray(x).view(np.int64)
-
-
-def _steps(chain):
-    return [(hirota_backlund_system(a), t) for a, t in chain]
 
 
 @pytest.mark.parametrize("chain", [MIXED_CHAIN, CONSTANT_CHAIN, []],
@@ -433,8 +425,8 @@ def _steps(chain):
 def test_stacked_layers_match_layer_by_layer_oracle(domain, chain):
     # the pass along the axes and the one stacked sweep keep the bits of the
     # layers solved one after another: fields, theta and each step's check
-    got = sinegordon._solve_layers(hirota_system(), _steps(chain), demo_data(), domain)
-    want = layer_by_layer(hirota_system(), _steps(chain), demo_data(), domain)
+    got = sinegordon._solve_layers(hirota_system(), _params(chain), demo_data(), domain)
+    want = layer_by_layer(hirota_system(), _params(chain), demo_data(), domain)
     for name in ("a", "b", "theta"):
         layers, ref = getattr(got, name), getattr(want, name)
         assert len(layers) == len(ref)
@@ -448,14 +440,14 @@ def test_tower_points_match_layer_by_layer_oracle(monkeypatch, k):
     # fields, theta, each step's check and the points
     solved, solve = [], surfaces._solve_layers
 
-    def recording(*args):
-        solved.append(solve(*args))
+    def recording(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
         return solved[-1]
 
     monkeypatch.setattr(surfaces, "_solve_layers", recording)
     domain = LatticeDomain2.from_k(1.0, k)
     for chain in ([], MIXED_CHAIN[:1], MIXED_CHAIN):
-        ref = layer_by_layer(hirota_system(), _steps(chain), demo_data(), domain)
+        ref = layer_by_layer(hirota_system(), _params(chain), demo_data(), domain)
         params, R = _params(chain), len(chain)
         want = _tower(EdgeField2(ref.a[0], ref.b[0], domain), 1.0, params, ref.theta, ref.cross)
         got = backlund_surface(demo_data(), domain, params)
@@ -475,10 +467,10 @@ def test_tower_points_match_layer_by_layer_oracle(monkeypatch, k):
 def test_backlund_chain_single_cell():
     # n = 1: theta has one site off the y-axis, and the tower still closes
     dom = LatticeDomain2(0.5, 0.5)  # eps*alpha and eps/alpha stay below 2
-    a_layers, b_layers, th_layers, cross = solve_backlund_chain(demo_data(), dom, MIXED_CHAIN)
-    assert [x.shape for x in a_layers] == [(1, 2)] * 4
-    assert [t.shape for t in th_layers] == [(2, 2)] * 3
-    assert cross <= 1e-12
+    sol = solve_backlund_chain(demo_data(), dom, MIXED_CHAIN)
+    assert [x.shape for x in sol.a] == [(1, 2)] * 4
+    assert [t.shape for t in sol.theta] == [(2, 2)] * 3
+    assert sol.cross_residual <= 1e-12
     tower = backlund_surface(demo_data(), dom, MIXED_CHAIN)
     assert len(tower) == 4 and all(m.n == 1 for m in tower)
 
@@ -559,7 +551,7 @@ def test_export_obj_meta_chain(tmp_path, dom):
 def test_tower_records_theta_cross_residual(dom):
     # mesh z holds the worst theta check of the z steps that built it
     tower = backlund_surface(demo_data(), dom, MIXED_CHAIN)
-    cross = solve_backlund_chain(demo_data(), dom, MIXED_CHAIN)[3]
+    cross = solve_backlund_chain(demo_data(), dom, MIXED_CHAIN).cross_residual
     assert tower[0].theta_cross_residual == 0.0
     got = [m.theta_cross_residual for m in tower]
     assert got == sorted(got) and got[-1] == cross
@@ -572,11 +564,11 @@ def test_tower_stream_memory_beyond_points():
     # lines (0.15 MB line by line)
     dom = LatticeDomain2.from_k(1.0, 8)
     chain = _params(MIXED_CHAIN)
-    a, b, th, cross = solve_backlund_chain(demo_data(), dom, chain)
-    fields = EdgeField2(a[0], b[0], dom)
+    sol = solve_backlund_chain(demo_data(), dom, chain)
+    fields = EdgeField2(sol.a[0], sol.b[0], dom)
     tracemalloc.start()
     try:
-        tower = _tower(fields, 1.0, chain, th, [cross] * len(chain))
+        tower = _tower(fields, 1.0, chain, sol.theta, sol.cross)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
