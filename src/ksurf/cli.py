@@ -16,8 +16,8 @@ quotient order is the m of the quantity quotients_order_<m>.
 Exit codes: 0 success, 1 invalid arguments or inputs, 2 numerical failure
 (blow-up, incompatibility, residual above threshold); failures print the
 offending site or residual to stderr.  Every subcommand is deterministic:
-all numerical paths are single-threaded, so identical flags give
-bit-identical results.
+identical flags give bit-identical results, also where the residual checks
+run in bands on several cores.
 
 Numbers in output files carry 17 significant digits, enough to round-trip
 float64 exactly.  Tabulated data files (--data APATH,BPATH) hold one

@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -239,6 +240,43 @@ def _require_memory(need: int, what: str, purpose: str) -> None:
     if avail is not None and need > avail:
         raise ValueError(f"{what} needs {need} bytes for {purpose}, more than the "
                          f"{avail} bytes of available memory")
+
+
+_BAND_FLOOR = 1 << 12  # the fewest sites in a band of _bands
+
+
+def _cores() -> int:  # the cores this process may run on
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _bands(rows: int, per_row: int, fn) -> list:
+    """[fn(lo, hi) for the bands [lo, hi) of range(rows)], rows of per_row sites
+    cut into one band per core, none under _BAND_FLOOR sites.  Band 0 runs in
+    the caller, the others on threads, all under the caller's np.errstate; all
+    are joined before this returns or raises the lowest failing band's error."""
+    count = max(1, min(_cores(), rows // -(-_BAND_FLOOR // max(per_row, 1))))
+    cuts, state = [rows * k // count for k in range(count + 1)], np.geterr()
+    out, errors, threads = [None] * count, [None] * count, []
+
+    def run(k):
+        try:
+            with np.errstate(**state):  # a thread starts from numpy's default state
+                out[k] = fn(cuts[k], cuts[k + 1])
+        except BaseException as exc:  # raised in the caller, lowest band first
+            errors[k] = exc
+
+    try:
+        for k in range(1, count):
+            t = threading.Thread(target=run, args=(k,))
+            t.start()
+            threads.append(t)  # once started, so that every thread listed can be joined
+        run(0)
+    finally:
+        for t in threads:
+            t.join()
+    for exc in filter(None, errors):
+        raise exc
+    return out
 
 
 def _check_data(a_row: np.ndarray, b_col: np.ndarray, eps: float) -> None:

@@ -54,7 +54,8 @@ from .goursat import (
     _save_grid,
     _step_count,
 )
-from .sinegordon import SchemeKind, backlund_eta, backlund_system, backlund_xi, system_for
+from .sinegordon import (SchemeKind, _require_backlund_step, backlund_eta, backlund_system,
+                         backlund_xi, system_for)
 
 
 @dataclass(frozen=True)
@@ -299,8 +300,11 @@ def sine_gordon_3d_spec(alpha: float, eps: float, scheme=SchemeKind.HIROTA) -> S
     The z-direction right-hand sides are the layer increments backlund_xi
     and backlund_eta of the theta increments; theta never steps in z (a
     fresh theta0 seeds each layer), so its extent in z counts layers.
+    ValueError unless eps is a step of that system whose increments stay
+    finite (the rule of check_compatibility_3d and solve_goursat_3d).
     """
     rhs6 = backlund_system(alpha, scheme)
+    _require_backlund_step(rhs6, eps)
     return SystemSpecND(
         evol=(frozenset({1, 2}), frozenset({0, 2}), frozenset({0, 1})),
         rhs={

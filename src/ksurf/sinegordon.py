@@ -48,6 +48,7 @@ from .goursat import (
     GoursatData2,
     LatticeDomain2,
     Rhs2,
+    _bands,
     _check_data,
     _raise_first_blowup,
     _read_pairs,
@@ -375,7 +376,8 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
     3. theta of all steps is filled row by row by u from the y-axis of stage
        1 (the smallest-direction rule of solve_goursat_nd), row i of every
        step in one backlund_u call, alpha a column; at every site off the
-       y-axis the v-step from the site below must agree to COMPAT_TOL.
+       y-axis the v-step from the site below must agree to COMPAT_TOL, the
+       mismatch formed in bands of rows (goursat._bands).
 
     With top false, layer R, which carries no theta, is not solved (layer 0
     is, for no steps), and the last step walks only its y-axis.
@@ -391,7 +393,7 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
     are sized together: ValueError beyond the available memory.
 
     A finite theta0 whose float spacing exceeds min(eps, 1/4) *
-    min(1, alpha, 1/alpha)^2 * 2^-30 is refused with ValueError before any
+    min(1, alpha, 1/alpha)^2 * 2^-35 is refused with ValueError before any
     solve: its rounding would swallow the increments eps*u, eps*v and alone
     drive the theta cross check past COMPAT_TOL.  A non-finite theta0 stays
     a BlowUpError.
@@ -400,11 +402,11 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
     steps = [Rhs3(rhs2, p.alpha) for p in chain]
     for rhs6, p in zip(steps, chain):
         _require_backlund_step(rhs6, eps)
-        bound = min(eps, 0.25) * min(1.0, p.alpha, 1.0 / p.alpha) ** 2 * 2.0**-30
+        bound = min(eps, 0.25) * min(1.0, p.alpha, 1.0 / p.alpha) ** 2 * 2.0**-35
         if math.isfinite(p.theta0) and math.ulp(p.theta0) > bound:
             raise ValueError(f"theta0 = {float(p.theta0)!r} is too large for eps = {eps!r}: its float "
                              f"spacing {math.ulp(p.theta0):.3g} exceeds {bound:.3g} = min(eps, 1/4) "
-                             f"* min(1, alpha, 1/alpha)^2 * 2^-30")
+                             f"* min(1, alpha, 1/alpha)^2 * 2^-35")
     _require_step(rhs2, eps)
     fields = R + 1 if top else max(R, 1)
     _require_memory(16 * n * (n + 1) * fields + 8 * (n + 1) ** 2 * R,
@@ -447,8 +449,14 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
             if not np.isfinite(th[z]).all():
                 i, j = np.unravel_index(int(np.argmin(np.isfinite(th[z]))), th[z].shape)
                 raise BlowUpError("theta", (i * eps, j * eps))
-            below = th[z, 1:, :-1]
-            mism = np.abs(below + eps * steps[z].v(b[z, 1:, :], below, eps) - th[z, 1:, 1:])
+            mism = np.empty((n, n))  # the mismatch at row i + 1 of theta is row i
+
+            def cross(lo, hi):
+                below = th[z, lo + 1 : hi + 1, :-1]
+                np.abs(below + eps * steps[z].v(b[z, lo + 1 : hi + 1], below, eps)
+                       - th[z, lo + 1 : hi + 1, 1:], out=mism[lo:hi])
+
+            _bands(n, n, cross)
             i, j = np.unravel_index(int(np.argmax(mism)), mism.shape)  # nan counts as largest
             if not mism[i, j] <= COMPAT_TOL:
                 raise CompatibilityError(float(mism[i, j]), ((i + 1) * eps, (j + 1) * eps),
@@ -469,28 +477,33 @@ def check_compatibility_3d(rhs6: Rhs3, samples: np.ndarray, eps: float) -> float
     exactly when the right-hand sides are mutually compatible.  u and v are
     each evaluated at the corner and at one neighbour, and the layer
     increments are read off from those values by backlund_xi and
-    backlund_eta.  A NaN defect makes the result NaN.  ValueError unless
-    0 < eps < rhs6.eps0, and before the work when its temporaries, 128 bytes
-    per sample, exceed the available memory.
+    backlund_eta, in bands of samples (goursat._bands) whose number does
+    not change the result.  A NaN defect makes the result NaN.  ValueError
+    unless 0 < eps < rhs6.eps0, and before the work when its temporaries,
+    128 bytes per sample, exceed the available memory.
     """
     _require_backlund_step(rhs6, eps)
-    s = np.asarray(samples, dtype=float)
+    s = np.atleast_2d(np.asarray(samples, dtype=float))
     _require_memory(128 * (s.size // 3), f"a check of {s.size // 3} samples",
                     "the temporaries of its closure identities")
-    a, b, th = s[..., 0], s[..., 1], s[..., 2]
-    with np.errstate(all="ignore"):  # a non-finite defect is returned, not warned of
-        f, g = rhs6.step(a, b, eps)
-        u = rhs6.u(a, th, eps)
-        v = rhs6.v(b, th, eps)
-        xi, eta = backlund_xi(u), backlund_eta(v, th, eps)
-        f_up, g_up = rhs6.step(a + xi, b + eta, eps)
-        th_x, th_y = th + eps * u, th + eps * v
-        u_y = rhs6.u(a + eps * f, th_y, eps)
-        v_x = rhs6.v(b + eps * g, th_x, eps)
-        id1 = (u_y - u) - (v_x - v)
-        id2 = (backlund_xi(u_y) - xi) - eps * (f_up - f)
-        id3 = (backlund_eta(v_x, th_x, eps) - eta) - eps * (g_up - g)
-    return float(np.max([np.max(np.abs(i)) for i in (id1, id2, id3)]))  # a nan stays nan
+
+    def defect(lo, hi):
+        a, b, th = s[lo:hi, ..., 0], s[lo:hi, ..., 1], s[lo:hi, ..., 2]
+        with np.errstate(all="ignore"):  # a non-finite defect is returned, not warned of
+            f, g = rhs6.step(a, b, eps)
+            u = rhs6.u(a, th, eps)
+            v = rhs6.v(b, th, eps)
+            xi, eta = backlund_xi(u), backlund_eta(v, th, eps)
+            f_up, g_up = rhs6.step(a + xi, b + eta, eps)
+            th_x, th_y = th + eps * u, th + eps * v
+            u_y = rhs6.u(a + eps * f, th_y, eps)
+            v_x = rhs6.v(b + eps * g, th_x, eps)
+            id1 = (u_y - u) - (v_x - v)
+            id2 = (backlund_xi(u_y) - xi) - eps * (f_up - f)
+            id3 = (backlund_eta(v_x, th_x, eps) - eta) - eps * (g_up - g)
+        return np.max([np.max(np.abs(i)) for i in (id1, id2, id3)])
+
+    return float(np.max(_bands(len(s), math.prod(s.shape[1:-1]), defect)))  # a nan stays nan
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _text
-from .goursat import EdgeField2, GoursatData2, LatticeDomain2, solve_goursat_2d
+from .goursat import EdgeField2, GoursatData2, LatticeDomain2, _bands, solve_goursat_2d
 from .frames import _pair, _sweep
 from .sinegordon import (
     BacklundParam,
@@ -266,44 +266,52 @@ def validate_k_surface(mesh: SurfaceMesh, phi: PhiField) -> KSurfaceReport:
     (to the previous ones); planarity is the closed-form triple products
     |(xp x yp) . xm| and |(xp x yp) . ym|, i.e. |det[xp, yp, xm]| and
     |det[xp, yp, ym]|.  A NaN the validator reads makes the residual it feeds
-    NaN.
+    NaN.  Each residual is the max over slabs of site rows (goursat._bands),
+    whose number does not change it: the slab over rows r0..r1 takes their
+    x- and y-edges and the interior vertices r0+1..r1-1.
     """
     n, eps = mesh.n, mesh.eps
     lx, ly = ell_xy(eps, mesh.lam)
     tx, ty = eps * lx, eps * ly
-    pts = np.moveaxis(mesh.points, -1, 0)
-    ex = np.subtract(pts[:, 1:], pts[:, :-1], out=np.empty((3, n, n + 1)))
-    ey = np.subtract(pts[:, :, 1:], pts[:, :, :-1], out=np.empty((3, n + 1, n)))
-    len_x, len_y = _norm(ex), _norm(ey)
-    edge = float(np.max([np.max(np.abs(len_x - tx)) / tx, np.max(np.abs(len_y - ty)) / ty]))
-    if n < 2:
-        return KSurfaceReport(edge, 0.0, 0.0, 0.0, 0)
+    pts, p = np.moveaxis(mesh.points, -1, 0), phi.phi
 
-    # the star of interior vertex (i, j): the edges out of it, xp = ex[i] and yp = ey[j],
-    # and into it, xi = ex[i-1] = -xm and yi = ey[j-1] = -ym
-    xp, xi, yp, yi = ex[:, 1:, 1:-1], ex[:, :-1, 1:-1], ey[:, 1:-1, 1:], ey[:, 1:-1, :-1]
-    vol_x = vol_y = 0.0  # (xp x yp) . xi and (xp x yp) . yi, one component of the cross at a time
-    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        w = xp[b] * yp[c] - xp[c] * yp[b]
-        vol_x, vol_y = vol_x + w * xi[a], vol_y + w * yi[a]
-    planarity = float(np.max([np.max(np.abs(vol_x)) / (tx * tx * ty),
-                              np.max(np.abs(vol_y)) / (tx * ty * ty)]))
-    del w, vol_x, vol_y
+    def slab(r0, r1):
+        m = r1 - r0
+        ex = np.subtract(pts[:, r0 + 1 : r1 + 1], pts[:, r0:r1], out=np.empty((3, m, n + 1)))
+        ey = np.subtract(pts[:, r0 : r1 + 1, 1:], pts[:, r0 : r1 + 1, :-1], out=np.empty((3, m + 1, n)))
+        len_x, len_y = _norm(ex), _norm(ey)
+        edge = np.max([np.max(np.abs(len_x - tx)) / tx, np.max(np.abs(len_y - ty)) / ty])
+        if m < 2:  # no interior vertex: n = 1
+            return edge, 0.0, 0.0, 0.0
 
-    ex /= len_x  # unit edges in place; xp .. yi now view them
-    ey /= len_y
-    del len_x, len_y
-    p = phi.phi
-    ppx, pmx, ppy, pmy = p[2:, 1:-1], p[:-2, 1:-1], p[1:-1, 2:], p[1:-1, :-2]
-    total, angle = np.zeros((n - 1, n - 1)), []
-    # corner (u, v): its cosine sign * (u . v) against sign * cos((phi_u + phi_v) / 2)
-    for u, v, sign, pu, pv in ((xp, yp, 1.0, ppx, ppy), (yp, xi, -1.0, ppy, pmx),
-                               (xi, yi, 1.0, pmx, pmy), (yi, xp, -1.0, pmy, ppx)):
-        cos = sign * _dot(u, v)
-        angle.append(np.max(np.abs(cos - sign * np.cos(0.5 * (pu + pv)))))
-        total += np.arccos(np.clip(cos, -1.0, 1.0))
-    angle_sum = float(np.max(np.abs(total - 2.0 * np.pi)))
-    return KSurfaceReport(edge, planarity, float(np.max(angle)), angle_sum, (n - 1) ** 2)
+        # the star of interior vertex (i, j): the edges out of it, xp = ex[i] and yp = ey[j],
+        # and into it, xi = ex[i-1] = -xm and yi = ey[j-1] = -ym
+        xp, xi, yp, yi = ex[:, 1:, 1:-1], ex[:, :-1, 1:-1], ey[:, 1:-1, 1:], ey[:, 1:-1, :-1]
+        vol_x = vol_y = 0.0  # (xp x yp) . xi and (xp x yp) . yi, one component of the cross at a time
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            w = xp[b] * yp[c] - xp[c] * yp[b]
+            vol_x, vol_y = vol_x + w * xi[a], vol_y + w * yi[a]
+        planarity = np.max([np.max(np.abs(vol_x)) / (tx * tx * ty),
+                            np.max(np.abs(vol_y)) / (tx * ty * ty)])
+        del w, vol_x, vol_y
+
+        ex /= len_x  # unit edges in place; xp .. yi now view them
+        ey /= len_y
+        del len_x, len_y
+        ppx, pmx = p[r0 + 2 : r1 + 1, 1:-1], p[r0 : r1 - 1, 1:-1]
+        ppy, pmy = p[r0 + 1 : r1, 2:], p[r0 + 1 : r1, :-2]
+        total, angle = np.zeros((m - 1, n - 1)), []
+        # corner (u, v): its cosine sign * (u . v) against sign * cos((phi_u + phi_v) / 2)
+        for u, v, sign, pu, pv in ((xp, yp, 1.0, ppx, ppy), (yp, xi, -1.0, ppy, pmx),
+                                   (xi, yi, 1.0, pmx, pmy), (yi, xp, -1.0, pmy, ppx)):
+            cos = sign * _dot(u, v)
+            angle.append(np.max(np.abs(cos - sign * np.cos(0.5 * (pu + pv)))))
+            total += np.arccos(np.clip(cos, -1.0, 1.0))
+        return edge, planarity, np.max(angle), np.max(np.abs(total - 2.0 * np.pi))
+
+    # band [lo, hi) of the interior rows 1..n-1 is the slab over rows lo..hi+1 (n = 1: rows 0..1)
+    worst = np.max(_bands(max(n - 1, 1), n + 1, lambda lo, hi: slab(lo, min(hi + 1, n))), axis=0)
+    return KSurfaceReport(*map(float, worst), (n - 1) ** 2)
 
 
 # ---------------------------------------------------------------------------

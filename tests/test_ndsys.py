@@ -27,6 +27,7 @@ from ksurf.ndsys import (
 )
 from ksurf.sinegordon import (
     SchemeKind,
+    backlund_system,
     check_compatibility_3d,
     hirota_backlund_system,
     hirota_system,
@@ -124,14 +125,32 @@ def test_identity_keeps_a_nan_defect():
     assert check_identity(spec, np.array([[-1.0], [-2.0]])) == 0.0
 
 
-def test_identity_nan_at_overflowing_backlund_step():
-    # at alpha = 1e308 and eps = 1.5e-308 the naive increments overflow: nan,
-    # as in check_compatibility_3d, and no numpy warning
-    spec = sine_gordon_3d_spec(1e308, 1.5e-308, SchemeKind.NAIVE)
+@pytest.mark.parametrize("alpha, eps, scheme, match", [
+    (8.0, 0.25, SchemeKind.HIROTA, "not admissible"),  # eps = eps0 = 2/alpha
+    (1e308, 1.5e-308, SchemeKind.NAIVE, "its increments reach"),  # the naive increments overflow
+    (1.0, 1e-309, SchemeKind.NAIVE, "2/eps = inf is not finite"),
+], ids=["eps0", "increments", "two_over_eps"])
+def test_spec_refuses_overflowing_backlund_step(alpha, eps, scheme, match):
+    # the spec refuses by name the steps that check_compatibility_3d refuses
+    samples = np.random.default_rng(0).uniform(-3.0, 3.0, size=(100, 3))
+    with pytest.raises(ValueError, match=match):
+        sine_gordon_3d_spec(alpha, eps, scheme)
+    with pytest.raises(ValueError, match=match):
+        check_compatibility_3d(backlund_system(alpha, scheme), samples, eps)
+    sine_gordon_3d_spec(1.0, 2.0**-6)  # the nd_lattice spec stays admissible
+
+
+def test_identity_keeps_nan():
+    # a right-hand side that returns NaN makes the defect NaN, with no numpy warning
+    spec = sine_gordon_3d_spec(1.0, 2.0**-4)
+    rhs = dict(spec.rhs)
+    orig = rhs[(2, 1)]
+    rhs[(2, 1)] = lambda s: np.where(s[1] > 0.0, np.nan, orig(s))  # NaN at about half the samples
     samples = np.random.default_rng(0).uniform(-3.0, 3.0, size=(100, 3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.isnan(check_identity(spec, samples))
+        assert np.isnan(check_identity(replace(spec, rhs=rhs), samples))
+        assert check_identity(spec, samples) <= 1e-11
 
 
 def test_identity_broken_rhs():

@@ -1,12 +1,13 @@
 """Tests for the sine-Gordon schemes, angle reconstruction, and Backlund layer."""
 
 import dataclasses
+import math
 import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ksurf import goursat, sinegordon
@@ -380,9 +381,11 @@ def test_compatibility_naive_backlund_fails():
 
 
 @pytest.mark.parametrize("scheme", list(SchemeKind))
-def test_compatibility_matches_three_identity_oracle(scheme):
+def test_compatibility_matches_three_identity_oracle(scheme, monkeypatch):
     # each of u and v is evaluated at two points, not four: 6 right-hand side
-    # calls against the reference's 10, with bitwise the same residual
+    # calls against the reference's 10, with bitwise the same residual.  The
+    # calls are counted in one band; each band makes the same calls
+    monkeypatch.setattr(goursat, "_cores", lambda: 1)
     samples = RNG.uniform(-3.0, 3.0, size=(25_000, 3))
     for alpha in (0.5, 1.0, 2.0):
         calls = {"step": 0, "u": 0, "v": 0}
@@ -493,29 +496,31 @@ class _Solved(Exception):
 
 
 def test_theta0_beyond_its_float_spacing_refused_before_solving(monkeypatch):
-    # theta0 whose ulp exceeds min(eps, 1/4) * 2^-30 would swallow the
-    # increments eps*u and eps*v; at eps = 1/8 the limit sits at |theta0| = 2^20
+    # theta0 whose ulp exceeds min(eps, 1/4) * 2^-35 would swallow the
+    # increments eps*u and eps*v; at eps = 1/8 the limit sits at |theta0| = 2^15
     def solving(*args):
         raise _Solved
 
     monkeypatch.setattr(sinegordon, "_sweep", solving)
-    monkeypatch.setattr(goursat, "_available_bytes", lambda: None)  # k = 14 needs 17 GB
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: None)  # k = 11 needs 0.27 GB
     rhs6 = hirota_backlund_system(1.0)
-    for k in range(1, 15):  # every theta0 with |theta0| <= 100 passes at k <= 14
+    for k in range(1, 12):  # every theta0 with |theta0| <= 100 passes at k <= 11
         for theta0 in (100.0, -100.0):
             with pytest.raises(_Solved):
                 solve_goursat_3d(rhs6, demo_data(), [0.5, theta0], LatticeDomain2.from_k(1.0, k))
+    with pytest.raises(ValueError, match=r"theta0 = 100\.0 is too large for eps = 0\.000244140625"):
+        solve_goursat_3d(rhs6, demo_data(), [0.5, 100.0], LatticeDomain2.from_k(1.0, 12))
     dom = LatticeDomain2.from_k(1.0, 3)
-    for theta0 in (2.0**20, -(2.0**20), 1e300, -1e300, np.finfo(float).max):
+    for theta0 in (2.0**15, -(2.0**15), 1e300, -1e300, np.finfo(float).max):
         with pytest.raises(ValueError, match=r"theta0 = .* too large for eps = 0\.125"):
             solve_goursat_3d(rhs6, demo_data(), [0.5, theta0], dom)
     for theta0 in (np.nan, np.inf):  # left to the solve, which reports a blow-up
         with pytest.raises(_Solved):
             solve_goursat_3d(rhs6, demo_data(), [theta0], dom)
     monkeypatch.undo()
-    below = np.nextafter(2.0**20, 0.0)  # one ulp is exactly eps * 2^-30: solved
+    below = np.nextafter(2.0**15, 0.0)  # one ulp is exactly eps * 2^-35: solved
     sol = solve_goursat_3d(rhs6, demo_data(), [below, -below], dom)
-    assert sol.layers == 2 and sol.cross_residual <= COMPAT_TOL  # measured 5.8e-10
+    assert sol.layers == 2 and sol.cross_residual <= COMPAT_TOL
 
 
 def _big_b_step(a, b, eps):
@@ -598,34 +603,62 @@ def test_layered_solve_sized_before_allocation(monkeypatch):
 
 
 def test_theta0_limit_is_capped_at_eps_one_quarter():
-    # at eps = 1/2 the bound eps * 2^-30 let 2^22 less one ulp through, and its
-    # rounding alone then failed the theta cross check (1.4e-9): now it is
-    # refused by name, and the limit 2^21 is the one of eps = 1/4
+    # an uncapped bound eps * 2^-30 let 2^22 less one ulp through at eps = 1/2,
+    # and its rounding alone then failed the theta cross check (1.4e-9); eps *
+    # 2^-35 would admit 2^17 less one ulp.  Both are refused by name: the limit
+    # 2^16 is the one of eps = 1/4
     rhs6, dom = hirota_backlund_system(1.0), LatticeDomain2.from_k(1.0, 1)
     with pytest.raises(ValueError, match=r"theta0 = 4194303\.9999999995 is too large for eps = 0\.5"):
         solve_goursat_3d(rhs6, demo_data(), [np.nextafter(2.0**22, 0.0)], dom)
-    below = np.nextafter(2.0**21, 0.0)
+    with pytest.raises(ValueError, match=r"theta0 = 131071\.99999999999 is too large for eps = 0\.5"):
+        solve_goursat_3d(rhs6, demo_data(), [np.nextafter(2.0**17, 0.0)], dom)
+    below = np.nextafter(2.0**16, 0.0)
     sol = solve_goursat_3d(rhs6, demo_data(), [below, -below], dom)
-    assert sol.cross_residual <= COMPAT_TOL  # measured 9.3e-10
+    assert sol.cross_residual <= COMPAT_TOL
 
 
 def test_theta0_limit_scales_with_alpha():
-    # the limit is min(eps, 1/4) * min(1, alpha, 1/alpha)^2 * 2^-30: at eps =
-    # 1/8 and alpha = 2 or 1/2 it sits at |theta0| = 2^18.  2^20 less one ulp,
-    # inside the limit of alpha = 1, failed the theta cross check at alpha = 2
-    # (1.28e-9, a CompatibilityError that did not name theta0)
-    dom, theta0 = LatticeDomain2.from_k(1.0, 3), np.nextafter(2.0**20, 0.0)
+    # the limit is min(eps, 1/4) * min(1, alpha, 1/alpha)^2 * 2^-35: at eps =
+    # 1/8 and alpha = 2 or 1/2 it sits at |theta0| = 2^13, at alpha = 1 at 2^15
+    dom, theta0 = LatticeDomain2.from_k(1.0, 3), np.nextafter(2.0**15, 0.0)
     for alpha in (2.0, 0.5):
         rhs6 = hirota_backlund_system(alpha)
-        with pytest.raises(ValueError, match=r"theta0 = 1048575\.9999999999 is too large for "
-                                             r"eps = 0\.125: its float spacing 1\.16e-10 exceeds "
-                                             r"2\.91e-11 = min\(eps, 1/4\)"):
+        with pytest.raises(ValueError, match=r"theta0 = 32767\.999999999996 is too large for "
+                                             r"eps = 0\.125: its float spacing 3\.64e-12 exceeds "
+                                             r"9\.09e-13 = min\(eps, 1/4\)"):
             solve_goursat_3d(rhs6, demo_data(), [theta0], dom)
-        below = np.nextafter(2.0**18, 0.0)
+        below = np.nextafter(2.0**13, 0.0)
         sol = solve_goursat_3d(rhs6, demo_data(), [below, -below], dom)
         assert sol.cross_residual <= COMPAT_TOL
     sol = solve_goursat_3d(hirota_backlund_system(1.0), demo_data(), [theta0], dom)
     assert sol.cross_residual <= COMPAT_TOL  # alpha = 1 keeps its limit
+
+
+@given(st.integers(1, 4), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.floats(1.0, 2.0, exclude_max=True), st.sampled_from([1.0, -1.0]))
+@settings(max_examples=300, deadline=None)
+# draws whose theta check failed (up to 17.8 COMPAT_TOL) under the bound's former 2^-30
+@example(k=2, t=0.9509013163564443, frac=1.8825687413151768, sign=-1.0)
+@example(k=1, t=9.999999999999424e-05, frac=1.5322703248541276, sign=-1.0)
+@example(k=1, t=0.9469059525969771, frac=1.6293710791580667, sign=-1.0)
+@example(k=2, t=0.00010000000000002096, frac=1.427046699047279, sign=-1.0)
+def test_theta0_near_its_bound_across_alpha(k, t, frac, sign):
+    # alpha log-uniform over the admissible range eps/2 < alpha < 2/eps, theta0
+    # in the binade whose float spacing lies in (bound/2, bound]: the solve
+    # returns or refuses theta0 by name, and its theta check never fails
+    eps = 2.0**-k
+    alpha = math.exp(math.log(eps / 2.0) + t * (math.log(2.0 / eps) - math.log(eps / 2.0)))
+    assume(eps < Rhs3(hirota_system(), alpha).eps0)  # exp may round onto the limit
+    bound = min(eps, 0.25) * min(1.0, alpha, 1.0 / alpha) ** 2 * 2.0**-35
+    theta0 = sign * frac * 2.0 ** (math.frexp(bound)[1] + 51)  # spacing 2^(e-1) <= bound = m 2^e
+    assert bound / 2 < math.ulp(theta0) <= bound
+    try:
+        sol = solve_goursat_3d(hirota_backlund_system(alpha), demo_data(), [theta0],
+                               LatticeDomain2.from_k(1.0, k))
+    except ValueError as exc:
+        assert re.match(r"theta0 = .* is too large for eps", str(exc))
+        return
+    assert sol.cross_residual <= COMPAT_TOL
 
 
 @pytest.mark.parametrize("k, corners", [
