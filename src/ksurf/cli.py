@@ -163,18 +163,18 @@ def _load_tabulated(path: str, dom: LatticeDomain2) -> np.ndarray:
         raise ValueError(
             f"{path}: {len(pairs)} rows, but the grid needs {dom.n} data sites"
         )
-    xs = [x for x, _ in pairs]
-    for i in range(1, len(xs)):
-        if xs[i] <= xs[i - 1]:
-            raise ValueError(f"{path}: x values must be strictly increasing")
-    for i, x in enumerate(xs):
-        want = i * dom.eps
-        if abs(x - want) > 1e-12 * max(1.0, abs(x)):
-            raise ValueError(
-                f"{path}: x = {x!r} does not match lattice site {want!r} "
-                f"(no interpolation is performed)"
-            )
-    return np.asarray([v for _, v in pairs], dtype=float)
+    xs, vals = np.array(pairs, dtype=float).T
+    if (xs[1:] <= xs[:-1]).any():
+        raise ValueError(f"{path}: x values must be strictly increasing")
+    want = np.arange(len(xs)) * dom.eps
+    off = ~np.isfinite(xs) | (np.abs(xs - want) > 1e-12 * np.maximum(1.0, np.abs(xs)))
+    if off.any():
+        i = int(off.argmax())
+        raise ValueError(
+            f"{path}: x = {float(xs[i])!r} does not match lattice site {float(want[i])!r} "
+            f"(no interpolation is performed)"
+        )
+    return vals
 
 
 def _resolve_data(spec: str, dom: LatticeDomain2) -> GoursatData2:

@@ -166,7 +166,6 @@ class _Sweep:
     psi: np.ndarray | None
     dpsi: np.ndarray | None
     points: list
-    origin: tuple
 
 
 def _frame_buffer(lines: int, n: int) -> np.ndarray:
@@ -199,16 +198,15 @@ def _sweep(fields: EdgeField2, lam: float, order: str = "xy", layers=(),
     steps; 'yx' walks the left column by Vd steps, then fills rows by Ud
     steps.  The lines are taken in blocks of _BLOCK_SITES sites (at least two
     lines).  The only sequential work is the frame product from one line to
-    the next, written into the block's buffer; the step planes, the
-    zero-curvature residual of every cell, the dressing by the
-    (theta_field, alpha) layers, Sym and the stored frames are computed once
-    per block.
+    the next, written into one block buffer that every block reuses; the
+    step planes, the zero-curvature residual of every cell, the dressing by
+    the (theta_field, alpha) layers, Sym and the stored frames are computed
+    once per block.
     frame=True stores the undressed frame as (n+1, n+1, 2, 2) arrays;
-    sym=True fills points[z], the Sym image after z dressings.  origin is the
-    pair (p, q) of the dressed frame at the origin, the product of the W
-    matrices there.  Those arrays, 128 (n+1)^2 bytes for the frame and 24
-    (n+1)^2 bytes per point array, are sized before anything is allocated:
-    ValueError when they exceed the available memory.
+    sym=True fills points[z], the Sym image after z dressings.  Those arrays,
+    128 (n+1)^2 bytes for the frame and 24 (n+1)^2 bytes per point array, are
+    sized before anything is allocated: ValueError when they exceed the
+    available memory.
     Raises ZeroCurvatureError when the worst cell residual exceeds tol.  A NaN
     residual is worst and ends the sweep after its line, so errors come in
     the order of a line-by-line sweep.
@@ -273,17 +271,13 @@ def _sweep(fields: EdgeField2, lam: float, order: str = "xy", layers=(),
             g = _mul(_w_planes(th[block].reshape(-1), alpha, lam), g)
             if sym:
                 _sym(g, lam, out_rows[z + 1][block])
-        if k0 == 0:
-            origin = (g[0][0], g[1][0])
         if stop or k1 > n:
             break
-        nxt = _frame_buffer(size, n)
-        _mul(_take(m, -1), buf[:, -1], out=nxt[:, 0])
-        buf = nxt
+        _mul(_take(m, -1), buf[:, -1], out=buf[:, 0])
     cell = tuple(c * eps for c in (worst_at if order == "xy" else worst_at[::-1]))
     if not (worst <= tol):
         raise ZeroCurvatureError(worst, cell, lam)
-    return _Sweep(worst, cell, psi, dpsi, points, origin)
+    return _Sweep(worst, cell, psi, dpsi, points)
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,8 @@ def _sample_axis(data, xs: np.ndarray, label: str) -> np.ndarray:
             return np.full(xs.shape, float(vals))
         if vals.shape != xs.shape:
             vals = np.asarray([data(x) for x in xs], dtype=float)
+            if vals.shape != xs.shape:
+                raise ValueError(f"{label} gives values of shape {vals.shape[1:]}, not scalars")
         return vals
     vals = np.asarray(data, dtype=float)
     if vals.shape != xs.shape:

@@ -67,9 +67,9 @@ class SweepConfig:
     the two surface quantities and bt_chain only by 'surface_bt' (a chain
     for any other quantity is refused).  What run_sweep could not measure is
     refused here, before anything is solved: fewer than three levels (no
-    slope to fit), a surface quantity with any scheme but Hirota, and a
-    quotient order m that the coarsest level, r 2^k_min <= m steps, cannot
-    form.
+    slope to fit), a surface quantity with any scheme but Hirota, a quotient
+    order m that the coarsest level, r 2^k_min <= m steps, cannot form, and
+    a lam that is not positive and finite.
     """
 
     r: float = 1.0
@@ -113,8 +113,8 @@ class SweepConfig:
             raise ValueError(f"quotient order {self.quotient_order} needs more than "
                              f"{self.quotient_order} steps per axis, but k_min = {self.k_min} "
                              f"gives r * 2^k_min = {self.r * 2**self.k_min:g}")
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
 
 
 @dataclass

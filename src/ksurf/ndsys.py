@@ -126,9 +126,7 @@ def check_identity(spec: SystemSpecND, samples: np.ndarray) -> float:
     batch at once, so the right-hand sides must be numpy-vectorized.  A NaN
     defect makes the result NaN.
     """
-    s = np.asarray(samples, dtype=float)
-    if s.ndim == 1:
-        s = s[None, :]
+    s = np.atleast_2d(np.asarray(samples, dtype=float))
     state = [s[:, l] for l in range(spec.num_fields)]
     defects = []
     with np.errstate(all="ignore"):  # a non-finite defect is returned, not warned of

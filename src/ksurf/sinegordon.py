@@ -146,9 +146,7 @@ def reconstruct_phi(fields: EdgeField2, phi00: float, scheme: SchemeKind) -> Phi
     a, b = fields.a, fields.b
     phi = np.empty((n + 1, n + 1), dtype=float)
     if scheme is SchemeKind.HIROTA:
-        phi[0, 0] = phi00
-        for i in range(n):
-            phi[i + 1, 0] = phi[i, 0] + eps * a[i, 0]
+        np.cumsum(np.r_[phi00, eps * a[:, 0]], out=phi[:, 0])
         for j in range(n):
             phi[:, j + 1] = 2.0 * b[:, j] - phi[:, j]
     else:
@@ -162,8 +160,7 @@ def reconstruct_phi(fields: EdgeField2, phi00: float, scheme: SchemeKind) -> Phi
             phi[0, n] = 2.0 * phi[0, n - 1] - phi[0, n - 2]
         else:
             phi[0, n] = phi[0, n - 1]
-        for i in range(n):
-            phi[i + 1, n] = phi[i, n] + eps * a[i, n]
+        np.cumsum(np.r_[phi[0, n], eps * a[:, n]], out=phi[:, n])
     return PhiField(phi, fields.domain, scheme)
 
 
@@ -369,15 +366,14 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
     Every layer is stepped by rhs2, and step z by Rhs3(rhs2, chain[z].alpha)
     from theta chain[z].theta0 at the origin, in three stages:
 
-    1. along the axes: step z walks theta up the y-axis of layer z by v and
-       along its x-axis by u, and the increments (xi, eta) on those axes
-       give the data of layer z + 1 (O(n) per step);
+    1. along the axes: step z walks theta up the y-axis of layer z by v,
+       into row 0 of its theta layer, and along its x-axis by u; the
+       increments (xi, eta) on those axes are the data of layer z + 1, the
+       next row of the stacked axis data (O(n) per step);
     2. one stacked goursat._sweep solves all layers, each once;
-    3. theta of all steps is filled row by row by u from the y-axis of stage
-       1 (the smallest-direction rule of solve_goursat_nd), row i of every
-       step in one backlund_u call, alpha a column; at every site off the
-       y-axis the v-step from the site below must agree to COMPAT_TOL, the
-       mismatch formed in bands of rows (goursat._bands).
+    3. theta of all steps is filled row by row by u from row 0 (the
+       smallest-direction rule of solve_goursat_nd); at every site off the
+       y-axis the v-step from the site below must agree to COMPAT_TOL.
 
     With top false, layer R, which carries no theta, is not solved (layer 0
     is, for no steps), and the last step walks only its y-axis.
@@ -411,37 +407,34 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
     fields = R + 1 if top else max(R, 1)
     _require_memory(16 * n * (n + 1) * fields + 8 * (n + 1) ** 2 * R,
                     f"a layered solve on n = {n} steps", f"{fields} field and {R} theta layers")
-    a0, b0 = data.sample(dom)
-    _check_data(a0, b0, eps)
-    axes, edges, bad = [(a0, b0)], [], None  # each layer's data; theta of each step on its y-axis
+    ax, bx = np.empty((fields, n)), np.empty((fields, n))  # the data of each layer
+    th, tx = np.empty((R, n + 1, n + 1)), np.empty(n + 1)
+    mism = np.empty((n, n))  # a step's theta mismatch at row i + 1 of theta is row i
+    ax[0], bx[0] = data.sample(dom)
+    _check_data(ax[0], bx[0], eps)
+    L = 1  # the layers with finite data
     with np.errstate(all="ignore"):  # a non-finite value is reported below, not warned of
-        for rhs6, p in zip(steps, chain):
-            a0, b0 = axes[-1]
-            ty, tx = np.empty(n + 1), np.empty(n + 1)
+        for z, (rhs6, p) in enumerate(zip(steps, chain)):
+            a0, b0, ty = ax[z], bx[z], th[z, 0]
             ty[0] = tx[0] = p.theta0
             for j in range(n):
                 ty[j + 1] = ty[j] + eps * rhs6.v(b0[j], ty[j], eps)
-            edges.append(ty)
-            if len(axes) == fields:  # the layer after this step is not solved
+            if z + 1 == fields:  # the layer after this step is not solved
                 break
             for i in range(n):
                 tx[i + 1] = tx[i] + eps * rhs6.u(a0[i], tx[i], eps)
-            nxt = (a0 + backlund_xi(rhs6.u(a0, tx[:n], eps)),
-                   b0 + backlund_eta(rhs6.v(b0, ty[:n], eps), ty[:n], eps))
-            if not (np.isfinite(nxt[0]).all() and np.isfinite(nxt[1]).all()):
-                bad = nxt
+            np.add(a0, backlund_xi(rhs6.u(a0, tx[:n], eps)), out=ax[z + 1])
+            np.add(b0, backlund_eta(rhs6.v(b0, ty[:n], eps), ty[:n], eps), out=bx[z + 1])
+            if not (np.isfinite(ax[z + 1]).all() and np.isfinite(bx[z + 1]).all()):
                 break
-            axes.append(nxt)
-        a, b, finite = _sweep(rhs2, (np.array([x for x, _ in axes]),
-                                     np.array([y for _, y in axes])), dom, 1)
-        Z = len(edges)  # the steps with theta; layers 0..Z-1 were solved
-        th = np.empty((Z, n + 1, n + 1))
-        th[:, 0] = np.reshape(edges, (Z, n + 1))
+            L += 1
+        a, b, finite = _sweep(rhs2, (ax[:L], bx[:L]), dom, 1)
+        Z = min(L, R)  # the steps with theta; layers 0..Z-1 were solved
         alpha = np.reshape([p.alpha for p in chain[:Z]], (Z, 1))
         for i in range(n if Z else 0):  # with no steps, skip n calls on empty rows
-            th[:, i + 1] = th[:, i] + eps * backlund_u(a[:Z, i], th[:, i], alpha, eps)
+            th[:Z, i + 1] = th[:Z, i] + eps * backlund_u(a[:Z, i], th[:Z, i], alpha, eps)
         sol = LayeredField3(list(a), list(b), [], dom, [])
-        for z in range(len(axes)):
+        for z in range(L):
             if not finite[z]:
                 _raise_first_blowup(a[z], b[z], eps)
             if z == Z:  # the top layer carries no theta
@@ -449,7 +442,6 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
             if not np.isfinite(th[z]).all():
                 i, j = np.unravel_index(int(np.argmin(np.isfinite(th[z]))), th[z].shape)
                 raise BlowUpError("theta", (i * eps, j * eps))
-            mism = np.empty((n, n))  # the mismatch at row i + 1 of theta is row i
 
             def cross(lo, hi):
                 below = th[z, lo + 1 : hi + 1, :-1]
@@ -463,8 +455,8 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
                                          detail=f"theta, directions x/y, layer {z}")
             sol.theta.append(th[z])
             sol.cross.append(float(mism[i, j]))
-    if bad is not None:  # stage 1 stopped at the data of the next layer
-        _check_data(*bad, eps)
+    if L < fields:  # stage 1 stopped at the data of layer L
+        _check_data(ax[L], bx[L], eps)
     return sol
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _text
 from .goursat import EdgeField2, GoursatData2, LatticeDomain2, _bands, solve_goursat_2d
-from .frames import _pair, _sweep
+from .frames import _pair, _sweep, _w_planes
 from .sinegordon import (
     BacklundParam,
     LayeredField3,
@@ -208,11 +208,11 @@ def backlund_two_route_residual(
 ) -> float:
     """Compare the dressing route with direct frame propagation.
 
-    Route A dresses the base frame by the accumulated W chain and applies
-    Sym.  Route B propagates a fresh frame (from the identity) in the
-    final-layer fields and applies Sym.  The two frames differ by the
-    constant right factor G = W_{R-1}(0,0) ... W_0(0,0), so the surfaces
-    differ by the exact rigid motion
+    Route A is the top of the tower: the base frame dressed by the
+    accumulated W chain, then Sym.  Route B propagates a fresh frame (from
+    the identity) in the final-layer fields and applies Sym.  The two frames
+    differ by the constant right factor G = W_{R-1}(0,0) ... W_0(0,0), each
+    W at theta0 of its step, so the surfaces differ by the exact rigid motion
 
         F_A = R F_B + t,  R = conjugation rotation of G,
         t = F_A(0, 0), since F_B(0, 0) = 0.
@@ -223,12 +223,12 @@ def backlund_two_route_residual(
     if not chain:
         raise ValueError("two-route comparison needs a nonempty chain")
     sol = solve_backlund_chain(data, dom, chain)
-    route_a = _sweep(EdgeField2(sol.a[0], sol.b[0], dom), lam,
-                     layers=[(th, p.alpha) for th, p in zip(sol.theta, chain)], sym=True)
-    pts_a = route_a.points[-1]
+    pts_a = _tower(EdgeField2(sol.a[0], sol.b[0], dom), lam, chain, sol.theta)[-1].points
     pts_b = surface_from_fields(EdgeField2(sol.a[-1], sol.b[-1], dom), lam)
-    rot = _rotation(*route_a.origin)  # route A's frame at the origin is G
-    mapped = pts_b @ rot.T + pts_a[0, 0]
+    g = np.ones(1, dtype=complex), np.zeros(1, dtype=complex)  # the frame at the origin
+    for p in chain:  # theta at the origin is theta0
+        g = _pair(*_w_planes(np.array([p.theta0]), p.alpha, lam)[:2], *g)
+    mapped = pts_b @ _rotation(g[0][0], g[1][0]).T + pts_a[0, 0]
     return float(np.max(_norm(np.moveaxis(pts_a - mapped, -1, 0))))
 
 

@@ -191,6 +191,17 @@ def test_tabulated_data_errors(tmp_path, capsys):
     assert ("error: nan.txt:5: could not convert string to float: 'x'"
             in capsys.readouterr().err)
 
+    # a non-finite x fails the lattice test by name: nan is false in every
+    # comparison, and inf (in the last row, so still increasing) is within its
+    # own relative tolerance of any site
+    for row, x, site in ((3, "nan", "0.375"), (7, "inf", "0.875")):
+        rows = [f"{i * 0.125:.17g} 1.0" for i in range(8)]
+        rows[row] = f"{x} 1.0"
+        (tmp_path / "x.txt").write_text("\n".join(rows) + "\n")
+        assert main(["solve", "--k", "3", "--data", "x.txt,x.txt"]) == 1
+        assert (f"error: x.txt: x = {x} does not match lattice site {site} "
+                f"(no interpolation is performed)" in capsys.readouterr().err)
+
 
 def test_blowup_exits_two(tmp_path, capsys):
     rows = [f"{i * 0.125:.17g} 1.0" for i in range(8)]
@@ -584,6 +595,11 @@ def test_converge_refuses_two_levels_before_solving(monkeypatch, capsys, tmp_pat
                  "--kref", "5"]) == 1
     assert capsys.readouterr().err == ("error: quotient order 2 needs more than 2 steps per "
                                        "axis, but k_min = 1 gives r * 2^k_min = 2\n")
+    for lam in ("nan", "inf", "0"):  # the lambda _tower would refuse after the reference solve
+        assert main(["converge", "--quantity", "surface", "--lambda", lam, "--kmin", "5",
+                     "--kmax", "9", "--kref", "11"]) == 1
+        want = f"error: lambda must be positive and finite, got {float(lam)}\n"
+        assert capsys.readouterr().err == want
     assert not list(tmp_path.iterdir())
 
 

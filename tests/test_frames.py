@@ -326,26 +326,34 @@ def _sweep_output(fields, order, layers, monkeypatch, lines):
     if lines is not None:
         monkeypatch.setattr(frames, "_BLOCK_SITES", lines * (fields.domain.n + 1))
     s = frames._sweep(fields, 0.7, order, layers, frame=True, sym=True)
-    return s.residual, s.cell, s.psi, s.dpsi, s.points, s.origin
+    return s.residual, s.cell, s.psi, s.dpsi, s.points
 
 
 @pytest.mark.parametrize("n", [1, 2, 16, 17])
 @pytest.mark.parametrize("order", ["xy", "yx"])
 def test_block_size_keeps_bits(monkeypatch, n, order):
     # two lines (the fewest a block holds), three lines and the default
-    # budget per block give the same points, frames, residual, cell and
-    # origin, bitwise
+    # budget per block give the same points, frames, residual and cell,
+    # bitwise
     fields, layers = _block_case(n)
     ref = _sweep_output(fields, order, layers, monkeypatch, 2)
     for lines in (3, None):
         monkeypatch.undo()
-        res, cell, psi, dpsi, points, origin = _sweep_output(fields, order, layers,
-                                                             monkeypatch, lines)
+        res, cell, psi, dpsi, points = _sweep_output(fields, order, layers, monkeypatch, lines)
         assert (res, cell) == ref[:2]
         assert psi.tobytes() == ref[2].tobytes() and dpsi.tobytes() == ref[3].tobytes()
         assert len(points) == 3
         assert all(p.tobytes() == q.tobytes() for p, q in zip(points, ref[4]))
-        assert np.array([origin]).tobytes() == np.array([ref[5]]).tobytes()
+
+
+def test_blocks_share_one_buffer(monkeypatch):
+    # nine blocks of two lines at n = 16, all written into one buffer
+    calls, make = [], frames._frame_buffer
+    monkeypatch.setattr(frames, "_frame_buffer", lambda *shape: calls.append(shape) or make(*shape))
+    monkeypatch.setattr(frames, "_BLOCK_SITES", 2 * 17)
+    fields, layers = _block_case(16)
+    frames._sweep(fields, 0.7, "xy", layers, frame=True, sym=True)
+    assert calls == [(2, 16)]
 
 
 @pytest.mark.parametrize("order", ["xy", "yx"])

@@ -1,6 +1,7 @@
 """Tests for the 2D Goursat solver and grid utilities."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -74,6 +75,19 @@ def test_goursat_data_sampling():
     assert np.allclose(a0m, np.sin(np.arange(4) * 0.25))
     with pytest.raises(ValueError):
         GoursatData2(a0=np.zeros(5), b0=b0).sample(dom)
+
+
+def test_non_scalar_callable_refused_by_name():
+    # a callable whose values are not scalars is refused by name once it has
+    # been called per site
+    dom = LatticeDomain2.from_k(1.0, 3)
+    for a0, shape in ((lambda x: [1.0, 2.0], (2,)), (lambda x: [x, 2 * x], (2,)),
+                      (lambda x: np.ones((2, 3)), (2, 3))):
+        with pytest.raises(ValueError, match=re.escape(f"a0 gives values of shape {shape}, "
+                                                       f"not scalars")):
+            solve_goursat_2d(hirota_system(), GoursatData2(a0, lambda y: 0.0 * y), dom)
+    with pytest.raises(ValueError, match=r"b0 gives values of shape \(2,\)"):
+        GoursatData2(lambda x: 0.0 * x, lambda y: [y, y]).sample(dom)
 
 
 def test_edge_field_shape_validation():
@@ -418,6 +432,9 @@ def test_sup_error_partial_overlap():
     p = np.zeros((5, 5))
     q = np.full((5, 5), 2.0)  # finer grid covering half the extent
     assert sup_error(p, 0.25, q, 0.125) == 2.0
+    for p, q in ((np.zeros((0, 5)), q), (p, np.zeros((5, 0)))):  # an empty grid shares nothing
+        with pytest.raises(ValueError, match="grids share no sites"):
+            sup_error(p, 0.25, q, 0.125)
 
 
 def test_field_csv_roundtrip(tmp_path):

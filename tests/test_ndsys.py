@@ -94,6 +94,12 @@ def test_identity_hirota_closes():
             assert direct <= 1e-11
 
 
+def test_identity_takes_one_sample_as_a_row():
+    spec = sine_gordon_3d_spec(1.0, 2.0**-3)
+    for s in RNG.uniform(-3.0, 3.0, size=(5, 3)):
+        assert check_identity(spec, s) == check_identity(spec, s[None, :])
+
+
 def test_identity_naive_fails():
     samples = RNG.uniform(-3.0, 3.0, size=(2000, 3))
     spec = sine_gordon_3d_spec(1.0, 2.0**-4, scheme=SchemeKind.NAIVE)
@@ -410,6 +416,16 @@ def test_solve_blowup_detection():
         solve_goursat_nd(spec, [lambda x, y: 1.2], (2.0, 2.0))
     assert exc.value.field_name == "a_0"
     assert exc.value.site == (1.0, 0.0)
+
+
+def test_solve_refuses_non_finite_data_at_its_site():
+    # a_0 is read on the x-axis and a_1 on the y-axis, before any level is solved
+    spec = sine_gordon_2d_spec(SchemeKind.HIROTA, 2.0**-3)
+    for data, name, site in (([lambda x, y: np.nan if x > 0.3 else 0.0, B0], "a_0", (0.375, 0.0)),
+                             ([A0, lambda x, y: np.inf if y == 0.5 else 1.0], "a_1", (0.0, 0.5))):
+        with pytest.raises(BlowUpError) as exc:
+            solve_goursat_nd(spec, data, 1.0)
+        assert exc.value.field_name == name and exc.value.site == site
 
 
 def test_state_csv_roundtrip(tmp_path):

@@ -266,6 +266,9 @@ def test_reconstruct_phi_hirota(solved):
     ph = reconstruct_phi(sol, 1.0, SchemeKind.HIROTA)
     assert ph.phi.shape == (sol.domain.n + 1, sol.domain.n + 1)
     assert ph.phi[0, 0] == 1.0
+    # the bottom row is the recurrence phi(x+eps, 0) = phi(x, 0) + eps a(x, 0), bitwise
+    eps = sol.domain.eps
+    assert np.array_equal(ph.phi[1:, 0], ph.phi[:-1, 0] + eps * sol.a[:, 0])
     assert phi_defining_residual(sol, ph) <= 1e-12  # measured 2.7e-13
     assert second_order_residual(ph) <= 1e-13  # measured 2.1e-15
 
@@ -274,11 +277,23 @@ def test_reconstruct_phi_naive(solved):
     sol = solved["naive"]
     phi00 = float(sol.b[0, 0])
     ph = reconstruct_phi(sol, phi00, SchemeKind.NAIVE)
+    # the right column is the recurrence by a = delta_x phi from phi(0, n), bitwise
+    n, eps = sol.domain.n, sol.domain.eps
+    assert np.array_equal(ph.phi[1:, n], ph.phi[:-1, n] + eps * sol.a[:, n])
     assert phi_defining_residual(sol, ph) <= 1e-12  # measured 1.4e-14
     # the naive scheme satisfies its own second-order form to O(eps) * eps^2
     assert second_order_residual(ph) <= 1e-10  # measured 1.8e-12
     with pytest.raises(ValueError, match="phi00"):
         reconstruct_phi(sol, phi00 + 1.0, SchemeKind.NAIVE)
+
+
+def test_reconstruct_phi_naive_one_step():
+    # at n = 1 the top row has one value below it: phi(0, 1) = phi(0, 0)
+    sol = solve_goursat_2d(naive_system(), demo_data(), LatticeDomain2(1.0, 1.0))
+    ph = reconstruct_phi(sol, float(sol.b[0, 0]), SchemeKind.NAIVE)
+    assert ph.phi[0, 1] == ph.phi[0, 0] == sol.b[0, 0]
+    assert ph.phi[1, 1] == ph.phi[0, 1] + sol.a[0, 1]
+    assert phi_defining_residual(sol, ph) <= 1e-15  # measured 2.2e-16
 
 
 def test_hirota_beats_naive_on_second_order_form(solved):

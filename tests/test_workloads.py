@@ -2,11 +2,14 @@
 
 perfbench/workloads.py is loaded by path, so a name it imports from ksurf
 that no longer exists, or a job whose output its check rejects, fails here
-before the benchmark runs.
+before the benchmark runs; so does a layer of perfbench/layertrace.py that
+no longer names a ksurf function (the trace would only record it as absent).
 """
 
+import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +34,14 @@ def test_workload_job_passes_its_check(workloads, name, tmp_path, monkeypatch):
     wl = workloads[name](1, str(tmp_path))
     wl.check(wl.job())
     wl.cleanup()
+
+
+def test_traced_layers_exist(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_layertrace",
+                                                  ROOT / "perfbench" / "layertrace.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    missing = [f"{mod}.{name}" for mod, name, _ in module.LAYERS
+               if not callable(getattr(importlib.import_module(f"ksurf.{mod}"), name, None))]
+    assert len(module.LAYERS) >= 16 and missing == []
