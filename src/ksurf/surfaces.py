@@ -225,10 +225,10 @@ def backlund_two_route_residual(
     sol = solve_backlund_chain(data, dom, chain)
     pts_a = _tower(EdgeField2(sol.a[0], sol.b[0], dom), lam, chain, sol.theta)[-1].points
     pts_b = surface_from_fields(EdgeField2(sol.a[-1], sol.b[-1], dom), lam)
-    g = np.ones(1, dtype=complex), np.zeros(1, dtype=complex)  # the frame at the origin
+    gp, gq = np.ones(1, dtype=complex), np.zeros(1, dtype=complex)  # G, the frame at the origin
     for p in chain:  # theta at the origin is theta0
-        g = _pair(*_w_planes(np.array([p.theta0]), p.alpha, lam)[:2], *g)
-    mapped = pts_b @ _rotation(g[0][0], g[1][0]).T + pts_a[0, 0]
+        gp, gq = _pair(*_w_planes(np.array([p.theta0]), p.alpha, lam)[:2], gp, gq)
+    mapped = pts_b @ _rotation(gp[0], gq[0]).T + pts_a[0, 0]
     return float(np.max(_norm(np.moveaxis(pts_a - mapped, -1, 0))))
 
 
