@@ -191,7 +191,7 @@ def _cell_residuals(f_hi, f_lo, m) -> np.ndarray:
 
 
 def _sweep(fields: EdgeField2, lam: float, order: str = "xy", layers=(),
-           frame: bool = False, sym: bool = False, tol: float = ZCC_TOL) -> _Sweep:
+           frame: bool = False, sym: bool = False) -> _Sweep:
     """Propagate, dress and Sym-project the frame of fields in one sweep.
 
     order 'xy' walks the bottom row by Ud steps, then fills columns by Vd
@@ -207,9 +207,9 @@ def _sweep(fields: EdgeField2, lam: float, order: str = "xy", layers=(),
     128 (n+1)^2 bytes for the frame and 24 (n+1)^2 bytes per point array, are
     sized before anything is allocated: ValueError when they exceed the
     available memory.
-    Raises ZeroCurvatureError when the worst cell residual exceeds tol.  A NaN
-    residual is worst and ends the sweep after its line, so errors come in
-    the order of a line-by-line sweep.
+    It raises ZeroCurvatureError when the worst cell residual exceeds ZCC_TOL
+    and it keeps frames or points.  A NaN residual is worst and ends the sweep
+    after its line, so errors come in the order of a line-by-line sweep.
     """
     n, eps = fields.domain.n, fields.domain.eps
     # axis[k, i]: edge from site i to i+1 on line k; lines[k, i]: edge from
@@ -237,21 +237,19 @@ def _sweep(fields: EdgeField2, lam: float, order: str = "xy", layers=(),
     out_rows = [rows(x) for x in points]
     dressing = [(rows(th), alpha) for th, alpha in layers]
 
-    f0 = first(axis[:1], lam, eps, norms)
-    cur = buf[:, 0]
-    cur[:, 0] = (1.0, 0.0, 0.0, 0.0)
-    for i, m in enumerate(zip(*(x[0] for x in np.broadcast_arrays(*f0)))):
-        cur[:, i + 1] = _mul(m, cur[:, i])
-
     worst, worst_at = 0.0, (0, 0)
     for k0 in range(0, n + 1, size):
         k1 = min(k0 + size, n + 1)  # lines k0..k1-1, cell rows k0..kk-1
         kk, last, stop = min(k1, n), k1 - 1, False
         if kk > k0:
             m = step(lines[k0:kk], lam, eps, norms)
-            # (p, q) of lines k0..kk, stored line by line (in order 'xy' a line of
-            # axis is strided, and so would the planes be, slowing the residual)
-            ax = first(np.ascontiguousarray(axis[k0:kk + 1]), lam, eps, norms)[:2]
+            # the planes of lines k0..kk, stored line by line (in order 'xy' a line
+            # of axis is strided, and so would the planes be, slowing the residual)
+            ax = first(np.ascontiguousarray(axis[k0:kk + 1]), lam, eps, norms)
+            if k0 == 0:  # line 0 is walked from the origin, site by site
+                buf[:, 0, 0] = (1.0, 0.0, 0.0, 0.0)
+                for i in range(n):
+                    buf[:, 0, i + 1] = _mul(_take(ax, (0, i)), buf[:, 0, i])
             res = _cell_residuals(_take(ax, np.s_[1:]), _take(ax, np.s_[:-1]), m)
             j, i = divmod(int(res.argmax()), n)  # the first NaN, else the first maximum
             if not (res[j, i] <= worst):
@@ -275,7 +273,7 @@ def _sweep(fields: EdgeField2, lam: float, order: str = "xy", layers=(),
             break
         _mul(_take(m, -1), buf[:, -1], out=buf[:, 0])
     cell = tuple(c * eps for c in (worst_at if order == "xy" else worst_at[::-1]))
-    if not (worst <= tol):
+    if (frame or sym) and not (worst <= ZCC_TOL):
         raise ZeroCurvatureError(worst, cell, lam)
     return _Sweep(worst, cell, psi, dpsi, points)
 
@@ -303,7 +301,7 @@ def zero_curvature_residual(fields: EdgeField2, lam: float):
     Returns (residual, cell) with cell the lattice coordinates (x, y) of the
     worst elementary square.
     """
-    sweep = _sweep(fields, lam, tol=np.inf)
+    sweep = _sweep(fields, lam)
     return sweep.residual, sweep.cell
 
 

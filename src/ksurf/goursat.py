@@ -12,17 +12,14 @@ stored as arrays of shape (n, n+1) and (n+1, n): index (i, j) is the site
     a(x, y+eps) = a(x, y) + eps * f(a(x, y), b(x, y))
     b(x+eps, y) = b(x, y) + eps * g(a(x, y), b(x, y))
 
-with data a(x, 0) = a0(x), b(0, y) = b0(y) has exactly one solution, filled in
-by a single sweep.  Values on one anti-diagonal i+j = d depend only on the
-previous anti-diagonal, so the sweep is vectorized along anti-diagonals and
-holds just the current one, in two contiguous slot buffers; each value is
-assigned exactly once, making the result identical (bitwise) to the naive
-lexicographic double loop.  The sweep can keep every site, or only the sites
-a coarser nested lattice shares (a convergence reference): then it costs
-O(n) memory beyond the kept arrays.  It steps the data of several layers
-together (the Backlund layers of sinegordon), one right-hand side call per
-anti-diagonal for all of them.  A lattice whose two full fields would not
-fit in the available memory is refused before anything is allocated.
+with data a(x, 0) = a0(x), b(0, y) = b0(y) has exactly one solution.  Values
+on one anti-diagonal i+j = d depend only on the previous one, so one sweep
+(_sweep) fills the lattice anti-diagonal by anti-diagonal, for the stacked
+data of any number of layers at once (the Backlund layers of sinegordon),
+keeping every site or only those a coarser nested lattice shares (a
+convergence reference).  _solve_one, behind solve_goursat_2d, solves one
+layer: it checks the step, sizes the lattice, samples and checks the data
+and reports a blow-up at its site.
 """
 
 from __future__ import annotations
@@ -195,20 +192,11 @@ def _require_step(rhs, eps: float) -> None:
 
 
 def solve_goursat_2d(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2) -> EdgeField2:
-    """Solve the discrete Goursat problem by the anti-diagonal sweep.
-
-    Each anti-diagonal is stepped on two contiguous slot buffers, one per
-    field, and then copied into the row-major fields (_sweep with one layer);
-    every value is assigned once, so the result is bitwise that of the
-    lexicographic double loop.
-
-    Raises ValueError for a step eps the rhs does not admit and, before
-    allocating anything, when the two fields would not fit in the memory
-    available on the machine.  Raises BlowUpError at the first site (in sweep
-    order) where a non-finite value appears: the systems here are nonlinear
-    and can blow up for large data on large domains.
+    """Solve the discrete Goursat problem by the anti-diagonal sweep: every
+    value is assigned once, so the result is bitwise that of the
+    lexicographic double loop.  The errors are those of _solve_one.
     """
-    return _sweep(rhs, data, dom, 1)
+    return _solve_one(rhs, data, dom, 1)
 
 
 _MEMINFO = "/proc/meminfo"  # Linux; its MemAvailable counts reclaimable page cache too
@@ -291,53 +279,64 @@ def _check_data(a_row: np.ndarray, b_col: np.ndarray, eps: float) -> None:
             raise BlowUpError("data", (at, 0.0) if axis == 0 else (0.0, at))
 
 
-def _sweep(rhs: Rhs2, data, dom: LatticeDomain2, every: int):
-    """The anti-diagonal sweep of one layer or of L stacked layers, keeping
-    only the sites i = j = 0 (mod every).
+def _solve_one(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2, every: int) -> EdgeField2:
+    """One layer's solve, kept at the sites i = j = 0 (mod every) as an
+    EdgeField2 on LatticeDomain2(r, eps*every).
 
-    data is the GoursatData2 of one layer, or the axis samples of L layers
-    as a pair (a0, b0) of finite (L, n) arrays.  The current anti-diagonal d
-    lives in two slot buffers, A[i] = a[i, d-i] indexed by i and
-    B[n-1-d+i] = b[i, d-i] indexed by reversed j; for L layers slot i is a
-    contiguous row of L values, one per layer.  A starts as the a0 samples
-    and B as the b0 samples reversed.  The cell (i, d-i) moves a[i, d-i] to
-    a[i, d-i+1] and b[i, d-i] to b[i+1, d-i], each within its own slot, so
-    one step of every layer is one rhs.step on two contiguous views and an
-    in-place update, with the arithmetic of the double loop.  The kept sites of each new
-    anti-diagonal are then copied out: every every-th slot of every
-    every-th anti-diagonal.  Each layer's kept fields are bitwise its full
-    solve at those sites; memory beyond them is O(L n).  A slot only ever
-    gains eps*f, so a value that went non-finite leaves its slot non-finite
-    to the end: one test of the final slots finds any blow-up of a layer.
-
-    One layer is sized first: ValueError when its two fields, 16 n (n+1)
-    bytes, exceed the available memory (the blow-up report below may need
-    them).  Its non-finite data is a BlowUpError from _check_data, and its
-    result an EdgeField2 on LatticeDomain2(r, eps*every); a blow-up is a
-    BlowUpError at the first non-finite site in sweep order, from the fields
-    when every = 1 and otherwise from a full re-solve of the same axis
-    samples.  A stack is sized, and its blow-ups reported, by the caller:
-    the result is its kept fields as (L, nc, nc+1) and (L, nc+1, nc) arrays,
-    and per layer whether it stayed finite.
+    ValueError for a step eps the rhs does not admit, for an every that does
+    not divide n, and, before the data are sampled, when the two full fields,
+    16 n (n+1) bytes, exceed the available memory (a blow-up report may need
+    them).  BlowUpError 'data' at the first non-finite sample (_check_data),
+    otherwise at the first site in sweep order where a non-finite value
+    appears: the systems here are nonlinear and can blow up for large data
+    on large domains.  With every > 1 that site comes from a full re-solve
+    of the same samples.
     """
     _require_step(rhs, dom.eps)
-    n, eps = dom.n, dom.eps
-    kept = LatticeDomain2(dom.r, eps * every)  # ValueError unless every divides n
-    nc = kept.n
-    one = isinstance(data, GoursatData2)
-    if one:
-        _require_memory(16 * n * (n + 1), f"a lattice of n = {n} steps", "its two fields")
-        a_row, b_col = data.sample(dom)
-        _check_data(a_row, b_col, eps)
-        data = a_row, b_col
-    a0, b0 = data
+    kept = LatticeDomain2(dom.r, dom.eps * every)  # ValueError unless every divides n
+    _require_memory(16 * dom.n * (dom.n + 1), f"a lattice of n = {dom.n} steps", "its two fields")
+    a0, b0 = data.sample(dom)
+    _check_data(a0, b0, dom.eps)
+    samples = a0[None], b0[None]  # a stack of one layer
+    a, b, finite = _sweep(rhs, samples, dom, every)
+    if not finite[0]:
+        if every > 1:
+            a, b, _ = _sweep(rhs, samples, dom, 1)
+        _raise_first_blowup(a[0], b[0], dom.eps)
+        raise AssertionError(f"the sweep went non-finite but no site of the full lattice did "
+                             f"(rhs {rhs.name!r} is not deterministic)")
+    return EdgeField2(a[0], b[0], kept)
+
+
+def _sweep(rhs: Rhs2, samples, dom: LatticeDomain2, every: int):
+    """The anti-diagonal sweep of L stacked layers, keeping only the sites
+    i = j = 0 (mod every, which divides n).
+
+    samples is the pair (a0, b0) of (L, n) axis samples.  The current
+    anti-diagonal d lives in two slot buffers, A[i] = a[i, d-i] indexed by i
+    and B[n-1-d+i] = b[i, d-i] indexed by reversed j, slot i a contiguous
+    row of L values, one per layer.  A starts as the a0 samples and B as the
+    b0 samples reversed.  The cell (i, d-i) moves a[i, d-i] to a[i, d-i+1]
+    and b[i, d-i] to b[i+1, d-i], each within its own slot, so one step of
+    every layer is one rhs.step on two contiguous views and an in-place
+    update, with the arithmetic of the double loop.  The kept sites of each
+    new anti-diagonal are then copied out: every every-th slot of every
+    every-th anti-diagonal.  Returns (a, b, finite): the kept fields as
+    (L, nc, nc+1) and (L, nc+1, nc) arrays, nc = n/every, each layer's
+    bitwise its full solve at those sites, and per layer whether it stayed
+    finite.  Memory beyond them is O(L n).  A slot only ever gains eps*f, so
+    a value that went non-finite leaves its slot non-finite to the end: one
+    test of the final slots finds any blow-up of a layer.
+    """
+    n, eps, nc = dom.n, dom.eps, dom.n // every
+    a0, b0 = samples
     A, B = a0.T.copy(), b0.T[::-1].copy()  # slot i of every layer is row i
-    stack = a0.shape[:-1]
-    a, b = np.empty(stack + (nc, nc + 1)), np.empty(stack + (nc + 1, nc))
-    a[..., 0], b[..., 0, :] = a0[..., ::every], b0[..., ::every]
-    af, bf = a.reshape(stack + (-1,)).T, b.reshape(stack + (-1,)).T  # site k is row k
+    L = len(a0)
+    a, b = np.empty((L, nc, nc + 1)), np.empty((L, nc + 1, nc))
+    a[:, :, 0], b[:, 0] = a0[:, ::every], b0[:, ::every]
+    af, bf = a.reshape(L, -1).T, b.reshape(L, -1).T  # site k is row k
     sb = max(nc - 1, 1)  # b's stride; at nc = 1 every diagonal has one kept site
-    with np.errstate(all="ignore"):  # a blow-up is reported below, not warned of
+    with np.errstate(all="ignore"):  # a blow-up is the caller's to report, not warned of
         for d in range(2 * n - 1):
             lo, hi = max(0, d - n + 1), min(d, n - 1)
             av, bv = A[lo : hi + 1], B[n - 1 - d + lo : n - d + hi]
@@ -353,17 +352,7 @@ def _sweep(rhs: Rhs2, data, dom: LatticeDomain2, every: int):
                 i0, i1 = -(-(lo + 1) // every), (hi + 1) // every
                 bf[e + i0 * (nc - 1) : e + i1 * (nc - 1) + 1 : sb] = \
                     bv[i0 * every - lo - 1 :: every]
-    finite = np.isfinite(A).all(axis=0) & np.isfinite(B).all(axis=0)
-    if not one:
-        return a, b, finite
-    if not finite:
-        if every == 1:
-            _raise_first_blowup(a, b, eps)
-        else:  # the samples taken above, now at every site
-            _sweep(rhs, GoursatData2(a_row, b_col), dom, 1)
-        raise AssertionError(f"the sweep went non-finite but no site of the full lattice did "
-                             f"(rhs {rhs.name!r} is not deterministic)")
-    return EdgeField2(a, b, kept)
+    return a, b, np.isfinite(A).all(axis=0) & np.isfinite(B).all(axis=0)
 
 
 def _raise_first_blowup(a: np.ndarray, b: np.ndarray, eps: float) -> None:

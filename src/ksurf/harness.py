@@ -29,7 +29,7 @@ import numpy as np
 from .goursat import (
     GoursatData2,
     LatticeDomain2,
-    _sweep,
+    _solve_one,
     delta_x,
     delta_y,
     solve_goursat_2d,
@@ -69,7 +69,7 @@ class SweepConfig:
     refused here, before anything is solved: fewer than three levels (no
     slope to fit), a surface quantity with any scheme but Hirota, a quotient
     order m that the coarsest level, r 2^k_min <= m steps, cannot form, and
-    a lam that is not positive and finite.
+    an r or a lam that is not positive and finite.
     """
 
     r: float = 1.0
@@ -107,8 +107,8 @@ class SweepConfig:
                 f"k_ref = {self.k_ref} too close to k_max = {self.k_max}; "
                 f"the reference must be at least two levels finer"
             )
-        if self.r <= 0:
-            raise ValueError("r must be positive")
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise ValueError(f"r must be positive and finite, got {self.r}")
         if q == "quotients" and self.r * 2**self.k_min <= self.quotient_order:
             raise ValueError(f"quotient order {self.quotient_order} needs more than "
                              f"{self.quotient_order} steps per axis, but k_min = {self.k_min} "
@@ -141,8 +141,11 @@ def fit_slope(rows: Sequence) -> tuple:
         raise ValueError(f"need at least 3 rows to fit a slope, got {len(rows)}")
     eps = np.array([row[0] for row in rows], dtype=float)
     err = np.array([row[1] for row in rows], dtype=float)
-    if np.any(err <= 0) or np.any(eps <= 0):
-        raise ValueError("slope fit needs positive eps and errors")
+    for name, vals in (("eps", eps), ("error", err)):
+        bad = ~(np.isfinite(vals) & (vals > 0))
+        if bad.any():
+            raise ValueError(f"slope fit needs positive finite eps and errors, got {name} = "
+                             f"{float(vals[bad][0])}")
     slope, intercept = np.polyfit(np.log(eps), np.log(err), 1)
     return float(slope), float(intercept)
 
@@ -187,7 +190,7 @@ def _measured(cfg: SweepConfig, data: GoursatData2, dom: LatticeDomain2, every: 
     rhs = system_for(cfg.scheme)
     if cfg.quantity == "fields_ab":
         # every level is a plain solve, the entry point that layer tracers wrap
-        sol = solve_goursat_2d(rhs, data, dom) if every == 1 else _sweep(rhs, data, dom, every)
+        sol = solve_goursat_2d(rhs, data, dom) if every == 1 else _solve_one(rhs, data, dom, every)
         yield "a", sol.a
         yield "b", sol.b
         return

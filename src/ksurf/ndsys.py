@@ -38,6 +38,7 @@ as that of any site-by-site enumeration compatible with the dependency order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -51,6 +52,7 @@ from .goursat import (
     _check_grid,
     _load_grid,
     _require_memory,
+    _require_step,
     _save_grid,
     _step_count,
 )
@@ -128,18 +130,17 @@ def check_identity(spec: SystemSpecND, samples: np.ndarray) -> float:
     """
     s = np.atleast_2d(np.asarray(samples, dtype=float))
     state = [s[:, l] for l in range(spec.num_fields)]
+    shifted = functools.cache(lambda i: _shifted_state(spec, state, i))  # formed once, when asked
     defects = []
     with np.errstate(all="ignore"):  # a non-finite defect is returned, not warned of
         for k in range(spec.num_fields):
             dirs = sorted(spec.evol[k])
             for ai, i in enumerate(dirs):
                 for j in dirs[ai + 1 :]:
-                    lhs = spec.eps[i] * spec.rhs[(k, i)](state) + spec.eps[j] * spec.rhs[
-                        (k, j)
-                    ](_shifted_state(spec, state, i))
-                    rhs = spec.eps[j] * spec.rhs[(k, j)](state) + spec.eps[i] * spec.rhs[
-                        (k, i)
-                    ](_shifted_state(spec, state, j))
+                    lhs = (spec.eps[i] * spec.rhs[(k, i)](state)
+                           + spec.eps[j] * spec.rhs[(k, j)](shifted(i)))
+                    rhs = (spec.eps[j] * spec.rhs[(k, j)](state)
+                           + spec.eps[i] * spec.rhs[(k, i)](shifted(j)))
                     defects.append(np.max(np.abs(lhs - rhs)))
     return float(np.max(defects, initial=0.0))  # a nan stays nan
 
@@ -277,13 +278,15 @@ def load_state_csv(path) -> tuple:
 
 
 def sine_gordon_2d_spec(scheme, eps: float) -> SystemSpecND:
-    """The two-field planar system as a SystemSpecND (directions x=0, y=1)."""
-    step = system_for(scheme).step
+    """The two-field planar system as a SystemSpecND (directions x=0, y=1);
+    ValueError unless eps is a step of system_for(scheme)."""
+    rhs = system_for(scheme)
+    _require_step(rhs, eps)
     return SystemSpecND(
         evol=(frozenset({1}), frozenset({0})),
         rhs={
-            (0, 1): lambda s: step(s[0], s[1], eps)[0],
-            (1, 0): lambda s: step(s[0], s[1], eps)[1],
+            (0, 1): lambda s: rhs.step(s[0], s[1], eps)[0],
+            (1, 0): lambda s: rhs.step(s[0], s[1], eps)[1],
         },
         deps={(0, 1): frozenset({0, 1}), (1, 0): frozenset({0, 1})},
         eps=(eps, eps),

@@ -384,9 +384,11 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
     step z (BlowUpError 'theta'), its failed check (CompatibilityError at
     the worst site), then non-finite data of layer z + 1 (BlowUpError
     'data'; stage 1 stops there).  Before anything is allocated, each step
-    must admit eps (_require_backlund_step), and the field layers
-    (16 n (n+1) bytes each) and the R theta layers (8 (n+1)^2 bytes each)
-    are sized together: ValueError beyond the available memory.
+    must admit eps (_require_backlund_step), and the solve is sized, each
+    array counted as 8 (n+1)^2 bytes: two per field layer (its fields and
+    axis data), one per theta layer, the theta mismatch array and, with a
+    step, the four temporaries the cross check's bands hold at once.
+    ValueError when that exceeds the available memory.
 
     A finite theta0 whose float spacing exceeds min(eps, 1/4) *
     min(1, alpha, 1/alpha)^2 * 2^-35 is refused with ValueError before any
@@ -405,7 +407,7 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
                              f"* min(1, alpha, 1/alpha)^2 * 2^-35")
     _require_step(rhs2, eps)
     fields = R + 1 if top else max(R, 1)
-    _require_memory(16 * n * (n + 1) * fields + 8 * (n + 1) ** 2 * R,
+    _require_memory(8 * (n + 1) ** 2 * (2 * fields + R + 1 + 4 * (R > 0)),
                     f"a layered solve on n = {n} steps", f"{fields} field and {R} theta layers")
     ax, bx = np.empty((fields, n)), np.empty((fields, n))  # the data of each layer
     th, tx = np.empty((R, n + 1, n + 1)), np.empty(n + 1)

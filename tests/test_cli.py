@@ -432,9 +432,9 @@ def test_check_increment_bound_boundary(capsys, scheme):
 
 
 def test_backlund_layers_beyond_memory_exit_one(monkeypatch, capsys, tmp_path):
-    # n = 8192 and 40 steps: the tower solves 40 field layers of 16 n (n+1)
-    # bytes (not layer 40) and 40 theta layers of 8 (n+1)^2 bytes, 64.4 GB;
-    # 8 GiB hold one layer's fields
+    # n = 8192 and 40 steps: the tower solves 40 field layers (not layer 40)
+    # and 40 theta layers, counted with the cross check as 125 arrays of
+    # 8 (n+1)^2 bytes, 67.1 GB; 8 GiB hold one layer's fields
     def never(*args):
         raise AssertionError("solved beyond memory")
 
@@ -442,7 +442,7 @@ def test_backlund_layers_beyond_memory_exit_one(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(sinegordon, "_sweep", never)
     monkeypatch.chdir(tmp_path)
     n = 8192
-    need = 16 * n * (n + 1) * 40 + 8 * (n + 1) ** 2 * 40
+    need = 8 * (n + 1) ** 2 * (2 * 40 + 40 + 1 + 4)
     assert 16 * n * (n + 1) < 2**33 < need
     assert main(["backlund", "--k", "13", *["--alpha", "1", "--theta0", "0.5"] * 40]) == 1
     assert capsys.readouterr().err == (f"error: a layered solve on n = 8192 steps needs {need} "
@@ -584,7 +584,7 @@ def test_converge_refuses_two_levels_before_solving(monkeypatch, capsys, tmp_pat
         raise AssertionError("solved a sweep with no slope to fit")
 
     monkeypatch.setattr(harness, "solve_goursat_2d", never)
-    monkeypatch.setattr(harness, "_sweep", never)
+    monkeypatch.setattr(harness, "_solve_one", never)
     assert main(["converge", "--kmin", "1", "--kmax", "2", "--kref", "4"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: k_min..k_max = 1..2 gives fewer than the 3 levels")

@@ -15,7 +15,7 @@ from ksurf.goursat import (
     GoursatData2,
     LatticeDomain2,
     Rhs2,
-    _sweep,
+    _solve_one,
     delta_x,
     delta_y,
     load_field_csv,
@@ -195,7 +195,7 @@ def _first_blowup(rhs, data, dom):
     site."""
     found = []
     for solve in (solve_goursat_2d, strided_sweep,
-                  lambda *args: _sweep(*args, 2), lambda *args: _sweep(*args, 4)):
+                  lambda *args: _solve_one(*args, 2), lambda *args: _solve_one(*args, 4)):
         with pytest.raises(BlowUpError) as exc:
             solve(rhs, data, dom)
         found.append(exc.value)
@@ -287,7 +287,7 @@ def test_kept_sweep_memory_beyond_kept_sites():
     dom = LatticeDomain2.from_k(1.0, 10)
     tracemalloc.start()
     try:
-        sol = _sweep(hirota_system(), demo_data(), dom, 4)
+        sol = _solve_one(hirota_system(), demo_data(), dom, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -315,8 +315,8 @@ def test_slot_sweep_matches_strided_oracle(system, k, r):
         for every in (1, 2, 4, 8):
             if dom.n % every:
                 continue
-            sol = solve_goursat_2d(rhs, data, dom) if every == 1 else _sweep(rhs, data, dom,
-                                                                             every)
+            solve = solve_goursat_2d if every == 1 else lambda *args: _solve_one(*args, every)
+            sol = solve(rhs, data, dom)
             assert sol.domain == LatticeDomain2(r, dom.eps * every)
             assert np.array_equal(sol.a.view(np.int64), ref.a[::every, ::every].view(np.int64))
             assert np.array_equal(sol.b.view(np.int64), ref.b[::every, ::every].view(np.int64))
@@ -328,14 +328,14 @@ def test_oversized_lattice_refused_before_allocation(monkeypatch, every):
     # of available memory refuses the lattice, in kept-site mode as well
     dom = LatticeDomain2.from_k(1.0, 4)
     monkeypatch.setattr(goursat, "_available_bytes", lambda: 16 * 16 * 17)
-    assert _sweep(hirota_system(), demo_data(), dom, every).domain.n == 16 // every
+    assert _solve_one(hirota_system(), demo_data(), dom, every).domain.n == 16 // every
 
     def never(x):
         raise AssertionError("data sampled for a refused lattice")
 
     monkeypatch.setattr(goursat, "_available_bytes", lambda: 16 * 16 * 17 - 1)
     with pytest.raises(ValueError, match="needs 4352 bytes for its two fields"):
-        _sweep(hirota_system(), GoursatData2(never, never), dom, every)
+        _solve_one(hirota_system(), GoursatData2(never, never), dom, every)
 
 
 def test_size_guard_counts_reclaimable_memory(monkeypatch, tmp_path):
@@ -350,11 +350,11 @@ def test_size_guard_counts_reclaimable_memory(monkeypatch, tmp_path):
                        "MemAvailable:    5 kB\nCached:          1 kB\n")
     monkeypatch.setattr(goursat, "_MEMINFO", str(meminfo))
     assert goursat._available_bytes() == 5 * 1024
-    assert _sweep(hirota_system(), demo_data(), dom, 4).domain.n == 4
+    assert _solve_one(hirota_system(), demo_data(), dom, 4).domain.n == 4
     monkeypatch.setattr(goursat, "_MEMINFO", str(tmp_path / "missing"))
     assert goursat._available_bytes() == 4096
     with pytest.raises(ValueError, match="more than the 4096 bytes of available memory"):
-        _sweep(hirota_system(), demo_data(), dom, 4)
+        _solve_one(hirota_system(), demo_data(), dom, 4)
 
 
 @pytest.mark.parametrize("every", [2, 4])
@@ -369,7 +369,7 @@ def test_kept_blowup_resolves_the_same_samples(every):
     rhs = Rhs2(step=lambda a, b, eps: (np.where(a > 0.9, np.inf, 0.0), np.zeros_like(b)),
                eps0=np.inf, name="bad")
     with pytest.raises(BlowUpError) as exc:
-        _sweep(rhs, GoursatData2(a0=a0, b0=lambda y: 0.0), LatticeDomain2(1.0, 0.25), every)
+        _solve_one(rhs, GoursatData2(a0=a0, b0=lambda y: 0.0), LatticeDomain2(1.0, 0.25), every)
     assert (exc.value.field_name, exc.value.site) == ("a", (0.0, 0.25))
 
 
@@ -383,7 +383,7 @@ def test_kept_blowup_not_reproduced_is_an_error():
         return np.full_like(a, np.nan if len(calls) == 1 else 0.0), np.zeros_like(b)
 
     with pytest.raises(AssertionError, match="not deterministic"):
-        _sweep(Rhs2(step, np.inf, "once"), demo_data(), LatticeDomain2(1.0, 0.25), 2)
+        _solve_one(Rhs2(step, np.inf, "once"), demo_data(), LatticeDomain2(1.0, 0.25), 2)
 
 
 def test_non_finite_data_rejected():

@@ -57,8 +57,9 @@ def test_sweep_config_validation():
     assert SweepConfig(k_min=1, k_max=3, k_ref=5).k_max == 3
     with pytest.raises(ValueError, match="k_ref"):
         SweepConfig(k_min=4, k_max=6, k_ref=7)  # reference too close
-    with pytest.raises(ValueError, match="r must"):
-        SweepConfig(r=0.0)
+    for r in (0.0, -1.0, math.nan, math.inf):  # refused before LatticeDomain2 sees it
+        with pytest.raises(ValueError, match=f"r must be positive and finite, got {r}"):
+            SweepConfig(r=r)
     with pytest.raises(ValueError, match="lambda"):
         SweepConfig(lam=-1.0)
     with pytest.raises(ValueError, match="quotient_order"):
@@ -97,6 +98,12 @@ def test_fit_slope_validation():
         fit_slope([(0.5, 0.1), (0.25, 0.05)])
     with pytest.raises(ValueError, match="positive"):
         fit_slope([(0.5, 0.1), (0.25, 0.0), (0.125, 0.01)])
+    # a non-finite eps or error is refused by name, not fitted to a nan slope
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"got error = {bad}"):
+            fit_slope([(0.5, bad), (0.25, 1.0), (0.125, 0.5)])
+        with pytest.raises(ValueError, match=f"got eps = {bad}"):
+            fit_slope([(bad, 0.1), (0.25, 1.0), (0.125, 0.5)])
 
 
 def test_run_sweep_fields():
@@ -188,14 +195,14 @@ def test_fields_sweep_holds_one_level_at_a_time(monkeypatch):
     # the kept reference, the k_max level and one comparison's temporaries
     # (measured 0.80 MB; 17.4 MB with the whole reference and every level held)
     cfg, data = SweepConfig(k_min=4, k_max=7, k_ref=10), demo_data()
-    held, sweep = [], harness._sweep
+    held, solve = [], harness._solve_one
 
     def recording(rhs, data, dom, every):
         held.append((dom.n, tracemalloc.get_traced_memory()[0]))
-        return sweep(rhs, data, dom, every)
+        return solve(rhs, data, dom, every)
 
-    monkeypatch.setattr(harness, "_sweep", recording)  # the reference
-    monkeypatch.setattr(goursat, "_sweep", recording)  # the levels, in solve_goursat_2d
+    monkeypatch.setattr(harness, "_solve_one", recording)  # the reference
+    monkeypatch.setattr(goursat, "_solve_one", recording)  # the levels, in solve_goursat_2d
     run_sweep(cfg, data)  # warm caches outside the measurement
     held.clear()
     tracemalloc.start()

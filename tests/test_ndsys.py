@@ -146,6 +146,35 @@ def test_spec_refuses_overflowing_backlund_step(alpha, eps, scheme, match):
     sine_gordon_3d_spec(1.0, 2.0**-6)  # the nd_lattice spec stays admissible
 
 
+@pytest.mark.parametrize("scheme, eps", [
+    (SchemeKind.HIROTA, 2.0), (SchemeKind.HIROTA, np.nan), (SchemeKind.HIROTA, 0.0),
+    (SchemeKind.NAIVE, np.inf), (SchemeKind.NAIVE, np.nan), (SchemeKind.NAIVE, -0.25),
+])
+def test_2d_spec_refuses_inadmissible_step(scheme, eps):
+    # the planar spec runs the step check of its scheme, as the 3D spec does
+    with pytest.raises(ValueError, match=f"step eps = {eps} is not admissible for rhs "
+                                         f"'{scheme.value}'"):
+        sine_gordon_2d_spec(scheme, eps)
+    assert sine_gordon_2d_spec(scheme, 0.125).eps == (0.125, 0.125)
+
+
+def test_identity_forms_each_shifted_state_once():
+    # three directions of the 3D spec: three shifted states of two stepped
+    # fields each (6 calls) and four calls per direction pair (12); the 2D
+    # spec has no pair and calls no right-hand side
+    for spec, want in ((sine_gordon_3d_spec(1.0, 2.0**-4), 18),
+                       (sine_gordon_2d_spec(SchemeKind.HIROTA, 2.0**-4), 0)):
+        calls = []
+
+        def counted(f):
+            return lambda s: calls.append(1) or f(s)
+
+        counting = replace(spec, rhs={key: counted(f) for key, f in spec.rhs.items()})
+        samples = RNG.uniform(-3.0, 3.0, size=(50, spec.num_fields))
+        assert check_identity(counting, samples) == check_identity(spec, samples)
+        assert len(calls) == want
+
+
 def test_identity_keeps_nan():
     # a right-hand side that returns NaN makes the defect NaN, with no numpy warning
     spec = sine_gordon_3d_spec(1.0, 2.0**-4)

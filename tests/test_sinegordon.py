@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -599,10 +600,11 @@ def test_top_layer_not_solved_for_the_tower():
 
 
 def test_layered_solve_sized_before_allocation(monkeypatch):
-    # n = 8: three field layers of 16 n (n+1) bytes and two theta layers of
-    # 8 (n+1)^2 bytes, sized together before the data are sampled
+    # n = 8: arrays of 8 (n+1)^2 bytes, two for each of three field layers, one
+    # for each of two theta layers, the mismatch array and four temporaries of
+    # the cross check, sized together before the data are sampled
     dom, rhs6 = LatticeDomain2.from_k(1.0, 3), hirota_backlund_system(1.0)
-    need = 3 * 16 * 8 * 9 + 2 * 8 * 81
+    need = 8 * 81 * (2 * 3 + 2 + 1 + 4)
     monkeypatch.setattr(goursat, "_available_bytes", lambda: need)
     assert solve_goursat_3d(rhs6, demo_data(), [0.5, -0.25], dom).layers == 2
 
@@ -615,6 +617,29 @@ def test_layered_solve_sized_before_allocation(monkeypatch):
                                          f"for 3 field and 2 theta layers, more than the "
                                          f"{need - 1} bytes of available memory"):
         solve_goursat_3d(rhs6, GoursatData2(never, never), [0.5, -0.25], dom)
+
+
+@pytest.mark.parametrize("chain, top", [
+    ([(1.0, 0.5)], True),
+    ([(1.0, 0.5), (0.5, -0.25), (2.0, 0.1)], True),
+    ([(1.0, 0.5), (0.5, -0.25), (2.0, 0.1)], False),  # the tower's solve
+], ids=["one_step", "three_steps", "tower"])
+def test_layered_solve_peak_within_its_guard(monkeypatch, chain, top):
+    # at k = 8 the traced peak is the cross check's: the fields, theta, the
+    # mismatch array and four band temporaries.  Measured at 0.95-0.999 of
+    # the guarded bytes; the guard before counted only fields and theta, and
+    # the peak was 1.46-1.90 times that
+    dom, guarded = LatticeDomain2.from_k(1.0, 8), []
+    monkeypatch.setattr(sinegordon, "_require_memory", lambda need, *args: guarded.append(need))
+    chain = [BacklundParam(*p) for p in chain]
+    sinegordon._solve_layers(hirota_system(), chain, demo_data(), dom, top)  # warm caches
+    tracemalloc.start()
+    try:
+        sinegordon._solve_layers(hirota_system(), chain, demo_data(), dom, top)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= guarded[-1]
 
 
 def test_theta0_limit_is_capped_at_eps_one_quarter():

@@ -1,0 +1,240 @@
+"""One SHA-256 over ksurf's outputs, to tell whether two revisions give the
+same bits and messages.
+
+    python3 tools/bit_digest.py [CHECKOUT]
+
+CHECKOUT (default: the checkout this file is in) is the tree whose src/ksurf
+is imported.  The digest covers, in this order:
+
+* at k = 1, 2, 3, 6, 8, 10 (r = 1, demo data): the fields and phi of both
+  schemes; zero_curvature_residual of both; propagate_frame of the Hirota
+  fields in both orders; _solve_layers of the empty, 1-step and 3-step
+  chains with top on and off; backlund_surface of the 3-step chain at
+  lambda = 0.5 and 1;
+* the kept fields_ab reference of both schemes (k = 10, every = 2 and 4)
+  and the fields_ab convergence reports (k = 5..8 against 10);
+* the class, site and message of the layered-solve errors and of the
+  blow-ups of the one-layer solve at every = 1, 2 and 4;
+* the exit code, standard output, standard error and written files of
+  `ksurf solve --k 8 --phi`, `ksurf surface --k 8`, `ksurf backlund --k 6`
+  with a 2-step chain, `ksurf check --samples 25000` and the refused
+  `ksurf solve --k 40`, each run in an empty directory.
+
+The available-memory figure of a refusal message, which changes from run
+to run, is masked.  Standard library and numpy only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+KS = (1, 2, 3, 6, 8, 10)
+THREE = [(1.0, 0.5), (0.5, -0.25), (2.0, 0.1)]
+CLI_RUNS = (
+    ["solve", "--k", "8", "--phi"],
+    ["surface", "--k", "8"],
+    ["backlund", "--k", "6", "--alpha", "1", "--theta0", "0.5", "--alpha", "0.5",
+     "--theta0", "-0.25"],
+    ["check", "--samples", "25000"],
+    ["solve", "--k", "40"],
+)
+_AVAILABLE = re.compile(r"\d+ bytes of available memory")
+
+
+def _mask(text: str) -> str:
+    return _AVAILABLE.sub("N bytes of available memory", text)
+
+
+class _Digest:
+    def __init__(self):
+        self.h = hashlib.sha256()
+
+    def add(self, label: str, value) -> None:
+        """Fold label and value in: arrays by dtype, shape and bytes, floats
+        by their hex form, bytes as they are, sequences item by item,
+        anything else by its masked repr."""
+        self.h.update(label.encode() + b"\0")
+        if isinstance(value, np.ndarray):
+            value = np.ascontiguousarray(value)
+            self.h.update(f"{value.dtype.str}{value.shape}".encode() + value.tobytes())
+        elif isinstance(value, bytes):
+            self.h.update(value)
+        elif isinstance(value, (float, np.floating)):
+            self.h.update(float(value).hex().encode())
+        elif isinstance(value, (list, tuple)):
+            for i, v in enumerate(value):
+                self.add(f"{label}[{i}]", v)
+        else:
+            self.h.update(_mask(repr(value)).encode())
+
+    def error(self, label: str, call) -> None:
+        """Fold in the class, field, site and message call raises, or the fact
+        that it raised nothing."""
+        try:
+            call()
+        except Exception as exc:  # every class is part of the record
+            self.add(label, (type(exc).__name__, getattr(exc, "field_name", None),
+                             getattr(exc, "site", None), _mask(str(exc))))
+        else:
+            self.add(label, "no error")
+
+
+def _arrays(d: _Digest, ks) -> None:
+    from ksurf import frames, sinegordon, surfaces
+    from ksurf.goursat import LatticeDomain2, solve_goursat_2d
+    from ksurf.harness import demo_data
+    from ksurf.sinegordon import BacklundParam, SchemeKind, reconstruct_phi, system_for
+
+    chains = {"empty": [], "one": [BacklundParam(1.0, 0.5)],
+              "three": [BacklundParam(*p) for p in THREE]}
+    for k in ks:
+        dom, data = LatticeDomain2.from_k(1.0, k), demo_data()
+        for scheme in SchemeKind:
+            sol = solve_goursat_2d(system_for(scheme), data, dom)
+            d.add(f"k{k} {scheme.value} fields", [sol.a, sol.b])
+            d.add(f"k{k} {scheme.value} phi", reconstruct_phi(sol, sol.b[0, 0], scheme).phi)
+            d.add(f"k{k} {scheme.value} zcc", list(frames.zero_curvature_residual(sol, 1.0)))
+            for order in ("xy", "yx") if scheme is SchemeKind.HIROTA else ():
+                f = frames.propagate_frame(sol, 1.0, order)
+                d.add(f"k{k} frame {order}", [f.psi, f.dpsi])
+                del f
+        del sol
+        for name, chain in chains.items():
+            for top in (True, False):
+                lay = sinegordon._solve_layers(system_for(SchemeKind.HIROTA), chain, data, dom, top)
+                d.add(f"k{k} layers {name} top={top}", [*lay.a, *lay.b, *lay.theta, *lay.cross])
+        del lay
+        for lam in (0.5, 1.0):
+            for z, m in enumerate(surfaces.backlund_surface(data, dom, THREE, lam)):
+                d.add(f"k{k} tower lam={lam} mesh {z}",
+                      [m.points, m.zcc_residual, m.theta_cross_residual])
+
+
+def _sweeps(d: _Digest) -> None:
+    from ksurf import harness
+    from ksurf.goursat import LatticeDomain2
+    from ksurf.sinegordon import SchemeKind
+
+    for scheme in SchemeKind:
+        for every in (2, 4):
+            cfg = harness.SweepConfig(quantity="fields_ab", scheme=scheme)
+            kept = dict(harness._measured(cfg, harness.demo_data(),
+                                          LatticeDomain2.from_k(1.0, 10), every))
+            d.add(f"kept {scheme.value} every={every}", [kept["a"], kept["b"]])
+        rep = harness.run_sweep(harness.SweepConfig(k_min=5, k_max=8, k_ref=10, scheme=scheme),
+                                harness.demo_data())
+        d.add(f"report {scheme.value}", [*(v for row in rep.rows for v in row), rep.slope,
+                                         rep.intercept])
+
+
+def _errors(d: _Digest) -> None:
+    from ksurf import goursat, sinegordon
+    from ksurf.goursat import GoursatData2, LatticeDomain2, Rhs2
+    from ksurf.harness import demo_data
+    from ksurf.sinegordon import BacklundParam, hirota_rhs, hirota_system, naive_system
+
+    def big_b(a, b, eps):  # the Hirota step, infinite where b > 3.5 (layer 1, not layer 0)
+        f, g = hirota_rhs(a, b, eps)
+        return np.where(b > 3.5, np.inf, f), g
+
+    layer_cases = {
+        "theta0 nan": (hirota_system(), [(1.0, 0.5), (1.0, np.nan)], demo_data()),
+        "theta0 inf": (hirota_system(), [(1.0, np.inf)], demo_data()),
+        "theta0 -inf": (hirota_system(), [(0.5, 0.2), (1.0, -np.inf)], demo_data()),
+        "naive layer 0": (naive_system(), [(1.0, 0.5), (1.0, 0.5)], demo_data()),
+        "a0 nan": (hirota_system(), [(1.0, 0.5)],
+                   GoursatData2(lambda x: np.where(x > 0.3, np.nan, x), lambda y: 0.0 * y)),
+        "a0 1e308": (hirota_system(), [(1.0, 0.5)],
+                     GoursatData2(lambda x: 0.0 * x + 1e308, lambda y: 1.0 + np.sin(y))),
+        "layer 1 blows up": (Rhs2(big_b, 2.0, "big b"), [(1.0, 0.5), (1.0, 0.5)], demo_data()),
+        "naive before theta0 nan": (naive_system(), [(1.0, 0.5), (1.0, np.nan)], demo_data()),
+    }
+    dom = LatticeDomain2.from_k(1.0, 3)
+    for name, (rhs2, chain, data) in layer_cases.items():
+        chain = [BacklundParam(*p) for p in chain]
+        d.error(f"layers {name}", lambda: sinegordon._solve_layers(rhs2, chain, data, dom))
+
+    def step_a(a, b, eps):
+        return np.where(a > 0.9, np.inf, 0.0), np.zeros_like(b)
+
+    def step_b(a, b, eps):
+        return np.zeros_like(a), np.where((a == 0.3) & (b == 0.7), np.nan, 0.0)
+
+    def step_ab(a, b, eps):
+        return np.where(a == 0.3, np.nan, 0.0), np.where(b == 0.7, np.nan, 0.0)
+
+    def step_heal(a, b, eps):
+        a, b = np.nan_to_num(a), np.nan_to_num(b)
+        return np.where(a == 0.3, np.nan, 0.0), np.exp(1000.0 * b)
+
+    calls = []
+
+    def step_once(a, b, eps):  # non-finite on its first call only
+        calls.append(1)
+        return np.full_like(a, np.nan if len(calls) == 1 else 0.0), np.zeros_like(b)
+
+    blowups = {
+        "a": (step_a, GoursatData2(lambda x: 0.95, lambda y: 0.0)),
+        "b": (step_b, GoursatData2(np.array([0.0, 0.0, 0.3, 0.0]), np.array([0.0, 0.7, 0.0, 0.0]))),
+        "ab": (step_ab, GoursatData2(np.array([0.0, 0.0, 0.3, 0.0]),
+                                     np.array([0.0, 0.0, 0.7, 0.0]))),
+        "heal": (step_heal, GoursatData2(np.array([0.0, 0.0, 0.0, 0.3]),
+                                         np.array([1.0, 0.0, 0.0, 0.0]))),
+        "data": (step_a, GoursatData2(np.array([0.0, 1.0, np.inf, np.nan]), np.zeros(4))),
+    }
+    # the one-layer solve; a checkout without _solve_one solved one layer in _sweep
+    solve = getattr(goursat, "_solve_one", None) or goursat._sweep
+    dom = LatticeDomain2(1.0, 0.25)
+    with np.errstate(all="ignore"):
+        for name, (step, data) in blowups.items():
+            for every in (1, 2, 4):
+                rhs = Rhs2(step, np.inf, name)
+                d.error(f"blow-up {name} every={every}", lambda: solve(rhs, data, dom, every))
+        draws = iter([0.95, 0.0])
+        fresh = GoursatData2(lambda x: np.full(np.shape(x), next(draws)), lambda y: 0.0)
+        d.error("blow-up resampled", lambda: solve(Rhs2(step_a, np.inf, "a"), fresh, dom, 2))
+        d.error("blow-up once", lambda: solve(Rhs2(step_once, np.inf, "once"), demo_data(), dom, 2))
+
+
+def _cli(d: _Digest, src: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys; from ksurf.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in CLI_RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            run = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp, env=env,
+                                 capture_output=True, text=True)
+            label = "ksurf " + " ".join(argv)
+            d.add(label, [run.returncode, run.stdout, run.stderr])
+            for path in sorted(Path(tmp).rglob("*")):
+                d.add(f"{label} {path.relative_to(tmp)}", path.read_bytes())
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    root = Path(args[0] if args else Path(__file__).resolve().parents[1]).resolve()
+    src = root / "src"
+    sys.path.insert(0, str(src))
+    import ksurf
+
+    if Path(ksurf.__file__).resolve().parent != src / "ksurf":
+        print(f"error: imported ksurf from {ksurf.__file__}, not {src}", file=sys.stderr)
+        return 1
+    d = _Digest()
+    _arrays(d, KS)
+    _sweeps(d)
+    _errors(d)
+    _cli(d, src)
+    print(d.h.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
