@@ -24,6 +24,7 @@ and reports a blow-up at its site.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -415,19 +416,28 @@ def _read_pairs(path, what: str, make) -> list:
 _ROW_BLOCK = 1 << 15  # lines parsed per np.loadtxt call
 
 
-def _row_error(lines, path, d: int, exc: ValueError) -> ValueError:
-    """The error naming the first of lines that np.loadtxt could not parse."""
-    for line in map(str.strip, lines):
-        cols = line.split(",")
-        if len(cols) != d + 1:
-            return ValueError(f"{path}: row {line!r} does not have {d + 1} columns")
+def _row_error(lines, path, d: int, parse) -> ValueError:
+    """The error naming by its text the first of lines that parse refuses,
+    found by bisection (numpy's own message counts rows within the block)."""
+    lo, hi = 0, len(lines)  # the first refused line is in lines[lo:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         try:
-            np.array([int(c) for c in cols[:d]], dtype=np.int64), float(cols[d])
-        except OverflowError:
-            return ValueError(f"{path}: index too large in row {line!r}")
+            parse(lines[lo:mid])
+            lo = mid
         except ValueError:
-            return ValueError(f"{path}: row {line!r} is not {d} integer indices and a value")
-    return ValueError(f"{path}: {exc}")
+            hi = mid
+    line = lines[lo].strip()
+    cols = line.split(",")
+    if len(cols) != d + 1:
+        return ValueError(f"{path}: row {line!r} does not have {d + 1} columns")
+    try:
+        np.array([int(c) for c in cols[:d]], dtype=np.int64)
+    except OverflowError:
+        return ValueError(f"{path}: index too large in row {line!r}")
+    except ValueError:  # a non-integer index, reported below as any other refused row
+        pass
+    return ValueError(f"{path}: row {line!r} is not {d} integer indices and a value")
 
 
 def _read_rows(fh, path, d: int) -> np.ndarray:
@@ -438,12 +448,13 @@ def _read_rows(fh, path, d: int) -> np.ndarray:
     np.loadtxt parses _ROW_BLOCK lines at a time, so at most one block is held
     as text; one scatter then fills the array."""
     row = np.dtype([("i", np.int64, (d,)), ("v", float)])
+    parse = functools.partial(np.loadtxt, delimiter=",", dtype=row, ndmin=1, comments=None)
     blocks, text = [], itertools.filterfalse(str.isspace, fh)  # blank lines hold no rows
     while lines := list(itertools.islice(text, _ROW_BLOCK)):
         try:
-            blocks.append(np.loadtxt(lines, delimiter=",", dtype=row, ndmin=1, comments=None))
-        except ValueError as exc:
-            raise _row_error(lines, path, d, exc) from None
+            blocks.append(parse(lines))
+        except ValueError:
+            raise _row_error(lines, path, d, parse) from None
     if not blocks:
         raise ValueError(f"{path}: no data rows")
     rows = np.concatenate(blocks)

@@ -15,7 +15,8 @@ quotients of the fields up to the order m named by the quantity
 and compared at common sites, so the comparison is between discrete
 derivatives, not interpolants).  Every quantity is one or more named arrays
 per lattice; one loop solves each level in turn and measures each of its
-arrays against the same kept reference array.
+arrays against the same reference array, cut to the common sites by one
+strided rule (_quotient).
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .goursat import (
     GoursatData2,
     LatticeDomain2,
     _solve_one,
-    delta_x,
-    delta_y,
     solve_goursat_2d,
     sup_error,
 )
@@ -152,29 +151,18 @@ def fit_slope(rows: Sequence) -> tuple:
 
 def _quotient(p: np.ndarray, kx: int, ky: int, eps: float, every: int = 1) -> np.ndarray:
     """delta_x^kx delta_y^ky p at the sites i = j = 0 (mod every) where it is
-    defined.  For every > 1 (a reference) each kept site's value is formed
-    from its own (kx+1) x (ky+1) stencil by the operations delta_x and
-    delta_y apply to the whole array (x first, then y), so the values are
-    bitwise theirs, and no quotient of the whole lattice is formed."""
-    if every == 1:  # the stencils would copy the lattice (kx+1)(ky+1) times
-        for _ in range(kx):
-            p = delta_x(p, eps)
-        for _ in range(ky):
-            p = delta_y(p, eps)
-        return p
-    rows = np.arange(0, p.shape[0] - kx, every)[:, None] + np.arange(kx + 1)
-    cols = np.arange(0, p.shape[1] - ky, every)[:, None] + np.arange(ky + 1)
-    q = p[rows[:, :, None, None], cols]  # q[I, u, J, v] = p[I*every + u, J*every + v]
+    defined, in an array of its own (p itself for kx = ky = 0, every = 1).
+    Each stencil offset is one strided view of p, differenced as delta_x and
+    delta_y difference the whole array (x first, then y): their bits, formed
+    at the kept sites only.  Axes after the first two are carried along."""
+    ni, nj = (len(range(0, m - k, every)) for m, k in zip(p.shape, (kx, ky)))
+    q = [[p[u::every, v::every][:ni, :nj] for v in range(ky + 1)] for u in range(kx + 1)]
     for _ in range(kx):
-        q = (q[:, 1:] - q[:, :-1]) / eps
+        q = [[(hi - lo) / eps for lo, hi in zip(r0, r1)] for r0, r1 in zip(q, q[1:])]
     for _ in range(ky):
-        q = (q[..., 1:] - q[..., :-1]) / eps
-    return q[:, 0, :, 0]
-
-
-def _kept(p: np.ndarray, every: int) -> np.ndarray:
-    """The sites i = j = 0 (mod every) of p, in an array of their own."""
-    return p if every == 1 else p[::every, ::every].copy()
+        q = [[(hi - lo) / eps for lo, hi in zip(r, r[1:])] for r in q]
+    out = q[0][0]  # a view of p only for kx = ky = 0
+    return out if out.base is None else out.copy() if every > 1 else p
 
 
 def _measured(cfg: SweepConfig, data: GoursatData2, dom: LatticeDomain2, every: int = 1):
@@ -182,10 +170,11 @@ def _measured(cfg: SweepConfig, data: GoursatData2, dom: LatticeDomain2, every: 
     only when asked for (the solved fields stay alive between quotients), in
     an order that does not depend on the lattice.  Each array keeps only
     the sites i = j = 0 (mod every): the fields are solved at those sites
-    only, every other quantity is formed on the whole lattice and cut down."""
+    only, every other quantity is formed on the whole lattice and cut down
+    by _quotient (kx = ky = 0 for phi and the surfaces)."""
     if cfg.quantity.startswith("surface"):  # 'surface' is the tower of an empty chain
-        yield cfg.quantity, _kept(backlund_surface(data, dom, cfg.bt_chain, cfg.lam)[-1].points,
-                                  every)
+        yield cfg.quantity, _quotient(
+            backlund_surface(data, dom, cfg.bt_chain, cfg.lam)[-1].points, 0, 0, dom.eps, every)
         return
     rhs = system_for(cfg.scheme)
     if cfg.quantity == "fields_ab":
@@ -196,7 +185,8 @@ def _measured(cfg: SweepConfig, data: GoursatData2, dom: LatticeDomain2, every: 
         return
     if cfg.quantity == "phi":  # seeded by the b0 sample the solve stored
         sol = solve_goursat_2d(rhs, data, dom)
-        yield "phi", _kept(reconstruct_phi(sol, sol.b[0, 0], cfg.scheme).phi, every)
+        yield "phi", _quotient(reconstruct_phi(sol, sol.b[0, 0], cfg.scheme).phi, 0, 0, dom.eps,
+                               every)
         return
     sol = solve_goursat_2d(rhs, data, dom)
     for kx in range(cfg.quotient_order + 1):
@@ -213,8 +203,9 @@ def run_sweep(cfg: SweepConfig, data: GoursatData2) -> ConvergenceReport:
     all of which lie on the k_max lattice, so the reference keeps only
     those.  For fields_ab the sweep itself keeps them, at O(n) memory beyond
     the k_max-sized kept arrays; the other quantities solve the whole
-    reference lattice first.  Each level is then solved, measured against
-    every kept array and dropped in turn."""
+    reference lattice first and keep its sites by one strided rule.  Each
+    level is then solved, measured against every kept array and dropped in
+    turn."""
     doms = [LatticeDomain2.from_k(cfg.r, k) for k in range(cfg.k_min, cfg.k_max + 1)]
     dom_ref = LatticeDomain2.from_k(cfg.r, cfg.k_ref)
     every = 2 ** (cfg.k_ref - cfg.k_max)

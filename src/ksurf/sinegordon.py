@@ -54,6 +54,7 @@ from .goursat import (
     _read_pairs,
     _require_memory,
     _require_step,
+    _solve_one,
     _sweep,
 )
 
@@ -375,8 +376,9 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
        smallest-direction rule of solve_goursat_nd); at every site off the
        y-axis the v-step from the site below must agree to COMPAT_TOL.
 
-    With top false, layer R, which carries no theta, is not solved (layer 0
-    is, for no steps), and the last step walks only its y-axis.
+    With top false, layer R, which carries no theta, is not solved, and the
+    last step walks only its y-axis.  An empty chain is goursat._solve_one's
+    solve of layer 0, with its errors, memory guard and messages.
 
     The values, and the errors and their order, are those of solving the
     layers one after another: for z = 0, 1, ... a blow-up of layer z
@@ -384,11 +386,11 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
     step z (BlowUpError 'theta'), its failed check (CompatibilityError at
     the worst site), then non-finite data of layer z + 1 (BlowUpError
     'data'; stage 1 stops there).  Before anything is allocated, each step
-    must admit eps (_require_backlund_step), and the solve is sized, each
-    array counted as 8 (n+1)^2 bytes: two per field layer (its fields and
-    axis data), one per theta layer, the theta mismatch array and, with a
-    step, the four temporaries the cross check's bands hold at once.
-    ValueError when that exceeds the available memory.
+    must admit eps (_require_backlund_step), and the solve of at least one
+    step is sized, each array counted as 8 (n+1)^2 bytes: two per field
+    layer (its fields and axis data), one per theta layer, the theta
+    mismatch array and the four temporaries the cross check's bands hold at
+    once.  ValueError when that exceeds the available memory.
 
     A finite theta0 whose float spacing exceeds min(eps, 1/4) *
     min(1, alpha, 1/alpha)^2 * 2^-35 is refused with ValueError before any
@@ -396,6 +398,9 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
     drive the theta cross check past COMPAT_TOL.  A non-finite theta0 stays
     a BlowUpError.
     """
+    if not chain:
+        f = _solve_one(rhs2, data, dom, 1)
+        return LayeredField3([f.a], [f.b], [], dom, [])
     n, eps, R = dom.n, dom.eps, len(chain)
     steps = [Rhs3(rhs2, p.alpha) for p in chain]
     for rhs6, p in zip(steps, chain):
@@ -405,9 +410,8 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
             raise ValueError(f"theta0 = {float(p.theta0)!r} is too large for eps = {eps!r}: its float "
                              f"spacing {math.ulp(p.theta0):.3g} exceeds {bound:.3g} = min(eps, 1/4) "
                              f"* min(1, alpha, 1/alpha)^2 * 2^-35")
-    _require_step(rhs2, eps)
-    fields = R + 1 if top else max(R, 1)
-    _require_memory(8 * (n + 1) ** 2 * (2 * fields + R + 1 + 4 * (R > 0)),
+    fields = R + 1 if top else R
+    _require_memory(8 * (n + 1) ** 2 * (2 * fields + R + 5),
                     f"a layered solve on n = {n} steps", f"{fields} field and {R} theta layers")
     ax, bx = np.empty((fields, n)), np.empty((fields, n))  # the data of each layer
     th, tx = np.empty((R, n + 1, n + 1)), np.empty(n + 1)
@@ -433,7 +437,7 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
         a, b, finite = _sweep(rhs2, (ax[:L], bx[:L]), dom, 1)
         Z = min(L, R)  # the steps with theta; layers 0..Z-1 were solved
         alpha = np.reshape([p.alpha for p in chain[:Z]], (Z, 1))
-        for i in range(n if Z else 0):  # with no steps, skip n calls on empty rows
+        for i in range(n):
             th[:Z, i + 1] = th[:Z, i] + eps * backlund_u(a[:Z, i], th[:Z, i], alpha, eps)
         sol = LayeredField3(list(a), list(b), [], dom, [])
         for z in range(L):

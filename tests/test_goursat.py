@@ -357,6 +357,18 @@ def test_size_guard_counts_reclaimable_memory(monkeypatch, tmp_path):
         _solve_one(hirota_system(), demo_data(), dom, 4)
 
 
+def test_size_guard_admits_any_size_without_a_memory_figure(monkeypatch, tmp_path):
+    # no meminfo file and no sysconf name for the free pages: the system
+    # gives no figure, and the guard refuses nothing
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(goursat, "_MEMINFO", str(tmp_path / "missing"))
+    monkeypatch.setattr(goursat.os, "sysconf", unknown)
+    assert goursat._available_bytes() is None
+    goursat._require_memory(2**62, "a lattice of n = 2^30 steps", "its two fields")
+
+
 @pytest.mark.parametrize("every", [2, 4])
 def test_kept_blowup_resolves_the_same_samples(every):
     # data sampled afresh differ from call to call: the full re-solve that
@@ -492,6 +504,20 @@ def test_field_csv_error_reporting(tmp_path):
             load_field_csv(path)
     path.write_text("# eps=0.5 r=0.5\ni,j,value\n" + box)
     assert load_field_csv(path)[0].shape == (2, 2)
+
+
+@pytest.mark.parametrize("bad", ["1_0,100,0.5", "100,1_0,0.5", "100,100,0_5"])
+def test_field_csv_names_a_row_numpy_refuses_by_its_text(tmp_path, bad):
+    # '1_0' passes int() and float() but not np.loadtxt; the row is named by
+    # its text, not by numpy's count of rows within its block of 2^15 lines
+    path = tmp_path / "f.csv"
+    save_field_csv(path, np.zeros((200, 201)), LatticeDomain2(1.0, 0.005))  # 40,200 rows
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2 + 40098] = bad + "\n"  # data row 40,099, in the second block
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"f.csv: row '{bad}' is not 2 integer indices and a "
+                                         f"value$"):
+        load_field_csv(path)
 
 
 def test_field_csv_loader_memory(tmp_path):

@@ -220,7 +220,8 @@ def test_fields_sweep_holds_one_level_at_a_time(monkeypatch):
 @pytest.mark.parametrize("every", [1, 2, 4, 8])
 def test_quotient_at_kept_sites_is_bitwise(every):
     # each kept site's quotient comes from its own stencil by the operations
-    # delta_x and delta_y apply to the whole array
+    # delta_x and delta_y apply to the whole array; a kept array owns its
+    # data, so the reference lattice it was cut from can be freed
     p = np.random.default_rng(every).normal(size=(17, 18))
     for kx in range(4):
         for ky in range(4 - kx):
@@ -231,6 +232,11 @@ def test_quotient_at_kept_sites_is_bitwise(every):
                 full = delta_y(full, 0.125)
             got = harness._quotient(p, kx, ky, 0.125, every)
             assert np.array_equal(got, full[::every, ::every])
+            assert every == 1 or got.base is None
+    points = np.random.default_rng(every).normal(size=(17, 17, 3))  # a mesh at n = 16
+    got = harness._quotient(points, 0, 0, 0.125, every)  # the cut of a surface reference
+    assert np.array_equal(got, points[::every, ::every])
+    assert (got is points) if every == 1 else (got.base is None)
 
 
 def test_run_sweep_surface_rejects_naive():

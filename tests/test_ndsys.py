@@ -511,8 +511,12 @@ def test_state_csv_errors(tmp_path):
         ("0,0,1.0\n0,1,2.0\n0,1,2.0\n", "duplicate rows for index \\(0, 1\\)"),
         ("", "no data rows"),
         ("0,0,1.0\n0,1\n", "does not have 3 columns"),
+        # int() and float() take '1_0' and '2_0', np.loadtxt does not: the row is named
+        ("0,0,1.0\n0,1_0,2.0\n", "row '0,1_0,2.0' is not 2 integer indices and a value$"),
+        ("0,0,1.0\n0,1,2_0\n", "row '0,1,2_0' is not 2 integer indices and a value$"),
     ],
-    ids=["negative-index", "duplicate-row", "header-only", "short-row"],
+    ids=["negative-index", "duplicate-row", "header-only", "short-row", "digit-group-index",
+         "digit-group-value"],
 )
 def test_state_csv_rejects_malformed_rows(tmp_path, rows, match):
     path = tmp_path / "bad.csv"

@@ -47,6 +47,7 @@ from ksurf.sinegordon import (
     solve_goursat_3d,
     system_for,
 )
+from ksurf.surfaces import solve_backlund_chain
 from oracles import (
     backlund_compat_residual_continuous,
     backlund_rhs_continuous,
@@ -617,6 +618,22 @@ def test_layered_solve_sized_before_allocation(monkeypatch):
                                          f"for 3 field and 2 theta layers, more than the "
                                          f"{need - 1} bytes of available memory"):
         solve_goursat_3d(rhs6, GoursatData2(never, never), [0.5, -0.25], dom)
+
+
+def test_empty_chain_admitted_where_one_lattice_is(monkeypatch):
+    # an empty chain is one lattice, sized by the one-layer solve at 16 n (n+1)
+    # bytes; sized as a layered solve, 24 (n+1)^2 bytes, it was refused here
+    dom = LatticeDomain2.from_k(1.0, 6)
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: 20 * (dom.n + 1) ** 2)
+    one = solve_goursat_2d(hirota_system(), demo_data(), dom)
+    for sol in (solve_backlund_chain(demo_data(), dom, []),
+                solve_goursat_3d(hirota_backlund_system(1.0), demo_data(), [], dom)):
+        assert sol.layers == 0 and sol.cross == []
+        assert np.array_equal(sol.a[0], one.a) and np.array_equal(sol.b[0], one.b)
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: 16 * 64 * 65 - 1)
+    with pytest.raises(ValueError, match="a lattice of n = 64 steps needs 66560 bytes for its "
+                                         "two fields"):
+        solve_backlund_chain(demo_data(), dom, [])
 
 
 @pytest.mark.parametrize("chain, top", [

@@ -363,6 +363,7 @@ def test_backlund_chain_tuples_accepted(dom):
 
 
 def _count_solves(monkeypatch):
+    import ksurf.goursat
     import ksurf.sinegordon
     import ksurf.surfaces
 
@@ -377,6 +378,7 @@ def _count_solves(monkeypatch):
         raise AssertionError("a layer solved on its own")
 
     monkeypatch.setattr(ksurf.sinegordon, "_sweep", counting)
+    monkeypatch.setattr(ksurf.goursat, "_sweep", counting)  # an empty chain's one-layer solve
     monkeypatch.setattr(ksurf.surfaces, "solve_goursat_2d", never)
     return calls
 

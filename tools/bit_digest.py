@@ -13,6 +13,10 @@ is imported.  The digest covers, in this order:
   lambda = 0.5 and 1;
 * the kept fields_ab reference of both schemes (k = 10, every = 2 and 4)
   and the fields_ab convergence reports (k = 5..8 against 10);
+* the kept phi and quotients_order_2 references of both schemes and the
+  kept surface and surface_bt (3-step chain) references (k = 9, every =
+  2, 4 and 8), and their convergence reports (k = 4..6 against 9) with
+  every family;
 * the class, site and message of the layered-solve errors and of the
   blow-ups of the one-layer solve at every = 1, 2 and 4;
 * the exit code, standard output, standard error and written files of
@@ -133,6 +137,19 @@ def _sweeps(d: _Digest) -> None:
                                 harness.demo_data())
         d.add(f"report {scheme.value}", [*(v for row in rep.rows for v in row), rep.slope,
                                          rep.intercept])
+    kept_cases = [dict(quantity=q, scheme=s) for q in ("phi", "quotients_order_2")
+                  for s in SchemeKind]
+    kept_cases += [dict(quantity="surface"), dict(quantity="surface_bt", bt_chain=tuple(THREE))]
+    for case in kept_cases:
+        label = " ".join(str(getattr(v, "value", v)) for v in case.values())
+        for every in (2, 4, 8):
+            for name, kept in harness._measured(harness.SweepConfig(**case), harness.demo_data(),
+                                                LatticeDomain2.from_k(1.0, 9), every):
+                d.add(f"kept {label} {name} every={every}", kept)
+        rep = harness.run_sweep(harness.SweepConfig(k_min=4, k_max=6, k_ref=9, **case),
+                                harness.demo_data())
+        d.add(f"report {label}", [*(v for row in rep.rows for v in row), rep.slope,
+                                  rep.intercept, *(v for f in rep.families.values() for v in f)])
 
 
 def _errors(d: _Digest) -> None:
