@@ -622,7 +622,7 @@ def test_layered_solve_sized_before_allocation(monkeypatch):
 
 def test_empty_chain_admitted_where_one_lattice_is(monkeypatch):
     # an empty chain is one lattice, sized by the one-layer solve at 16 n (n+1)
-    # bytes; sized as a layered solve, 24 (n+1)^2 bytes, it was refused here
+    # bytes; a layered solve's sizing, 24 (n+1)^2 bytes, would refuse it here
     dom = LatticeDomain2.from_k(1.0, 6)
     monkeypatch.setattr(goursat, "_available_bytes", lambda: 20 * (dom.n + 1) ** 2)
     one = solve_goursat_2d(hirota_system(), demo_data(), dom)
