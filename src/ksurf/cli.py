@@ -65,15 +65,10 @@ from .surfaces import (
 )
 
 
-class _UsageError(Exception):
-    def __init__(self, message: str, parser: argparse.ArgumentParser):
-        super().__init__(message)
-        self.parser = parser
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message, self)
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -335,11 +330,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        exc.parser.print_usage(sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
+    except SystemExit as exc:  # --help, or a usage error
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)

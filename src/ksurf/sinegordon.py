@@ -141,7 +141,11 @@ def reconstruct_phi(fields: EdgeField2, phi00: float, scheme: SchemeKind) -> Phi
     a = delta_x phi, whose seed phi(0, n) no field value constrains; it is
     fixed by linear extension in y, which leaves every defining-relation and
     second-order residual unchanged.
+
+    ValueError for a phi00 that is not finite, under either scheme.
     """
+    if not np.isfinite(phi00):
+        raise ValueError(f"phi00 = {phi00} is not finite")
     n = fields.domain.n
     eps = fields.domain.eps
     a, b = fields.a, fields.b
@@ -476,9 +480,9 @@ def check_compatibility_3d(rhs6: Rhs3, samples: np.ndarray, eps: float) -> float
     each evaluated at the corner and at one neighbour, and the layer
     increments are read off from those values by backlund_xi and
     backlund_eta, in bands of samples (goursat._bands) whose number does
-    not change the result.  A NaN defect makes the result NaN.  ValueError
-    unless 0 < eps < rhs6.eps0, and before the work when its temporaries,
-    128 bytes per sample, exceed the available memory.
+    not change the result.  A NaN defect makes the result NaN; zero samples
+    give 0.0.  ValueError unless 0 < eps < rhs6.eps0, and before the work
+    when its temporaries, 128 bytes per sample, exceed the available memory.
     """
     _require_backlund_step(rhs6, eps)
     s = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -499,7 +503,7 @@ def check_compatibility_3d(rhs6: Rhs3, samples: np.ndarray, eps: float) -> float
             id1 = (u_y - u) - (v_x - v)
             id2 = (backlund_xi(u_y) - xi) - eps * (f_up - f)
             id3 = (backlund_eta(v_x, th_x, eps) - eta) - eps * (g_up - g)
-        return np.max([np.max(np.abs(i)) for i in (id1, id2, id3)])
+        return np.max([np.max(np.abs(i), initial=0.0) for i in (id1, id2, id3)])
 
     return float(np.max(_bands(len(s), math.prod(s.shape[1:-1]), defect)))  # a nan stays nan
 

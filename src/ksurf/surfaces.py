@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _text
 from .goursat import EdgeField2, GoursatData2, LatticeDomain2, _bands, solve_goursat_2d
-from .frames import _pair, _sweep, _w_planes
+from .frames import _pair, _sweep, _sym, _w_planes
 from .sinegordon import (
     BacklundParam,
     LayeredField3,
@@ -181,23 +181,22 @@ def _norm(d) -> np.ndarray:
 
 
 def backlund_step_norms(mesh_lo: SurfaceMesh, mesh_hi: SurfaceMesh) -> np.ndarray:
-    """Per-site Euclidean distance between consecutive tower layers."""
+    """Per-site Euclidean distance between consecutive tower layers; ValueError
+    for meshes of two different lattices."""
+    if mesh_lo.points.shape != mesh_hi.points.shape:
+        raise ValueError(f"meshes of shapes {mesh_lo.points.shape} and "
+                         f"{mesh_hi.points.shape} come from different lattices")
     return _norm(np.moveaxis(mesh_hi.points - mesh_lo.points, -1, 0))
 
 
 def _rotation(p, q) -> np.ndarray:
     """SO(3) matrix of X -> G^-1 X G on su(2) = R^3, G = [[p, q], [-conj(q), conj(p)]].
 
-    Column k is the image of e_k: G^-1 (i sigma_k) G has the pair planes
-    (i x3, x2 + i x1), read off like the Sym formula.  G^-1 is the adjugate
-    over the real determinant, so any nonzero scalar in G cancels.
+    Column k is the Sym point at lambda = 1/2 of the frame G with derivative
+    i sigma_k G, which is G^-1 (i sigma_k) G; any nonzero scalar in G cancels.
     """
-    det = abs(p) ** 2 + abs(q) ** 2
-    cols = []
-    for bp, bq in ((0, 1j), (0, 1), (1j, 0)):  # i sigma_1, i sigma_2, i sigma_3
-        cp, cq = _pair(*_pair(np.conj(p) / det, -q / det, bp, bq), p, q)
-        cols.append((cq.imag, cq.real, cp.imag))
-    return np.array(cols).T
+    dp, dq = _pair(np.array([0, 0, 1j]), np.array([1j, 1, 0]), p, q)  # i sigma_1..3 G
+    return _sym((p, q, dp, dq), 0.5, np.empty((3, 3))).T
 
 
 def backlund_two_route_residual(
@@ -225,10 +224,10 @@ def backlund_two_route_residual(
     sol = solve_backlund_chain(data, dom, chain)
     pts_a = _tower(EdgeField2(sol.a[0], sol.b[0], dom), lam, chain, sol.theta)[-1].points
     pts_b = surface_from_fields(EdgeField2(sol.a[-1], sol.b[-1], dom), lam)
-    gp, gq = np.ones(1, dtype=complex), np.zeros(1, dtype=complex)  # G, the frame at the origin
+    gp, gq = 1.0, 0.0  # G, the frame at the origin
     for p in chain:  # theta at the origin is theta0
-        gp, gq = _pair(*_w_planes(np.array([p.theta0]), p.alpha, lam)[:2], gp, gq)
-    mapped = pts_b @ _rotation(gp[0], gq[0]).T + pts_a[0, 0]
+        gp, gq = _pair(*_w_planes(p.theta0, p.alpha, lam)[:2], gp, gq)
+    mapped = pts_b @ _rotation(gp, gq).T + pts_a[0, 0]
     return float(np.max(_norm(np.moveaxis(pts_a - mapped, -1, 0))))
 
 
@@ -268,8 +267,12 @@ def validate_k_surface(mesh: SurfaceMesh, phi: PhiField) -> KSurfaceReport:
     |det[xp, yp, ym]|.  A NaN the validator reads makes the residual it feeds
     NaN.  Each residual is the max over slabs of site rows (goursat._bands),
     whose number does not change it: the slab over rows r0..r1 takes their
-    x- and y-edges and the interior vertices r0+1..r1-1.
+    x- and y-edges and the interior vertices r0+1..r1-1.  ValueError, before
+    any band runs, for a mesh and a phi of two different lattices.
     """
+    if mesh.points.shape[:2] != phi.phi.shape:
+        raise ValueError(f"mesh points of shape {mesh.points.shape} and phi of shape "
+                         f"{phi.phi.shape} come from different lattices")
     n, eps = mesh.n, mesh.eps
     lx, ly = ell_xy(eps, mesh.lam)
     tx, ty = eps * lx, eps * ly
@@ -356,10 +359,8 @@ def export_obj(mesh: SurfaceMesh, path) -> None:
 
 def load_obj_points(path) -> np.ndarray:
     """Read back the vertices of an exported OBJ as an (m, 3) array."""
-    pts = []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            if line.startswith("v "):
-                parts = line.split()
-                pts.append([float(parts[1]), float(parts[2]), float(parts[3])])
-    return np.asarray(pts, dtype=float)
+        rows = [line.split()[1:4] for line in fh if line.startswith("v ")]
+    if min(map(len, rows), default=3) < 3:
+        raise ValueError(f"{path}: a vertex line has fewer than three coordinates")
+    return np.array(rows, dtype=float).reshape(-1, 3)

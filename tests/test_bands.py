@@ -63,6 +63,17 @@ def test_compatibility_bits_do_not_depend_on_bands(on_cores, scheme, m):
                 on_cores, lambda: check_compatibility_3d(rhs6, SAMPLES[:m], eps), _bits)
 
 
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_compatibility_of_zero_samples_is_zero(on_cores, scheme):
+    # an empty batch has no defect, as check_identity's; a NaN defect stays NaN
+    rhs6 = backlund_system(1.0, scheme)
+    for cores in (1, 2, 3):
+        assert on_cores(cores, lambda: check_compatibility_3d(rhs6, SAMPLES[:0], 2.0**-3)) == 0.0
+        nan = SAMPLES[:9].copy()
+        nan[4, 1] = np.nan
+        assert np.isnan(on_cores(cores, lambda: check_compatibility_3d(rhs6, nan, 2.0**-3)))
+
+
 def test_band_count_and_cuts(monkeypatch):
     # one band per core, but none below the floor
     monkeypatch.setattr(goursat, "_cores", lambda: 3)

@@ -15,7 +15,7 @@ from ksurf.goursat import LatticeDomain2, save_field_csv, solve_goursat_2d
 from ksurf.harness import demo_data, zero_data
 from ksurf.ndsys import SystemSpecND, save_state_csv, sine_gordon_3d_spec, solve_goursat_nd
 from ksurf.sinegordon import hirota_system
-from ksurf.surfaces import SurfaceMesh, export_obj, mesh_from_fields
+from ksurf.surfaces import SurfaceMesh, export_obj, load_obj_points, mesh_from_fields
 
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1]
 
@@ -82,6 +82,27 @@ def test_obj_bytes_match_oracle(tmp_path, n):
     points = wide_normal(np.random.default_rng(n), (n + 1, n + 1, 3))
     export_obj(SurfaceMesh(points, 1.0, 1.0, 1.0), tmp_path / "m.obj")
     assert (tmp_path / "m.obj").read_bytes() == oracle_obj(points).encode()
+
+
+@pytest.mark.parametrize("n", [1, 2, 17])
+def test_obj_round_trip_is_bitwise(tmp_path, n):
+    points = wide_normal(np.random.default_rng(n), (n + 1, n + 1, 3))
+    points.flat[: len(SPECIAL) - 1] = SPECIAL[1:]  # every finite special value and both infinities
+    export_obj(SurfaceMesh(points, 1.0, 1.0, 1.0), tmp_path / "m.obj")
+    back = load_obj_points(tmp_path / "m.obj")
+    assert back.shape == ((n + 1) ** 2, 3)
+    assert back.tobytes() == points.tobytes()
+
+
+def test_obj_reader_edge_cases(tmp_path):
+    (tmp_path / "faces.obj").write_text("# no vertex\nf 1 2 3 4\n")
+    assert load_obj_points(tmp_path / "faces.obj").shape == (0, 3)
+    # three vertex lines of two coordinates would reshape to (2, 3)
+    for name, text in (("short.obj", "v 1 2\nv 3 4\nv 5 6\n"),
+                       ("ragged.obj", "v 1 2 3\nv 4 5\n")):
+        (tmp_path / name).write_text(text)
+        with pytest.raises(ValueError, match=rf"{name}: a vertex line has fewer than three"):
+            load_obj_points(tmp_path / name)
 
 
 @pytest.mark.parametrize("make_state", [state_3d, state_1d], ids=["3d", "1d"])

@@ -2,8 +2,8 @@
 
 One property draws NaN and infinite Goursat data, steps eps and Backlund
 parameters alpha at their admissibility limits, lambda across six decades,
-theta0 up to 1e300 and lattices of n = 1 and 2 steps, and runs the four
-entry points that take such inputs.
+theta0 up to 1e300, NaN and infinite phi00 and lattices of n = 1 and 2
+steps, and runs the entry points that take such inputs.
 """
 
 import math
@@ -39,7 +39,10 @@ def hostile(draw):
         draw(st.sampled_from([a0, b0]))[draw(st.integers(0, n - 1))] = bad
     theta0 = draw(st.one_of(st.floats(-4.0, 4.0), st.floats(-1e300, 1e300),
                             st.sampled_from([math.nan, math.inf])))
-    return n, eps, alpha, a0, b0, draw(st.floats(1e-3, 1e3)), theta0
+    lam = draw(st.floats(1e-3, 1e3))
+    phi00 = draw(st.one_of(st.floats(-4.0, 4.0),
+                           st.sampled_from([math.nan, math.inf, -math.inf])))
+    return n, eps, alpha, a0, b0, lam, theta0, phi00
 
 
 def _named(call):
@@ -54,9 +57,9 @@ def _named(call):
 @settings(max_examples=400, deadline=None)
 # eps one ulp inside the limit: the four angles at the vertex sum to 2 pi - 4.28
 @example((2, math.nextafter(2.0, 0.0), math.nextafter(1.0, 0.0), [0.0, 0.0], [1.0, 0.0], 1.0,
-          0.0))
+          0.0, 1.0))
 def test_hostile_inputs_end_in_a_named_error_or_pass_the_gate(case):
-    n, eps, alpha, a0, b0, lam, theta0 = case
+    n, eps, alpha, a0, b0, lam, theta0, phi00 = case
     dom, data = LatticeDomain2(n * eps, eps), GoursatData2(a0, b0)
     finite = np.isfinite([a0, b0]).all()
     hirota, naive = (_named(lambda: solve_goursat_2d(rhs, data, dom))
@@ -65,6 +68,13 @@ def test_hostile_inputs_end_in_a_named_error_or_pass_the_gate(case):
         assert sol is None or (np.isfinite(sol.a).all() and np.isfinite(sol.b).all())
     zcc = hirota and _named(lambda: zero_curvature_residual(hirota, lam))
     assert zcc is None or zcc[0] <= 1e-12  # criterion 05
+    for sol, scheme in ((hirota, SchemeKind.HIROTA), (naive, SchemeKind.NAIVE)):
+        try:
+            phi = sol and reconstruct_phi(sol, phi00, scheme)
+        except ValueError as exc:  # a non-finite phi00, or a naive one other than b(0, 0)
+            assert "phi00" in str(exc)
+        else:
+            assert phi is None or (math.isfinite(phi00) and np.isfinite(phi.phi).all())
 
     tower = _named(lambda: backlund_surface(data, dom, [(alpha, theta0)], lam))
     if tower is not None:  # criterion 07: every point moves by the same distance

@@ -289,6 +289,14 @@ def test_reconstruct_phi_naive(solved):
         reconstruct_phi(sol, phi00 + 1.0, SchemeKind.NAIVE)
 
 
+@pytest.mark.parametrize("phi00", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_reconstruct_phi_refuses_a_non_finite_phi00(solved, scheme, phi00):
+    # Hirota would return an all-NaN field; naive would skip its b(0, 0) check
+    with pytest.raises(ValueError, match=rf"phi00 = {phi00} is not finite"):
+        reconstruct_phi(solved[scheme.value], phi00, scheme)
+
+
 def test_reconstruct_phi_naive_one_step():
     # at n = 1 the top row has one value below it: phi(0, 1) = phi(0, 0)
     sol = solve_goursat_2d(naive_system(), demo_data(), LatticeDomain2(1.0, 1.0))

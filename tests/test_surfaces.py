@@ -210,6 +210,25 @@ def test_validator_memory():
     assert peak <= 12e6
 
 
+def test_validator_refuses_a_phi_of_another_lattice(monkeypatch):
+    # a k = 8 mesh against a k = 9 phi is refused by its shapes, before any band runs
+    mesh = build_surface(demo_data(), LatticeDomain2.from_k(1.0, 8))
+    dom9 = LatticeDomain2.from_k(1.0, 9)
+    phi9 = reconstruct_phi(solve_goursat_2d(hirota_system(), demo_data(), dom9), 1.0,
+                           SchemeKind.HIROTA)
+    monkeypatch.setattr(surfaces, "_bands", lambda *args: pytest.fail("a band ran"))
+    with pytest.raises(ValueError, match=r"\(257, 257, 3\).*\(513, 513\).*different lattices"):
+        validate_k_surface(mesh, phi9)
+
+
+def test_step_norms_refuse_meshes_of_two_lattices():
+    lo, hi = (build_surface(demo_data(), LatticeDomain2.from_k(1.0, k)) for k in (4, 5))
+    with pytest.raises(ValueError, match=r"\(17, 17, 3\).*\(33, 33, 3\).*different lattices"):
+        backlund_step_norms(lo, hi)
+    with pytest.raises(ValueError, match="different lattices"):
+        backlund_step_norms(hi, lo)
+
+
 def test_small_mesh_validation():
     dom1 = LatticeDomain2(1.0, 1.0)
     data1 = GoursatData2(a0=lambda x: 0.3, b0=lambda y: 0.2)

@@ -21,8 +21,10 @@ is imported.  The digest covers, in this order:
   blow-ups of the one-layer solve at every = 1, 2 and 4;
 * the exit code, standard output, standard error and written files of
   `ksurf solve --k 8 --phi`, `ksurf surface --k 8`, `ksurf backlund --k 6`
-  with a 2-step chain, `ksurf check --samples 25000` and the refused
-  `ksurf solve --k 40`, each run in an empty directory.
+  with a 2-step chain, `ksurf check --samples 25000`, the refused
+  `ksurf solve --k 40`, the usage error `ksurf solve --bogus` and the
+  refused unread flag of `ksurf converge --quantity phi --lambda 2`, each
+  run in an empty directory, and load_obj_points of every OBJ written.
 
 The available-memory figure of a refusal message, which changes from run
 to run, is masked.  Standard library and numpy only.
@@ -49,6 +51,8 @@ CLI_RUNS = (
      "--theta0", "-0.25"],
     ["check", "--samples", "25000"],
     ["solve", "--k", "40"],
+    ["solve", "--bogus"],
+    ["converge", "--quantity", "phi", "--lambda", "2"],
 )
 _AVAILABLE = re.compile(r"\d+ bytes of available memory")
 
@@ -222,6 +226,8 @@ def _errors(d: _Digest) -> None:
 
 
 def _cli(d: _Digest, src: Path) -> None:
+    from ksurf.surfaces import load_obj_points
+
     env = dict(os.environ, PYTHONPATH=str(src))
     code = "import sys; from ksurf.cli import main; sys.exit(main(sys.argv[1:]))"
     for argv in CLI_RUNS:
@@ -232,6 +238,8 @@ def _cli(d: _Digest, src: Path) -> None:
             d.add(label, [run.returncode, run.stdout, run.stderr])
             for path in sorted(Path(tmp).rglob("*")):
                 d.add(f"{label} {path.relative_to(tmp)}", path.read_bytes())
+                if path.suffix == ".obj":
+                    d.add(f"{label} {path.relative_to(tmp)} points", load_obj_points(path))
 
 
 def main(argv=None) -> int:
