@@ -216,7 +216,8 @@ def backlund_two_route_residual(
         F_A = R F_B + t,  R = conjugation rotation of G,
         t = F_A(0, 0), since F_B(0, 0) = 0.
 
-    Returns the sup over sites of |F_A - (R F_B + t)|.
+    R is read off by the frame kernel's Sym formula (frames._sym).  Returns
+    the sup over sites of |F_A - (R F_B + t)|.
     """
     chain = _params(bt_chain)
     if not chain:
