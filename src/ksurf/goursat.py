@@ -233,32 +233,52 @@ def _require_memory(need: int, what: str, purpose: str) -> None:
                          f"{avail} bytes of available memory")
 
 
-_BAND_FLOOR = 1 << 12  # the fewest sites in a band of _bands
+_BAND_FLOOR = 1 << 12  # the fewest sites in a tile of _bands that is not the only one
 
 
 def _cores() -> int:  # the cores this process may run on
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def _tiles(rows: int, per_row: int) -> tuple[list, int, int]:
+    """(cuts, runs, held) of _bands over rows of per_row sites: tile k is
+    rows cuts[k]..cuts[k+1]-1, runs tiles run at once, and held is the most
+    sites those hold together.
+
+    The rows are cut evenly into as many tiles as hold the fewest whole rows
+    with at least 2 _BAND_FLOOR sites each, or into one tile per core where
+    that gives more, none under _BAND_FLOOR sites; one tile where neither
+    gives any."""
+    per_row, cores = max(per_row, 1), _cores()
+    count = max(1, min(cores, rows // -(-_BAND_FLOOR // per_row)),
+                rows // -(-2 * _BAND_FLOOR // per_row))
+    runs = min(cores, count)
+    return [rows * k // count for k in range(count + 1)], runs, runs * -(-rows // count) * per_row
+
+
 def _bands(rows: int, per_row: int, fn) -> list:
-    """[fn(lo, hi) for the bands [lo, hi) of range(rows)], rows of per_row sites
-    cut into one band per core, none under _BAND_FLOOR sites.  Band 0 runs in
-    the caller, the others on threads, all under the caller's np.errstate; all
-    are joined before this returns or raises the lowest failing band's error."""
-    count = max(1, min(_cores(), rows // -(-_BAND_FLOOR // max(per_row, 1))))
-    cuts, state = [rows * k // count for k in range(count + 1)], np.geterr()
+    """[fn(lo, hi) for the tiles [lo, hi) of range(rows)] (_tiles), rows of
+    per_row sites.  The tiles are dealt in contiguous runs to one thread per
+    core: run 0 in the caller, the others on threads, each tile after tile
+    under the caller's np.errstate, so the temporaries of at most one tile per
+    core are held at once.  A run stops at its first failing tile; all are
+    joined before this returns or raises the lowest failing tile's error."""
+    cuts, runs, _ = _tiles(rows, per_row)
+    count, state = len(cuts) - 1, np.geterr()
     out, errors, threads = [None] * count, [None] * count, []
 
-    def run(k):
-        try:
-            with np.errstate(**state):  # a thread starts from numpy's default state
-                out[k] = fn(cuts[k], cuts[k + 1])
-        except BaseException as exc:  # raised in the caller, lowest band first
-            errors[k] = exc
+    def run(r):
+        with np.errstate(**state):  # a thread starts from numpy's default state
+            for k in range(count * r // runs, count * (r + 1) // runs):
+                try:
+                    out[k] = fn(cuts[k], cuts[k + 1])
+                except BaseException as exc:  # raised in the caller, lowest tile first
+                    errors[k] = exc
+                    return
 
     try:
-        for k in range(1, count):
-            t = threading.Thread(target=run, args=(k,))
+        for r in range(1, runs):
+            t = threading.Thread(target=run, args=(r,))
             t.start()
             threads.append(t)  # once started, so that every thread listed can be joined
         run(0)

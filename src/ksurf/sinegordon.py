@@ -56,6 +56,7 @@ from .goursat import (
     _require_step,
     _solve_one,
     _sweep,
+    _tiles,
 )
 
 
@@ -378,7 +379,11 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
     2. one stacked goursat._sweep solves all layers, each once;
     3. theta of all steps is filled row by row by u from row 0 (the
        smallest-direction rule of solve_goursat_nd); at every site off the
-       y-axis the v-step from the site below must agree to COMPAT_TOL.
+       y-axis the v-step from the site below must agree to COMPAT_TOL.  The
+       check runs in tiles of rows (goursat._bands), each returning its
+       worst mismatch and the first site of it (a NaN counts as worst, as in
+       np.argmax); taken in order they give the worst and first site of the
+       whole layer, with no array of the mismatches.
 
     With top false, layer R, which carries no theta, is not solved, and the
     last step walks only its y-axis.  An empty chain is goursat._solve_one's
@@ -391,10 +396,11 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
     the worst site), then non-finite data of layer z + 1 (BlowUpError
     'data'; stage 1 stops there).  Before anything is allocated, each step
     must admit eps (_require_backlund_step), and the solve of at least one
-    step is sized, each array counted as 8 (n+1)^2 bytes: two per field
-    layer (its fields and axis data), one per theta layer, the theta
-    mismatch array and the four temporaries the cross check's bands hold at
-    once.  ValueError when that exceeds the available memory.
+    step is sized: 8 (n+1)^2 bytes per array, two per field layer (its
+    fields and axis data) and one per theta layer, (n+1)^2 bytes for the
+    finiteness mask of a theta layer, and four temporaries of 8 bytes per
+    site of the tiles the cross check runs at once.  ValueError when that
+    exceeds the available memory.
 
     A finite theta0 whose float spacing exceeds min(eps, 1/4) *
     min(1, alpha, 1/alpha)^2 * 2^-35 is refused with ValueError before any
@@ -415,11 +421,10 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
                              f"spacing {math.ulp(p.theta0):.3g} exceeds {bound:.3g} = min(eps, 1/4) "
                              f"* min(1, alpha, 1/alpha)^2 * 2^-35")
     fields = R + 1 if top else R
-    _require_memory(8 * (n + 1) ** 2 * (2 * fields + R + 5),
+    _require_memory((n + 1) ** 2 * (8 * (2 * fields + R) + 1) + 32 * _tiles(n, n)[2],
                     f"a layered solve on n = {n} steps", f"{fields} field and {R} theta layers")
     ax, bx = np.empty((fields, n)), np.empty((fields, n))  # the data of each layer
     th, tx = np.empty((R, n + 1, n + 1)), np.empty(n + 1)
-    mism = np.empty((n, n))  # a step's theta mismatch at row i + 1 of theta is row i
     ax[0], bx[0] = data.sample(dom)
     _check_data(ax[0], bx[0], eps)
     L = 1  # the layers with finite data
@@ -453,18 +458,20 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
                 i, j = np.unravel_index(int(np.argmin(np.isfinite(th[z]))), th[z].shape)
                 raise BlowUpError("theta", (i * eps, j * eps))
 
-            def cross(lo, hi):
+            def cross(lo, hi):  # the worst mismatch at theta rows lo+1..hi, and its first site
                 below = th[z, lo + 1 : hi + 1, :-1]
-                np.abs(below + eps * steps[z].v(b[z, lo + 1 : hi + 1], below, eps)
-                       - th[z, lo + 1 : hi + 1, 1:], out=mism[lo:hi])
+                mism = np.abs(below + eps * steps[z].v(b[z, lo + 1 : hi + 1], below, eps)
+                              - th[z, lo + 1 : hi + 1, 1:])
+                k = int(np.argmax(mism))  # nan counts as largest
+                return float(mism.flat[k]), (lo + 1 + k // n, 1 + k % n)
 
-            _bands(n, n, cross)
-            i, j = np.unravel_index(int(np.argmax(mism)), mism.shape)  # nan counts as largest
-            if not mism[i, j] <= COMPAT_TOL:
-                raise CompatibilityError(float(mism[i, j]), ((i + 1) * eps, (j + 1) * eps),
+            tops = _bands(n, n, cross)  # the first tile of the worst value holds its first site
+            worst, (i, j) = tops[int(np.argmax([w for w, _ in tops]))]
+            if not worst <= COMPAT_TOL:
+                raise CompatibilityError(worst, (i * eps, j * eps),
                                          detail=f"theta, directions x/y, layer {z}")
             sol.theta.append(th[z])
-            sol.cross.append(float(mism[i, j]))
+            sol.cross.append(worst)
     if L < fields:  # stage 1 stopped at the data of layer L
         _check_data(ax[L], bx[L], eps)
     return sol
@@ -479,14 +486,21 @@ def check_compatibility_3d(rhs6: Rhs3, samples: np.ndarray, eps: float) -> float
     exactly when the right-hand sides are mutually compatible.  u and v are
     each evaluated at the corner and at one neighbour, and the layer
     increments are read off from those values by backlund_xi and
-    backlund_eta, in bands of samples (goursat._bands) whose number does
-    not change the result.  A NaN defect makes the result NaN; zero samples
-    give 0.0.  ValueError unless 0 < eps < rhs6.eps0, and before the work
-    when its temporaries, 128 bytes per sample, exceed the available memory.
+    backlund_eta, in tiles of samples (goursat._bands) whose number does
+    not change the result, so the temporaries held at once are those of one
+    tile per core.  A NaN defect makes the result NaN; zero samples give
+    0.0.  ValueError unless 0 < eps < rhs6.eps0, for samples whose last axis
+    does not hold 3 entries, and before the work when the temporaries of the
+    tiles that run at once, 128 bytes per sample, exceed the available
+    memory.
     """
     _require_backlund_step(rhs6, eps)
     s = np.atleast_2d(np.asarray(samples, dtype=float))
-    _require_memory(128 * (s.size // 3), f"a check of {s.size // 3} samples",
+    if s.shape[-1] != 3:
+        raise ValueError(f"samples of shape {np.shape(samples)} are not (a, b, theta) triples: "
+                         f"their last axis must have 3 entries")
+    rows, per_row = len(s), math.prod(s.shape[1:-1])
+    _require_memory(128 * _tiles(rows, per_row)[2], f"a check of {s.size // 3} samples",
                     "the temporaries of its closure identities")
 
     def defect(lo, hi):
@@ -505,7 +519,7 @@ def check_compatibility_3d(rhs6: Rhs3, samples: np.ndarray, eps: float) -> float
             id3 = (backlund_eta(v_x, th_x, eps) - eta) - eps * (g_up - g)
         return np.max([np.max(np.abs(i), initial=0.0) for i in (id1, id2, id3)])
 
-    return float(np.max(_bands(len(s), math.prod(s.shape[1:-1]), defect)))  # a nan stays nan
+    return float(np.max(_bands(rows, per_row, defect)))  # a nan stays nan
 
 
 # ---------------------------------------------------------------------------

@@ -163,11 +163,15 @@ def backlund_surface(
     point-wise step of constant length 2*lam*alpha/(alpha^2 + lam^2).
     Mesh z records the worst theta cross residual of the z steps behind it.
     Layer R carries no theta and is not solved: a blow-up confined to it
-    does not stop the tower (solve_backlund_chain solves it).
+    does not stop the tower (solve_backlund_chain solves it).  Only layer 0's
+    fields and the theta layers are kept for the frame sweep: the fields of
+    layers 1..R-1 are freed before the points are allocated.
     """
     chain = _params(bt_chain)
     sol = _solve_layers(hirota_system(), chain, data, dom, top=False)
-    return _tower(EdgeField2(sol.a[0], sol.b[0], dom), lam, chain, sol.theta, sol.cross)
+    base, theta, cross = EdgeField2(sol.a[0].copy(), sol.b[0].copy(), dom), sol.theta, sol.cross
+    del sol  # its fields are views of the stacked layers
+    return _tower(base, lam, chain, theta, cross)
 
 
 def _dot(u, w) -> np.ndarray:
@@ -266,10 +270,12 @@ def validate_k_surface(mesh: SurfaceMesh, phi: PhiField) -> KSurfaceReport:
     (to the previous ones); planarity is the closed-form triple products
     |(xp x yp) . xm| and |(xp x yp) . ym|, i.e. |det[xp, yp, xm]| and
     |det[xp, yp, ym]|.  A NaN the validator reads makes the residual it feeds
-    NaN.  Each residual is the max over slabs of site rows (goursat._bands),
-    whose number does not change it: the slab over rows r0..r1 takes their
-    x- and y-edges and the interior vertices r0+1..r1-1.  ValueError, before
-    any band runs, for a mesh and a phi of two different lattices.
+    NaN.  Each residual is the max over slabs of site rows, one per tile of
+    goursat._bands, whose number does not change it: the slab over rows
+    r0..r1 takes their x- and y-edges and the interior vertices r0+1..r1-1.
+    So the temporaries held at once are those of one slab per core, each of
+    O(_BAND_FLOOR + n) sites, however many rows the mesh has.  ValueError,
+    before any tile runs, for a mesh and a phi of two different lattices.
     """
     if mesh.points.shape[:2] != phi.phi.shape:
         raise ValueError(f"mesh points of shape {mesh.points.shape} and phi of shape "
@@ -358,10 +364,26 @@ def export_obj(mesh: SurfaceMesh, path) -> None:
         fh.write(f"theta_cross_residual={mesh.theta_cross_residual:.17g}\n")
 
 
-def load_obj_points(path) -> np.ndarray:
-    """Read back the vertices of an exported OBJ as an (m, 3) array."""
+def _vertex_lines(path):
+    """The lines of an OBJ file that start with "v "."""
     with open(path, "r", encoding="ascii") as fh:
-        rows = [line.split()[1:4] for line in fh if line.startswith("v ")]
+        yield from (line for line in fh if line.startswith("v "))
+
+
+def load_obj_points(path) -> np.ndarray:
+    """Read back the vertices of an exported OBJ as an (m, 3) array;
+    ValueError naming path for a vertex line of fewer than three coordinates,
+    and naming path and the line's text for a coordinate that is no number."""
+    rows = [line.split()[1:4] for line in _vertex_lines(path)]
     if min(map(len, rows), default=3) < 3:
         raise ValueError(f"{path}: a vertex line has fewer than three coordinates")
-    return np.array(rows, dtype=float).reshape(-1, 3)
+    try:
+        return np.array(rows, dtype=float).reshape(-1, 3)
+    except ValueError:
+        for line in _vertex_lines(path):  # read again only to name the refused line
+            try:
+                np.array(line.split()[1:4], dtype=float)
+            except ValueError:
+                raise ValueError(f"{path}: vertex line {line.strip()!r} holds a coordinate "
+                                 f"that is not a number") from None
+        raise

@@ -75,17 +75,33 @@ def test_compatibility_of_zero_samples_is_zero(on_cores, scheme):
 
 
 def test_band_count_and_cuts(monkeypatch):
-    # one band per core, but none below the floor
-    monkeypatch.setattr(goursat, "_cores", lambda: 3)
-    for rows, per_row, bands in ((2 * FLOOR - 1, 1, 1), (2 * FLOOR, 1, 2), (3 * FLOOR, 1, 3),
-                                 (10 * FLOOR, 1, 3), (3, FLOOR - 1, 1), (4, FLOOR // 2, 2),
-                                 (0, 1, 1)):
-        got = _bands(rows, per_row, lambda lo, hi: (lo, hi))
-        assert len(got) == bands and got[0][0] == 0 and got[-1][1] == rows
-        assert all(hi == lo for (_, hi), (lo, _) in zip(got, got[1:]))
-        assert all((hi - lo) * per_row >= FLOOR for lo, hi in got if bands > 1)
-    monkeypatch.setattr(goursat, "_cores", lambda: 1)
-    assert len(_bands(10 * FLOOR, 1, lambda lo, hi: 0)) == 1
+    # contiguous tiles cover the rows, none under the floor unless it is the only
+    # one and none of 4 floors or more unless it is one row; they run in
+    # contiguous runs, run 0 in the caller, on at most one thread per core, and
+    # the sites of the tiles that run at once are at most the held count
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(goursat, "_cores", lambda: cores)
+        for rows, per_row, tiles in ((0, 1, 1), (1, 1, 1), (2 * FLOOR - 1, 1, 1),
+                                     (2 * FLOOR, 1, min(cores, 2)), (3 * FLOOR, 1, cores),
+                                     (10 * FLOOR, 1, 5), (100 * FLOOR + 7, 1, 50),
+                                     (3, FLOOR - 1, 1), (4, FLOOR // 2, min(cores, 2)),
+                                     (1023, 1025, 127), (5, 5 * FLOOR, 5)):
+            ran = {}
+
+            def fn(lo, hi):
+                ran[lo] = threading.get_ident()
+                return lo, hi
+
+            got = _bands(rows, per_row, fn)
+            assert len(got) == tiles and got[0][0] == 0 and got[-1][1] == rows
+            assert all(hi == lo for (_, hi), (lo, _) in zip(got, got[1:]))
+            sites = [(hi - lo) * per_row for lo, hi in got]
+            assert tiles == 1 or min(sites) >= FLOOR
+            assert all(s < 4 * FLOOR or hi - lo == 1 for s, (lo, hi) in zip(sites, got))
+            owners = [ran[lo] for lo, _ in got]
+            runs = [owner for k, owner in enumerate(owners) if k == 0 or owner != owners[k - 1]]
+            assert owners[0] == threading.get_ident() and len(runs) == len(set(runs)) <= cores
+            assert sum(sorted(sites)[-len(runs):]) <= goursat._tiles(rows, per_row)[2]
 
 
 def _layered_digest(sol):

@@ -433,16 +433,18 @@ def test_check_increment_bound_boundary(capsys, scheme):
 
 def test_backlund_layers_beyond_memory_exit_one(monkeypatch, capsys, tmp_path):
     # n = 8192 and 40 steps: the tower solves 40 field layers (not layer 40)
-    # and 40 theta layers, counted with the cross check as 125 arrays of
-    # 8 (n+1)^2 bytes, 67.1 GB; 8 GiB hold one layer's fields
+    # and 40 theta layers, 120 arrays of 8 (n+1)^2 bytes, with a mask of
+    # (n+1)^2 bytes, and the cross check of two cores holds four temporaries
+    # of a one-row tile each, 64.5 GB; 8 GiB hold one layer's fields
     def never(*args):
         raise AssertionError("solved beyond memory")
 
     monkeypatch.setattr(goursat, "_available_bytes", lambda: 2**33)
+    monkeypatch.setattr(goursat, "_cores", lambda: 2)
     monkeypatch.setattr(sinegordon, "_sweep", never)
     monkeypatch.chdir(tmp_path)
     n = 8192
-    need = 8 * (n + 1) ** 2 * (2 * 40 + 40 + 1 + 4)
+    need = (n + 1) ** 2 * (8 * (2 * 40 + 40) + 1) + 8 * 4 * 2 * n
     assert 16 * n * (n + 1) < 2**33 < need
     assert main(["backlund", "--k", "13", *["--alpha", "1", "--theta0", "0.5"] * 40]) == 1
     assert capsys.readouterr().err == (f"error: a layered solve on n = 8192 steps needs {need} "

@@ -105,6 +105,13 @@ def test_obj_reader_edge_cases(tmp_path):
             load_obj_points(tmp_path / name)
 
 
+def test_obj_reader_names_the_line_it_cannot_parse(tmp_path):
+    (tmp_path / "bad.obj").write_text("v 1 2 3\nv 1 2 x\nv 4 5 y\n")
+    with pytest.raises(ValueError, match=r"bad\.obj: vertex line 'v 1 2 x' holds a coordinate "
+                                         r"that is not a number"):
+        load_obj_points(tmp_path / "bad.obj")
+
+
 @pytest.mark.parametrize("make_state", [state_3d, state_1d], ids=["3d", "1d"])
 def test_state_csv_bytes_match_oracle(tmp_path, make_state):
     st = make_state()

@@ -408,10 +408,12 @@ def test_compatibility_naive_backlund_fails():
 @pytest.mark.parametrize("scheme", list(SchemeKind))
 def test_compatibility_matches_three_identity_oracle(scheme, monkeypatch):
     # each of u and v is evaluated at two points, not four: 6 right-hand side
-    # calls against the reference's 10, with bitwise the same residual.  The
-    # calls are counted in one band; each band makes the same calls
+    # calls per tile against the reference's 10, with bitwise the same residual.
+    # The 25,000 samples make 3 tiles on one core, each making the same calls
     monkeypatch.setattr(goursat, "_cores", lambda: 1)
     samples = RNG.uniform(-3.0, 3.0, size=(25_000, 3))
+    tiles = len(goursat._tiles(len(samples), 1)[0]) - 1
+    assert tiles == 3
     for alpha in (0.5, 1.0, 2.0):
         calls = {"step": 0, "u": 0, "v": 0}
 
@@ -433,7 +435,7 @@ def test_compatibility_matches_three_identity_oracle(scheme, monkeypatch):
         for eps in (2.0**-3, 2.0**-6):
             got = check_compatibility_3d(counting, samples, eps)
             assert got == compatibility_3d_three_identities(rhs6, samples, eps)
-        assert calls == {"step": 4, "u": 4, "v": 4}
+        assert calls == {"step": 4 * tiles, "u": 4 * tiles, "v": 4 * tiles}  # 2 each per eps
 
 
 def test_compatibility_rejects_inadmissible_step():
@@ -609,11 +611,12 @@ def test_top_layer_not_solved_for_the_tower():
 
 
 def test_layered_solve_sized_before_allocation(monkeypatch):
-    # n = 8: arrays of 8 (n+1)^2 bytes, two for each of three field layers, one
-    # for each of two theta layers, the mismatch array and four temporaries of
-    # the cross check, sized together before the data are sampled
+    # n = 8: arrays of 8 (n+1)^2 bytes, two for each of three field layers and
+    # one for each of two theta layers, a mask of (n+1)^2 bytes, and four
+    # temporaries of the cross check's one tile of n^2 sites, sized together
+    # before the data are sampled
     dom, rhs6 = LatticeDomain2.from_k(1.0, 3), hirota_backlund_system(1.0)
-    need = 8 * 81 * (2 * 3 + 2 + 1 + 4)
+    need = 81 * (8 * (2 * 3 + 2) + 1) + 8 * 4 * 64
     monkeypatch.setattr(goursat, "_available_bytes", lambda: need)
     assert solve_goursat_3d(rhs6, demo_data(), [0.5, -0.25], dom).layers == 2
 
@@ -650,10 +653,10 @@ def test_empty_chain_admitted_where_one_lattice_is(monkeypatch):
     ([(1.0, 0.5), (0.5, -0.25), (2.0, 0.1)], False),  # the tower's solve
 ], ids=["one_step", "three_steps", "tower"])
 def test_layered_solve_peak_within_its_guard(monkeypatch, chain, top):
-    # at k = 8 the traced peak is the cross check's: the fields, theta, the
-    # mismatch array and four band temporaries.  Measured at 0.95-0.999 of
-    # the guarded bytes; the guard before counted only fields and theta, and
-    # the peak was 1.46-1.90 times that
+    # at k = 8 the traced peak is the cross check's: the fields, theta and the
+    # temporaries of the tiles that run at once.  Measured at 0.85-0.99 of the
+    # guarded bytes on 1 to 3 cores; a guard of only fields and theta was
+    # passed by 1.46-1.90 times, before the check ran in tiles
     dom, guarded = LatticeDomain2.from_k(1.0, 8), []
     monkeypatch.setattr(sinegordon, "_require_memory", lambda need, *args: guarded.append(need))
     chain = [BacklundParam(*p) for p in chain]
@@ -738,8 +741,34 @@ def test_theta0_of_size_100_keeps_its_bits(k, corners):
     assert tuple(th[-1, -1].hex() for th in sol.theta) == corners
 
 
+@pytest.mark.parametrize("samples", [np.ones((2, 2)), np.empty(0)], ids=["pairs", "empty_1d"])
+def test_compatibility_check_refuses_samples_that_are_not_triples(monkeypatch, samples):
+    # refused by shape before any tile runs; an IndexError came from a band before
+    monkeypatch.setattr(sinegordon, "_bands", lambda *args: pytest.fail("a tile ran"))
+    with pytest.raises(ValueError, match=re.escape(f"samples of shape {samples.shape} are not "
+                                                   f"(a, b, theta) triples")):
+        check_compatibility_3d(hirota_backlund_system(1.0), samples, 0.125)
+
+
+def test_compatibility_check_memory_is_bounded():
+    # the closure identities run in tiles of samples: 8 times the samples take
+    # at most 1.5 times the traced peak (measured 2.0-2.2 MB at both sizes on
+    # 2 cores; 3.2 and 24.4 MB in one band per core)
+    rhs6, peaks = hirota_backlund_system(1.0), []
+    for m in (25_000, 200_000):
+        samples = RNG.uniform(-3.0, 3.0, size=(m, 3))
+        tracemalloc.start()
+        try:
+            check_compatibility_3d(rhs6, samples, 2.0**-3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
 def test_compatibility_check_refuses_samples_beyond_memory(monkeypatch):
-    # 128 bytes per sample for the temporaries of the closure identities
+    # 128 bytes per sample of the tiles that run at once, for the temporaries
+    # of the closure identities: 10 samples are one tile
     rhs6, samples = hirota_backlund_system(1.0), np.zeros((10, 3))
     monkeypatch.setattr(goursat, "_available_bytes", lambda: 1279)
     with pytest.raises(ValueError, match="a check of 10 samples needs 1280 bytes for the "

@@ -19,6 +19,10 @@ is imported.  The digest covers, in this order:
   every family;
 * the class, site and message of the layered-solve errors and of the
   blow-ups of the one-layer solve at every = 1, 2 and 4;
+* the validate_k_surface reports at k = 6, 8 and 10 of every mesh of the
+  3-step tower against its layer's phi, and of the base mesh with noise
+  added, and check_compatibility_3d of 25,000 and 100,000 samples for both
+  schemes, alpha = 0.5, 1 and 2 and eps = 2^-3 and 2^-6;
 * the exit code, standard output, standard error and written files of
   `ksurf solve --k 8 --phi`, `ksurf surface --k 8`, `ksurf backlund --k 6`
   with a 2-step chain, `ksurf check --samples 25000`, the refused
@@ -43,6 +47,7 @@ from pathlib import Path
 import numpy as np
 
 KS = (1, 2, 3, 6, 8, 10)
+CHECK_KS = (6, 8, 10)
 THREE = [(1.0, 0.5), (0.5, -0.25), (2.0, 0.1)]
 CLI_RUNS = (
     ["solve", "--k", "8", "--phi"],
@@ -225,6 +230,37 @@ def _errors(d: _Digest) -> None:
         d.error("blow-up once", lambda: solve(Rhs2(step_once, np.inf, "once"), demo_data(), dom, 2))
 
 
+def _checks(d: _Digest) -> None:
+    from ksurf.goursat import EdgeField2, LatticeDomain2
+    from ksurf.harness import demo_data
+    from ksurf.sinegordon import (SchemeKind, backlund_system, check_compatibility_3d,
+                                  reconstruct_phi)
+    from ksurf.surfaces import backlund_surface, solve_backlund_chain, validate_k_surface
+
+    rng = np.random.default_rng(19)
+    for k in CHECK_KS:
+        dom = LatticeDomain2.from_k(1.0, k)
+        sol = solve_backlund_chain(demo_data(), dom, THREE)
+        phis = [reconstruct_phi(EdgeField2(a, b, dom), b[0, 0], SchemeKind.HIROTA)
+                for a, b in zip(sol.a, sol.b)]
+        del sol
+        tower = backlund_surface(demo_data(), dom, THREE)
+        noisy = type(tower[0])(tower[0].points + rng.normal(scale=1e-4, size=tower[0].points.shape),
+                               dom.eps, dom.r, 1.0)
+        for z, (mesh, phi) in enumerate(zip(tower + [noisy], phis + phis[:1])):
+            rep = validate_k_surface(mesh, phi)
+            d.add(f"k{k} validate mesh {z}", [rep.edge, rep.planarity, rep.angle, rep.angle_sum,
+                                              rep.interior_sites])
+        del tower, noisy, phis
+    for m in (25_000, 100_000):
+        samples = rng.uniform(-3.0, 3.0, size=(m, 3))
+        for scheme in SchemeKind:
+            for alpha in (0.5, 1.0, 2.0):
+                for eps in (2.0**-3, 2.0**-6):
+                    d.add(f"compat m={m} {scheme.value} alpha={alpha} eps={eps}",
+                          check_compatibility_3d(backlund_system(alpha, scheme), samples, eps))
+
+
 def _cli(d: _Digest, src: Path) -> None:
     from ksurf.surfaces import load_obj_points
 
@@ -256,6 +292,7 @@ def main(argv=None) -> int:
     _arrays(d, KS)
     _sweeps(d)
     _errors(d)
+    _checks(d)
     _cli(d, src)
     print(d.h.hexdigest())
     return 0
