@@ -246,13 +246,14 @@ def _tiles(rows: int, per_row: int) -> tuple[list, int, int]:
     sites those hold together.
 
     The rows are cut evenly into as many tiles as hold the fewest whole rows
-    with at least 2 _BAND_FLOOR sites each, or into one tile per core where
-    that gives more, none under _BAND_FLOOR sites; one tile where neither
-    gives any."""
-    per_row, cores = max(per_row, 1), _cores()
-    count = max(1, min(cores, rows // -(-_BAND_FLOOR // per_row)),
-                rows // -(-2 * _BAND_FLOOR // per_row))
-    runs = min(cores, count)
+    with at least 2 _BAND_FLOOR sites each, that count rounded up to a
+    multiple of runs so that each run does the same work, or into one tile
+    per core where that gives more; none under _BAND_FLOOR sites, and one
+    tile where no two are that large."""
+    per_row = max(per_row, 1)
+    most = rows // -(-_BAND_FLOOR // per_row)  # the most tiles of _BAND_FLOOR sites
+    runs = max(1, min(_cores(), most))
+    count = max(runs, min(most, -(-(rows // -(-2 * _BAND_FLOOR // per_row)) // runs) * runs))
     return [rows * k // count for k in range(count + 1)], runs, runs * -(-rows // count) * per_row
 
 

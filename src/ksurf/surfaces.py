@@ -319,7 +319,7 @@ def validate_k_surface(mesh: SurfaceMesh, phi: PhiField) -> KSurfaceReport:
             total += np.arccos(np.clip(cos, -1.0, 1.0))
         return edge, planarity, np.max(angle), np.max(np.abs(total - 2.0 * np.pi))
 
-    # band [lo, hi) of the interior rows 1..n-1 is the slab over rows lo..hi+1 (n = 1: rows 0..1)
+    # tile [lo, hi) of the interior rows 1..n-1 is the slab over rows lo..hi+1 (n = 1: rows 0..1)
     worst = np.max(_bands(max(n - 1, 1), n + 1, lambda lo, hi: slab(lo, min(hi + 1, n))), axis=0)
     return KSurfaceReport(*map(float, worst), (n - 1) ** 2)
 

@@ -77,19 +77,22 @@ def test_compatibility_of_zero_samples_is_zero(on_cores, scheme):
 def test_band_count_and_cuts(monkeypatch):
     # contiguous tiles cover the rows, none under the floor unless it is the only
     # one and none of 4 floors or more unless it is one row; they run in
-    # contiguous runs, run 0 in the caller, on at most one thread per core, and
-    # the sites of the tiles that run at once are at most the held count
+    # contiguous runs of as many tiles each where the floor allows, run 0 in
+    # the caller, on at most one thread per core, and the sites of the tiles
+    # that run at once are at most the held count
     for cores in (1, 2, 3):
         monkeypatch.setattr(goursat, "_cores", lambda: cores)
-        for rows, per_row, tiles in ((0, 1, 1), (1, 1, 1), (2 * FLOOR - 1, 1, 1),
-                                     (2 * FLOOR, 1, min(cores, 2)), (3 * FLOOR, 1, cores),
-                                     (10 * FLOOR, 1, 5), (100 * FLOOR + 7, 1, 50),
-                                     (3, FLOOR - 1, 1), (4, FLOOR // 2, min(cores, 2)),
-                                     (1023, 1025, 127), (5, 5 * FLOOR, 5)):
+        for rows, per_row, tiles in ((0, 1, (1, 1, 1)), (1, 1, (1, 1, 1)),
+                                     (2 * FLOOR - 1, 1, (1, 1, 1)), (2 * FLOOR, 1, (1, 2, 2)),
+                                     (3 * FLOOR, 1, (1, 2, 3)), (10 * FLOOR, 1, (5, 6, 6)),
+                                     (100 * FLOOR + 7, 1, (50, 50, 51)),
+                                     (3, FLOOR - 1, (1, 1, 1)), (4, FLOOR // 2, (1, 2, 2)),
+                                     (1023, 1025, (127, 128, 129)), (5, 5 * FLOOR, (5, 5, 5))):
+            tiles = tiles[cores - 1]
             ran = {}
 
             def fn(lo, hi):
-                ran[lo] = threading.get_ident()
+                ran[lo] = threading.current_thread()  # an ident can be reused
                 return lo, hi
 
             got = _bands(rows, per_row, fn)
@@ -100,7 +103,8 @@ def test_band_count_and_cuts(monkeypatch):
             assert all(s < 4 * FLOOR or hi - lo == 1 for s, (lo, hi) in zip(sites, got))
             owners = [ran[lo] for lo, _ in got]
             runs = [owner for k, owner in enumerate(owners) if k == 0 or owner != owners[k - 1]]
-            assert owners[0] == threading.get_ident() and len(runs) == len(set(runs)) <= cores
+            assert owners[0] is threading.current_thread() and len(runs) == len(set(runs)) <= cores
+            assert tiles % len(runs) == 0 or rows // (tiles + 1) * per_row < FLOOR
             assert sum(sorted(sites)[-len(runs):]) <= goursat._tiles(rows, per_row)[2]
 
 
