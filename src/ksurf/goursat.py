@@ -252,8 +252,9 @@ def _tiles(rows: int, per_row: int) -> tuple[list, int, int]:
     tile where no two are that large."""
     per_row = max(per_row, 1)
     most = rows // -(-_BAND_FLOOR // per_row)  # the most tiles of _BAND_FLOOR sites
+    fewest = rows // -(-2 * _BAND_FLOOR // per_row)  # tiles of 2 _BAND_FLOOR sites
     runs = max(1, min(_cores(), most))
-    count = max(runs, min(most, -(-(rows // -(-2 * _BAND_FLOOR // per_row)) // runs) * runs))
+    count = max(runs, min(most, -(-fewest // runs) * runs))
     return [rows * k // count for k in range(count + 1)], runs, runs * -(-rows // count) * per_row
 
 
