@@ -491,8 +491,9 @@ def check_compatibility_3d(rhs6: Rhs3, samples: np.ndarray, eps: float) -> float
     tile per core.  A NaN defect makes the result NaN; zero samples give
     0.0.  ValueError unless 0 < eps < rhs6.eps0, for samples whose last axis
     does not hold 3 entries, and before the work when the temporaries of the
-    tiles that run at once, 128 bytes per sample, exceed the available
-    memory.
+    tiles that run at once, 144 bytes per sample, exceed the available
+    memory: a tile holds at most 17 float arrays at once, and the eighteenth
+    covers the check's fixed objects (about 4 KB) from 512 samples up.
     """
     _require_backlund_step(rhs6, eps)
     s = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -500,7 +501,7 @@ def check_compatibility_3d(rhs6: Rhs3, samples: np.ndarray, eps: float) -> float
         raise ValueError(f"samples of shape {np.shape(samples)} are not (a, b, theta) triples: "
                          f"their last axis must have 3 entries")
     rows, per_row = len(s), math.prod(s.shape[1:-1])
-    _require_memory(128 * _tiles(rows, per_row)[2], f"a check of {s.size // 3} samples",
+    _require_memory(144 * _tiles(rows, per_row)[2], f"a check of {s.size // 3} samples",
                     "the temporaries of its closure identities")
 
     def defect(lo, hi):

@@ -1,12 +1,13 @@
 """Tests for the general d-dimensional Goursat solver and its checks."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ksurf import goursat
+from ksurf import goursat, ndsys
 from ksurf.goursat import (
     BlowUpError,
     CompatibilityError,
@@ -395,13 +396,16 @@ def test_solve_domain_validation():
 
 def test_solve_refuses_a_box_beyond_memory(monkeypatch):
     # 8 (2 N + 1) bytes per box site: the N padded fields, the level order and
-    # the N fields returned; at eps = 1/8 the box is 9 x 9 x 3 = 243 sites
+    # the N fields returned; at eps = 1/8 the box is 9 x 9 x 3 = 243 sites.
+    # A band's plan adds 8 (d + P + 6) = 120 bytes per band site: a band of 16
+    # levels of at most 243/9 = 27 sites each holds at most the 243 of the box
     spec, data = sine_gordon_3d_spec(1.0, 0.125), [A0, B0, theta0_layers([0.5, -0.3])]
-    need = 8 * 243 * 7
+    need = 8 * 243 * 7 + 243 * 120
     monkeypatch.setattr(goursat, "_available_bytes", lambda: need - 1)
     with pytest.raises(ValueError, match=f"a box of 9x9x3 sites needs {need} bytes for its 3 "
-                                         f"padded fields, their level order and the fields it "
-                                         f"returns, more than the {need - 1} bytes"):
+                                         f"padded fields, their level order, the fields it "
+                                         f"returns and the plan of a band of levels, more than "
+                                         f"the {need - 1} bytes"):
         solve_goursat_nd(spec, data, (1.0, 1.0, 2.0))
     monkeypatch.setattr(goursat, "_available_bytes", lambda: need)
     assert solve_goursat_nd(spec, data, (1.0, 1.0, 2.0)).fields[2].shape == (9, 9, 2)
@@ -409,6 +413,116 @@ def test_solve_refuses_a_box_beyond_memory(monkeypatch):
     monkeypatch.setattr(goursat, "_available_bytes", lambda: 2**33)
     with pytest.raises(ValueError, match=r"a box of 6400001x6400001x3 sites needs \d+ bytes"):
         solve_goursat_nd(sine_gordon_3d_spec(1.0, 2.0**-6), data, (1e5, 1e5, 2.0))
+
+
+@pytest.mark.parametrize("spec, data, r, box", [
+    (sine_gordon_3d_spec(1.0, 2.0**-6), [A0, B0, theta0_layers([0.5, -0.3])], (1.0, 1.0, 2.0),
+     (65, 65, 3)),
+    (sine_gordon_2d_spec(SchemeKind.HIROTA, 2.0**-7), [A0, B0], 1.0, (129, 129)),
+], ids=["3d", "2d"])
+def test_solve_peak_within_its_guard(monkeypatch, spec, data, r, box):
+    # the traced peak, the box arrays and one band's plan at a time, stays within
+    # the guarded bytes: measured 0.60 of them in 3D (the plan and its
+    # temporaries about 78 of the 120 bytes per band site) and 0.67 in 2D
+    guarded = []
+    monkeypatch.setattr(ndsys, "_require_memory", lambda need, *args: guarded.append(need))
+    solve_goursat_nd(spec, data, r)  # warm caches
+    tracemalloc.start()
+    try:
+        solve_goursat_nd(spec, data, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size, band = np.prod(box), ndsys.LEVEL_BAND * np.prod(box) // max(box)
+    assert guarded[-1] == 8 * size * (2 * spec.num_fields + 1) + band * 8 * (
+        spec.dim + len(spec.rhs) + 6)
+    assert peak <= guarded[-1]
+
+
+def grid_spec(blow=(), wrong=()):
+    """One field u = i + 1000 j on the integer lattice: its x-step is infinite
+    into the sites of blow and its y-step off by 1e-3 into those of wrong,
+    where the y-step is an alternative assignment wherever i > 0."""
+    blow_at = [i - 1 + 1000.0 * j for i, j in blow]  # the predecessor values
+    wrong_at = [i + 1000.0 * (j - 1) for i, j in wrong]
+    return SystemSpecND(
+        evol=(frozenset({0, 1}),),
+        rhs={
+            (0, 0): lambda s: np.where(np.isin(s[0], blow_at), np.inf, 1.0),
+            (0, 1): lambda s: 1000.0 + np.where(np.isin(s[0], wrong_at), 1e-3, 0.0),
+        },
+        deps={(0, 0): frozenset({0}), (0, 1): frozenset({0})},
+        eps=(1.0, 1.0),
+    )
+
+
+@pytest.mark.parametrize("band", [1, 2, 3, None], ids=["band1", "band2", "band3", "default"])
+def test_bits_and_errors_do_not_depend_on_band_size(monkeypatch, band):
+    # the plan is cut out of the level order once per band of levels; its size
+    # changes neither a value nor the first failing site and its message
+    if band is not None:
+        monkeypatch.setattr(ndsys, "LEVEL_BAND", band)
+    size = ndsys.LEVEL_BAND
+    eps = 2.0**-3
+    for args in ((sine_gordon_2d_spec(SchemeKind.HIROTA, eps), [A0, B0], (1.0, 1.0)),
+                 (sine_gordon_3d_spec(1.0, eps), [A0, B0, theta0_layers([0.5, -0.3])],
+                  (1.0, 1.0, 2.0)),
+                 (toy_4d_spec(), [lambda *xs: 1.0], (1.0, 1.0, 1.0, 0.5))):
+        st = solve_goursat_nd(*args)
+        ref, worst = scalar_oracle(*args)
+        for got, want in zip(st.fields, ref):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert st.alt_residual == worst
+    # the first and the last level of the third band, each holding two faulty
+    # sites of which the lexicographically first is reported
+    for level in (2 * size + 1, 3 * size):
+        first, second = (level // 2, level - level // 2), (level // 2 + 1, level - level // 2 - 1)
+        with pytest.raises(BlowUpError) as exc:
+            solve_goursat_nd(grid_spec(blow=[second, first]), [lambda x, y: 0.0], (60.0, 60.0))
+        assert exc.value.field_name == "a_0" and exc.value.site == tuple(map(float, first))
+        with pytest.raises(CompatibilityError) as exc:
+            solve_goursat_nd(grid_spec(wrong=[second, first]), [lambda x, y: 0.0], (60.0, 60.0))
+        assert exc.value.site == tuple(map(float, first))
+        assert str(exc.value) == (f"incompatible right-hand sides: propagation mismatch 1.000e-03 "
+                                  f"at site {first} (field 0, directions 0/1)")
+        # a blow-up and a mismatch on one level: the blow-up's pair (0, 0) runs first
+        with pytest.raises(BlowUpError) as exc:
+            solve_goursat_nd(grid_spec(blow=[second], wrong=[first]), [lambda x, y: 0.0],
+                             (60.0, 60.0))
+        assert exc.value.site == tuple(map(float, second))
+
+
+@pytest.mark.parametrize("bad, shown", [
+    (lambda *xs: np.array([1.0, 2.0]), "array([1., 2.])"),
+    (lambda *xs: np.array([1.0]), "array([1.])"),
+    (lambda *xs: None, "array(None, dtype=object)"),
+    (lambda *xs: 1.0 + 0.0j, "array(1.+0.j)"),
+    (lambda *xs: np.complex128(0.5 + 2.0j), "array(0.5+2.j)"),
+    (lambda *xs: "0.5", "array('0.5', dtype='<U3')"),
+], ids=["pair", "length-one", "none", "complex", "numpy-complex", "string"])
+def test_solve_refuses_data_that_is_not_a_real_scalar(bad, shown):
+    # named by field and site before any level is solved; a bare TypeError
+    # (or a silently dropped imaginary part) came from float() before
+    calls = []
+    spec = sine_gordon_2d_spec(SchemeKind.HIROTA, 2.0**-3)
+    spec = replace(spec, rhs={key: (lambda s, f=f: calls.append(1) or f(s))
+                              for key, f in spec.rhs.items()})
+    data = [A0, lambda x, y: bad(x, y) if y == 0.25 else 1.0]
+    with pytest.raises(ValueError) as exc:
+        solve_goursat_nd(spec, data, 1.0)
+    assert str(exc.value) == f"a_1 data at (0.0, 0.25) is not a real scalar: {shown}"
+    assert calls == []
+
+
+def test_solve_refuses_a_data_list_of_the_wrong_length():
+    spec = sine_gordon_3d_spec(1.0, 2.0**-3)
+    for data in ([A0, B0], [A0, B0, theta0_layers([0.5]), A0], []):
+        with pytest.raises(ValueError, match=f"^{len(data)} data callables for 3 fields$"):
+            solve_goursat_nd(spec, data, (1.0, 1.0, 1.0))
+    # integer and boolean scalars are real values
+    st = solve_goursat_nd(spec, [lambda *xs: 1, lambda *xs: np.int32(2), lambda *xs: True],
+                          (1.0, 1.0, 1.0))
+    assert st.fields[0][0, 0, 0] == 1.0 and st.fields[2][0, 0, 0] == 1.0
 
 
 def test_solve_has_no_tolerance_argument():

@@ -769,15 +769,37 @@ def test_compatibility_check_memory_is_bounded(monkeypatch):
 
 
 def test_compatibility_check_refuses_samples_beyond_memory(monkeypatch):
-    # 128 bytes per sample of the tiles that run at once, for the temporaries
+    # 144 bytes per sample of the tiles that run at once, for the temporaries
     # of the closure identities: 10 samples are one tile
     rhs6, samples = hirota_backlund_system(1.0), np.zeros((10, 3))
-    monkeypatch.setattr(goursat, "_available_bytes", lambda: 1279)
-    with pytest.raises(ValueError, match="a check of 10 samples needs 1280 bytes for the "
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: 1439)
+    with pytest.raises(ValueError, match="a check of 10 samples needs 1440 bytes for the "
                                          "temporaries of its closure identities"):
         check_compatibility_3d(rhs6, samples, 0.125)
-    monkeypatch.setattr(goursat, "_available_bytes", lambda: 1280)
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: 1440)
     assert check_compatibility_3d(rhs6, samples, 0.125) <= COMPAT_TOL
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_compatibility_check_peak_within_its_guard(monkeypatch, scheme):
+    # on one core a tile of 8,334 samples runs at a time: its 17 float arrays
+    # and the check's fixed objects read 1,137,748 and 1,139,484 bytes at
+    # 25,000 and 200,000 samples, above the 1,066,752 of a guard of 128 bytes
+    # per sample and within the 1,200,096 of the guard's 144
+    monkeypatch.setattr(goursat, "_cores", lambda: 1)
+    guarded = []
+    monkeypatch.setattr(sinegordon, "_require_memory", lambda need, *args: guarded.append(need))
+    rhs6 = backlund_system(1.0, scheme)
+    for m in (25_000, 200_000):
+        samples = RNG.uniform(-3.0, 3.0, size=(m, 3))
+        check_compatibility_3d(rhs6, samples, 2.0**-3)  # warm caches
+        tracemalloc.start()
+        try:
+            check_compatibility_3d(rhs6, samples, 2.0**-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= guarded[-1]
 
 
 def test_backlund_param():

@@ -28,7 +28,14 @@ is imported.  The digest covers, in this order:
   with a 2-step chain, `ksurf check --samples 25000`, the refused
   `ksurf solve --k 40`, the usage error `ksurf solve --bogus` and the
   refused unread flag of `ksurf converge --quantity phi --lambda 2`, each
-  run in an empty directory, and load_obj_points of every OBJ written.
+  run in an empty directory, and load_obj_points of every OBJ written;
+* the fields and alt_residual of solve_goursat_nd for the planar Hirota and
+  naive specs (eps = 2^-3 and 2^-6), the 3D spec at alpha = 0.5, 1 and 2
+  and eps = 2^-3 and 2^-5 (two layers) and demo 05's 4D toy, and the class,
+  site and message of its blow-ups and incompatibilities: non-finite data,
+  a blow-up of the 1D growth rate and of the 3D theta step, the naive 3D
+  spec and the 111 x 111 single-site mismatch at site (37, 50) and on
+  levels 15 to 18 and 111.
 
 The available-memory figure of a refusal message, which changes from run
 to run, is masked.  Standard library and numpy only.
@@ -261,6 +268,59 @@ def _checks(d: _Digest) -> None:
                           check_compatibility_3d(backlund_system(alpha, scheme), samples, eps))
 
 
+def _nd(d: _Digest) -> None:
+    from ksurf.ndsys import SystemSpecND, sine_gordon_2d_spec, sine_gordon_3d_spec, solve_goursat_nd
+    from ksurf.sinegordon import SchemeKind
+
+    a0 = lambda x, *_: np.cos(2.0 * x)  # noqa: E731
+    b0 = lambda x, y, *_: 1.0 + np.sin(y)  # noqa: E731
+    theta0 = lambda x, y, z: (0.5, -0.3)[int(round(z))]  # noqa: E731
+
+    def add(label, spec, data, r):
+        st = solve_goursat_nd(spec, data, r)
+        d.add(label, [*st.fields, st.alt_residual])
+
+    for scheme in SchemeKind:
+        for eps in (2.0**-3, 2.0**-6):
+            add(f"nd 2d {scheme.value} eps={eps}", sine_gordon_2d_spec(scheme, eps), [a0, b0], 1.0)
+    for alpha in (0.5, 1.0, 2.0):
+        for eps in (2.0**-3, 2.0**-5):
+            add(f"nd 3d alpha={alpha} eps={eps}", sine_gordon_3d_spec(alpha, eps),
+                [a0, b0, theta0], (1.0, 1.0, 2.0))
+    rates = (0.25, -0.5, 1.0, 0.125)
+    toy = SystemSpecND(evol=(frozenset(range(4)),),
+                       rhs={(0, i): (lambda s, c=c: c * s[0]) for i, c in enumerate(rates)},
+                       deps={(0, i): frozenset({0}) for i in range(4)}, eps=(0.5, 0.5, 0.25, 0.25))
+    add("nd 4d toy", toy, [lambda *xs: 1.0], (1.0, 1.0, 1.0, 0.5))
+
+    def grid(target):  # u = i + 1000 j on 111 x 111, the y-step into target off by 1e-3
+        bad = target[0] + 1000.0 * (target[1] - 1)
+        return SystemSpecND(evol=(frozenset({0, 1}),),
+                            rhs={(0, 0): lambda s: np.ones_like(s[0]),
+                                 (0, 1): lambda s: 1000.0 + np.where(s[0] == bad, 1e-3, 0.0)},
+                            deps={(0, 0): frozenset({0}), (0, 1): frozenset({0})}, eps=(1.0, 1.0))
+
+    growth = SystemSpecND(evol=(frozenset({0}),),
+                          rhs={(0, 0): lambda s: np.where(np.asarray(s[0]) > 1.5, np.inf, 1.0)},
+                          deps={(0, 0): frozenset({0})}, eps=(0.5, 0.5))
+    spec3 = sine_gordon_3d_spec(1.0, 2.0**-4)
+    hot = {**spec3.rhs, (2, 1): lambda s: np.where(s[1] > 1.5, np.inf, spec3.rhs[(2, 1)](s))}
+    cases = {
+        "data": (sine_gordon_2d_spec(SchemeKind.HIROTA, 2.0**-3),
+                 [a0, lambda x, y: np.inf if y == 0.5 else 1.0], 1.0),
+        "growth": (growth, [lambda x, y: 1.2], (2.0, 2.0)),
+        "theta step": (SystemSpecND(spec3.evol, hot, spec3.deps, spec3.eps),
+                       [a0, b0, theta0], (1.0, 1.0, 2.0)),
+        "naive 3d": (sine_gordon_3d_spec(1.0, 2.0**-4, SchemeKind.NAIVE), [a0, b0, theta0],
+                     (1.0, 1.0, 1.0)),
+    }
+    for target in ((37, 50), (7, 8), (8, 8), (9, 8), (9, 9), (1, 110)):
+        cases[f"grid {target}"] = (grid(target), [lambda x, y: 0.0], (110.0, 110.0))
+    with np.errstate(all="ignore"):
+        for name, (spec, data, r) in cases.items():
+            d.error(f"nd {name}", lambda: solve_goursat_nd(spec, data, r))
+
+
 def _cli(d: _Digest, src: Path) -> None:
     from ksurf.surfaces import load_obj_points
 
@@ -294,6 +354,7 @@ def main(argv=None) -> int:
     _errors(d)
     _checks(d)
     _cli(d, src)
+    _nd(d)
     print(d.h.hexdigest())
     return 0
 
