@@ -33,7 +33,7 @@ is imported.  The digest covers, in this order:
   naive specs (eps = 2^-3 and 2^-6), the 3D spec at alpha = 0.5, 1 and 2
   and eps = 2^-3 and 2^-5 (two layers) and demo 05's 4D toy, and the class,
   site and message of its blow-ups and incompatibilities: non-finite data,
-  a blow-up of the 1D growth rate and of the 3D theta step, the naive 3D
+  a blow-up of a one-field growth law and of the 3D theta step, the naive 3D
   spec and the 111 x 111 single-site mismatch at site (37, 50) and on
   levels 15 to 18 and 111.
 
