@@ -39,8 +39,8 @@ from .goursat import (
     CompatibilityError,
     GoursatData2,
     LatticeDomain2,
+    _plan,
     _read_pairs,
-    _require_memory,
     save_field_csv,
     solve_goursat_2d,
 )
@@ -296,9 +296,11 @@ def _cmd_check(args) -> int:
     eps_list = args.eps if args.eps else [2.0**-3, 2.0**-6]
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
-    _require_memory(24 * args.samples, f"--samples {args.samples}", "its (a, b, theta) samples")
-    rng = np.random.default_rng(args.seed)
-    samples = rng.uniform(-3.0, 3.0, size=(args.samples, 3))
+    samples, = _plan(f"--samples {args.samples}", "its (a, b, theta) samples",
+                     [((args.samples, 3), float)])
+    np.random.default_rng(args.seed).random(out=samples)
+    samples *= 6.0  # in place, the bits of rng.uniform(-3.0, 3.0)
+    samples -= 3.0
     residuals = []
     for alpha in alphas:
         rhs6 = backlund_system(alpha, SchemeKind(args.scheme))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .goursat import EdgeField2, LatticeDomain2, _require_memory
+from .goursat import EdgeField2, LatticeDomain2, _plan
 
 # Largest zero-curvature cell residual (Frobenius) a frame is built on.
 ZCC_TOL = 1e-10
@@ -153,10 +153,10 @@ def _planes(psi: np.ndarray, dpsi: np.ndarray) -> tuple:
 
 # Sites per block of lines (at least two lines: each block forms the axis
 # planes of one line more than it holds, the first of the next block): the
-# work that does not depend on the previous line runs once per block.  Larger blocks save
-# interpreter calls but hold more temporaries; at this size the k = 8 tower
-# of three dressings peaks 0.82 MB above its points (0.15 MB line by line).
+# work that does not depend on the previous line runs once per block.  Larger
+# blocks save interpreter calls but hold more temporaries.
 _BLOCK_SITES = 1 << 11
+_BLOCK_SITE = 352  # bytes per site of a block's temporaries: planes, residuals, dressing, Sym
 
 
 @dataclass
@@ -168,12 +168,17 @@ class _Sweep:
     points: list
 
 
-def _frame_buffer(lines: int, n: int) -> np.ndarray:
-    """An empty (4, lines, n+1) buffer: [:, j] holds the planes p, q, dp, dq of
-    line j.  The planes start 1 KiB apart modulo 4 KiB: on planes a multiple
-    of 4 KiB apart, Sym ran at half speed (cache aliasing)."""
+def _sweep_plan(n: int, dressings: int = 0, frame: bool = False, sym: bool = False) -> tuple:
+    """(lines per block, plan items) of _sweep on n steps: the block buffer,
+    whose (4, lines, n+1) view holds the planes p, q, dp, dq of each line,
+    Psi and dPsi (frame), the dressings + 1 point arrays (sym) and one
+    block's temporaries.  The planes start 1 KiB apart modulo 4 KiB: on
+    planes a multiple of 4 KiB apart, Sym ran at half speed (cache aliasing)."""
+    lines = min(max(2, _BLOCK_SITES // (n + 1)), n + 1)
     e = lines * (n + 1)
-    return np.empty((4, e + (64 - e) % 256), dtype=complex)[:, :e].reshape(4, lines, n + 1)
+    return lines, [((4, e + (64 - e) % 256), complex), *[((2, n + 1, n + 1, 2, 2), complex)]
+                   * frame, *[((n + 1, n + 1, 3), float)] * ((dressings + 1) * sym),
+                   _BLOCK_SITE * e]
 
 
 def _take(planes, index) -> list:
@@ -191,7 +196,7 @@ def _cell_residuals(f_hi, f_lo, m) -> np.ndarray:
 
 
 def _sweep(fields: EdgeField2, lam: float, order: str = "xy", layers=(),
-           frame: bool = False, sym: bool = False) -> _Sweep:
+           frame: bool = False, sym: bool = False, check: bool = True) -> _Sweep:
     """Propagate, dress and Sym-project the frame of fields in one sweep.
 
     order 'xy' walks the bottom row by Ud steps, then fills columns by Vd
@@ -203,10 +208,9 @@ def _sweep(fields: EdgeField2, lam: float, order: str = "xy", layers=(),
     the (theta_field, alpha) layers, Sym and the stored frames are computed
     once per block.
     frame=True stores the undressed frame as (n+1, n+1, 2, 2) arrays;
-    sym=True fills points[z], the Sym image after z dressings.  Those arrays,
-    128 (n+1)^2 bytes for the frame and 24 (n+1)^2 bytes per point array, are
-    sized before anything is allocated: ValueError when they exceed the
-    available memory.
+    sym=True fills points[z], the Sym image after z dressings.  The sweep is
+    sized by its plan before anything is allocated (ValueError), unless
+    check is false: a caller whose plan counted it.
     It raises ZeroCurvatureError when the worst cell residual exceeds ZCC_TOL
     and it keeps frames or points.  A NaN residual is worst and ends the sweep
     after its line, so errors come in the order of a line-by-line sweep.
@@ -224,16 +228,14 @@ def _sweep(fields: EdgeField2, lam: float, order: str = "xy", layers=(),
     else:
         raise ValueError(f"order must be 'xy' or 'yx', got {order!r}")
     norms = _normalisers(lam, eps)
-    need = (n + 1) ** 2 * (128 * frame + 24 * (len(layers) + 1) * sym)
-    if frame:
-        _require_memory(need, f"a frame on n = {n} steps", "Psi and dPsi" + " and its points" * sym)
-    elif sym:
-        _require_memory(need, f"a tower of {len(layers) + 1} surfaces on n = {n} steps",
-                        "its points")
-    size = min(max(2, _BLOCK_SITES // (n + 1)), n + 1)  # lines per block
-    buf = _frame_buffer(size, n)
-    psi, dpsi = np.empty((2, n + 1, n + 1, 2, 2), dtype=complex) if frame else (None, None)
-    points = [np.empty((n + 1, n + 1, 3)) for _ in range(len(layers) + 1)] if sym else []
+    what, purpose = ((f"a frame on n = {n} steps", "Psi and dPsi" + " and its points" * sym)
+                     if frame else (f"a tower of {len(layers) + 1} surfaces on n = {n} steps",
+                                    "its points") if sym else
+                     (f"a zero-curvature check on n = {n} steps", "its frame blocks"))
+    size, items = _sweep_plan(n, len(layers), frame, sym)  # lines per block, arrays
+    raw, *points = _plan(what, purpose, items, check=check)
+    buf = raw[:, : size * (n + 1)].reshape(4, size, n + 1)
+    psi, dpsi = points.pop(0) if frame else (None, None)
     out_rows = [rows(x) for x in points]
     dressing = [(rows(th), alpha) for th, alpha in layers]
 

@@ -223,14 +223,25 @@ def _available_bytes() -> int | None:
     return pages * size if pages >= 0 and size > 0 else None
 
 
-def _require_memory(need: int, what: str, purpose: str) -> None:
-    """ValueError when what needs need bytes for purpose, more than the
-    available memory; called before the bytes are allocated (no check where
-    the system reports no figure)."""
-    avail = _available_bytes()
+_OBJECTS = 1 << 14  # bytes a plan allows once for the Python objects of a call
+
+
+def _plan(what: str, purpose: str, *phases, check: bool = True) -> list:
+    """The arrays of the (shape, dtype) pairs of phases[0], allocated by
+    np.empty after one memory check of the call's peak.  Each phase lists
+    what the call holds at once, in its order: such pairs, and the bytes of
+    what the plan does not allocate (per-site temporaries of running tiles
+    or blocks, arrays that numpy or a later phase allocates).  ValueError
+    naming what and purpose when the largest phase plus _OBJECTS exceeds the
+    available memory; no check where the system gives no figure, or with
+    check false, for a part of a call whose plan counted it."""
+    need = _OBJECTS + max(sum(math.prod(x[0]) * np.dtype(x[1]).itemsize if isinstance(x, tuple)
+                              else x for x in phase) for phase in phases)
+    avail = _available_bytes() if check else None
     if avail is not None and need > avail:
         raise ValueError(f"{what} needs {need} bytes for {purpose}, more than the "
                          f"{avail} bytes of available memory")
+    return [np.empty(*x) for x in phases[0] if isinstance(x, tuple)]
 
 
 _BAND_FLOOR = 1 << 12  # the fewest sites in a tile of _bands that is not the only one
@@ -302,14 +313,24 @@ def _check_data(a_row: np.ndarray, b_col: np.ndarray, eps: float) -> None:
             raise BlowUpError("data", (at, 0.0) if axis == 0 else (0.0, at))
 
 
-def _solve_one(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2, every: int) -> EdgeField2:
+_SWEEP_SITE = 80  # bytes per slot site of _sweep: axis samples, slot copies, step temporaries
+
+
+def _fields(L: int, n: int) -> list:
+    """The plan items of the a and b fields of L layers on n steps."""
+    return [((L, n, n + 1), float), ((L, n + 1, n), float)]
+
+
+def _solve_one(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2, every: int,
+               later=()) -> EdgeField2:
     """One layer's solve, kept at the sites i = j = 0 (mod every) as an
     EdgeField2 on LatticeDomain2(r, eps*every).
 
-    ValueError for a step eps the rhs does not admit, for an every that does
-    not divide n, and, before the data are sampled, when the two full fields,
-    16 n (n+1) bytes, exceed the available memory (a blow-up report may need
-    them).  BlowUpError 'data' at the first non-finite sample (_check_data),
+    ValueError for a step eps the rhs does not admit and for an every that
+    does not divide n.  The solve is sized by its plan before anything is
+    allocated (ValueError), with later = (label, phase, ...), the phases of
+    a caller that goes on with the result.  BlowUpError 'data' at the first
+    non-finite sample (_check_data),
     otherwise at the first site in sweep order where a non-finite value
     appears: the systems here are nonlinear and can blow up for large data
     on large domains.  With every > 1 that site comes from a full re-solve
@@ -317,23 +338,25 @@ def _solve_one(rhs: Rhs2, data: GoursatData2, dom: LatticeDomain2, every: int) -
     """
     _require_step(rhs, dom.eps)
     kept = LatticeDomain2(dom.r, dom.eps * every)  # ValueError unless every divides n
-    _require_memory(16 * dom.n * (dom.n + 1), f"a lattice of n = {dom.n} steps", "its two fields")
+    held = [*_fields(1, kept.n), _SWEEP_SITE * dom.n]  # a blow-up's re-solve adds the full fields
+    a, b = _plan(f"a lattice of n = {dom.n} steps",
+                 "its two fields" + (f" and then {later[0]}" if later else ""),
+                 held, [*held, *_fields(1, dom.n)] if every > 1 else held, *later[1:])
     a0, b0 = data.sample(dom)
     _check_data(a0, b0, dom.eps)
     samples = a0[None], b0[None]  # a stack of one layer
-    a, b, finite = _sweep(rhs, samples, dom, every)
-    if not finite[0]:
+    if not _sweep(rhs, samples, dom, every, a, b)[2][0]:
         if every > 1:
-            a, b, _ = _sweep(rhs, samples, dom, 1)
+            a, b, _ = _sweep(rhs, samples, dom, 1, *(np.empty(*x) for x in _fields(1, dom.n)))
         _raise_first_blowup(a[0], b[0], dom.eps)
         raise AssertionError(f"the sweep went non-finite but no site of the full lattice did "
                              f"(rhs {rhs.name!r} is not deterministic)")
     return EdgeField2(a[0], b[0], kept)
 
 
-def _sweep(rhs: Rhs2, samples, dom: LatticeDomain2, every: int):
+def _sweep(rhs: Rhs2, samples, dom: LatticeDomain2, every: int, a, b):
     """The anti-diagonal sweep of L stacked layers, keeping only the sites
-    i = j = 0 (mod every, which divides n).
+    i = j = 0 (mod every, which divides n), into the caller's arrays a and b.
 
     samples is the pair (a0, b0) of (L, n) axis samples.  The current
     anti-diagonal d lives in two slot buffers, A[i] = a[i, d-i] indexed by i
@@ -344,8 +367,8 @@ def _sweep(rhs: Rhs2, samples, dom: LatticeDomain2, every: int):
     every layer is one rhs.step on two contiguous views and an in-place
     update, with the arithmetic of the double loop.  The kept sites of each
     new anti-diagonal are then copied out: every every-th slot of every
-    every-th anti-diagonal.  Returns (a, b, finite): the kept fields as
-    (L, nc, nc+1) and (L, nc+1, nc) arrays, nc = n/every, each layer's
+    every-th anti-diagonal.  Returns (a, b, finite): the kept fields, filled
+    as (L, nc, nc+1) and (L, nc+1, nc) arrays, nc = n/every, each layer's
     bitwise its full solve at those sites, and per layer whether it stayed
     finite.  Memory beyond them is O(L n).  A slot only ever gains eps*f, so
     a value that went non-finite leaves its slot non-finite to the end: one
@@ -355,7 +378,6 @@ def _sweep(rhs: Rhs2, samples, dom: LatticeDomain2, every: int):
     a0, b0 = samples
     A, B = a0.T.copy(), b0.T[::-1].copy()  # slot i of every layer is row i
     L = len(a0)
-    a, b = np.empty((L, nc, nc + 1)), np.empty((L, nc + 1, nc))
     a[:, :, 0], b[:, 0] = a0[:, ::every], b0[:, ::every]
     af, bf = a.reshape(L, -1).T, b.reshape(L, -1).T  # site k is row k
     sb = max(nc - 1, 1)  # b's stride; at nc = 1 every diagonal has one kept site

@@ -51,7 +51,7 @@ from .goursat import (
     CompatibilityError,
     _check_grid,
     _load_grid,
-    _require_memory,
+    _plan,
     _require_step,
     _save_grid,
     _step_count,
@@ -60,6 +60,8 @@ from .sinegordon import (SchemeKind, _require_backlund_step, backlund_eta, backl
                          backlund_xi, system_for)
 
 LEVEL_BAND = 16  # levels solve_goursat_nd plans at once: the fastest measured, 8 to 32 alike
+_ORDER_SITE = 32  # bytes per box site while the level order is made: level, order, cumsums
+_BAND_ENTRY = 8  # bytes per site and entry (d + P + 6 of them) of a band's plan
 
 
 @dataclass(frozen=True)
@@ -174,10 +176,8 @@ def solve_goursat_nd(spec: SystemSpecND, data: Sequence[Callable], r) -> StateND
     A disagreement beyond COMPAT_TOL raises CompatibilityError and a
     non-finite value BlowUpError; both name a site on the first failing
     level.  ValueError before any level is solved unless data holds one
-    callable per field, each returning a real scalar, and when the arrays,
-    8 (2 num_fields + 1) bytes per box site, and a band's plan, 8 (d + P + 6)
-    bytes for each of its at most LEVEL_BAND prod(n_i + 1)/max(n_i + 1) sites
-    (P = len(spec.rhs)), exceed the available memory.
+    callable per field, each returning a real scalar; the solve is sized by
+    its plan before anything is allocated (ValueError).
     """
     if not check_dependency(spec):
         raise ValueError("system violates the dependency condition")
@@ -198,13 +198,17 @@ def solve_goursat_nd(spec: SystemSpecND, data: Sequence[Callable], r) -> StateND
     # every field is stored in the whole box, NaN outside its own extent, so
     # a predecessor state is one gather per field at flat index site - stride
     box = tuple(ni + 1 for ni in n)
-    size = math.prod(box)
-    held = min(size, LEVEL_BAND * size // max(box)) * 8 * (dim + len(spec.rhs) + 6)  # a band
-    _require_memory(8 * size * (2 * num + 1) + held, "a box of " + "x".join(map(str, box))
-                    + " sites", f"its {num} padded fields, their level order, the fields it "
-                    "returns and the plan of a band of levels")
+    size, top = math.prod(box), sum(n) + 1
+    most = min(size, LEVEL_BAND * size // max(box))  # the most sites of a band of levels
+    held = [(box, float)] * num + [((size,), np.intp), ((top + 1,), np.intp)]  # order, bounds
+    full = _plan(f"a box of {'x'.join(map(str, box))} sites", f"its {num} padded fields, "
+                 "their level order, the fields it returns and the plan of a band of levels",
+                 [*held[:num], _ORDER_SITE * size],  # while the level order is made
+                 [*held, *((sh, float) for sh in shapes)],  # the fields returned
+                 [*held, _BAND_ENTRY * most * (dim + len(spec.rhs) + 6)])  # a band's plan
+    for f in full:
+        f.fill(np.nan)
     stride = [int(np.prod(box[i + 1 :])) for i in range(dim)]
-    full = [np.full(box, np.nan) for _ in range(num)]
     flat = [f.reshape(-1) for f in full]
     for k in range(num):
         face = tuple(1 if i in spec.evol[k] else shapes[k][i] for i in range(dim))
@@ -222,7 +226,7 @@ def solve_goursat_nd(spec: SystemSpecND, data: Sequence[Callable], r) -> StateND
     bounds = np.concatenate(([0], np.cumsum(np.bincount(level))))
     del level
 
-    worst, top, pairs = 0.0, sum(n) + 1, [(k, i) for k in range(num) for i in sorted(spec.evol[k])]
+    worst, pairs = 0.0, [(k, i) for k in range(num) for i in sorted(spec.evol[k])]
     for lo in range(1, top, LEVEL_BAND):
         # per pair (k, i): the band's sites of field k with index i > 0, those i defines, level cuts
         band = order[bounds[lo] : bounds[min(lo + LEVEL_BAND, top)]]

@@ -48,11 +48,13 @@ from .goursat import (
     GoursatData2,
     LatticeDomain2,
     Rhs2,
+    _SWEEP_SITE,
     _bands,
     _check_data,
+    _fields,
+    _plan,
     _raise_first_blowup,
     _read_pairs,
-    _require_memory,
     _require_step,
     _solve_one,
     _sweep,
@@ -365,8 +367,11 @@ def solve_goursat_3d(
     return _solve_layers(rhs6.base, [BacklundParam(rhs6.alpha, float(t)) for t in theta0], data, dom)
 
 
+_CROSS_SITE = 32  # bytes per site of the theta cross check's running tiles: four temporaries
+
+
 def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
-                  top: bool = True) -> LayeredField3:
+                  top: bool = True, later=()) -> LayeredField3:
     """Solve layer 0 from data and one more layer per BacklundParam of chain.
 
     Every layer is stepped by rhs2, and step z by Rhs3(rhs2, chain[z].alpha)
@@ -387,20 +392,16 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
 
     With top false, layer R, which carries no theta, is not solved, and the
     last step walks only its y-axis.  An empty chain is goursat._solve_one's
-    solve of layer 0, with its errors, memory guard and messages.
+    solve of layer 0, with its errors, plan and messages.
 
     The values, and the errors and their order, are those of solving the
     layers one after another: for z = 0, 1, ... a blow-up of layer z
     (BlowUpError at its first site in sweep order), a non-finite theta of
     step z (BlowUpError 'theta'), its failed check (CompatibilityError at
     the worst site), then non-finite data of layer z + 1 (BlowUpError
-    'data'; stage 1 stops there).  Before anything is allocated, each step
-    must admit eps (_require_backlund_step), and the solve of at least one
-    step is sized: 8 (n+1)^2 bytes per array, two per field layer (its
-    fields and axis data) and one per theta layer, (n+1)^2 bytes for the
-    finiteness mask of a theta layer, and four temporaries of 8 bytes per
-    site of the tiles the cross check runs at once.  ValueError when that
-    exceeds the available memory.
+    'data'; stage 1 stops there).  Each step must admit eps
+    (_require_backlund_step); then the solve is sized by its plan before
+    anything is allocated (ValueError), with later as in goursat._solve_one.
 
     A finite theta0 whose float spacing exceeds min(eps, 1/4) *
     min(1, alpha, 1/alpha)^2 * 2^-35 is refused with ValueError before any
@@ -409,7 +410,7 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
     a BlowUpError.
     """
     if not chain:
-        f = _solve_one(rhs2, data, dom, 1)
+        f = _solve_one(rhs2, data, dom, 1, later)
         return LayeredField3([f.a], [f.b], [], dom, [])
     n, eps, R = dom.n, dom.eps, len(chain)
     steps = [Rhs3(rhs2, p.alpha) for p in chain]
@@ -421,10 +422,13 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
                              f"spacing {math.ulp(p.theta0):.3g} exceeds {bound:.3g} = min(eps, 1/4) "
                              f"* min(1, alpha, 1/alpha)^2 * 2^-35")
     fields = R + 1 if top else R
-    _require_memory((n + 1) ** 2 * (8 * (2 * fields + R) + 1) + 32 * _tiles(n, n)[2],
-                    f"a layered solve on n = {n} steps", f"{fields} field and {R} theta layers")
-    ax, bx = np.empty((fields, n)), np.empty((fields, n))  # the data of each layer
-    th, tx = np.empty((R, n + 1, n + 1)), np.empty(n + 1)
+    # the data of each layer, theta, its x-axis walk, a theta layer's finite mask and the fields
+    ax, bx, th, tx, mask, a, b = _plan(
+        f"a layered solve on n = {n} steps",
+        f"{fields} field and {R} theta layers" + (f" and then {later[0]}" if later else ""),
+        [((fields, n), float), ((fields, n), float), ((R, n + 1, n + 1), float), ((n + 1,), float),
+         ((n + 1, n + 1), bool), *_fields(fields, n), _SWEEP_SITE * n * fields,
+         _CROSS_SITE * _tiles(n, n)[2]], *later[1:])
     ax[0], bx[0] = data.sample(dom)
     _check_data(ax[0], bx[0], eps)
     L = 1  # the layers with finite data
@@ -443,7 +447,7 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
             if not (np.isfinite(ax[z + 1]).all() and np.isfinite(bx[z + 1]).all()):
                 break
             L += 1
-        a, b, finite = _sweep(rhs2, (ax[:L], bx[:L]), dom, 1)
+        a, b, finite = _sweep(rhs2, (ax[:L], bx[:L]), dom, 1, a[:L], b[:L])
         Z = min(L, R)  # the steps with theta; layers 0..Z-1 were solved
         alpha = np.reshape([p.alpha for p in chain[:Z]], (Z, 1))
         for i in range(n):
@@ -454,8 +458,8 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
                 _raise_first_blowup(a[z], b[z], eps)
             if z == Z:  # the top layer carries no theta
                 break
-            if not np.isfinite(th[z]).all():
-                i, j = np.unravel_index(int(np.argmin(np.isfinite(th[z]))), th[z].shape)
+            if not np.isfinite(th[z], out=mask).all():
+                i, j = np.unravel_index(int(np.argmin(mask)), mask.shape)
                 raise BlowUpError("theta", (i * eps, j * eps))
 
             def cross(lo, hi):  # the worst mismatch at theta rows lo+1..hi, and its first site
@@ -477,6 +481,9 @@ def _solve_layers(rhs2: Rhs2, chain, data: GoursatData2, dom: LatticeDomain2,
     return sol
 
 
+_CLOSURE_SITE = 144  # bytes per sample of the running closure tiles: 17 floats, tile objects
+
+
 def check_compatibility_3d(rhs6: Rhs3, samples: np.ndarray, eps: float) -> float:
     """Max defect of the three discrete closure identities at the samples.
 
@@ -489,11 +496,9 @@ def check_compatibility_3d(rhs6: Rhs3, samples: np.ndarray, eps: float) -> float
     backlund_eta, in tiles of samples (goursat._bands) whose number does
     not change the result, so the temporaries held at once are those of one
     tile per core.  A NaN defect makes the result NaN; zero samples give
-    0.0.  ValueError unless 0 < eps < rhs6.eps0, for samples whose last axis
-    does not hold 3 entries, and before the work when the temporaries of the
-    tiles that run at once, 144 bytes per sample, exceed the available
-    memory: a tile holds at most 17 float arrays at once, and the eighteenth
-    covers the check's fixed objects (about 4 KB) from 512 samples up.
+    0.0.  ValueError unless 0 < eps < rhs6.eps0 and for samples whose last
+    axis does not hold 3 entries; the check is sized by its plan before
+    anything is allocated (ValueError).
     """
     _require_backlund_step(rhs6, eps)
     s = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -501,8 +506,8 @@ def check_compatibility_3d(rhs6: Rhs3, samples: np.ndarray, eps: float) -> float
         raise ValueError(f"samples of shape {np.shape(samples)} are not (a, b, theta) triples: "
                          f"their last axis must have 3 entries")
     rows, per_row = len(s), math.prod(s.shape[1:-1])
-    _require_memory(144 * _tiles(rows, per_row)[2], f"a check of {s.size // 3} samples",
-                    "the temporaries of its closure identities")
+    _plan(f"a check of {s.size // 3} samples", "the temporaries of its closure identities",
+          [_CLOSURE_SITE * _tiles(rows, per_row)[2]])
 
     def defect(lo, hi):
         a, b, th = s[lo:hi, ..., 0], s[lo:hi, ..., 1], s[lo:hi, ..., 2]

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _text
-from .goursat import EdgeField2, GoursatData2, LatticeDomain2, _bands, solve_goursat_2d
-from .frames import _pair, _sweep, _sym, _w_planes
+from .goursat import EdgeField2, GoursatData2, LatticeDomain2, _bands, _fields, solve_goursat_2d
+from .frames import _pair, _sweep, _sweep_plan, _sym, _w_planes
 from .sinegordon import (
     BacklundParam,
     LayeredField3,
@@ -70,7 +70,8 @@ class SurfaceMesh:
         return self.points.shape[0] - 1
 
 
-def _tower(fields: EdgeField2, lam: float, chain=(), th_layers=(), cross=()) -> list[SurfaceMesh]:
+def _tower(fields: EdgeField2, lam: float, chain=(), th_layers=(), cross=(),
+           check: bool = True) -> list[SurfaceMesh]:
     """The surface stream: the base mesh, then one mesh per dressing prefix.
 
     One kernel sweep takes the frame lines in blocks, dresses each block by
@@ -78,19 +79,25 @@ def _tower(fields: EdgeField2, lam: float, chain=(), th_layers=(), cross=()) -> 
     per level (one block: a fixed number of sites, at least two lines); every
     mesh records the zero-curvature residual of the base fields from the same
     sweep, and mesh z the worst theta cross residual cross[:z] of the steps
-    behind it.  The sweep refuses R + 1 point arrays that exceed the
-    available memory (ValueError) before it allocates them.
+    behind it.  The sweep is sized by its plan before anything is allocated
+    (ValueError), unless check is false (frames._sweep).
     """
     if lam <= 0 or not np.isfinite(lam):
         raise ValueError(f"lambda must be positive and finite, got {lam}")
     layers, dom = [(th, p.alpha) for th, p in zip(th_layers, chain)], fields.domain
-    sweep = _sweep(fields, lam, layers=layers, sym=True)
+    sweep = _sweep(fields, lam, layers=layers, sym=True, check=check)
     return [
         SurfaceMesh(pts, dom.eps, dom.r, lam, bt_chain=tuple(chain[:z]),
                     zcc_residual=sweep.residual,
                     theta_cross_residual=max(cross[:z], default=0.0))
         for z, pts in enumerate(sweep.points)
     ]
+
+
+def _later(n: int, R: int, top: bool) -> tuple:
+    """_solve_layers' later phase: a tower of R steps on n beside layers 0..R (top) or 0."""
+    return (f"its {R + 1} surfaces", [*_fields(R + 1 if top else 1, n),
+                                      ((R, n + 1, n + 1), float), *_sweep_plan(n, R, sym=True)[1]])
 
 
 def mesh_from_fields(fields: EdgeField2, lam: float) -> SurfaceMesh:
@@ -165,13 +172,14 @@ def backlund_surface(
     Layer R carries no theta and is not solved: a blow-up confined to it
     does not stop the tower (solve_backlund_chain solves it).  Only layer 0's
     fields and the theta layers are kept for the frame sweep: the fields of
-    layers 1..R-1 are freed before the points are allocated.
+    layers 1..R-1 are freed before the points are allocated.  One plan sizes
+    the whole tower before anything is allocated.
     """
     chain = _params(bt_chain)
-    sol = _solve_layers(hirota_system(), chain, data, dom, top=False)
+    sol = _solve_layers(hirota_system(), chain, data, dom, False, _later(dom.n, len(chain), False))
     base, theta, cross = EdgeField2(sol.a[0].copy(), sol.b[0].copy(), dom), sol.theta, sol.cross
     del sol  # its fields are views of the stacked layers
-    return _tower(base, lam, chain, theta, cross)
+    return _tower(base, lam, chain, theta, cross, check=False)
 
 
 def _dot(u, w) -> np.ndarray:
@@ -221,19 +229,23 @@ def backlund_two_route_residual(
         t = F_A(0, 0), since F_B(0, 0) = 0.
 
     R is read off by the frame kernel's Sym formula (frames._sym).  Returns
-    the sup over sites of |F_A - (R F_B + t)|.
+    the sup over sites of |F_A - (R F_B + t)|.  One plan sizes it before
+    anything is allocated: route B and the comparison hold less than route A.
     """
     chain = _params(bt_chain)
     if not chain:
         raise ValueError("two-route comparison needs a nonempty chain")
-    sol = solve_backlund_chain(data, dom, chain)
-    pts_a = _tower(EdgeField2(sol.a[0], sol.b[0], dom), lam, chain, sol.theta)[-1].points
-    pts_b = surface_from_fields(EdgeField2(sol.a[-1], sol.b[-1], dom), lam)
+    sol = _solve_layers(hirota_system(), chain, data, dom, True, _later(dom.n, len(chain), True))
+    top = _tower(EdgeField2(sol.a[0], sol.b[0], dom), lam, chain, sol.theta, check=False)[-1]
+    pts_b = _tower(EdgeField2(sol.a[-1], sol.b[-1], dom), lam, check=False)[0].points
+    del sol
     gp, gq = 1.0, 0.0  # G, the frame at the origin
     for p in chain:  # theta at the origin is theta0
         gp, gq = _pair(*_w_planes(p.theta0, p.alpha, lam)[:2], gp, gq)
-    mapped = pts_b @ _rotation(gp, gq).T + pts_a[0, 0]
-    return float(np.max(_norm(np.moveaxis(pts_a - mapped, -1, 0))))
+    mapped = pts_b @ _rotation(gp, gq).T
+    del pts_b
+    mapped += top.points[0, 0]
+    return float(np.max(_norm(np.moveaxis(np.subtract(top.points, mapped, out=mapped), -1, 0))))
 
 
 # ---------------------------------------------------------------------------

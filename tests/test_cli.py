@@ -1,5 +1,6 @@
 """End-to-end tests for the ksurf command line."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -18,6 +19,7 @@ from ksurf.goursat import (
 from ksurf.harness import demo_data, load_report
 from ksurf.sinegordon import SchemeKind, hirota_system, reconstruct_phi, system_for
 from ksurf.surfaces import (
+    backlund_surface,
     build_surface,
     export_obj,
     load_obj_points,
@@ -342,13 +344,17 @@ def test_backlund_theta0_past_the_eps_one_half_limit_exits_one(capsys):
     assert err.count("\n") == 1
 
 
-def test_surface_points_beyond_memory_exit_one(monkeypatch, capsys, tmp_path):
-    # n = 8: fields of 1,152 bytes fit, points of 24 * 81 = 1,944 bytes do not
-    monkeypatch.setattr(goursat, "_available_bytes", lambda: 24 * 81 - 1)
+def test_surface_points_beyond_memory_exit_one(monkeypatch, planned, capsys, tmp_path):
+    # n = 8: the solve's plan fits one byte below the surface's, which does not
+    dom = LatticeDomain2.from_k(1.0, 3)
+    fields = solve_goursat_2d(hirota_system(), demo_data(), dom)
+    need = planned(lambda: mesh_from_fields(fields, 1.0))
+    assert planned(lambda: solve_goursat_2d(hirota_system(), demo_data(), dom)) < need
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: need - 1)
     assert main(["surface", "--k", "3"]) == 1
-    assert capsys.readouterr().err == ("error: a tower of 1 surfaces on n = 8 steps needs 1944 "
-                                       "bytes for its points, more than the 1943 bytes of "
-                                       "available memory\n")
+    assert capsys.readouterr().err == (f"error: a tower of 1 surfaces on n = 8 steps needs {need} "
+                                       f"bytes for its points, more than the {need - 1} bytes of "
+                                       f"available memory\n")
     assert not list(tmp_path.iterdir())
 
 
@@ -431,25 +437,25 @@ def test_check_increment_bound_boundary(capsys, scheme):
         f"increments reach (4/eps) asin(eps alpha/2) = inf\n")
 
 
-def test_backlund_layers_beyond_memory_exit_one(monkeypatch, capsys, tmp_path):
-    # n = 8192 and 40 steps: the tower solves 40 field layers (not layer 40)
-    # and 40 theta layers, 120 arrays of 8 (n+1)^2 bytes, with a mask of
-    # (n+1)^2 bytes, and the cross check of two cores holds four temporaries
-    # of a one-row tile each, 64.5 GB; 8 GiB hold one layer's fields
+def test_backlund_layers_beyond_memory_exit_one(monkeypatch, planned, capsys, tmp_path):
+    # n = 8192 and 40 steps: the tower's one plan, its 40 field layers (not
+    # layer 40), 40 theta layers and then 41 surfaces, exceeds 8 GiB, which
+    # hold one layer's solve
     def never(*args):
         raise AssertionError("solved beyond memory")
 
-    monkeypatch.setattr(goursat, "_available_bytes", lambda: 2**33)
     monkeypatch.setattr(goursat, "_cores", lambda: 2)
     monkeypatch.setattr(sinegordon, "_sweep", never)
     monkeypatch.chdir(tmp_path)
-    n = 8192
-    need = (n + 1) ** 2 * (8 * (2 * 40 + 40) + 1) + 8 * 4 * 2 * n
-    assert 16 * n * (n + 1) < 2**33 < need
+    dom, chain = LatticeDomain2.from_k(1.0, 13), [(1.0, 0.5)] * 40
+    need = planned(lambda: backlund_surface(demo_data(), dom, chain))
+    assert planned(lambda: solve_goursat_2d(hirota_system(), demo_data(), dom)) < 2**33 < need
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: 2**33)
     assert main(["backlund", "--k", "13", *["--alpha", "1", "--theta0", "0.5"] * 40]) == 1
     assert capsys.readouterr().err == (f"error: a layered solve on n = 8192 steps needs {need} "
-                                       f"bytes for 40 field and 40 theta layers, more than the "
-                                       f"8589934592 bytes of available memory\n")
+                                       f"bytes for 40 field and 40 theta layers and then its 41 "
+                                       f"surfaces, more than the 8589934592 bytes of available "
+                                       f"memory\n")
     assert not list(tmp_path.iterdir())
 
 
@@ -673,12 +679,22 @@ def test_check_deterministic(capsys):
 
 
 def test_check_samples_beyond_memory_exit_one(monkeypatch, capsys):
-    # 24 bytes per (a, b, theta) sample, refused before they are drawn
-    monkeypatch.setattr(goursat, "_available_bytes", lambda: 2**33)
-    assert main(["check", "--samples", "1000000000000"]) == 1
-    assert capsys.readouterr().err == ("error: --samples 1000000000000 needs 24000000000000 bytes "
-                                       "for its (a, b, theta) samples, more than the 8589934592 "
-                                       "bytes of available memory\n")
+    # the samples are planned before they are drawn: refused one byte below
+    # their plan, read from its refusal, and admitted at it, where the first
+    # check's plan refuses next
+    def refusal(available, samples):
+        monkeypatch.setattr(goursat, "_available_bytes", lambda: available)
+        assert main(["check", "--samples", samples]) == 1
+        return capsys.readouterr().err
+
+    need = int(re.search(r" needs (\d+) bytes", refusal(0, "1000")).group(1))
+    assert refusal(need - 1, "1000") == (f"error: --samples 1000 needs {need} bytes for its (a, b, "
+                                         f"theta) samples, more than the {need - 1} bytes of "
+                                         f"available memory\n")
+    assert refusal(need, "1000").startswith("error: a check of 1000 samples needs ")
+    assert re.fullmatch(r"error: --samples 1000000000000 needs \d+ bytes for its \(a, b, theta\) "
+                        r"samples, more than the 8589934592 bytes of available memory\n",
+                        refusal(2**33, "1000000000000"))
 
 
 def test_check_validation(capsys):

@@ -347,13 +347,15 @@ def test_block_size_keeps_bits(monkeypatch, n, order):
 
 
 def test_blocks_share_one_buffer(monkeypatch):
-    # nine blocks of two lines at n = 16, all written into one buffer
-    calls, make = [], frames._frame_buffer
-    monkeypatch.setattr(frames, "_frame_buffer", lambda *shape: calls.append(shape) or make(*shape))
+    # nine blocks of two lines at n = 16, all written into one buffer: the
+    # sweep's one plan allocates it first, 4 planes of 2 * 17 sites (padded)
+    calls, plan = [], frames._plan
+    monkeypatch.setattr(frames, "_plan",
+                        lambda *args, **kw: calls.append(args[2][0]) or plan(*args, **kw))
     monkeypatch.setattr(frames, "_BLOCK_SITES", 2 * 17)
     fields, layers = _block_case(16)
     frames._sweep(fields, 0.7, "xy", layers, frame=True, sym=True)
-    assert calls == [(2, 16)]
+    assert calls == [((4, 34 + 30), complex)]
 
 
 @pytest.mark.parametrize("order", ["xy", "yx"])

@@ -323,50 +323,56 @@ def test_slot_sweep_matches_strided_oracle(system, k, r):
 
 
 @pytest.mark.parametrize("every", [1, 4])
-def test_oversized_lattice_refused_before_allocation(monkeypatch, every):
-    # the two full fields at n = 16 take 16 * 16 * 17 bytes; one byte less
-    # of available memory refuses the lattice, in kept-site mode as well
+def test_oversized_lattice_refused_before_allocation(monkeypatch, planned, every):
+    # the plan of the n = 16 lattice counts at least its two full fields,
+    # 16 * 16 * 17 bytes (a blow-up's re-solve needs them at every = 4); it
+    # admits the lattice at its figure and refuses it one byte less, in
+    # kept-site mode as well, before the data are sampled
     dom = LatticeDomain2.from_k(1.0, 4)
-    monkeypatch.setattr(goursat, "_available_bytes", lambda: 16 * 16 * 17)
+    need = planned(lambda: _solve_one(hirota_system(), demo_data(), dom, every))
+    assert need >= 16 * 16 * 17
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: need)
     assert _solve_one(hirota_system(), demo_data(), dom, every).domain.n == 16 // every
 
     def never(x):
         raise AssertionError("data sampled for a refused lattice")
 
-    monkeypatch.setattr(goursat, "_available_bytes", lambda: 16 * 16 * 17 - 1)
-    with pytest.raises(ValueError, match="needs 4352 bytes for its two fields"):
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: need - 1)
+    with pytest.raises(ValueError, match=f"needs {need} bytes for its two fields"):
         _solve_one(hirota_system(), GoursatData2(never, never), dom, every)
 
 
-def test_size_guard_counts_reclaimable_memory(monkeypatch, tmp_path):
-    # free pages alone (1 page of 4096 bytes) fall short of the 4352 bytes of
-    # the n = 16 fields; MemAvailable, which counts the page cache the kernel
-    # would reclaim, does not, and decides where the system reports it
+def test_size_guard_counts_reclaimable_memory(monkeypatch, planned, tmp_path):
+    # free pages alone fall short of the plan of the n = 16 lattice; MemAvailable,
+    # which counts the page cache the kernel would reclaim, does not, and
+    # decides where the system reports it
     dom = LatticeDomain2.from_k(1.0, 4)
-    pages = {"SC_AVPHYS_PAGES": 1, "SC_PAGE_SIZE": 4096}
+    need = planned(lambda: _solve_one(hirota_system(), demo_data(), dom, 4))
+    free = (need - 1) // 4096 * 4096
+    pages = {"SC_AVPHYS_PAGES": free // 4096, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(goursat.os, "sysconf", pages.__getitem__)
-    meminfo = tmp_path / "meminfo"
-    meminfo.write_text("MemTotal:       16 kB\nMemFree:         4 kB\n"
-                       "MemAvailable:    5 kB\nCached:          1 kB\n")
+    meminfo, kb = tmp_path / "meminfo", -(-need // 1024)
+    meminfo.write_text(f"MemTotal:       {4 * kb} kB\nMemFree:         4 kB\n"
+                       f"MemAvailable:    {kb} kB\nCached:          1 kB\n")
     monkeypatch.setattr(goursat, "_MEMINFO", str(meminfo))
-    assert goursat._available_bytes() == 5 * 1024
+    assert goursat._available_bytes() == kb * 1024
     assert _solve_one(hirota_system(), demo_data(), dom, 4).domain.n == 4
     monkeypatch.setattr(goursat, "_MEMINFO", str(tmp_path / "missing"))
-    assert goursat._available_bytes() == 4096
-    with pytest.raises(ValueError, match="more than the 4096 bytes of available memory"):
+    assert goursat._available_bytes() == free
+    with pytest.raises(ValueError, match=f"more than the {free} bytes of available memory"):
         _solve_one(hirota_system(), demo_data(), dom, 4)
 
 
 def test_size_guard_admits_any_size_without_a_memory_figure(monkeypatch, tmp_path):
     # no meminfo file and no sysconf name for the free pages: the system
-    # gives no figure, and the guard refuses nothing
+    # gives no figure, and the plan refuses nothing
     def unknown(name):
         raise ValueError(f"unrecognized configuration name {name!r}")
 
     monkeypatch.setattr(goursat, "_MEMINFO", str(tmp_path / "missing"))
     monkeypatch.setattr(goursat.os, "sysconf", unknown)
     assert goursat._available_bytes() is None
-    goursat._require_memory(2**62, "a lattice of n = 2^30 steps", "its two fields")
+    assert goursat._plan("a lattice of n = 2^30 steps", "its two fields", [2**62]) == []
 
 
 @pytest.mark.parametrize("every", [2, 4])

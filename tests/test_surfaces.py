@@ -312,50 +312,48 @@ def test_backlund_surface_empty_chain(dom):
     assert np.array_equal(tower[0].points, build_surface(demo_data(), dom).points)
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("solved or swept beyond memory")
+
+
 @pytest.mark.parametrize("chain", [(), ((1.0, 0.5),), tuple(MIXED_CHAIN)])
-def test_tower_points_refused_before_allocation(monkeypatch, chain):
-    # R + 1 point arrays of 24 (n+1)^2 bytes each, n = 8, sized by the frame
-    # kernel; the layered solve's own guard, which counts more, is set aside
-    # (test_sinegordon tests it)
+def test_tower_points_refused_before_allocation(monkeypatch, planned, chain):
+    # one plan sizes the whole tower, its layered solve and then its R + 1
+    # surfaces, before any layer is solved: n = 8, admitted at its figure and
+    # refused one byte less
     dom, layers = LatticeDomain2.from_k(1.0, 3), len(chain) + 1
-    need = 24 * 81 * layers
-    monkeypatch.setattr(sinegordon, "_require_memory", lambda *args: None)
+    need = planned(lambda: backlund_surface(demo_data(), dom, chain))
+    assert need >= 24 * 81 * layers  # the R + 1 point arrays
     monkeypatch.setattr(goursat, "_available_bytes", lambda: need)
     assert len(backlund_surface(demo_data(), dom, chain)) == layers
-
-    def never(*args, **kwargs):
-        raise AssertionError("frames swept for a refused tower")
-
     monkeypatch.setattr(goursat, "_available_bytes", lambda: need - 1)
-    monkeypatch.setattr(frames, "_frame_buffer", never)  # the kernel's first allocation
-    with pytest.raises(ValueError, match=f"a tower of {layers} surfaces on n = 8 steps "
-                                         f"needs {need} bytes for its points, more than "
-                                         f"the {need - 1} bytes"):
+    monkeypatch.setattr(goursat, "_sweep", _never)
+    monkeypatch.setattr(sinegordon, "_sweep", _never)
+    with pytest.raises(ValueError, match=f" n = 8 steps needs {need} bytes for .* and then its "
+                                         f"{layers} surfaces, more than the {need - 1} bytes"):
         backlund_surface(demo_data(), dom, chain)
 
 
-@pytest.mark.parametrize("call, need, what", [
-    (lambda dom: propagate_frame(solve_goursat_2d(hirota_system(), demo_data(), dom), 1.0),
-     128 * 81, "a frame on n = 8 steps needs 10368 bytes for Psi and dPsi"),
-    (lambda dom: backlund_two_route_residual(demo_data(), dom, MIXED_CHAIN),
-     24 * 81 * 4, "a tower of 4 surfaces on n = 8 steps needs 7776 bytes for its points"),
-])
-def test_frame_arrays_refused_before_allocation(monkeypatch, call, need, what):
-    # the kernel sizes the frame (128 (n+1)^2 bytes) and route A's R + 1 point
-    # arrays (24 (n+1)^2 bytes each) before it allocates them, n = 8; the
-    # layered solve's own guard, which counts more, is set aside
-    dom = LatticeDomain2.from_k(1.0, 3)
-    monkeypatch.setattr(sinegordon, "_require_memory", lambda *args: None)
+@pytest.mark.parametrize("call, what", [
+    (lambda fields: propagate_frame(fields, 1.0), "a frame on n = 8 steps needs {} bytes for "
+                                                   "Psi and dPsi"),
+    (lambda fields: backlund_two_route_residual(demo_data(), fields.domain, MIXED_CHAIN),
+     "a layered solve on n = 8 steps needs {} bytes for 4 field and 3 theta layers and then its "
+     "4 surfaces"),
+], ids=["propagate_frame", "two_route"])
+def test_frame_arrays_refused_before_allocation(monkeypatch, planned, call, what):
+    # the frame of propagate_frame, and both routes of the two-route residual
+    # with the layered solve before them, are sized by one plan before
+    # anything is allocated: n = 8, admitted at its figure, refused one byte less
+    fields = solve_goursat_2d(hirota_system(), demo_data(), LatticeDomain2.from_k(1.0, 3))
+    need = planned(lambda: call(fields))
     monkeypatch.setattr(goursat, "_available_bytes", lambda: need)
-    call(dom)
-
-    def never(*args, **kwargs):
-        raise AssertionError("frames swept for a refused sweep")
-
+    call(fields)
     monkeypatch.setattr(goursat, "_available_bytes", lambda: need - 1)
-    monkeypatch.setattr(frames, "_frame_buffer", never)  # the kernel's first allocation
-    with pytest.raises(ValueError, match=f"{what}, more than the {need - 1} bytes"):
-        call(dom)
+    monkeypatch.setattr(frames, "_cell_residuals", _never)  # the first block's work
+    monkeypatch.setattr(sinegordon, "_sweep", _never)
+    with pytest.raises(ValueError, match=f"{what.format(need)}, more than the {need - 1} bytes"):
+        call(fields)
 
 
 def test_backlund_surface_rejects_naive(dom):
@@ -390,9 +388,9 @@ def _count_solves(monkeypatch):
     calls = []
     sweep = ksurf.sinegordon._sweep
 
-    def counting(rhs, data, dom, every):
+    def counting(rhs, data, dom, every, a, b):
         calls.append(len(data[0]))  # the layers stepped together
-        return sweep(rhs, data, dom, every)
+        return sweep(rhs, data, dom, every, a, b)
 
     def never(*args):
         raise AssertionError("a layer solved on its own")
